@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -28,29 +27,6 @@ from .conicweb import (
 from .dualize import CoTrivial, Rational, Trivial
 from .poly import HPoly, RatMap, implicitize, reduce_map, _monomials
 from .seeding import stable_rng
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation's knobs; identical config + inputs => identical bytes."""
-
-    mode: str = "exact"
-    seed: int = 0
-    tolerance: float = 1e-9
-    degree_max: int = 3
-    input: Optional[str] = None
-    output: Optional[str] = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            mode=getattr(args, "mode", "exact"),
-            seed=getattr(args, "seed", 0),
-            tolerance=getattr(args, "tolerance", 1e-9),
-            degree_max=getattr(args, "degree", 3),
-            input=getattr(args, "infile", None),
-            output=getattr(args, "out", None),
-        )
 
 
 def _emit(report: dict, out_path: Optional[str]) -> None:
@@ -86,6 +62,10 @@ _GEN_KINDS = {
 def generate_map(seed: int, degree: int, target_dim: int) -> RatMap:
     """Random integer-coefficient map, rejection-sampled so that removing
     common factors preserves the requested degree."""
+    if degree < 0:
+        raise ValueError(f"degree must be at least 0, got {degree}")
+    if target_dim < 1:
+        raise ValueError(f"target dimension must be at least 1, got {target_dim}")
     rng = stable_rng(seed, f"gen:{degree}:{target_dim}")
     monos = _monomials(3, degree)
     while True:
@@ -182,39 +162,36 @@ def _emit_curves(path: str, F: RatMap, seed: int, curves: int = 8, samples: int 
 
 
 def _cmd_dualize(args) -> int:
-    cfg = RunConfig.from_args(args)
-    F = _load_map(cfg.input)
+    F = _load_map(args.infile)
     try:
-        Fh = dualize.dual_map(F, seed=cfg.seed)
+        Fh = dualize.dual_map(F, seed=args.seed)
     except (dualize.EverywhereDegenerate, dualize.SectionCollapse, dualize.NotPlanar) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, cfg.output)
+        _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 2
     if args.emit_curves:
-        _emit_curves(args.emit_curves, F, cfg.seed)
-    _emit({"dual": Fh.to_json(), "degree": Fh.degree}, cfg.output)
+        _emit_curves(args.emit_curves, F, args.seed)
+    _emit({"dual": Fh.to_json(), "degree": Fh.degree}, args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    F = _load_map(cfg.input)
-    report, code = _classify_report(dualize.classify(F, seed=cfg.seed))
-    _emit(report, cfg.output)
+    F = _load_map(args.infile)
+    report, code = _classify_report(dualize.classify(F, seed=args.seed))
+    _emit(report, args.out)
     return code
 
 
 def _cmd_fit(args) -> int:
     # CSV cells (including decimals) are exact rationals; the fit is exact
-    cfg = RunConfig.from_args(args)
-    source = jetplan.read_csv_grid(cfg.input, mode="exact")
+    source = jetplan.read_csv_grid(args.infile, mode="exact")
     try:
-        model = ratfit.fit_map(source, cfg.degree_max, seed=cfg.seed)
+        model = ratfit.fit_map(source, args.degree, seed=args.seed)
     except (ratfit.DegreeTooLow, ratfit.AmbiguousFit, ratfit.NormalizationFailure,
             ratfit.ChartOverflow) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, cfg.output)
+        _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 2
     residuals = _fit_residuals(source, model)
-    _emit({"map": model.to_json(), "residuals": residuals}, cfg.output)
+    _emit({"map": model.to_json(), "residuals": residuals}, args.out)
     return 0
 
 
@@ -249,60 +226,56 @@ def _fit_residuals(source: jetplan.GridMapSource, model: RatMap) -> dict:
 
 
 def _cmd_web_classify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    f = _load_map(cfg.input)
+    f = _load_map(args.infile)
     web = ConicSystem.from_json(_load_json(args.web))
     try:
-        verdict = conicweb.classify_web(f, web, seed=cfg.seed)
+        verdict = conicweb.classify_web(f, web, seed=args.seed)
     except conicweb.NotALinesToCurvesMap as exc:
-        _emit({"case": "NotALinesToCurvesMap", "witness": None, "diagnostics": str(exc)}, cfg.output)
+        _emit({"case": "NotALinesToCurvesMap", "witness": None, "diagnostics": str(exc)}, args.out)
         return 2
     report, code = _web_report(verdict)
     if args.emit_curves:
-        _emit_curves(args.emit_curves, f, cfg.seed)
-    _emit(report, cfg.output)
+        _emit_curves(args.emit_curves, f, args.seed)
+    _emit(report, args.out)
     return code
 
 
 def _cmd_implicitize(args) -> int:
-    cfg = RunConfig.from_args(args)
-    F = _load_map(cfg.input)
+    F = _load_map(args.infile)
     result = implicitize(F, args.kmax)
     if result is None:
-        _emit({"degree": None, "relation": None}, cfg.output)
+        _emit({"degree": None, "relation": None}, args.out)
         return 0
     k, rel = result
-    _emit({"degree": k, "relation": rel.to_json()}, cfg.output)
+    _emit({"degree": k, "relation": rel.to_json()}, args.out)
     return 0
 
 
 def _cmd_khovanskii(args) -> int:
-    cfg = RunConfig.from_args(args)
-    source = jetplan.read_csv_grid(cfg.input, mode=cfg.mode)
+    source = jetplan.read_csv_grid(args.infile, mode=args.mode)
     try:
-        verdict = conicweb.khovanskii_classify(source, seed=cfg.seed)
+        verdict = conicweb.khovanskii_classify(source, seed=args.seed)
     except (conicweb.NotOnSphere, conicweb.DegreeAnomaly, conicweb.TooFewSamples,
-            ratfit.DegreeTooLow) as exc:
-        _emit({"case": type(exc).__name__, "witness": None, "diagnostics": str(exc)}, cfg.output)
+            ratfit.DegreeTooLow, ratfit.AmbiguousFit, ratfit.NormalizationFailure) as exc:
+        _emit({"case": type(exc).__name__, "witness": None, "diagnostics": str(exc)}, args.out)
         return 2
     if isinstance(verdict, InCircle):
-        _emit({"case": "InCircle", "witness": list(verdict.plane.covector), "diagnostics": None}, cfg.output)
+        _emit({"case": "InCircle", "witness": list(verdict.plane.covector), "diagnostics": None}, args.out)
         return 0
     if isinstance(verdict, CoTrivial):
-        _emit({"case": "CoTrivial", "witness": list(verdict.center.coords), "diagnostics": None}, cfg.output)
+        _emit({"case": "CoTrivial", "witness": list(verdict.center.coords), "diagnostics": None}, args.out)
         return 0
-    _emit({"case": "Quadratic", "witness": verdict.map.to_json(), "diagnostics": None}, cfg.output)
+    _emit({"case": "Quadratic", "witness": verdict.map.to_json(), "diagnostics": None}, args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    cfg = RunConfig.from_args(args)
     if args.kind:
         degree, target_dim = _GEN_KINDS[args.kind]
     else:
         degree, target_dim = args.degree, args.target_dim
-    m = generate_map(cfg.seed, degree, target_dim)
-    _emit(m.to_json(), cfg.output)
+    m = generate_map(args.seed, degree, target_dim)
+    _emit(m.to_json(), args.out)
     return 0
 
 
@@ -318,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--in", dest="infile", required=True, help="input file")
         p.add_argument("--out", dest="out", default=None, help="write the JSON report here")
         p.add_argument("--seed", type=int, default=0, help="seed for all validation draws")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
 
     p = sub.add_parser("dualize", help="dual planarization of a rational map")
     common(p)
@@ -347,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("khovanskii", help="classify a sphere-valued lines-to-circles grid")
     common(p)
+    p.add_argument("--mode", choices=("exact", "float"), default="exact", help="read CSV cells as exact or float")
     p.set_defaults(fn=_cmd_khovanskii)
 
     p = sub.add_parser("gen", help="seeded random map generation")

@@ -31,6 +31,11 @@ from .projcore import Hyperplane, PLine2, PPoint
 from .ratfit import ChartOverflow, DegreeTooLow
 from .seeding import stable_rng
 
+#: float-mode tolerance on |x|^2 - 1 for sphere samples
+SPHERE_RTOL = 1e-9
+#: float-mode relative residual of W∘f against the identity in net inversion
+INVERSE_RTOL = 1e-6
+
 
 class DependentBasis(ValueError):
     """The quadratic forms spanning a linear system are dependent."""
@@ -245,7 +250,9 @@ def _screen_lines(seed: int, count: int = 25) -> list[PLine2]:
     lines = []
     while len(lines) < count:
         cov = tuple(rng.randint(-9, 9) for _ in range(3))
-        if cov == (0, 0, 0):
+        if cov[1] == cov[2] == 0:
+            # the zero covector, or the line x0 = 0, on which a source bound
+            # to the affine chart has no point
             continue
         lines.append(PLine2.of(cov))
     return lines
@@ -394,13 +401,9 @@ def _matrix_of_linear_map(P: RatMap) -> list[list[Fraction]]:
 
 
 def _adjugate3(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    def c(i, j):
-        rows = [r for k, r in enumerate(m) if k != i]
-        cols = [[row[l] for l in range(3) if l != j] for row in rows]
-        minor = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        return minor if (i + j) % 2 == 0 else -minor
-
-    return [[c(j, i) for j in range(3)] for i in range(3)]
+    # the cofactor rows of a 3x3 matrix are cross products of its other rows
+    cof = [projcore.cross(m[1], m[2]), projcore.cross(m[2], m[0]), projcore.cross(m[0], m[1])]
+    return [list(col) for col in zip(*cof)]
 
 
 def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
@@ -502,7 +505,7 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
             for i in range(3):
                 for j in range(i + 1, 3):
                     resid = abs(float(wx[i]) * w[j] - float(wx[j]) * w[i]) / (nw * nx)
-                    if resid > 1e-6:
+                    if resid > INVERSE_RTOL:
                         raise ProjectiveFitFailed(
                             f"W∘f deviates from the identity by {resid:.2e}"
                         )
@@ -522,9 +525,6 @@ class InCircle:
     """The whole image lies in one circle (sphere section by a plane)."""
 
     plane: Hyperplane
-
-
-SPHERE_RTOL = 1e-9
 
 
 def _sphere_sample_points(region: Region, mode: str):

@@ -98,24 +98,6 @@ def _symbolic_section(direction: Sequence[int]) -> list[HPoly]:
     ]
 
 
-def _hdet(matrix: list[list[HPoly]]) -> HPoly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    nvars = matrix[0][0].nvars
-    deg = sum(matrix[i][0].degree for i in range(n))
-    out = HPoly.zero(nvars, deg)
-    sign = 1
-    for col in range(n):
-        entry = matrix[0][col]
-        if not entry.is_zero:
-            minor = [[row[c] for c in range(n) if c != col] for row in matrix[1:]]
-            term = entry * _hdet(minor)
-            out = out + (term if sign > 0 else -term)
-        sign = -sign
-    return out
-
-
 def _precheck_points(seed: int):
     pts = [
         (Fraction(i, 4), Fraction(j, 4)) for i in range(1, 4) for j in range(1, 4)
@@ -160,11 +142,7 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
         directions = _SECTION_DIRECTIONS[start : start + n]
         sections = [_symbolic_section(d) for d in directions]
         rows = [[comp.substitute(sec) for comp in F.components] for sec in sections]
-        covector = []
-        for omit in range(n + 1):
-            minor = [[row[c] for c in range(n + 1) if c != omit] for row in rows]
-            d = _hdet(minor)
-            covector.append(d if omit % 2 == 0 else -d)
+        covector = projcore.signed_minors(rows)
         if all(c.is_zero for c in covector):
             continue
         Fhat = reduce_map(covector)

@@ -26,6 +26,8 @@ from .projcore import Hyperplane
 DEGENERACY_RTOL = 1e-7
 #: float-mode relative containment residual for per-line hyperplanes
 CONTAINMENT_RTOL = 1e-6
+#: float-mode absolute distance within which a point is a grid node
+NODE_ATOL = 1e-12
 
 
 class OnIndeterminacy(ValueError):
@@ -56,12 +58,6 @@ class Region:
     u_hi: Fraction = Fraction(1)
     v_lo: Fraction = Fraction(0)
     v_hi: Fraction = Fraction(1)
-
-    def contains(self, u, v) -> bool:
-        return self.u_lo <= u <= self.u_hi and self.v_lo <= v <= self.v_hi
-
-    def center(self) -> tuple[Fraction, Fraction]:
-        return (self.u_lo + self.u_hi) / 2, (self.v_lo + self.v_hi) / 2
 
 
 UNIT_SQUARE = Region()
@@ -143,7 +139,7 @@ class GridMapSource:
     def node_index(self, u, v) -> tuple[int, int]:
         def find(axis, x):
             for i, a in enumerate(axis):
-                if a == x or (self.mode == "float" and abs(float(a) - float(x)) < 1e-12):
+                if a == x or (self.mode == "float" and abs(float(a) - float(x)) < NODE_ATOL):
                     return i
             raise KeyError(f"{x} is not a grid node")
 
@@ -170,17 +166,17 @@ MapSource = Union[ExactMapSource, GridMapSource, CallableSource]
 
 def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
     """Parse the grid CSV format: header u,v,F1..Fn, rows v-major then u."""
-    if "\n" not in text_or_path and "," not in text_or_path:
+    if "\n" not in text_or_path:
         with open(text_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = text_or_path
     rows = list(csv.reader(io.StringIO(text)))
-    header = rows[0]
+    header = rows[0] if rows else []
     if header[:2] != ["u", "v"]:
         raise ValueError("grid CSV must start with columns u,v")
     n = len(header) - 2
-    conv = Fraction if mode == "exact" else float
+    conv = projcore.scalar_from_str if mode == "exact" else float
     u_set: list = []
     v_set: list = []
     data: dict = {}
@@ -195,6 +191,9 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
         data[(u, v)] = tuple(conv(x) for x in row[2:])
     u_axis = sorted(u_set)
     v_axis = sorted(v_set)
+    missing = next(((u, v) for v in v_axis for u in u_axis if (u, v) not in data), None)
+    if missing is not None:
+        raise ValueError(f"grid CSV has no row for the node u={missing[0]}, v={missing[1]}")
     values = [[data[(u, v)] for u in u_axis] for v in v_axis]
     if any(len(val) != n for line in values for val in line):
         raise ValueError("ragged grid CSV")
@@ -385,47 +384,6 @@ def _jet_grid(source: GridMapSource, a: tuple, m: int) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def _lp_add(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return out
-
-
-def _lp_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _lp_det(matrix: list[list[list]]) -> list:
-    """Determinant of a square matrix of slope-polynomials (cofactor)."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    out: list = []
-    sign = 1
-    for col in range(n):
-        entry = matrix[0][col]
-        if any(c != 0 for c in entry):
-            minor = [[row[c] for c in range(n) if c != col] for row in matrix[1:]]
-            term = _lp_mul(entry, _lp_det(minor))
-            if sign < 0:
-                term = [-c for c in term]
-            out = _lp_add(out, term)
-        sign = -sign
-    return out
-
-
 @dataclass(frozen=True)
 class CovectorPoly:
     """Covector-valued polynomial in the line slope."""
@@ -490,13 +448,7 @@ def omega(jet: Jet) -> CovectorPoly:
                     entries[col].append(zero)
                 entries[col][j] = entries[col][j] + vec[col]
         rows.append(entries)
-    cov_polys = []
-    for omit in range(n + 1):
-        minor = [[row[c] for c in range(n + 1) if c != omit] for row in rows]
-        d = _lp_det(minor)
-        if omit % 2 == 1:
-            d = [-c for c in d]
-        cov_polys.append(d)
+    cov_polys = projcore.signed_minors(rows, univar.mul, univar.add, lambda p: [-c for c in p])
     if jet.mode == "exact":
         # divide out the common polynomial factor in the slope: this is the
         # rational continuation of the hyperplane family (slopes where the
@@ -554,12 +506,10 @@ def hyperplane_for_line(source: MapSource, a: tuple, slope) -> Hyperplane:
     if den == 0:
         om = omega(jet.transposed())
         value = om.evaluate(0)
-        full = om
     else:
         om = omega(jet)
         value = om.evaluate(Fraction(num, den) if jet.mode == "exact" else num / den)
-        full = om
-    if full.is_zero or (jet.mode == "float" and full.max_abs() <= DEGENERACY_RTOL * jet.scale() ** n):
+    if om.is_zero or (jet.mode == "float" and om.max_abs() <= DEGENERACY_RTOL * jet.scale() ** n):
         raise DegeneratePoint(f"map degenerate at {a}")
     if all(x == 0 for x in value):
         raise DegenerateSlope(f"hyperplane family vanishes at slope {slope}")

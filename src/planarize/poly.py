@@ -40,14 +40,6 @@ class NonGenericTarget(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def p_zero() -> PolyDict:
-    return {}
-
-
-def p_is_zero(p: PolyDict) -> bool:
-    return not p
-
-
 def p_add(a: PolyDict, b: PolyDict) -> PolyDict:
     out = dict(a)
     for e, c in b.items():
@@ -119,18 +111,6 @@ def p_degree_in(a: PolyDict, var: int) -> int:
     return max(e[var] for e in a)
 
 
-def p_derivative(a: PolyDict, var: int) -> PolyDict:
-    out: PolyDict = {}
-    for e, c in a.items():
-        k = e[var]
-        if k == 0:
-            continue
-        e2 = list(e)
-        e2[var] = k - 1
-        out[tuple(e2)] = c * k
-    return out
-
-
 def p_canonical(a: PolyDict) -> PolyDict:
     """Integer coefficients, content 1, lexicographically-leading term positive."""
     if not a:
@@ -158,16 +138,6 @@ def _coeffs_wrt(a: PolyDict, var: int) -> dict[int, PolyDict]:
         e2 = list(e)
         e2[var] = 0
         out.setdefault(k, {})[tuple(e2)] = c
-    return out
-
-
-def _from_coeffs_wrt(coeffs: dict[int, PolyDict], var: int) -> PolyDict:
-    out: PolyDict = {}
-    for k, poly in coeffs.items():
-        for e, c in poly.items():
-            e2 = list(e)
-            e2[var] = e2[var] + k
-            out[tuple(e2)] = c
     return out
 
 
@@ -441,11 +411,6 @@ class HPoly:
             raise ValueError("wrong point dimension")
         return p_eval(self.terms, xs)
 
-    def partial(self, var: int) -> "HPoly":
-        if self.degree == 0:
-            return HPoly.zero(self.nvars, 0)
-        return HPoly(self.nvars, self.degree - 1, p_derivative(self.terms, var))
-
     def substitute(self, args: Sequence["HPoly"]) -> "HPoly":
         """Compose with a tuple of same-degree polynomials, one per variable."""
         if len(args) != self.nvars:
@@ -493,7 +458,7 @@ class HPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "HPoly":
-        terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
+        terms = {tuple(t["exp"]): projcore.scalar_from_str(t["coef"]) for t in data["terms"]}
         return cls(int(data["nvars"]), int(data["degree"]), terms)
 
 
@@ -964,14 +929,18 @@ def fiber_count(F: RatMap, y: PPoint, seed: int = 0) -> int:
     if len(yc) != len(F.components):
         raise ValueError("target dimension mismatch")
     j0 = max(range(len(yc)), key=lambda i: abs(yc[i]))
-    eqs_raw = []
-    for i in range(len(yc)):
-        if i == j0:
-            continue
-        e = Fraction(yc[j0]) * F.components[i] - Fraction(yc[i]) * F.components[j0]
-        if not e.is_zero:
-            eqs_raw.append(e)
-    if len(eqs_raw) < 2:
+
+    def fiber_equations(G: RatMap) -> list[HPoly]:
+        eqs = []
+        for i in range(len(yc)):
+            if i == j0:
+                continue
+            e = Fraction(yc[j0]) * G.components[i] - Fraction(yc[i]) * G.components[j0]
+            if not e.is_zero:
+                eqs.append(e)
+        return eqs
+
+    if len(fiber_equations(F)) < 2:
         raise NonGenericTarget("fewer than two independent fiber equations")
 
     counts = []
@@ -981,13 +950,7 @@ def fiber_count(F: RatMap, y: PPoint, seed: int = 0) -> int:
         if projcore.det(mat) == 0:
             continue
         FT = _apply_linear_change(F, mat)
-        eqs = []
-        for i in range(len(yc)):
-            if i == j0:
-                continue
-            e = Fraction(yc[j0]) * FT.components[i] - Fraction(yc[i]) * FT.components[j0]
-            if not e.is_zero:
-                eqs.append(e)
+        eqs = fiber_equations(FT)
         E = _eliminant(eqs, rng)
         if E is None:
             continue

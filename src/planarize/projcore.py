@@ -11,6 +11,7 @@ helper (SVD with a relative tolerance) exists only for CSV-sampled inputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,7 +42,13 @@ def scalar_to_str(x: Fraction) -> str:
 
 
 def scalar_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """Parse "p/q", "p" or a decimal as an exact rational.
+
+    Raises ValueError on malformed text and on a zero denominator."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"scalar {s!r} has a zero denominator") from None
 
 
 def _as_fraction_vector(v: Sequence) -> list[Fraction]:
@@ -90,16 +97,20 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return [clear_denominators(r) for r in rows]
 
 
-def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.  Returns (echelon matrix, pivot cols).
+def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form.
 
-    Partial pivoting picks the largest-magnitude integer pivot in the
-    current column.  The divisions are exact (Bareiss).
+    Returns (echelon matrix, pivot cols, sign), where sign is -1 when an odd
+    number of row swaps was made.  Partial pivoting picks the
+    largest-magnitude integer pivot in the current column.  The divisions
+    are exact (Bareiss), so on a square matrix of full rank the last entry
+    is sign times the determinant.
     """
     m = [row[:] for row in mat]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -113,6 +124,7 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             continue
         if best != r:
             m[r], m[best] = m[best], m[r]
+            sign = -sign
         piv = m[r][c]
         for i in range(r + 1, nrows):
             mic = m[i][c]
@@ -121,7 +133,7 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         prev = piv
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m, pivots, sign
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -132,7 +144,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     widths = {len(r) for r in mat}
     if len(widths) != 1:
         raise DimensionMismatch("rows of unequal length")
-    _, pivots = _bareiss_echelon(mat)
+    _, pivots, _ = _bareiss_echelon(mat)
     return len(pivots)
 
 
@@ -150,7 +162,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     if len(widths) != 1:
         raise DimensionMismatch("rows of unequal length")
     ncols = widths.pop()
-    ech, pivots = _bareiss_echelon(mat)
+    ech, pivots, _ = _bareiss_echelon(mat)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -176,36 +188,57 @@ def det(rows: Sequence[Sequence]) -> Fraction:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant needs a square matrix")
-    fv = [[Fraction(c) for c in r] for r in rows]
-    scale = Fraction(1)
-    mat = []
+    fv = [_as_fraction_vector(r) for r in rows]
+    scale = 1
     for r in fv:
-        m = 1
-        for c in r:
-            m = m * c.denominator // math.gcd(m, c.denominator)
-        scale *= m
-        mat.append([int(c * m) for c in r])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv_row = None
-        best = 0
-        for i in range(c, n):
-            if abs(mat[i][c]) > best:
-                best = abs(mat[i][c])
-                piv_row = i
-        if piv_row is None:
-            return Fraction(0)
-        if piv_row != c:
-            mat[c], mat[piv_row] = mat[piv_row], mat[c]
-            sign = -sign
-        piv = mat[c][c]
-        for i in range(c + 1, n):
-            mic = mat[i][c]
-            for j in range(c, n):
-                mat[i][j] = (piv * mat[i][j] - mic * mat[c][j]) // prev
-        prev = piv
-    return Fraction(sign * mat[n - 1][n - 1]) / scale
+        scale *= math.lcm(*(c.denominator for c in r))
+    ech, pivots, sign = _bareiss_echelon(_integer_rows(fv))
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * ech[n - 1][n - 1], scale)
+
+
+def signed_minors(
+    rows: Sequence[Sequence], mul=operator.mul, add=operator.add, neg=operator.neg
+) -> list:
+    """Signed maximal minors of an n x (n+1) matrix over any commutative ring.
+
+    Entry j is (-1)^j times the determinant of the rows with column j left
+    out: the covector that pairs to zero with every row.  Entries need only
+    the three ring operations passed in, so the same kernel serves numbers,
+    homogeneous polynomials and slope polynomials.  Each determinant expands
+    by cofactors along its first remaining row, columns ascending; the
+    sub-minor on a set of trailing rows and columns is computed once and
+    shared by all n+1 minors, so together they take at most (n+1)·2^n
+    products, where separate expansions take order (n+1)!.
+    """
+    n = len(rows)
+    if n == 0 or any(len(r) != n + 1 for r in rows):
+        raise DimensionMismatch(f"need {n} rows of length {n + 1}")
+    memo: dict = {}
+
+    def minor(cols: tuple):
+        # determinant of the last len(cols) rows on these columns
+        if cols not in memo:
+            row = rows[n - len(cols)]
+            if len(cols) == 1:
+                memo[cols] = row[cols[0]]
+            else:
+                acc = None
+                for k, c in enumerate(cols):
+                    term = mul(row[c], minor(cols[:k] + cols[k + 1 :]))
+                    if k % 2:
+                        term = neg(term)
+                    acc = term if acc is None else add(acc, term)
+                memo[cols] = acc
+        return memo[cols]
+
+    every = tuple(range(n + 1))
+    out = []
+    for j in range(n + 1):
+        d = minor(every[:j] + every[j + 1 :])
+        out.append(neg(d) if j % 2 else d)
+    return out
 
 
 def wedge_complement(vs: Sequence[Sequence]) -> tuple[int, ...]:

@@ -3,6 +3,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from planarize import ratfit
 from planarize.cli import main
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
@@ -200,3 +203,79 @@ def test_web_classify_cli(tmp_path, capsys):
     report = json.loads(out)
     assert report["case"] == "QuadricFactor"
     assert report["witness"]["quadric"]["degree"] == 2
+
+
+def _stereo_grid(tmp_path):
+    def stereo(u, v):
+        s = u * u + v * v + 1
+        return (2 * u / s, 2 * v / s, (u * u + v * v - 1) / s)
+
+    us = [Fraction(k) for k in range(15)]
+    path = tmp_path / "sphere.csv"
+    path.write_text(write_csv_grid(GridMapSource(us, us, [[stereo(u, v) for u in us] for v in us], mode="exact")))
+    return str(path)
+
+
+def _bad_coefficient_map(tmp_path):
+    data = json.loads(json.dumps(SEGRE_JSON))
+    data["components"][0]["terms"][0]["coef"] = "1/0"
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _sparse_grid(tmp_path):
+    path = tmp_path / "sparse.csv"
+    path.write_text("u,v,F1\n0,0,1\n1,0,2\n0,1,3\n")
+    return str(path)
+
+
+def _empty_grid(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    return str(path)
+
+
+def _failing_fit(exc):
+    def fit_map(*args, **kwargs):
+        raise exc("planted fit failure")
+
+    return fit_map
+
+
+# name, argv (given tmp_path), fit_map stand-in, exit code, start of the last
+# stderr line (exit 1; only usage errors print more than that line) or the
+# report's case (exit 2)
+MALFORMED = [
+    ("negative degree", lambda t: ["gen", "--degree", "-1"], None, 1,
+     "planarize: ValueError: degree must be at least 0"),
+    ("target dim zero", lambda t: ["gen", "--target-dim", "0"], None, 1,
+     "planarize: ValueError: target dimension must be at least 1"),
+    ("zero denominator", lambda t: ["classify", "--in", _bad_coefficient_map(t)], None, 1,
+     "planarize: ValueError: scalar '1/0' has a zero denominator"),
+    ("sparse grid", lambda t: ["fit", "--in", _sparse_grid(t)], None, 1,
+     "planarize: ValueError: grid CSV has no row for the node u=1, v=1"),
+    ("empty grid", lambda t: ["fit", "--in", _empty_grid(t)], None, 1,
+     "planarize: ValueError: grid CSV must start with columns u,v"),
+    ("mode off khovanskii", lambda t: ["classify", "--in", "m.json", "--mode", "exact"], None, 1,
+     "planarize: error: unrecognized arguments: --mode exact"),
+    ("khovanskii ambiguous fit", lambda t: ["khovanskii", "--in", _stereo_grid(t)],
+     ratfit.AmbiguousFit, 2, "AmbiguousFit"),
+    ("khovanskii normalization", lambda t: ["khovanskii", "--in", _stereo_grid(t)],
+     ratfit.NormalizationFailure, 2, "NormalizationFailure"),
+]
+
+
+@pytest.mark.parametrize("name,argv,fit_failure,code,expect", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_input_exit_codes(tmp_path, capsys, monkeypatch, name, argv, fit_failure, code, expect):
+    if fit_failure:
+        monkeypatch.setattr(ratfit, "fit_map", _failing_fit(fit_failure))
+    assert main(argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        lines = captured.err.splitlines()
+        assert lines[-1].startswith(expect)
+        assert len(lines) == 1 or lines[0].startswith("usage: planarize")
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"case": expect, "witness": None, "diagnostics": "planted fit failure"}

@@ -307,3 +307,14 @@ def test_khovanskii_float_equator_grid():
     verdict = khovanskii_classify(grid)
     assert isinstance(verdict, InCircle)
     assert verdict.plane.covector == (0, 0, 0, 1)
+
+
+def test_sampled_map_passes_screening_at_seed_26():
+    # seed 26 used to draw the line x0 = 0 among its screening lines, where a
+    # source bound to the affine chart has no point (TooFewSamples)
+    def inversion(u, v):
+        s = u * u + v * v
+        return None if s == 0 else (s, F(u), F(v))
+
+    verdict = classify_web(CallableSource(inversion, codim=2, mode="exact"), circle_web(), seed=26)
+    assert isinstance(verdict, QuadricFactor)

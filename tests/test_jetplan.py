@@ -263,6 +263,20 @@ def test_csv_round_trip_and_order():
     assert back.node_value(1, 1) == (9.0, 10.0)
 
 
+def test_csv_sparse_grid_names_the_missing_node():
+    with pytest.raises(ValueError, match="no row for the node u=1, v=1"):
+        read_csv_grid("u,v,F1\n0,0,1\n1,0,2\n0,1,3\n", mode="exact")
+
+
+def test_csv_path_with_a_comma_is_read_as_a_file(tmp_path):
+    folder = tmp_path / "d,ir"
+    folder.mkdir()
+    path = folder / "g.csv"
+    path.write_text("u,v,F1\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n")
+    grid = read_csv_grid(str(path), mode="exact")
+    assert grid.node_value(1, 1) == (Fraction(4),)
+
+
 def test_hyperplane_accepts_projective_slope_pairs():
     src = ExactMapSource(PARABOLOID)
     affine = hyperplane_for_line(src, (0, 0), 2)

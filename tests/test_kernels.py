@@ -1,0 +1,121 @@
+"""The determinant and signed-minors kernels against the sympy oracle."""
+
+import operator
+from fractions import Fraction
+
+import pytest
+
+from planarize.poly import HPoly
+from planarize.projcore import DimensionMismatch, det, signed_minors
+from planarize.seeding import stable_rng
+
+sympy = pytest.importorskip("sympy")
+
+XS = sympy.symbols("x0 x1 x2")
+
+
+def to_sympy(p: HPoly):
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**k for x, k in zip(XS, e))
+        for e, c in p.terms.items()
+    )
+
+
+def sympy_det(rows):
+    return sympy.Matrix(rows).det(method="berkowitz")
+
+
+def random_form(rng, degree, zero_chance=0.0):
+    if rng.random() < zero_chance:
+        return HPoly.zero(3, degree)
+    terms = {}
+    for _ in range(3):
+        a = rng.randint(0, degree)
+        b = rng.randint(0, degree - a)
+        terms[(a, b, degree - a - b)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return HPoly(3, degree, terms)
+
+
+def minors_oracle(rows):
+    """(-1)^j det(rows without column j), each determinant by sympy."""
+    n = len(rows)
+    return [
+        (-1) ** j * sympy_det([[r[c] for c in range(n + 1) if c != j] for r in rows])
+        for j in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_minors_of_forms_match_sympy(n):
+    rng = stable_rng(n, "minors_forms")
+    for _ in range(2):
+        # rows of different degrees, some entries zero (the dual's sections
+        # and the jet's lifted chart column both give zero entries)
+        degrees = [rng.randint(1, 2) for _ in range(n)]
+        rows = [[random_form(rng, d, zero_chance=0.2) for _ in range(n + 1)] for d in degrees]
+        ours = signed_minors(rows)
+        oracle = minors_oracle([[to_sympy(p) for p in r] for r in rows])
+        for p, q in zip(ours, oracle):
+            assert p.degree == sum(degrees)
+            assert sympy.expand(to_sympy(p) - q) == 0
+
+
+def test_signed_minors_of_integers_match_numeric_minors():
+    rng = stable_rng(0, "minors_ints")
+    for n in range(1, 7):
+        for _ in range(4):
+            rows = [[rng.randint(-6, 6) for _ in range(n + 1)] for _ in range(n)]
+            expect = [
+                (-1) ** j * det([[r[c] for c in range(n + 1) if c != j] for r in rows])
+                for j in range(n + 1)
+            ]
+            assert signed_minors(rows) == expect
+            # the covector pairs to zero with every row
+            assert all(sum(map(operator.mul, r, expect)) == 0 for r in rows)
+
+
+def test_signed_minors_shape_errors():
+    with pytest.raises(DimensionMismatch):
+        signed_minors([])
+    with pytest.raises(DimensionMismatch):
+        signed_minors([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+
+def _random_rational_matrix(rng, n):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+
+
+def test_det_matches_sympy_on_seeded_rationals():
+    rng = stable_rng(0, "det_oracle")
+    cases = []
+    for n in range(1, 7):
+        for _ in range(3):
+            cases.append(_random_rational_matrix(rng, n))
+        if n >= 2:
+            # singular: the last row is a combination of the first two
+            m = _random_rational_matrix(rng, n)
+            a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 3), 2)
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+            cases.append(m)
+            # a zero first pivot and a small leading column force row swaps
+            m = _random_rational_matrix(rng, n)
+            m[0][0] = Fraction(0)
+            m[-1][0] = Fraction(50)
+            cases.append(m)
+            # a zero column
+            m = _random_rational_matrix(rng, n)
+            for row in m:
+                row[n - 1] = Fraction(0)
+            cases.append(m)
+    for m in cases:
+        oracle = sympy_det([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in m])
+        assert det(m) == Fraction(int(oracle.p), int(oracle.q))
+
+
+def test_det_sign_follows_row_swaps():
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert det([]) == 1
+    with pytest.raises(DimensionMismatch):
+        det([[1, 2, 3], [4, 5, 6]])
