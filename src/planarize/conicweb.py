@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from . import dualize, projcore, ratfit
 from .dualize import CoTrivial, Indeterminate, Rational, Trivial
-from .jetplan import CallableSource, ExactMapSource, GridMapSource, Region
+from .jetplan import CallableSource, ExactMapSource, GridMapSource
 from .poly import (
     HPoly,
     RatMap,
@@ -106,6 +106,8 @@ class ConicSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConicSystem":
+        if not (isinstance(data, dict) and isinstance(data.get("basis"), list)):
+            raise ValueError("a conic system is a JSON object with a list of basis forms")
         sys = cls([HPoly.from_json(q) for q in data["basis"]])
         if "dimension" in data and int(data["dimension"]) != sys.dimension:
             raise ValueError("dimension field disagrees with basis size")
@@ -146,18 +148,13 @@ def _points_on_line(line: PLine2, count: int) -> list[tuple[int, ...]]:
 
 def _eval_projective(f_src, w: Sequence):
     """Evaluate a map source at a projective domain point (exact sources
-    anywhere; chart-bound sources only at finite points inside their region)."""
+    anywhere; chart-bound sources only at finite points)."""
     if isinstance(f_src, ExactMapSource):
         return f_src.ratmap.evaluate([Fraction(x) for x in w])
     if w[0] == 0:
         return None
     u = Fraction(w[1], w[0]) if f_src.mode == "exact" else w[1] / w[0]
     v = Fraction(w[2], w[0]) if f_src.mode == "exact" else w[2] / w[0]
-    if isinstance(f_src, GridMapSource):
-        try:
-            return f_src.evaluate(u, v)
-        except KeyError:
-            return None
     return f_src.evaluate(u, v)
 
 
@@ -268,7 +265,7 @@ def _composite_source(f_src, web: ConicSystem):
             return None
         return vals
 
-    return CallableSource(fn, codim=web.dimension, region=f_src.region, mode=f_src.mode)
+    return CallableSource(fn, codim=web.dimension, mode=f_src.mode)
 
 
 def net_through(web: ConicSystem, center: PPoint) -> ConicSystem:
@@ -431,7 +428,7 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
                 return None
             return Phin.evaluate(list(img))
 
-        comp_src = CallableSource(fn, codim=2, region=f_src.region, mode=f_src.mode)
+        comp_src = CallableSource(fn, codim=2, mode=f_src.mode)
 
     # 10 sampled lines must map to collinear point sets
     rng = stable_rng(seed, "net_collinear")
@@ -527,20 +524,6 @@ class InCircle:
     plane: Hyperplane
 
 
-def _sphere_sample_points(region: Region, mode: str):
-    pts = []
-    for i in range(6):
-        for j in range(6):
-            if mode == "exact":
-                u = region.u_lo + (region.u_hi - region.u_lo) * Fraction(2 * i + 1, 12)
-                v = region.v_lo + (region.v_hi - region.v_lo) * Fraction(2 * j + 1, 12)
-            else:
-                u = float(region.u_lo) + float(region.u_hi - region.u_lo) * (2 * i + 1) / 12.0
-                v = float(region.v_lo) + float(region.v_hi - region.v_lo) * (2 * j + 1) / 12.0
-            pts.append((u, v))
-    return pts
-
-
 def khovanskii_classify(f_src, seed: int = 0):
     """Classify a sphere-valued map that takes lines to circles.
 
@@ -554,21 +537,25 @@ def khovanskii_classify(f_src, seed: int = 0):
     if f_src.codim != 3:
         raise ValueError("expected a map into 3-space")
     exact = f_src.mode == "exact"
-    samples = []
+    # the sphere in RP^3: a grid already evaluates to (1, x, y, z)
     if isinstance(f_src, GridMapSource):
+        emb = f_src
         pts = [(u, v) for v in f_src.v_axis for u in f_src.u_axis]
     else:
-        pts = _sphere_sample_points(f_src.region, f_src.mode)
-    for u, v in pts:
-        val = f_src.evaluate(u, v)
-        if val is None:
-            continue
-        if isinstance(f_src, GridMapSource):
-            val = val[1:]  # grid evaluate() prepends the chart 1
-        samples.append((u, v, val))
+        one = Fraction(1) if exact else 1.0
+
+        def embedded(u, v):
+            val = f_src.evaluate(u, v)
+            return None if val is None else (one, *val)
+
+        emb = CallableSource(embedded, codim=3, mode=f_src.mode)
+        # the centres of the 6x6 cells of the unit square
+        ts = [Fraction(2 * i + 1, 12) if exact else (2 * i + 1) / 12.0 for i in range(6)]
+        pts = [(u, v) for u in ts for v in ts]
+    samples = [val[1:] for val in (emb.evaluate(u, v) for u, v in pts) if val is not None]
     if len(samples) < 8:
         raise TooFewSamples("not enough sphere samples")
-    for _, _, (x, y, z) in samples:
+    for x, y, z in samples:
         norm = x * x + y * y + z * z
         if exact:
             if norm != 1:
@@ -576,7 +563,7 @@ def khovanskii_classify(f_src, seed: int = 0):
         elif abs(float(norm) - 1.0) > SPHERE_RTOL:
             raise NotOnSphere(f"sample off the sphere by {abs(float(norm)-1.0):.2e}")
 
-    rows = [[1, x, y, z] for _, _, (x, y, z) in samples]
+    rows = [[1, x, y, z] for x, y, z in samples]
     if exact:
         basis = projcore.nullspace(rows)
         if basis:
@@ -586,19 +573,6 @@ def khovanskii_classify(f_src, seed: int = 0):
             vec = projcore.float_nullvector([[float(c) for c in r] for r in rows])
             return InCircle(Hyperplane(projcore.rationalize_direction(vec)))
 
-    def embedded(u, v):
-        val = f_src.evaluate(u, v)
-        if val is None:
-            return None
-        if isinstance(f_src, GridMapSource):
-            return val
-        one = Fraction(1) if exact else 1.0
-        return (one, *val)
-
-    lattice = None
-    if isinstance(f_src, GridMapSource):
-        lattice = (list(f_src.u_axis), list(f_src.v_axis))
-    emb = CallableSource(embedded, codim=3, region=f_src.region, mode=f_src.mode, nodes=lattice)
     model = None
     last_exc = None
     for d in (1, 2, 3):

@@ -1,12 +1,14 @@
 """Jets of maps into projective space and per-line hyperplane extraction.
 
-A map source is either an exact rational map (jets by polynomial shift and
-truncated series division, no rounding) or a rectangular CSV sample grid
-(jets by central finite differences).  From an order-(n-1) jet at a base
-point we build the slope-indexed family of vectors B_l, lift them to
-homogeneous coordinates and wedge them into a covector-valued polynomial in
-the slope; its value at a slope is the hyperplane containing the image of
-the line with that slope, and its identical vanishing signals degeneracy.
+A map source is an exact rational map (jets by polynomial shift and
+truncated series division, no rounding), a rectangular CSV sample grid
+(jets by central finite differences on evenly spaced nodes) or a black-box
+callable (no jets; fitting reads it point by point).  From an order-(n-1)
+jet at a base point we build the slope-indexed family of vectors B_l, lift
+them to homogeneous coordinates and wedge them into a covector-valued
+polynomial in the slope; its value at a slope is the hyperplane containing
+the image of the line with that slope, and its identical vanishing signals
+degeneracy.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ DEGENERACY_RTOL = 1e-7
 CONTAINMENT_RTOL = 1e-6
 #: float-mode absolute distance within which a point is a grid node
 NODE_ATOL = 1e-12
+#: float-mode relative deviation of a grid step from the pitch
+SPACING_RTOL = 1e-9
 
 
 class OnIndeterminacy(ValueError):
@@ -50,29 +54,15 @@ class DegeneratePoint(ValueError):
     """The map is degenerate at the base point (no line gives a hyperplane)."""
 
 
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned rectangle in the affine (u, v) chart of the domain."""
-
-    u_lo: Fraction = Fraction(0)
-    u_hi: Fraction = Fraction(1)
-    v_lo: Fraction = Fraction(0)
-    v_hi: Fraction = Fraction(1)
-
-
-UNIT_SQUARE = Region()
-
-
 class ExactMapSource:
     """Exact evaluator of a rational map on the chart (u, v) -> [1:u:v]."""
 
     mode = "exact"
 
-    def __init__(self, ratmap: RatMap, region: Region = UNIT_SQUARE):
+    def __init__(self, ratmap: RatMap):
         if ratmap.domain_vars != 3:
             raise ValueError("map sources have domain RP^2")
         self.ratmap = ratmap
-        self.region = region
 
     @property
     def codim(self) -> int:
@@ -86,23 +76,14 @@ class ExactMapSource:
 class CallableSource:
     """Black-box evaluator (used for composites and embeddings).
 
-    `nodes`, when given, names the (u, v) lattice the callable supports;
-    fitting then samples and validates on that lattice only.
+    `fn(u, v)` returns homogeneous image coordinates or None.  It must be a
+    pure function of (u, v): a fit reads each point once and reuses the value.
     """
 
-    def __init__(
-        self,
-        fn: Callable,
-        codim: int,
-        region: Region = UNIT_SQUARE,
-        mode: str = "exact",
-        nodes: Optional[tuple] = None,
-    ):
+    def __init__(self, fn: Callable, codim: int, mode: str = "exact"):
         self._fn = fn
         self.codim = codim
-        self.region = region
         self.mode = mode
-        self.nodes = nodes
 
     def evaluate(self, u, v):
         return self._fn(u, v)
@@ -123,14 +104,7 @@ class GridMapSource:
                 raise ValueError("grid axes must be strictly increasing")
         self.values = values  # values[iv][iu] = tuple of n numbers
         self.mode = mode
-        n = len(values[0][0])
-        self.codim = n
-        self.region = Region(
-            Fraction(self.u_axis[0]) if mode == "exact" else self.u_axis[0],
-            Fraction(self.u_axis[-1]) if mode == "exact" else self.u_axis[-1],
-            Fraction(self.v_axis[0]) if mode == "exact" else self.v_axis[0],
-            Fraction(self.v_axis[-1]) if mode == "exact" else self.v_axis[-1],
-        )
+        self.codim = len(values[0][0])
 
     @property
     def pitch(self) -> tuple:
@@ -358,6 +332,12 @@ def _jet_grid(source: GridMapSource, a: tuple, m: int) -> Jet:
     margin = 2 if m >= 3 else 1
     if not (margin <= iu < len(source.u_axis) - margin and margin <= iv < len(source.v_axis) - margin):
         raise ChartOverflow("base point too close to the grid edge for the stencil")
+    # the difference weights assume evenly spaced nodes at the pitch
+    for axis, i, h in ((source.u_axis, iu, hu), (source.v_axis, iv, hv)):
+        for lo, hi in zip(axis[i - margin : i + margin], axis[i - margin + 1 : i + margin + 1]):
+            step = hi - lo
+            if (step != h) if source.mode == "exact" else abs(step - h) > SPACING_RTOL * abs(h):
+                raise ChartOverflow(f"grid step {step} near the base point is not the pitch {h}")
     n = source.codim
     coeffs: dict = {}
     for i in range(m + 1):

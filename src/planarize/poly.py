@@ -458,8 +458,14 @@ class HPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "HPoly":
-        terms = {tuple(t["exp"]): projcore.scalar_from_str(t["coef"]) for t in data["terms"]}
-        return cls(int(data["nvars"]), int(data["degree"]), terms)
+        # a value of the wrong JSON type (null, a list, a string) shows up
+        # as a TypeError somewhere in the parse; it is bad input all the same
+        try:
+            terms = {tuple(t["exp"]): projcore.scalar_from_str(t["coef"]) for t in data["terms"]}
+            return cls(int(data["nvars"]), int(data["degree"]), terms)
+        except TypeError:
+            raise ValueError("a polynomial is a JSON object with integer nvars and degree and a "
+                             "list of terms, each an exponent list with a coefficient") from None
 
 
 def variables(nvars: int) -> tuple[HPoly, ...]:
@@ -603,6 +609,8 @@ class RatMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "RatMap":
+        if not (isinstance(data, dict) and isinstance(data.get("components"), list)):
+            raise ValueError("a map is a JSON object with a list of components")
         return cls([HPoly.from_json(c) for c in data["components"]])
 
 

@@ -44,11 +44,14 @@ def scalar_to_str(x: Fraction) -> str:
 def scalar_from_str(s: str) -> Fraction:
     """Parse "p/q", "p" or a decimal as an exact rational.
 
-    Raises ValueError on malformed text and on a zero denominator."""
+    Raises ValueError on malformed text, on a zero denominator and on a
+    value that is not a finite number (a JSON null, list or infinity)."""
     try:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"scalar {s!r} has a zero denominator") from None
+    except (TypeError, OverflowError):
+        raise ValueError(f"scalar {s!r} is not a rational number") from None
 
 
 def _as_fraction_vector(v: Sequence) -> list[Fraction]:
@@ -251,21 +254,8 @@ def wedge_complement(vs: Sequence[Sequence]) -> tuple[int, ...]:
     Linearly dependent inputs give the zero covector (a meaningful value: it
     signals degeneracy downstream).
     """
-    if not vs:
-        raise DimensionMismatch("need at least one vector")
-    k = len(vs)
-    widths = {len(v) for v in vs}
-    if len(widths) != 1 or widths.pop() != k + 1:
-        raise DimensionMismatch(f"need {k} vectors of length {k + 1}")
-    mat = _integer_rows(vs)
-    out = []
-    for j in range(k + 1):
-        minor = [[row[c] for c in range(k + 1) if c != j] for row in mat]
-        d = det(minor)
-        out.append(int(d) if j % 2 == 0 else -int(d))
-    g = 0
-    for c in out:
-        g = math.gcd(g, abs(c))
+    out = signed_minors(_integer_rows(vs))
+    g = math.gcd(*out)
     if g > 1:
         out = [c // g for c in out]
     return tuple(out)

@@ -14,6 +14,7 @@ the stated degree or the fit is rejected (DegreeTooLow).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -373,33 +374,28 @@ def _fit_bi_direct(f: Callable, d: int, base_u, base_v) -> BiRat:
 # ---------------------------------------------------------------------------
 
 
-def _source_nodes(source, d: int):
-    axes = getattr(source, "nodes", None)
-    if axes is None and isinstance(source, GridMapSource):
-        axes = (source.u_axis, source.v_axis)
-    if axes is not None:
-        u_nodes, v_nodes = list(axes[0]), list(axes[1])
-        if len(u_nodes) < 4 * d + 3 or len(v_nodes) < 4 * d + 3:
-            raise DegreeTooLow(
-                f"grid too small for degree {d}: need {4 * d + 3} nodes per axis"
-            )
-        return u_nodes, v_nodes
-    return _default_nodes(d), _default_nodes(d)
-
-
 def fit_map(source, d: int, seed: int = 0) -> RatMap:
     """Reconstruct a rational map RP^2 -> RP^n from a sampled source.
 
     Each affine component (relative to the largest-coordinate chart at a
     base sample) is fitted with fit_bi; the components are put over a common
     denominator, homogenized, reduced, and validated projectively at 20
-    held-out points.
+    held-out points.  Every read of the source goes through one table, so
+    each distinct (u, v) is evaluated once per call.
     """
-    u_nodes, v_nodes = _source_nodes(source, d)
+    evaluate = functools.cache(source.evaluate)
+    # only a grid is bound to its lattice; other sources are read anywhere
+    lattice = (source.u_axis, source.v_axis) if isinstance(source, GridMapSource) else None
+    if lattice is None:
+        u_nodes = v_nodes = _default_nodes(d)
+    elif min(len(lattice[0]), len(lattice[1])) < 4 * d + 3:
+        raise DegreeTooLow(f"grid too small for degree {d}: need {4 * d + 3} nodes per axis")
+    else:
+        u_nodes, v_nodes = lattice
     base_val = None
     for v in v_nodes:
         for u in u_nodes:
-            base_val = source.evaluate(u, v)
+            base_val = evaluate(u, v)
             if base_val is not None:
                 break
         if base_val is not None:
@@ -411,7 +407,7 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
 
     def component(i: int) -> Callable:
         def fi(u, v):
-            y = source.evaluate(u, v)
+            y = evaluate(u, v)
             if y is None or y[chart] == 0:
                 return None
             return Fraction(y[i]) / Fraction(y[chart])
@@ -441,11 +437,8 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     if model.degree > d:
         raise DegreeTooLow(f"fitted degree {model.degree} exceeds bound {d}")
 
-    # held-out validation: lattice-bound sources draw from their lattice,
-    # exact sources get off-lattice rationals never seen by the fit
-    lattice = getattr(source, "nodes", None)
-    if lattice is None and isinstance(source, GridMapSource):
-        lattice = (source.u_axis, source.v_axis)
+    # held-out validation: a grid draws from its lattice, other sources get
+    # off-lattice rationals never seen by the fit
     rng = stable_rng(seed, "fit_map_validate")
     checked = 0
     attempts = 0
@@ -457,7 +450,7 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         else:
             u = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 3)
             v = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 7)
-        y = source.evaluate(u, v)
+        y = evaluate(u, v)
         if y is None:
             continue
         m = model.evaluate([Fraction(1), Fraction(u), Fraction(v)])

@@ -216,12 +216,19 @@ def _stereo_grid(tmp_path):
     return str(path)
 
 
-def _bad_coefficient_map(tmp_path):
-    data = json.loads(json.dumps(SEGRE_JSON))
-    data["components"][0]["terms"][0]["coef"] = "1/0"
-    path = tmp_path / "map.json"
+def _json_file(tmp_path, data, name="bad"):
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+NULL_NVARS = {"components": [{**SEGRE_JSON["components"][0], "nvars": None}]}
+
+
+def _map_with_coefficient(tmp_path, coef):
+    data = json.loads(json.dumps(SEGRE_JSON))
+    data["components"][0]["terms"][0]["coef"] = coef
+    return _json_file(tmp_path, data)
 
 
 def _sparse_grid(tmp_path):
@@ -251,8 +258,19 @@ MALFORMED = [
      "planarize: ValueError: degree must be at least 0"),
     ("target dim zero", lambda t: ["gen", "--target-dim", "0"], None, 1,
      "planarize: ValueError: target dimension must be at least 1"),
-    ("zero denominator", lambda t: ["classify", "--in", _bad_coefficient_map(t)], None, 1,
+    ("zero denominator", lambda t: ["classify", "--in", _map_with_coefficient(t, "1/0")], None, 1,
      "planarize: ValueError: scalar '1/0' has a zero denominator"),
+    ("map is a list", lambda t: ["classify", "--in", _json_file(t, SEGRE_JSON["components"])], None, 1,
+     "planarize: ValueError: a map is a JSON object with a list of components"),
+    ("null coefficient", lambda t: ["classify", "--in", _map_with_coefficient(t, None)], None, 1,
+     "planarize: ValueError: scalar None is not a rational number"),
+    ("components a string", lambda t: ["classify", "--in", _json_file(t, {"components": "abc"})], None, 1,
+     "planarize: ValueError: a map is a JSON object with a list of components"),
+    ("nvars null", lambda t: ["classify", "--in", _json_file(t, NULL_NVARS)], None, 1,
+     "planarize: ValueError: a polynomial is a JSON object with integer nvars and degree"),
+    ("web is a list",
+     lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _json_file(t, [])],
+     None, 1, "planarize: ValueError: a conic system is a JSON object with a list of basis forms"),
     ("sparse grid", lambda t: ["fit", "--in", _sparse_grid(t)], None, 1,
      "planarize: ValueError: grid CSV has no row for the node u=1, v=1"),
     ("empty grid", lambda t: ["fit", "--in", _empty_grid(t)], None, 1,

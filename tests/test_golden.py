@@ -4,7 +4,8 @@ Each case runs one subcommand in process on a seeded input and pins the
 SHA-256 of its exit code and its report bytes.  A change that keeps the
 verdicts and the canonical serialization keeps every hash; a change that
 moves one must say why.  One float-grid per-line hyperplane is pinned too,
-with the bit patterns of the slope polynomial it comes from.
+with the bit patterns of the slope polynomial it comes from, and so are the
+models `fit_map` recovers from an exact and from a black-box source.
 """
 
 import hashlib
@@ -16,8 +17,17 @@ import pytest
 
 from planarize.cli import generate_map, main
 from planarize.conicweb import circle_web
-from planarize.jetplan import GridMapSource, hyperplane_for_line, jet_of, omega, write_csv_grid
+from planarize.jetplan import (
+    CallableSource,
+    ExactMapSource,
+    GridMapSource,
+    hyperplane_for_line,
+    jet_of,
+    omega,
+    write_csv_grid,
+)
 from planarize.poly import reduce_map, variables
+from planarize.ratfit import fit_map
 
 X0, X1, X2 = variables(3)
 
@@ -39,6 +49,21 @@ def _exact_grid_file(tmp_path, F):
             row.append(tuple(c / y[0] for c in y[1:]))
         values.append(row)
     path = tmp_path / "grid.csv"
+    path.write_text(write_csv_grid(GridMapSource(us, us, values, mode="exact")))
+    return str(path)
+
+
+def _exact_sphere_file(tmp_path):
+    """Inverse stereographic projection on the 12x12 lattice 0..11, as exact CSV."""
+    us = [Fraction(k) for k in range(12)]
+    values = []
+    for v in us:
+        row = []
+        for u in us:
+            s = u * u + v * v + 1
+            row.append((2 * u / s, 2 * v / s, (u * u + v * v - 1) / s))
+        values.append(row)
+    path = tmp_path / "sphere.csv"
     path.write_text(write_csv_grid(GridMapSource(us, us, values, mode="exact")))
     return str(path)
 
@@ -81,6 +106,8 @@ def _argv(case, tmp_path):
         return ["web-classify", "--in", _map_file(tmp_path, "inv", inv), "--web", str(web)]
     if case == "khovanskii-float":
         return ["khovanskii", "--in", _float_circle_file(tmp_path), "--mode", "float"]
+    if case == "khovanskii-exact-grid":
+        return ["khovanskii", "--in", _exact_sphere_file(tmp_path)]
     raise KeyError(case)
 
 
@@ -101,6 +128,7 @@ GOLDEN = {
     "fit-exact-grid": "572e8d74fa5835b2cc87e35d9d665842ea29e50d6347ee22e1086f9ac08f5736",
     "web-classify-circle-web": "0dcb0d3a2648c732fda0c304703ec103fb4d91d25ceb7d434038de112c13571c",
     "khovanskii-float": "89356a581c86ef16977ffc5449cfd1d54ccf8c4d343547b4f406adfb6cfaa7b6",
+    "khovanskii-exact-grid": "132f6c37f13571ab7a021b3f3e2ba82088634f098bc18aa84355a1b597821465",
 }
 
 
@@ -141,3 +169,27 @@ def test_float_grid_hyperplane():
     covector, bits = float_grid_line()
     assert covector == FLOAT_COVECTOR
     assert bits == FLOAT_OMEGA_BITS
+
+
+def _fit_source(kind):
+    F = generate_map(3, 2, 3)
+    if kind == "exact":
+        return ExactMapSource(F)
+    return CallableSource(lambda u, v: F.evaluate([Fraction(1), Fraction(u), Fraction(v)]), codim=3)
+
+
+def model_digest(kind):
+    """SHA-256 of the canonical JSON of the degree-2 fit of generate_map(3, 2, 3)."""
+    text = json.dumps(fit_map(_fit_source(kind), 2).to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+FIT_MODELS = {
+    "exact": "59280a335a2b7166f6d6dc9c3459f49ae4468a587d2ab9e6341c8a41508ecb9b",
+    "callable": "59280a335a2b7166f6d6dc9c3459f49ae4468a587d2ab9e6341c8a41508ecb9b",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIT_MODELS))
+def test_fit_map_model_bytes(kind):
+    assert model_digest(kind) == FIT_MODELS[kind]

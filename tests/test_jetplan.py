@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from planarize.jetplan import (
+    ChartOverflow,
     DegeneratePoint,
     ExactMapSource,
     GridMapSource,
@@ -243,6 +244,22 @@ def test_grid_nondegeneracy_and_hyperplane():
     assert nondegenerate_at(grid, a)
     h = hyperplane_for_line(grid, a, 2)
     assert h is not None
+
+
+def test_grid_jets_reject_uneven_spacing():
+    # the pitch comes from the first two nodes; differencing across uneven
+    # steps would give d(v^2)/dv = 0.4 at v = 0.25, where it is 0.5
+    axis = [0.0, 0.1, 0.25, 0.3, 0.45]
+    values = [[(u, v, v * v) for u in axis] for v in axis]
+    grid = GridMapSource(axis, axis, values, mode="float")
+    for k in (1, 2, 3):
+        with pytest.raises(ChartOverflow, match="not the pitch"):
+            jet_of(grid, (axis[2], axis[k]), 2)
+    exact_axis = [Fraction(k, 20) for k in (0, 2, 5, 6, 9)]
+    exact_values = [[(u, v, v * v) for u in exact_axis] for v in exact_axis]
+    exact = GridMapSource(exact_axis, exact_axis, exact_values, mode="exact")
+    with pytest.raises(ChartOverflow, match="not the pitch"):
+        jet_of(exact, (exact_axis[2], exact_axis[2]), 2)
 
 
 # -- CSV ---------------------------------------------------------------------------------

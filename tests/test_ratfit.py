@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from planarize import variables, reduce_map
-from planarize.jetplan import ExactMapSource
+from planarize.cli import generate_map
+from planarize.jetplan import CallableSource, ExactMapSource
 from planarize.projcore import nullspace
 from planarize.ratfit import (
     DegreeTooLow,
@@ -208,3 +209,17 @@ def test_fit_map_composition_consistency():
             for i in range(n1):
                 for j in range(i + 1, n1):
                     assert y[i] * m[j] == y[j] * m[i]
+
+
+def test_fit_map_reads_each_node_once():
+    # every pass of the fit and every held-out draw shares one table
+    planted = generate_map(3, 2, 3)
+    calls = []
+
+    def sample(u, v):
+        calls.append((F(u), F(v)))
+        return planted.evaluate([F(1), F(u), F(v)])
+
+    model = fit_map(CallableSource(sample, codim=3), 2)
+    assert model.projectively_equal(planted)
+    assert len(calls) == len(set(calls))
