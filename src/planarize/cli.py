@@ -71,8 +71,7 @@ def generate_map(seed: int, degree: int, target_dim: int) -> RatMap:
     while True:
         comps = []
         for _ in range(target_dim + 1):
-            terms = {m: Fraction(rng.randint(-9, 9)) for m in monos}
-            comps.append(HPoly(3, degree, {m: c for m, c in terms.items() if c}))
+            comps.append(HPoly(3, degree, {m: rng.randint(-9, 9) for m in monos}))
         if all(c.is_zero for c in comps):
             continue
         m = reduce_map(comps)

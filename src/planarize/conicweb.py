@@ -79,7 +79,7 @@ class ConicSystem:
             if q.nvars != 3 or q.degree != 2:
                 raise ValueError("conics are quadratic forms in three variables")
         monos = sorted({e for q in basis for e in q.terms})
-        matrix = [[q.terms.get(m, Fraction(0)) for m in monos] for q in basis]
+        matrix = [[q.terms.get(m, 0) for m in monos] for q in basis]
         if projcore.rank(matrix) != len(basis):
             raise DependentBasis("basis forms are linearly dependent")
         object.__setattr__(self, "basis", basis)
@@ -392,7 +392,7 @@ def _matrix_of_linear_map(P: RatMap) -> list[list[Fraction]]:
         for j in range(3):
             e = [0, 0, 0]
             e[j] = 1
-            row.append(comp.terms.get(tuple(e), Fraction(0)))
+            row.append(comp.terms.get(tuple(e), 0))
         mat.append(row)
     return mat
 

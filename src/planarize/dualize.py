@@ -80,7 +80,7 @@ _SECTION_DIRECTIONS = [
 def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
     """A covector c with sum_i c_i F_i = 0, or None if components are independent."""
     monos = _monomials(F.domain_vars, F.degree)
-    matrix = [[c.terms.get(m, Fraction(0)) for c in F.components] for m in monos]
+    matrix = [[c.terms.get(m, 0) for c in F.components] for m in monos]
     basis = projcore.nullspace(matrix)
     if not basis:
         return None
@@ -90,7 +90,7 @@ def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
 def _symbolic_section(direction: Sequence[int]) -> list[HPoly]:
     """Cross product of the moving line covector with a constant direction."""
     av = variables(3)
-    c = [Fraction(x) for x in direction]
+    c = direction
     return [
         c[2] * av[1] - c[1] * av[2],
         c[0] * av[2] - c[2] * av[0],

@@ -1,7 +1,11 @@
 """Homogeneous polynomials and rational maps over exact rationals.
 
-The sparse representation maps exponent tuples to nonzero Fraction
-coefficients.  On top of it sit:
+The sparse representation maps exponent tuples to nonzero exact
+coefficients: a Python int when the value is integral and a Fraction only
+when it is not (see `coef`), so the integer maps, sections, minors and
+relations that dominate the work never pay for Fraction arithmetic.  Every
+quotient of two coefficients goes through `coef_div`, because int / int
+would give a float.  On top of it sit:
 
 * HPoly / RatMap / UniTuple, the map types used everywhere else;
 * a recursive multivariate gcd (primitive pseudo-remainder sequences with
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,6 +41,31 @@ class NonGenericTarget(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# exact coefficients: int when integral, Fraction otherwise
+# ---------------------------------------------------------------------------
+
+
+def coef(x):
+    """x as an exact coefficient: an int when it is integral, else a Fraction.
+
+    Accepts anything Fraction accepts (ints, Fractions, floats, "p/q" text)."""
+    if type(x) is not int:
+        x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
+
+
+def coef_div(a, b):
+    """The exact quotient a / b of two coefficients, as `coef` would store it."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return coef(Fraction(a) / b)
+
+
+# ---------------------------------------------------------------------------
 # generic sparse polynomial dictionaries (not necessarily homogeneous)
 # ---------------------------------------------------------------------------
 
@@ -43,7 +73,7 @@ class NonGenericTarget(ValueError):
 def p_add(a: PolyDict, b: PolyDict) -> PolyDict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         elif e in out:
@@ -60,7 +90,7 @@ def p_sub(a: PolyDict, b: PolyDict) -> PolyDict:
 
 
 def p_scale(a: PolyDict, c) -> PolyDict:
-    c = Fraction(c)
+    c = coef(c)
     if c == 0:
         return {}
     return {e: x * c for e, x in a.items()}
@@ -72,8 +102,8 @@ def p_mul(a: PolyDict, b: PolyDict) -> PolyDict:
     out: PolyDict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, Fraction(0)) + ca * cb
+            e = tuple(map(operator.add, ea, eb))
+            s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
             elif e in out:
@@ -81,10 +111,10 @@ def p_mul(a: PolyDict, b: PolyDict) -> PolyDict:
     return out
 
 
-def p_mul_term(a: PolyDict, exp: Term, coef: Fraction) -> PolyDict:
-    if not a or coef == 0:
+def p_mul_term(a: PolyDict, exp: Term, c) -> PolyDict:
+    if not a or c == 0:
         return {}
-    return {tuple(x + y for x, y in zip(e, exp)): c * coef for e, c in a.items()}
+    return {tuple(map(operator.add, e, exp)): x * c for e, x in a.items()}
 
 
 def p_eval(a: PolyDict, xs: Sequence) -> Fraction:
@@ -112,18 +142,15 @@ def p_degree_in(a: PolyDict, var: int) -> int:
 
 
 def p_canonical(a: PolyDict) -> PolyDict:
-    """Integer coefficients, content 1, lexicographically-leading term positive."""
+    """Int coefficients, content 1, lexicographically-leading term positive."""
     if not a:
         return {}
-    den = 1
-    for c in a.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    g = 0
-    for c in a.values():
-        g = math.gcd(g, abs(int(c * den)))
-    lead = max(a)
-    sign = 1 if a[lead] > 0 else -1
-    return {e: Fraction(int(c * den) * sign, g) for e, c in a.items()}
+    den = math.lcm(*(c.denominator for c in a.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in a.items()}
+    g = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return {e: c // g for e, c in ints.items()}
 
 
 def _p_constant(a: PolyDict) -> bool:
@@ -156,7 +183,7 @@ def p_divexact(a: PolyDict, b: PolyDict) -> PolyDict:
         diff = tuple(x - y for x, y in zip(lead_r, lead_b))
         if any(d < 0 for d in diff):
             raise ArithmeticError("inexact polynomial division")
-        c = rem[lead_r] / cb
+        c = coef_div(rem[lead_r], cb)
         quo[diff] = c
         rem = p_sub(rem, p_mul_term(b, diff, c))
     return quo
@@ -176,7 +203,7 @@ def _p_prem(a: PolyDict, b: PolyDict, var: int) -> PolyDict:
         lc_r = cr[dr]
         shift = [0] * len(next(iter(a)))
         shift[var] = dr - db
-        r = p_sub(p_mul(lc_b, r), p_mul(p_mul_term(lc_r, tuple(shift), Fraction(1)), b))
+        r = p_sub(p_mul(lc_b, r), p_mul(p_mul_term(lc_r, tuple(shift), 1), b))
     return r
 
 
@@ -220,7 +247,7 @@ def _p_from_univar(p: Sequence, var: int, nvars: int) -> PolyDict:
         if c:
             e = [0] * nvars
             e[var] = k
-            out[tuple(e)] = Fraction(c)
+            out[tuple(e)] = c
     return out
 
 
@@ -244,18 +271,16 @@ def p_gcd(a: PolyDict, b: PolyDict) -> PolyDict:
     if not b:
         return a
     if _p_constant(a) or _p_constant(b):
-        ga = math.gcd(*(int(c) for c in a.values())) if a else 0
-        gb = math.gcd(*(int(c) for c in b.values())) if b else 0
-        g = math.gcd(ga, gb)
+        g = math.gcd(*a.values(), *b.values())
         zero = tuple([0] * len(next(iter(a))))
-        return {zero: Fraction(g)}
+        return {zero: g}
     nvars = len(next(iter(a)))
     deg_a = [p_degree_in(a, v) for v in range(nvars)]
     deg_b = [p_degree_in(b, v) for v in range(nvars)]
     shared = [v for v in range(nvars) if deg_a[v] > 0 and deg_b[v] > 0]
     if not shared:
         zero = tuple([0] * nvars)
-        return {zero: Fraction(1)}
+        return {zero: 1}
     var = max(shared, key=lambda v: max(deg_a[v], deg_b[v]))
     ua, ub = _p_only_var(a), _p_only_var(b)
     if ua == var and ub == var:
@@ -273,7 +298,7 @@ def p_gcd(a: PolyDict, b: PolyDict) -> PolyDict:
             result = g if not g else None
             if result is None:
                 zero = tuple([0] * nvars)
-                part = {zero: Fraction(1)}
+                part = {zero: 1}
             else:
                 part = f  # g == 0: gcd is f
             break
@@ -295,8 +320,10 @@ class HPoly:
     """Homogeneous polynomial with exact rational coefficients.
 
     Immutable by convention: `terms` maps exponent tuples (length nvars,
-    entries summing to `degree`) to nonzero Fractions.  The zero polynomial
-    keeps a formal degree so tuples of components stay well-typed.
+    entries summing to `degree`) to nonzero exact coefficients, each an int
+    when integral and a Fraction otherwise (the constructor normalizes any
+    rational input to that form).  The zero polynomial keeps a formal degree
+    so tuples of components stay well-typed.
     """
 
     __slots__ = ("nvars", "degree", "terms")
@@ -304,10 +331,11 @@ class HPoly:
     def __init__(self, nvars: int, degree: int, terms: PolyDict):
         clean: PolyDict = {}
         for e, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = coef(c)
             if c == 0:
                 continue
-            e = tuple(int(k) for k in e)
+            e = tuple(map(int, e))
             if len(e) != nvars or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent {e} for {nvars} variables")
             if sum(e) != degree:
@@ -329,16 +357,7 @@ class HPoly:
     @classmethod
     def monomial(cls, exp: Sequence[int], coef=1) -> "HPoly":
         exp = tuple(int(k) for k in exp)
-        return cls(len(exp), sum(exp), {exp: Fraction(coef)})
-
-    @classmethod
-    def from_dict(cls, nvars: int, terms: dict, degree: Optional[int] = None) -> "HPoly":
-        terms = {tuple(e): Fraction(c) for e, c in terms.items() if Fraction(c) != 0}
-        if degree is None:
-            if not terms:
-                raise ValueError("zero polynomial needs an explicit degree")
-            degree = sum(next(iter(terms)))
-        return cls(nvars, degree, terms)
+        return cls(len(exp), sum(exp), {exp: coef})
 
     # -- basic queries
 
@@ -397,7 +416,7 @@ class HPoly:
     def __pow__(self, k: int) -> "HPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = HPoly(self.nvars, 0, {tuple([0] * self.nvars): Fraction(1)})
+        out = HPoly(self.nvars, 0, {tuple([0] * self.nvars): 1})
         base = self
         while k:
             if k & 1:
@@ -424,13 +443,21 @@ class HPoly:
             raise ValueError("substitution polynomials must share degree and nvars")
         inner_deg = degs.pop()
         nvars_out = nv.pop()
+        # powers[i][k - 1] = args[i]**k, each built once from the one below
+        powers = []
+        for i, a in enumerate(args):
+            top = max(e[i] for e in self.terms)
+            pw = [a.terms] if top else []
+            while len(pw) < top:
+                pw.append(p_mul(pw[-1], a.terms))
+            powers.append(pw)
         acc: PolyDict = {}
         for e, c in self.terms.items():
-            term: PolyDict = {tuple([0] * nvars_out): Fraction(c)}
-            for a, k in zip(args, e):
+            term: Optional[PolyDict] = None
+            for pw, k in zip(powers, e):
                 if k:
-                    term = p_mul(term, (a**k).terms)
-            acc = p_add(acc, term)
+                    term = p_scale(pw[k - 1], c) if term is None else p_mul(term, pw[k - 1])
+            acc = p_add(acc, term if term is not None else {tuple([0] * nvars_out): c})
         return HPoly(nvars_out, self.degree * inner_deg, acc)
 
     def dehomogenize(self, var: int) -> PolyDict:
@@ -438,7 +465,7 @@ class HPoly:
         out: PolyDict = {}
         for e, c in self.terms.items():
             e2 = tuple(k for i, k in enumerate(e) if i != var)
-            out[e2] = out.get(e2, Fraction(0)) + c
+            out[e2] = out.get(e2, 0) + c
         return {e: c for e, c in out.items() if c}
 
     def canonical(self) -> "HPoly":
@@ -502,7 +529,7 @@ def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
     mg, gd = strip(g)
     common = tuple(min(a, b) for a, b in zip(mf, mg))
     if nvars == 1:
-        h: PolyDict = {(0,): Fraction(1)}
+        h: PolyDict = {(0,): 1}
     else:
         fh = {e[1:]: c for e, c in fd.items()}
         gh = {e[1:]: c for e, c in gd.items()}
@@ -616,22 +643,16 @@ class RatMap:
 
 def _canonical_scale(components: Sequence[HPoly]) -> tuple[HPoly, ...]:
     """Scale a component tuple to integer-primitive form, first coefficient
-    (component-major, lexicographic within) positive."""
-    den = 1
-    for comp in components:
-        for c in comp.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    g = 0
-    for comp in components:
-        for c in comp.terms.values():
-            g = math.gcd(g, abs(int(c * den)))
-    sign = 1
-    for comp in components:
-        if comp.terms:
-            sign = 1 if comp.terms[max(comp.terms)] > 0 else -1
-            break
-    scale = Fraction(den * sign, g)
-    return tuple(comp * scale for comp in components)
+    (component-major, lexicographic within) positive: p_canonical of all the
+    terms at once, keyed (-index, exponent) so the first nonzero component
+    holds the leading term."""
+    scaled = p_canonical(
+        {(-i, e): c for i, comp in enumerate(components) for e, c in comp.terms.items()}
+    )
+    return tuple(
+        HPoly(comp.nvars, comp.degree, {e: scaled[(-i, e)] for e in comp.terms})
+        for i, comp in enumerate(components)
+    )
 
 
 def reduce_map(components: Sequence[HPoly]) -> RatMap:
@@ -701,7 +722,7 @@ class UniTuple:
         rows = []
         for j in range(d + 1):
             exp = (d - j, j)
-            rows.append(tuple(c.terms.get(exp, Fraction(0)) for c in self.components))
+            rows.append(tuple(c.terms.get(exp, 0) for c in self.components))
         return rows
 
     def evaluate(self, u0, u1) -> Optional[tuple[Fraction, ...]]:
@@ -741,9 +762,7 @@ def restrict_to_line(F: RatMap, line: PLine2) -> UniTuple:
     if F.domain_vars != 3:
         raise ValueError("restriction needs a map with domain RP^2")
     p0, p1 = line_base_points(line)
-    subs = [
-        HPoly(2, 1, {(1, 0): Fraction(p0[i]), (0, 1): Fraction(p1[i])}) for i in range(3)
-    ]
+    subs = [HPoly(2, 1, {(1, 0): p0[i], (0, 1): p1[i]}) for i in range(3)]
     return UniTuple([c.substitute(subs) for c in F.components])
 
 
@@ -780,21 +799,27 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
     coordinates vanishing identically after composition with F; returns
     (k, relation) for the first k that works, or None if none does.
     The relation is the first nullspace generator, canonically scaled.
+    Each composed monomial of degree k >= 2 is one product: a composed
+    monomial of degree k - 1 times one component.
     """
+    if kmax < 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax}")
     n1 = len(F.components)
     d = F.degree
+    units = [tuple(int(i == j) for j in range(n1)) for i in range(n1)]
+    composed = dict(zip(units, F.components))
     for k in range(1, kmax + 1):
         target_monos = _monomials(n1, k)
-        composed = []
-        for exp in target_monos:
-            prod = HPoly(F.domain_vars, 0, {tuple([0] * F.domain_vars): Fraction(1)})
-            for comp, e in zip(F.components, exp):
-                if e:
-                    prod = prod * comp**e
-            composed.append(prod)
+        if k > 1:
+            below = composed
+            composed = {}
+            for exp in target_monos:
+                i = next(j for j, e in enumerate(exp) if e)
+                rest = tuple(e - (j == i) for j, e in enumerate(exp))
+                composed[exp] = below[rest] * F.components[i]
         x_monos = _monomials(F.domain_vars, k * d)
         matrix = [
-            [comp.terms.get(xm, Fraction(0)) for comp in composed] for xm in x_monos
+            [composed[exp].terms.get(xm, 0) for exp in target_monos] for xm in x_monos
         ]
         basis = projcore.nullspace(matrix)
         if basis:
@@ -813,10 +838,7 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
 
 
 def _apply_linear_change(F: RatMap, mat: Sequence[Sequence[int]]) -> RatMap:
-    subs = [
-        HPoly(3, 1, {(1, 0, 0): Fraction(row[0]), (0, 1, 0): Fraction(row[1]), (0, 0, 1): Fraction(row[2])})
-        for row in mat
-    ]
+    subs = [HPoly(3, 1, {(1, 0, 0): row[0], (0, 1, 0): row[1], (0, 0, 1): row[2]}) for row in mat]
     return RatMap([c.substitute(subs) for c in F.components])
 
 

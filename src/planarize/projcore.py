@@ -60,11 +60,9 @@ def _as_fraction_vector(v: Sequence) -> list[Fraction]:
 
 def clear_denominators(v: Sequence) -> list[int]:
     """Scale a rational vector by the positive lcm of denominators."""
-    fv = _as_fraction_vector(v)
-    m = 1
-    for c in fv:
-        m = m * c.denominator // math.gcd(m, c.denominator)
-    return [int(c * m) for c in fv]
+    fv = [c if type(c) is int else Fraction(c) for c in v]
+    m = math.lcm(*(c.denominator for c in fv))
+    return [c.numerator * (m // c.denominator) for c in fv]
 
 
 def normalize(v: Sequence) -> tuple[int, ...]:

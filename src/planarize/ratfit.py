@@ -25,6 +25,7 @@ from .poly import (
     HPoly,
     PolyDict,
     RatMap,
+    coef_div,
     p_canonical,
     p_divexact,
     p_eval,
@@ -300,7 +301,7 @@ def fit_bi(
         den_bi = p_divexact(den_bi, g)
     scale_ref = p_canonical(den_bi)
     lead = max(den_bi)
-    s = scale_ref[lead] / den_bi[lead]
+    s = coef_div(scale_ref[lead], den_bi[lead])
     num_bi = {e: c * s for e, c in num_bi.items()}
     den_bi = scale_ref
     result = BiRat(num_bi, den_bi)
@@ -383,6 +384,8 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     held-out points.  Every read of the source goes through one table, so
     each distinct (u, v) is evaluated once per call.
     """
+    if d < 0:
+        raise ValueError(f"degree bound must be at least 0, got {d}")
     evaluate = functools.cache(source.evaluate)
     # only a grid is bound to its lattice; other sources are read anywhere
     lattice = (source.u_axis, source.v_axis) if isinstance(source, GridMapSource) else None

@@ -237,6 +237,12 @@ def _sparse_grid(tmp_path):
     return str(path)
 
 
+def _square_grid(tmp_path):
+    path = tmp_path / "square.csv"
+    path.write_text("u,v,F1\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n")
+    return str(path)
+
+
 def _empty_grid(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -275,6 +281,12 @@ MALFORMED = [
      "planarize: ValueError: grid CSV has no row for the node u=1, v=1"),
     ("empty grid", lambda t: ["fit", "--in", _empty_grid(t)], None, 1,
      "planarize: ValueError: grid CSV must start with columns u,v"),
+    ("fit negative degree", lambda t: ["fit", "--in", _square_grid(t), "--degree", "-1"], None, 1,
+     "planarize: ValueError: degree bound must be at least 0, got -1"),
+    ("kmax zero", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "0"], None, 1,
+     "planarize: ValueError: kmax must be at least 1, got 0"),
+    ("kmax negative", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "-1"], None, 1,
+     "planarize: ValueError: kmax must be at least 1, got -1"),
     ("mode off khovanskii", lambda t: ["classify", "--in", "m.json", "--mode", "exact"], None, 1,
      "planarize: error: unrecognized arguments: --mode exact"),
     ("khovanskii ambiguous fit", lambda t: ["khovanskii", "--in", _stereo_grid(t)],

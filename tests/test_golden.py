@@ -26,7 +26,7 @@ from planarize.jetplan import (
     omega,
     write_csv_grid,
 )
-from planarize.poly import reduce_map, variables
+from planarize.poly import HPoly, reduce_map, variables
 from planarize.ratfit import fit_map
 
 X0, X1, X2 = variables(3)
@@ -84,6 +84,27 @@ def _float_circle_file(tmp_path):
     return str(path)
 
 
+def _fractional_map_file(tmp_path):
+    """generate_map(3, 2, 3) with its components scaled by 1/2, -3/7, 1 and 5/3,
+    so the JSON carries non-integral coefficients."""
+    data = generate_map(3, 2, 3).to_json()
+    for comp, s in zip(data["components"], (Fraction(1, 2), Fraction(-3, 7), Fraction(1), Fraction(5, 3))):
+        for t in comp["terms"]:
+            t["coef"] = str(Fraction(t["coef"]) * s)
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _origin_web_map():
+    """The web of circles through the origin (extended by x0^2 + x1^2) after a
+    fixed collineation: its image relation has degree 4."""
+    A = [[1, 2, -1], [0, 1, 3], [2, -1, 1]]
+    lin = [HPoly(3, 1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in A]
+    web = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2, X0 * X0 + X1 * X1]
+    return reduce_map([q.substitute(lin) for q in web])
+
+
 def _argv(case, tmp_path):
     if case == "gen-quadratic-rp3":
         return ["gen", "--seed", "7", "--kind", "quadratic-rp3"]
@@ -95,6 +116,10 @@ def _argv(case, tmp_path):
         return ["dualize", "--in", _map_file(tmp_path, "c4", generate_map(11, 3, 4))]
     if case == "classify-cubic-rp3":
         return ["classify", "--in", _map_file(tmp_path, "c3", generate_map(7, 3, 3))]
+    if case == "dualize-fractional-coefficients":
+        return ["dualize", "--in", _fractional_map_file(tmp_path)]
+    if case == "implicitize-origin-web":
+        return ["implicitize", "--in", _map_file(tmp_path, "ow", _origin_web_map())]
     if case == "implicitize-quadratic-rp3":
         return ["implicitize", "--in", _map_file(tmp_path, "q3", generate_map(3, 2, 3))]
     if case == "fit-exact-grid":
@@ -122,9 +147,11 @@ GOLDEN = {
     "gen-quadratic-rp3": "406092e603812c3d14a52a2d9558d50f7978c1048b453e0b93ef25bbdae3655f",
     "classify-quadratic-rp3": "2c8683bc055efe7e41ece55858f1f8f4fca5defb093db603f3f487063900f502",
     "dualize-quadratic-rp3": "470952f1302f40b6806d9b2d7c0fc51fe935605e19a5dd6de0f0ee2aebbbbfac",
+    "dualize-fractional-coefficients": "dc22ddea991113f53b14e259bd789e6b365b26ecd623afba619b45f3101e21f2",
     "dualize-cubic-rp4": "076152a3ffac428aa675f3c48ee5470f9daa2bd683cb16c782c373ed62a678ca",
     "classify-cubic-rp3": "86a28aae1870e7fc81dfee6177dc8bb1394b36928f56f1b34a1f34546f7b985a",
     "implicitize-quadratic-rp3": "308f5d7d939c1ff2247dc5fb648c383906988978ac8b6249ce321aa201a7f79e",
+    "implicitize-origin-web": "0b81242189c6eb682853fde7cb5496bfdce9999d257f2ce9fba217acaeee0e48",
     "fit-exact-grid": "572e8d74fa5835b2cc87e35d9d665842ea29e50d6347ee22e1086f9ac08f5736",
     "web-classify-circle-web": "0dcb0d3a2648c732fda0c304703ec103fb4d91d25ceb7d434038de112c13571c",
     "khovanskii-float": "89356a581c86ef16977ffc5449cfd1d54ccf8c4d343547b4f406adfb6cfaa7b6",
