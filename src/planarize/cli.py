@@ -185,8 +185,7 @@ def _cmd_fit(args) -> int:
     source = jetplan.read_csv_grid(args.infile, mode="exact")
     try:
         model = ratfit.fit_map(source, args.degree, seed=args.seed)
-    except (ratfit.DegreeTooLow, ratfit.AmbiguousFit, ratfit.NormalizationFailure,
-            ratfit.ChartOverflow) as exc:
+    except (ratfit.DegreeTooLow, ratfit.AmbiguousFit, ratfit.ChartOverflow) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 2
     residuals = _fit_residuals(source, model)
@@ -255,7 +254,7 @@ def _cmd_khovanskii(args) -> int:
     try:
         verdict = conicweb.khovanskii_classify(source, seed=args.seed)
     except (conicweb.NotOnSphere, conicweb.DegreeAnomaly, conicweb.TooFewSamples,
-            ratfit.DegreeTooLow, ratfit.AmbiguousFit, ratfit.NormalizationFailure) as exc:
+            ratfit.DegreeTooLow, ratfit.AmbiguousFit) as exc:
         _emit({"case": type(exc).__name__, "witness": None, "diagnostics": str(exc)}, args.out)
         return 2
     if isinstance(verdict, InCircle):

@@ -186,16 +186,8 @@ def lines_to_curves(
                 break
         if len(rows) < m:
             raise TooFewSamples(f"line {line.covector} yielded {len(rows)} samples")
-        if f_src.mode == "exact":
-            basis = projcore.nullspace(rows)
-            out.append(PPoint.of(basis[0]) if basis else None)
-        else:
-            fm = [[float(x) for x in r] for r in rows]
-            if projcore.float_rank(fm) <= k:
-                vec = projcore.float_nullvector(fm)
-                out.append(PPoint(projcore.rationalize_direction(vec)))
-            else:
-                out.append(None)
+        direction = projcore.null_direction(rows, f_src.mode == "exact")
+        out.append(None if direction is None else PPoint(direction))
     return out
 
 
@@ -449,12 +441,8 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
                 break
         if len(rows) < 5:
             continue
-        if f_src.mode == "exact":
-            if projcore.rank(rows) > 2:
-                raise NotCollinear(f"images of line {cov} are not collinear")
-        else:
-            if projcore.float_rank([[float(x) for x in r] for r in rows]) > 2:
-                raise NotCollinear(f"images of line {cov} are not collinear")
+        if projcore.rank_in_mode(rows, f_src.mode == "exact") > 2:
+            raise NotCollinear(f"images of line {cov} are not collinear")
         checked += 1
     if checked < 10:
         raise NotCollinear("not enough usable lines for the collineation check")
@@ -563,15 +551,9 @@ def khovanskii_classify(f_src, seed: int = 0):
         elif abs(float(norm) - 1.0) > SPHERE_RTOL:
             raise NotOnSphere(f"sample off the sphere by {abs(float(norm)-1.0):.2e}")
 
-    rows = [[1, x, y, z] for x, y, z in samples]
-    if exact:
-        basis = projcore.nullspace(rows)
-        if basis:
-            return InCircle(Hyperplane.of(basis[0]))
-    else:
-        if projcore.float_rank([[float(c) for c in r] for r in rows]) < 4:
-            vec = projcore.float_nullvector([[float(c) for c in r] for r in rows])
-            return InCircle(Hyperplane(projcore.rationalize_direction(vec)))
+    plane = projcore.null_direction([[1, x, y, z] for x, y, z in samples], exact)
+    if plane is not None:
+        return InCircle(Hyperplane(plane))
 
     model = None
     last_exc = None

@@ -295,12 +295,7 @@ def p_gcd(a: PolyDict, b: PolyDict) -> PolyDict:
     while True:
         if p_degree_in(g, var) <= 0:
             # var-primitive polys share no factor of var-degree 0
-            result = g if not g else None
-            if result is None:
-                zero = tuple([0] * nvars)
-                part = {zero: 1}
-            else:
-                part = f  # g == 0: gcd is f
+            part = {tuple([0] * nvars): 1}
             break
         r = _p_prem(f, g, var)
         if not r:

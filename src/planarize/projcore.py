@@ -5,7 +5,8 @@ vectors in a canonical form (no common factor, first nonzero entry positive),
 so projective equality is plain tuple equality.  Ranks, nullspaces and
 determinants are computed with fraction-free Bareiss elimination on integer
 matrices; no rounding ever happens in exact mode.  A small float-mode rank
-helper (SVD with a relative tolerance) exists only for CSV-sampled inputs.
+helper (SVD with a relative tolerance) exists only for CSV-sampled inputs;
+rank_in_mode and null_direction pick the exact or the float route from a flag.
 """
 
 from __future__ import annotations
@@ -282,10 +283,6 @@ class PPoint:
             coords = tuple(coords[0])
         return cls(normalize(coords))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
     def __iter__(self):
         return iter(self.coords)
 
@@ -405,3 +402,22 @@ def rationalize_direction(
         else:
             snapped.append(Fraction(r).limit_denominator(max_den))
     return normalize(snapped)
+
+
+def rank_in_mode(rows: Sequence[Sequence], exact: bool) -> int:
+    """Exact rank, or the float_rank at FLOAT_RANK_RTOL of the rows as floats."""
+    return rank(rows) if exact else float_rank([[float(x) for x in r] for r in rows])
+
+
+def null_direction(rows: Sequence[Sequence], exact: bool) -> tuple[int, ...] | None:
+    """Canonical first right-null direction of a matrix, or None when its
+    columns are independent.  Float rows have one when their float_rank at
+    FLOAT_RANK_RTOL is below the column count; it is the rationalized
+    singular direction of the smallest singular value."""
+    if exact:
+        basis = nullspace(rows)
+        return normalize(basis[0]) if basis else None
+    fm = [[float(x) for x in r] for r in rows]
+    if float_rank(fm) < len(fm[0]):
+        return rationalize_direction(float_nullvector(fm))
+    return None

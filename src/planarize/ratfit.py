@@ -3,10 +3,11 @@
 fit_uni recovers a bounded-degree univariate rational function from 2d+1
 nodes by solving the linearized homogeneous system p(u) - f(u) q(u) = 0 and
 validating on every spare node.  fit_bi lifts this to two variables in two
-independent ways (line-by-line fits whose coefficients are again rational in
-the line parameter, and a direct bivariate nullspace fit) and insists the
-routes agree.  fit_map applies fit_bi per affine component of a projective
-map and reassembles the homogeneous result.
+independent ways (one reduced fit per line, whose coefficients are again
+rational in the line parameter, and a direct bivariate nullspace fit) and
+insists the routes agree.  Both routes and the full-grid validation share
+one read of the grid and one sample check.  fit_map applies fit_bi per
+affine component of a projective map and reassembles the homogeneous result.
 
 All fitting here is exact: data either comes from a rational function of
 the stated degree or the fit is rejected (DegreeTooLow).
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import projcore, univar
 from .jetplan import ChartOverflow, GridMapSource
@@ -45,10 +46,6 @@ class DegreeTooLow(ValueError):
 
 class AmbiguousFit(ValueError):
     """The fit system left genuinely inequivalent candidates (add nodes)."""
-
-
-class NormalizationFailure(ValueError):
-    """No probe node keeps every per-line denominator nonzero."""
 
 
 @dataclass(frozen=True)
@@ -93,10 +90,9 @@ class SampleSet:
         return iter(self.pairs)
 
 
-def _solve_linearized(pairs: Sequence, d: int) -> tuple[int, list, list]:
-    """First nullspace element of p(u_i) - f_i q(u_i) = 0 on 2d+1 nodes.
-
-    Returns (nullspace dimension, raw numerator, raw denominator)."""
+def _solve_linearized(pairs: Sequence, d: int) -> tuple[list, list]:
+    """First nullspace element of p(u_i) - f_i q(u_i) = 0 on 2d+1 nodes,
+    as (raw numerator, raw denominator)."""
     rows = []
     for u, f in pairs[: 2 * d + 1]:
         pu = [u**k for k in range(d + 1)]
@@ -106,20 +102,22 @@ def _solve_linearized(pairs: Sequence, d: int) -> tuple[int, list, list]:
         raise DegreeTooLow("linearized system has no nonzero solution")
     praw = univar.trim(list(basis[0][: d + 1]))
     qraw = univar.trim(list(basis[0][d + 1 :]))
-    return len(basis), praw, qraw
+    return praw, qraw
 
 
-def _validate_raw(pairs: Sequence, praw: list, qraw: list) -> None:
-    """Raw-solution validation: a vanishing denominator is accepted at a node
-    only if the numerator vanishes there too (before gcd removal)."""
-    for u, f in pairs:
-        qv = univar.evaluate(qraw, u)
-        pv = univar.evaluate(praw, u)
+def _check_samples(samples: Sequence, p: Callable, q: Callable, what: str = "") -> None:
+    """Every (node, value) sample equals p/q at its node, and where q
+    vanishes p vanishes too.  A univariate node is named `node u`, a grid
+    node by its pair (u, v); `what` prefixes the message."""
+    for node, val in samples:
+        qv = q(node)
+        pv = p(node)
+        where = node if isinstance(node, tuple) else f"node {node}"
         if qv == 0:
             if pv != 0:
-                raise DegreeTooLow(f"pole mismatch at node {u}")
-        elif pv != f * qv:
-            raise DegreeTooLow(f"residual at node {u}")
+                raise DegreeTooLow(f"{what}pole mismatch at {where}")
+        elif pv != val * qv:
+            raise DegreeTooLow(f"{what}residual at {where}")
 
 
 def fit_uni(samples, d: int) -> UniRat:
@@ -132,11 +130,13 @@ def fit_uni(samples, d: int) -> UniRat:
     pairs = list(SampleSet.of(samples)) if not isinstance(samples, SampleSet) else list(samples)
     if len(pairs) < 2 * d + 1:
         raise ValueError(f"need at least {2 * d + 1} nodes for degree {d}")
-    _, praw, qraw = _solve_linearized(pairs, d)
+    praw, qraw = _solve_linearized(pairs, d)
     if not qraw:
         # q == 0 forces p == 0 on 2d+1 > d nodes, impossible for a nonzero vector
         raise AmbiguousFit("denominator vanished identically")
-    _validate_raw(pairs, praw, qraw)
+    # before the gcd, a common root of the raw solution makes both vanish
+    _check_samples(pairs, functools.partial(univar.evaluate, praw),
+                   functools.partial(univar.evaluate, qraw))
     g = univar.gcd(praw, qraw)
     if univar.degree(g) > 0:
         praw = univar.divexact(praw, g)
@@ -174,29 +174,25 @@ def _default_nodes(d: int) -> list[Fraction]:
     return [Fraction(k) for k in range(4 * d + 3)]
 
 
+def _nodes(base: Sequence, extra: int) -> Iterator:
+    """The base nodes, then the next `extra` integers, all above every base
+    node (int() truncates, so max(int(x)) + 1 exceeds each x)."""
+    yield from base
+    start = max((int(x) for x in base), default=0) + 1
+    for k in range(start, start + extra):
+        yield Fraction(k)
+
+
 def _gather_line(f: Callable, c: Fraction, u_nodes: Sequence, want: int, d: int):
     """Collect `want` pole-free nodes on the line v = c, replacing failures
-    with the next unused integers."""
+    with the next integers."""
     pairs = []
-    used = set()
-    for u in u_nodes:
-        used.add(u)
+    for u in _nodes(u_nodes, 4 * (d + 2)):
+        if len(pairs) >= want:
+            break
         val = f(u, c)
         if val is not None:
             pairs.append((Fraction(u), Fraction(val)))
-        if len(pairs) >= want:
-            return pairs
-    extra = max((int(u) for u in u_nodes), default=0) + 1
-    budget = 4 * (d + 2)
-    while len(pairs) < want and budget > 0:
-        u = Fraction(extra)
-        extra += 1
-        budget -= 1
-        if u in used:
-            continue
-        val = f(u, c)
-        if val is not None:
-            pairs.append((u, Fraction(val)))
     return pairs
 
 
@@ -209,13 +205,15 @@ def fit_bi(
     """Reconstruct a bivariate rational function of total degree <= d.
 
     The evaluator returns an exact value or None at a pole.  Stage one fits
-    each horizontal line v = c; lines whose restriction degenerates (poles
-    everywhere, or degree below the generic line degree) are skipped and
-    replaced.  After a common projective normalization at a probe node, each
-    coefficient is itself a degree-<=d rational function of c (stage two).
-    A direct two-variable nullspace fit cross-checks the result; the routes
-    must agree projectively.  If the axes are unlucky, retry after a seeded
-    affine change of the domain.
+    each horizontal line v = c once; lines whose restriction degenerates
+    (poles everywhere, or degree below the generic line degree d_u) are
+    skipped and replaced.  After a common projective normalization at a
+    probe node, each coefficient is itself a degree-<=d rational function of
+    c (stage two).  The probe always exists: the kept lines' denominators
+    are nonzero of degree <= d_u, so together they have at most lines * d_u
+    roots, and the u nodes are searched followed by lines * d_u + 1 further
+    integers.  A direct two-variable nullspace fit over the same grid
+    samples cross-checks the result; the routes must agree projectively.
     """
     base_u = list(u_nodes) if u_nodes is not None else _default_nodes(d)
     base_v = list(v_nodes) if v_nodes is not None else _default_nodes(d)
@@ -224,56 +222,50 @@ def fit_bi(
 
     # stage 0: reduced per-line fits establish the generic line degree
     lines = []
-    pool = list(base_v)
-    extra = max((int(v) for v in base_v), default=0) + 1
-    budget = len(base_v) + 4 * (d + 2)
-    while len(lines) < want_lines and pool and budget > 0:
-        c = Fraction(pool.pop(0))
-        budget -= 1
-        if not pool:
-            pool = [Fraction(extra)]
-            extra += 1
+    for c in _nodes(base_v, 4 * (d + 2)):
+        if len(lines) >= want_lines:
+            break
+        c = Fraction(c)
         pairs = _gather_line(f, c, base_u, want_nodes, d)
         if len(pairs) < 2 * d + 1:
             continue
         fit = fit_uni(pairs, d)  # DegreeTooLow propagates: not rational on a line
-        lines.append((c, pairs, fit.degree))
+        lines.append((c, pairs, fit))
     if len(lines) < 2 * d + 2:
         raise DegreeTooLow("too few usable lines")
-    d_u = max(deg for _, _, deg in lines)
-    kept = [(c, pairs) for c, pairs, deg in lines if deg == d_u]
+    d_u = max(fit.degree for _, _, fit in lines)
+    kept = [(c, pairs, fit) for c, pairs, fit in lines if fit.degree == d_u]
     if len(kept) < 2 * d + 2:
         raise DegreeTooLow("generic line degree reached on too few lines")
 
-    # stage 1: raw (unreduced) minimal-degree solutions, one scale per line
+    # stage 1: every solution of degree <= d_u through 2 d_u + 1 nodes of a
+    # line is a scalar multiple of its reduced fit, and the probe
+    # normalization cancels that scale, so the reduced fit is the line's
+    # solution.  Coprime num and den never vanish together, so the check
+    # rejects any node at a pole of the reduced fit.
     raw = []
-    for c, pairs in kept:
-        dim, praw, qraw = _solve_linearized(pairs, d_u)
-        if dim != 1 or not qraw:
-            continue  # unexpected degeneracy: drop the line
-        _validate_raw(pairs, praw, qraw)
-        praw = praw + [Fraction(0)] * (d_u + 1 - len(praw))
-        qraw = qraw + [Fraction(0)] * (d_u + 1 - len(qraw))
-        raw.append((c, praw, qraw))
-    if len(raw) < 2 * d + 2:
-        raise DegreeTooLow("too few nondegenerate lines")
+    for c, pairs, fit in kept:
+        num, den = list(fit.num), list(fit.den)
+        _check_samples(pairs, functools.partial(univar.evaluate, num),
+                       functools.partial(univar.evaluate, den))
+        num += [Fraction(0)] * (d_u + 1 - len(num))
+        den += [Fraction(0)] * (d_u + 1 - len(den))
+        raw.append((c, num, den))
 
-    # probe node: every line's raw denominator must be nonzero there
-    probe = None
-    for u in base_u:
-        if all(univar.evaluate(qraw, u) != 0 for _, _, qraw in raw):
-            probe = Fraction(u)
-            break
-    if probe is None:
-        raise NormalizationFailure("no node keeps every line denominator nonzero")
+    # probe node: every line's denominator must be nonzero there
+    probe = next(
+        Fraction(u)
+        for u in _nodes(base_u, len(raw) * d_u + 1)
+        if all(univar.evaluate(den, u) != 0 for _, _, den in raw)
+    )
 
     # stage 2: each coefficient slot is rational of degree <= d in c
     slot_fits = []
     for slot in range(2 * (d_u + 1)):
         samples = []
-        for c, praw, qraw in raw:
-            scale = Fraction(1) / univar.evaluate(qraw, probe)
-            coef = (praw[slot] if slot <= d_u else qraw[slot - d_u - 1]) * scale
+        for c, num, den in raw:
+            scale = Fraction(1) / univar.evaluate(den, probe)
+            coef = (num[slot] if slot <= d_u else den[slot - d_u - 1]) * scale
             samples.append((c, coef))
         slot_fits.append(fit_uni(samples, d))
 
@@ -308,45 +300,35 @@ def fit_bi(
     if result.degree > d:
         raise DegreeTooLow(f"assembled degree {result.degree} exceeds bound {d}")
 
-    # full-grid validation, including lines skipped above
+    # one read of the grid serves the full validation (it covers the lines
+    # skipped above) and the direct route
+    grid = []
     for v in base_v:
         for u in base_u:
-            val = f(Fraction(u), Fraction(v))
-            if val is None:
-                continue
-            q = p_eval(den_bi, [Fraction(u), Fraction(v)])
-            p = p_eval(num_bi, [Fraction(u), Fraction(v)])
-            if q == 0:
-                if p != 0:
-                    raise DegreeTooLow(f"pole mismatch at {(u, v)}")
-            elif p != val * q:
-                raise DegreeTooLow(f"residual at {(u, v)}")
+            node = (Fraction(u), Fraction(v))
+            val = f(*node)
+            if val is not None:
+                grid.append((node, val))
+    _check_samples(grid, functools.partial(p_eval, num_bi), functools.partial(p_eval, den_bi))
 
-    direct = _fit_bi_direct(f, d, base_u, base_v)
+    direct = _fit_bi_direct(grid, d)
     cross = p_sub(p_mul(result.num, direct.den), p_mul(direct.num, result.den))
     if cross:
         raise AmbiguousFit("two-stage and direct fits disagree")
     return result
 
 
-def _fit_bi_direct(f: Callable, d: int, base_u, base_v) -> BiRat:
-    """One-shot bivariate nullspace fit over every evaluable grid node."""
+def _fit_bi_direct(grid: Sequence, d: int) -> BiRat:
+    """One-shot bivariate nullspace fit over every evaluable grid sample."""
     monos = [(i, j) for i in range(d + 1) for j in range(d + 1 - i) if i + j <= d]
     monos.sort()
-    rows = []
-    samples = []
-    for v in base_v:
-        for u in base_u:
-            val = f(Fraction(u), Fraction(v))
-            if val is None:
-                continue
-            samples.append((Fraction(u), Fraction(v), val))
-            uu, vv = Fraction(u), Fraction(v)
-            row = [uu**i * vv**j for i, j in monos]
-            row += [-val * uu**i * vv**j for i, j in monos]
-            rows.append(row)
-    if len(rows) < 2 * len(monos):
+    if len(grid) < 2 * len(monos):
         raise DegreeTooLow("too few samples for the direct fit")
+    rows = []
+    for (u, v), val in grid:
+        row = [u**i * v**j for i, j in monos]
+        row += [-val * u**i * v**j for i, j in monos]
+        rows.append(row)
     basis = projcore.nullspace(rows)
     if not basis:
         raise DegreeTooLow("direct fit: no rational function of this degree")
@@ -355,14 +337,8 @@ def _fit_bi_direct(f: Callable, d: int, base_u, base_v) -> BiRat:
     den = {m: c for m, c in zip(monos, vec[len(monos) :]) if c}
     if not den:
         raise DegreeTooLow("direct fit denominator vanished")
-    for u, v, val in samples:
-        q = p_eval(den, [u, v])
-        p = p_eval(num, [u, v])
-        if q == 0:
-            if p != 0:
-                raise DegreeTooLow(f"direct fit pole mismatch at {(u, v)}")
-        elif p != val * q:
-            raise DegreeTooLow(f"direct fit residual at {(u, v)}")
+    _check_samples(grid, functools.partial(p_eval, num), functools.partial(p_eval, den),
+                   "direct fit ")
     g = p_gcd(num, den)
     if p_total_degree(g) > 0:
         num = p_divexact(num, g)

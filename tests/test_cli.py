@@ -130,6 +130,22 @@ def test_fit_cli_round_trip(tmp_path, capsys):
     assert RatMap.from_json(report["map"]).projectively_equal(F)
 
 
+def test_fit_cli_probe_beyond_the_grid(tmp_path, capsys):
+    # (u, v) -> (u + v - 6, u) on the 7x7 grid 0..6: every u node is a pole
+    # of some line's denominator, so the probe node lies beyond the grid
+    us = [Fraction(k) for k in range(7)]
+    values = [[(u + v - 6, u) for u in us] for v in us]
+    path = tmp_path / "affine.csv"
+    path.write_text(write_csv_grid(GridMapSource(us, us, values, mode="exact")))
+    code, out = run(capsys, "fit", "--in", str(path), "--degree", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["residuals"]["max_cross_residual"] == 0.0
+    model = RatMap.from_json(report["map"])
+    assert model.degree == 1
+    assert model.projectively_equal(reduce_map([X0, X1 + X2 - 6 * X0, X1]))
+
+
 def test_report_json_reparses_canonically(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(SEGRE_JSON))
@@ -291,8 +307,6 @@ MALFORMED = [
      "planarize: error: unrecognized arguments: --mode exact"),
     ("khovanskii ambiguous fit", lambda t: ["khovanskii", "--in", _stereo_grid(t)],
      ratfit.AmbiguousFit, 2, "AmbiguousFit"),
-    ("khovanskii normalization", lambda t: ["khovanskii", "--in", _stereo_grid(t)],
-     ratfit.NormalizationFailure, 2, "NormalizationFailure"),
 ]
 
 

@@ -222,3 +222,14 @@ def test_rationalize_direction_snaps_clean_ratios():
     vec = [0.0, 0.4458930, 0.66883956, 0.2229465]
     # entries proportional to (0, 2, 3, 1) up to float noise
     assert rationalize_direction([x * 1.0000000001 for x in vec]) == (0, 2, 3, 1)
+
+
+def test_null_direction_and_rank_agree_across_modes():
+    from planarize.projcore import null_direction, rank_in_mode
+
+    rows = [[1, 0, -2], [0, 1, -3], [2, 1, -7]]
+    floats = [[float(x) for x in r] for r in rows]
+    assert null_direction(rows, True) == null_direction(floats, False) == (2, 3, 1)
+    assert rank_in_mode(rows, True) == rank_in_mode(floats, False) == 2
+    assert null_direction([[1, 0], [0, 1]], True) is None
+    assert null_direction([[1.0, 0.0], [0.0, 1.0]], False) is None

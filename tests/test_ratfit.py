@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from planarize import variables, reduce_map
+from planarize import projcore, variables, reduce_map
 from planarize.cli import generate_map
 from planarize.jetplan import CallableSource, ExactMapSource
 from planarize.projcore import nullspace
@@ -173,6 +173,14 @@ def test_fit_bi_two_routes_agree_structurally():
         assert r.evaluate(u, v) == f(u, v)
 
 
+def test_fit_bi_probe_beyond_the_nodes():
+    # the line v = c has its pole at u = 6 - c, so every default node 0..6
+    # is a root of some line denominator; the probe is the next integer
+    r = fit_bi(lambda u, v: None if u + v == 6 else 1 / Fraction(u + v - 6), 1)
+    assert r.num == {(0, 0): F(1)}
+    assert r.den == {(0, 0): F(-6), (1, 0): F(1), (0, 1): F(1)}
+
+
 # -- fit_map ----------------------------------------------------------------------
 
 
@@ -223,3 +231,19 @@ def test_fit_map_reads_each_node_once():
     model = fit_map(CallableSource(sample, codim=3), 2)
     assert model.projectively_equal(planted)
     assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("seed,degree,d,most", [(7, 3, 3, 72), (3, 2, 2, 54)])
+def test_fit_map_solves_each_line_once(monkeypatch, seed, degree, d, most):
+    # one nullspace per line fit, per slot fit and per direct fit
+    calls = []
+    real = projcore.nullspace
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(projcore, "nullspace", counted)
+    planted = generate_map(seed, degree, 3)
+    assert fit_map(ExactMapSource(planted), d).projectively_equal(planted)
+    assert len(calls) <= most
