@@ -158,6 +158,8 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
         if not row:
             continue
         u, v = conv(row[0]), conv(row[1])
+        if (u, v) in data:
+            raise ValueError(f"grid CSV has two rows for the node u={u}, v={v}")
         if u not in u_set:
             u_set.append(u)
         if v not in v_set:
@@ -437,8 +439,9 @@ def omega(jet: Jet) -> CovectorPoly:
         for p in cov_polys:
             content = univar.gcd(content, univar.trim(p))
         if univar.degree(content) > 0:
+            # divexact gives ints for integral quotients; the family stays in Fractions
             cov_polys = [
-                univar.divexact(univar.trim(p), content) if univar.trim(p) else [] for p in cov_polys
+                [Fraction(c) for c in univar.divexact(p, content)] for p in cov_polys
             ]
     top = max((len(p) for p in cov_polys), default=0)
     coeffs = []

@@ -235,7 +235,7 @@ def _p_only_var(a: PolyDict) -> Optional[int]:
 
 
 def _p_to_univar(a: PolyDict, var: int) -> list:
-    out = [Fraction(0)] * (p_degree_in(a, var) + 1)
+    out = [0] * (p_degree_in(a, var) + 1)
     for e, c in a.items():
         out[e[var]] += c
     return univar.trim(out)
@@ -480,14 +480,30 @@ class HPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "HPoly":
-        # a value of the wrong JSON type (null, a list, a string) shows up
+        # a value of the wrong JSON type (null, a list, an object) shows up
         # as a TypeError somewhere in the parse; it is bad input all the same
         try:
-            terms = {tuple(t["exp"]): projcore.scalar_from_str(t["coef"]) for t in data["terms"]}
-            return cls(int(data["nvars"]), int(data["degree"]), terms)
+            terms: PolyDict = {}
+            for t in data["terms"]:
+                e = tuple(_json_int(k, "exponent") for k in t["exp"])
+                if e in terms:
+                    raise ValueError(f"two terms have the exponent {list(e)}")
+                terms[e] = projcore.scalar_from_str(t["coef"])
+            return cls(_json_int(data["nvars"], "nvars"), _json_int(data["degree"], "degree"), terms)
         except TypeError:
             raise ValueError("a polynomial is a JSON object with integer nvars and degree and a "
                              "list of terms, each an exponent list with a coefficient") from None
+
+
+def _json_int(value, what: str) -> int:
+    """An integer field of a polynomial's JSON.  A number with a fraction
+    part or a string is a ValueError that names it (int() would truncate or
+    parse it); null, a boolean, a list or an object is a TypeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, str)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise TypeError(what)
 
 
 def variables(nvars: int) -> tuple[HPoly, ...]:
@@ -871,7 +887,7 @@ def _bf_split(form: PolyDict) -> tuple[int, int, list]:
     a = min(e[0] for e in form)
     b = min(e[1] for e in form)
     deg = max(e[1] for e in form) - b
-    core = [Fraction(0)] * (deg + 1)
+    core = [0] * (deg + 1)
     for e, c in form.items():
         core[e[1] - b] += c
     return a, b, univar.trim(core)
@@ -907,7 +923,7 @@ def _bf_gcd(f: PolyDict, g: PolyDict) -> PolyDict:
     out: PolyDict = {}
     for k, c in enumerate(core):
         if c:
-            out[(deg - (b + k), b + k)] = Fraction(c)
+            out[(deg - (b + k), b + k)] = c
     return out
 
 

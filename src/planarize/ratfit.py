@@ -141,9 +141,10 @@ def fit_uni(samples, d: int) -> UniRat:
     if univar.degree(g) > 0:
         praw = univar.divexact(praw, g)
         qraw = univar.divexact(qraw, g)
+    # the gcd kernel returns ints, and int / int would be a float
     lead = qraw[-1]
-    praw = [c / lead for c in praw]
-    qraw = [c / lead for c in qraw]
+    praw = [Fraction(c) / lead for c in praw]
+    qraw = [Fraction(c) / lead for c in qraw]
     return UniRat(tuple(praw), tuple(qraw))
 
 

@@ -1,32 +1,48 @@
-"""Dense univariate polynomial helpers over exact rationals.
+"""Dense univariate polynomials with exact coefficients, and their gcd.
 
-Coefficient lists are low-to-high degree; the zero polynomial is [].
-These back the rational-interpolation machinery, resultants, and
-squarefree parts; everything is exact.
+Coefficient lists are low-to-high degree; the zero polynomial is [].  A
+coefficient is an int or a Fraction.  The arithmetic helpers (add, mul,
+evaluate, interpolation, the Sylvester resultant) work in Fractions, as the
+rational fitting and the jet wedges that call them expect.
+
+The gcd kernel works on integers with the content kept apart:
+`content_primitive` splits a polynomial once into its rational content and
+an integer primitive part, and `gcd`, `squarefree_part`, `lcm` and
+`divexact` compute on those int lists.  The gcd is the heuristic GCDHEU
+(Char, Geddes & Gonnet 1989): evaluate both primitive parts at a large
+integer xi, take the integer gcd, read a candidate off its symmetric base-xi
+digits and accept its primitive part only if it divides both inputs exactly.
+Since xi stays at least 2 min(|a|, |b|) + 2 (max norms), an accepted
+candidate is the gcd.  After a fixed number of evaluation points the
+primitive pseudo-remainder sequence decides.  The gcd, squarefree part and
+lcm are primitive int lists with a positive leading coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-Poly = list  # list[Fraction], low-to-high
+Poly = list  # list of ints and Fractions, low-to-high
+
+#: evaluation points GCDHEU tries before the primitive PRS decides
+HEU_TRIES = 6
 
 
-def trim(p: Sequence[Fraction]) -> Poly:
+def trim(p: Sequence) -> Poly:
     p = list(p)
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def degree(p: Sequence[Fraction]) -> int:
+def degree(p: Sequence) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(trim(p)) - 1
 
 
-def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+def add(p: Sequence, q: Sequence) -> Poly:
     n = max(len(p), len(q))
     out = [Fraction(0)] * n
     for i, c in enumerate(p):
@@ -36,18 +52,18 @@ def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     return trim(out)
 
 
-def sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+def sub(p: Sequence, q: Sequence) -> Poly:
     return add(p, [-c for c in q])
 
 
-def scale(p: Sequence[Fraction], c) -> Poly:
+def scale(p: Sequence, c) -> Poly:
     c = Fraction(c)
     if c == 0:
         return []
     return [x * c for x in p]
 
 
-def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+def mul(p: Sequence, q: Sequence) -> Poly:
     if not p or not q:
         return []
     out = [Fraction(0)] * (len(p) + len(q) - 1)
@@ -59,7 +75,7 @@ def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     return trim(out)
 
 
-def evaluate(p: Sequence[Fraction], x) -> Fraction:
+def evaluate(p: Sequence, x) -> Fraction:
     x = Fraction(x)
     acc = Fraction(0)
     for c in reversed(list(p)):
@@ -67,84 +83,156 @@ def evaluate(p: Sequence[Fraction], x) -> Fraction:
     return acc
 
 
-def derivative(p: Sequence[Fraction]) -> Poly:
-    return trim([Fraction(i) * c for i, c in enumerate(p)][1:])
+def derivative(p: Sequence) -> Poly:
+    return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def divmod_exact(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    """Euclidean division over the rationals."""
-    q = trim(q)
-    if not q:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = [Fraction(c) for c in trim(p)]
-    d = len(q) - 1
-    lead = q[-1]
-    quo = [Fraction(0)] * max(0, len(r) - d)
-    while len(r) - 1 >= d and r:
-        k = len(r) - 1 - d
-        c = r[-1] / lead
-        quo[k] = c
-        for i in range(len(q)):
-            r[k + i] -= c * q[i]
-        r = trim(r)
-    return trim(quo), r
+# ---------------------------------------------------------------------------
+# the integer gcd kernel
+# ---------------------------------------------------------------------------
 
 
-def divexact(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    quo, rem = divmod_exact(p, q)
-    if rem:
-        raise ArithmeticError("inexact univariate division")
-    return quo
-
-
-def content_primitive(p: Sequence[Fraction]) -> tuple[Fraction, Poly]:
-    """Rational content and the integer primitive part with positive lead."""
+def content_primitive(p: Sequence) -> tuple[Fraction, list[int]]:
+    """(c, P) with p = c P: the rational content and the int primitive part
+    with positive lead; (0, []) for the zero polynomial."""
     p = trim(p)
     if not p:
         return Fraction(0), []
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
-    prim = [Fraction(c // g) for c in ints]
-    return Fraction(g, den), prim
+    return Fraction(g, den), [c // g for c in ints]
 
 
-def gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    """Primitive gcd via the Euclidean remainder sequence with
-    primitive-part reduction at every step (controls coefficient growth)."""
+def _exquo(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """a / b over the integers, or None when b does not divide a in Z[x]."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [] if not a else None
+    r = list(a)
+    lead = b[-1]
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, m = divmod(r[k + db], lead)
+        if m:
+            return None
+        quo[k] = c
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return quo if not any(r[:db]) else None
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """GCDHEU on two primitive int polynomials of degree >= 1: their
+    primitive gcd, or None when all HEU_TRIES evaluation points fail."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(HEU_TRIES):
+        # xi exceeds the root bound of the input of smaller norm, so gamma != 0
+        ga = gb = 0
+        for c in reversed(a):
+            ga = ga * xi + c
+        for c in reversed(b):
+            gb = gb * xi + c
+        gamma = math.gcd(ga, gb)
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        h = content_primitive(digits)[1]
+        if _exquo(a, h) is not None and _exquo(b, h) is not None:
+            return h
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b over the integers, up to a unit power of
+    lead(b) (the caller takes its primitive part)."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    while len(r) > db:
+        k = len(r) - 1 - db
+        c = r[-1]
+        r = [x * lead for x in r]
+        for i in range(db + 1):
+            r[k + i] -= c * b[i]
+        r = trim(r)
+    return r
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two primitive int polynomials (positive leads) by
+    the primitive pseudo-remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, content_primitive(r)[1]
+    return [1]
+
+
+def gcd(p: Sequence, q: Sequence) -> list[int]:
+    """Primitive gcd with positive lead ([] when both are zero)."""
     a = content_primitive(p)[1]
     b = content_primitive(q)[1]
     if not a:
         return b
     if not b:
         return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        _, r = divmod_exact(a, b)
-        r = content_primitive(r)[1]
-        a, b = b, r
-    return content_primitive(a)[1]
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    return _heu_gcd(a, b) or _prs_gcd(a, b)
 
 
-def squarefree_part(p: Sequence[Fraction]) -> Poly:
-    """p with every repeated factor reduced to multiplicity one."""
-    p = trim(p)
-    if degree(p) <= 0:
-        return content_primitive(p)[1] if p else []
-    g = gcd(p, derivative(p))
-    if degree(g) <= 0:
-        return content_primitive(p)[1]
-    return content_primitive(divexact(p, g))[1]
+def divexact(p: Sequence, q: Sequence) -> Poly:
+    """The exact quotient p / q; ints when the content ratio is integral,
+    Fractions otherwise.  Raises ArithmeticError when q does not divide p."""
+    cq, b = content_primitive(q)
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    cp, a = content_primitive(p)
+    # b is primitive, so b | a over Q means b | a over Z (Gauss)
+    quo = _exquo(a, b)
+    if quo is None:
+        raise ArithmeticError("inexact univariate division")
+    ratio = cp / cq
+    if ratio.denominator == 1:
+        ratio = ratio.numerator
+    return [c * ratio for c in quo]
 
 
-def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
+def squarefree_part(p: Sequence) -> list[int]:
+    """p with every repeated factor reduced to multiplicity one, primitive."""
+    a = content_primitive(p)[1]
+    if len(a) <= 2:
+        return a
+    return _exquo(a, gcd(a, derivative(a)))
+
+
+def lcm(p: Sequence, q: Sequence) -> list[int]:
+    """Primitive lcm with positive lead ([] when either is zero)."""
+    a = content_primitive(p)[1]
+    b = content_primitive(q)[1]
+    if not a or not b:
+        return []
+    return content_primitive(mul(a, _exquo(b, gcd(a, b))))[1]
+
+
+# ---------------------------------------------------------------------------
+# resultants and interpolation
+# ---------------------------------------------------------------------------
+
+
+def resultant(p: Sequence, q: Sequence) -> Fraction:
     """Sylvester-matrix resultant of two univariate rationals (exact)."""
     from . import projcore
 
@@ -187,13 +275,3 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
             denom *= xi - xj
         out = add(out, scale(basis, yi / denom))
     return out
-
-
-def lcm(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    p = trim(p)
-    q = trim(q)
-    if not p or not q:
-        return []
-    g = gcd(p, q)
-    out = divexact(mul(p, q), g)
-    return content_primitive(out)[1]

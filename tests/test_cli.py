@@ -241,6 +241,13 @@ def _json_file(tmp_path, data, name="bad"):
 NULL_NVARS = {"components": [{**SEGRE_JSON["components"][0], "nvars": None}]}
 
 
+def _segre_with_first_component(tmp_path, **fields):
+    # SEGRE_JSON with fields of its first component replaced
+    data = json.loads(json.dumps(SEGRE_JSON))
+    data["components"][0].update(fields)
+    return _json_file(tmp_path, data)
+
+
 def _map_with_coefficient(tmp_path, coef):
     data = json.loads(json.dumps(SEGRE_JSON))
     data["components"][0]["terms"][0]["coef"] = coef
@@ -290,6 +297,15 @@ MALFORMED = [
      "planarize: ValueError: a map is a JSON object with a list of components"),
     ("nvars null", lambda t: ["classify", "--in", _json_file(t, NULL_NVARS)], None, 1,
      "planarize: ValueError: a polynomial is a JSON object with integer nvars and degree"),
+    ("fractional exponent",
+     lambda t: ["dualize", "--in", _segre_with_first_component(t, terms=[{"exp": [2.5, 0, 0], "coef": "1"}])],
+     None, 1, "planarize: ValueError: exponent must be an integer, got 2.5"),
+    ("fractional degree", lambda t: ["dualize", "--in", _segre_with_first_component(t, degree=2.9)], None, 1,
+     "planarize: ValueError: degree must be an integer, got 2.9"),
+    ("repeated exponent",
+     lambda t: ["dualize", "--in", _segre_with_first_component(
+         t, terms=[{"exp": [2, 0, 0], "coef": "1"}, {"exp": [2, 0, 0], "coef": "3"}])],
+     None, 1, "planarize: ValueError: two terms have the exponent [2, 0, 0]"),
     ("web is a list",
      lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _json_file(t, [])],
      None, 1, "planarize: ValueError: a conic system is a JSON object with a list of basis forms"),

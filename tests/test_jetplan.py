@@ -285,6 +285,16 @@ def test_csv_sparse_grid_names_the_missing_node():
         read_csv_grid("u,v,F1\n0,0,1\n1,0,2\n0,1,3\n", mode="exact")
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_csv_repeated_node_is_rejected(mode):
+    # a repeated node is an error, not a silent overwrite by its last row
+    rows = "".join(f"0,0,{k}\n" for k in range(1, 100))
+    with pytest.raises(ValueError, match="two rows for the node u=0(\\.0)?, v=0(\\.0)?$"):
+        read_csv_grid("u,v,F1\n" + rows, mode=mode)
+    with pytest.raises(ValueError, match="two rows for the node u=1(\\.0)?, v=0(\\.0)?$"):
+        read_csv_grid("u,v,F1\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n1,0,5\n", mode=mode)
+
+
 def test_csv_path_with_a_comma_is_read_as_a_file(tmp_path):
     folder = tmp_path / "d,ir"
     folder.mkdir()

@@ -1,0 +1,187 @@
+"""The univariate gcd kernel against the sympy oracle.
+
+gcd (its GCDHEU path and its primitive-PRS fallback, each also called
+directly), squarefree part, lcm, exact division and the Sylvester resultant,
+on seeded inputs up to degree 70: zero, constant, coprime, planted common
+factors, negative leads, rational and large coefficients.  Every gcd,
+squarefree part and lcm must be primitive with a positive lead.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from planarize import univar
+from planarize.seeding import stable_rng
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(univar.trim(p))]
+    return sympy.Poly(coeffs or [0], X, domain="QQ")
+
+
+def canon(P) -> list:
+    """The primitive integer form with positive lead, low-to-high."""
+    if P.is_zero:
+        return []
+    _, Q = P.clear_denoms(convert=True)
+    _, Q = Q.primitive()
+    if Q.LC() < 0:
+        Q = -Q
+    return [int(c) for c in reversed(Q.all_coeffs())]
+
+
+def assert_primitive(p):
+    assert all(type(c) is int for c in p)
+    if p:
+        assert p[-1] > 0
+        assert univar.content_primitive(p) == (1, p)
+
+
+def random_poly(rng, deg, bits=4, rational=False, neg_lead=False):
+    if deg < 0:
+        return []
+    p = [rng.randint(-(2**bits), 2**bits) for _ in range(deg + 1)]
+    p[-1] = rng.randint(1, 2**bits) * (-1 if neg_lead else 1)
+    if rational:
+        p = [Fraction(c, rng.randint(1, 7)) for c in p]
+    return p
+
+
+def pairs(seed):
+    """Named (p, q) pairs covering every input class."""
+    rng = stable_rng(seed, "univar-oracle")
+    same = random_poly(rng, 12, neg_lead=True)
+    out = [
+        ("zero-zero", [], []),
+        ("zero-poly", [], random_poly(rng, 5)),
+        ("poly-zero", random_poly(rng, 7, rational=True), []),
+        ("constant", [Fraction(-6, 5)], random_poly(rng, 9)),
+        ("constants", [4], [-6]),
+        ("linear", random_poly(rng, 1), random_poly(rng, 1)),
+        ("associate", same, [Fraction(-3, 2) * c for c in same]),
+    ]
+    for k, (dg, da, db) in enumerate([(1, 3, 2), (5, 10, 12), (20, 30, 25), (35, 35, 30), (60, 10, 4)]):
+        g = random_poly(rng, dg, bits=3 + 4 * k, neg_lead=k % 2 == 1)
+        a = random_poly(rng, da, bits=5, rational=k == 2)
+        b = random_poly(rng, db, bits=40 if k == 3 else 6, neg_lead=True)
+        out.append((f"planted-{dg}", univar.mul(g, a), univar.mul(g, b)))
+    g = random_poly(rng, 8)
+    out.append(("planted-power", univar.mul(univar.mul(g, g), random_poly(rng, 20)),
+                univar.mul(g, random_poly(rng, 30, rational=True))))
+    out.append(("coprime-70", random_poly(rng, 70, bits=20), random_poly(rng, 65, bits=30, neg_lead=True)))
+    out.append(("coprime-rational", random_poly(rng, 25, rational=True), random_poly(rng, 40, rational=True)))
+    return out
+
+
+CASES = [case for seed in (1, 2) for case in pairs(seed)]
+IDS = [f"{i}-{c[0]}" for i, c in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
+def test_gcd_matches_sympy(name, p, q):
+    expect = canon(sympy.gcd(to_sympy(p), to_sympy(q)))
+    got = univar.gcd(p, q)
+    assert got == expect
+    assert_primitive(got)
+    assert univar.gcd(q, p) == expect
+
+
+# both paths take primitive int inputs of degree >= 1
+PRIMITIVE = [
+    (name, univar.content_primitive(p)[1], univar.content_primitive(q)[1])
+    for name, p, q in CASES
+    if univar.degree(p) > 0 and univar.degree(q) > 0
+]
+
+
+@pytest.mark.parametrize("name,a,b", PRIMITIVE, ids=[f"{i}-{c[0]}" for i, c in enumerate(PRIMITIVE)])
+def test_heuristic_and_prs_paths_each_match_sympy(name, a, b):
+    expect = canon(sympy.gcd(to_sympy(a), to_sympy(b)))
+    # seeded inputs: the first evaluation points settle every case here
+    assert univar._heu_gcd(a, b) == expect
+    prs = univar._prs_gcd(a, b)
+    assert prs == expect
+    assert_primitive(prs)
+
+
+def test_gcd_falls_back_to_the_prs(monkeypatch):
+    monkeypatch.setattr(univar, "HEU_TRIES", 0)
+    for name, p, q in CASES:
+        assert univar.gcd(p, q) == canon(sympy.gcd(to_sympy(p), to_sympy(q))), name
+
+
+# coprime pairs whose values at the first evaluation point share a factor
+# that the base-xi digits read as a polynomial dividing neither input
+FIRST_POINT_MISSES = [([1, -1, 1], [-1, -1, 3, 1]), ([3, -3, -2, 2], [1, 0, 0, 1]), ([-1, 2, 3], [-3, 1])]
+
+
+@pytest.mark.parametrize("a,b", FIRST_POINT_MISSES)
+def test_heuristic_rejects_a_candidate_that_does_not_divide(monkeypatch, a, b):
+    assert univar._heu_gcd(a, b) in (None, [1])
+    monkeypatch.setattr(univar, "HEU_TRIES", 1)
+    assert univar._heu_gcd(a, b) is None
+    assert univar.gcd(a, b) == univar._prs_gcd(a, b) == [1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_squarefree_part_matches_sympy(seed):
+    rng = stable_rng(seed, "univar-sqf")
+    cases = [[], [Fraction(7, 3)], random_poly(rng, 1, neg_lead=True)]
+    f1, f2, f3 = random_poly(rng, 4), random_poly(rng, 6, rational=True), random_poly(rng, 9, neg_lead=True)
+    cases.append(univar.mul(univar.mul(univar.mul(f1, f1), univar.mul(f1, f2)), univar.mul(f2, f3)))
+    big = random_poly(rng, 10, bits=25)
+    cases.append(univar.mul(univar.mul(big, big), univar.mul(univar.mul(big, f3), random_poly(rng, 30))))
+    for p in cases:
+        got = univar.squarefree_part(p)
+        assert got == canon(sympy.sqf_part(to_sympy(p)) if p else to_sympy(p))
+        assert_primitive(got)
+
+
+@pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
+def test_lcm_matches_sympy(name, p, q):
+    got = univar.lcm(p, q)
+    expect = canon(sympy.lcm(to_sympy(p), to_sympy(q))) if p and q else []
+    assert got == expect
+    assert_primitive(got)
+
+
+@pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
+def test_divexact_matches_sympy(name, p, q):
+    if not univar.trim(q):
+        with pytest.raises(ZeroDivisionError):
+            univar.divexact(p, q)
+        return
+    prod = univar.mul(p, q)
+    quo = univar.divexact(prod, q)
+    expect, rem = sympy.div(to_sympy(prod), to_sympy(q))
+    assert rem.is_zero
+    assert to_sympy(quo) == expect
+    assert quo == univar.trim(p)
+    if univar.degree(q) > 0:
+        with pytest.raises(ArithmeticError):
+            univar.divexact(univar.add(prod, [1]), q)
+
+
+def test_divexact_keeps_ints_for_integral_quotients():
+    assert univar.divexact([2, 4, 2], [1, 1]) == [2, 2]
+    assert all(type(c) is int for c in univar.divexact([2, 4, 2], [1, 1]))
+    half = univar.divexact([1, 1], [2, 2])
+    assert half == [Fraction(1, 2)] and type(half[0]) is Fraction
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_resultant_matches_sympy(seed):
+    rng = stable_rng(seed, "univar-resultant")
+    cases = [([], random_poly(rng, 3)), ([5], random_poly(rng, 4)), (random_poly(rng, 2), [Fraction(-2, 3)])]
+    for n, m in [(1, 1), (3, 2), (6, 8), (12, 9)]:
+        cases.append((random_poly(rng, n, rational=True), random_poly(rng, m, neg_lead=True)))
+    g = random_poly(rng, 2)
+    cases.append((univar.mul(g, random_poly(rng, 3)), univar.mul(g, random_poly(rng, 4))))
+    for p, q in cases:
+        expect = sympy.resultant(to_sympy(p), to_sympy(q)) if p and q else 0
+        assert univar.resultant(p, q) == expect
