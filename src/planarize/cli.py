@@ -194,12 +194,9 @@ def _cmd_fit(args) -> int:
 
 
 def _fit_residuals(source: jetplan.GridMapSource, model: RatMap) -> dict:
-    """Worst scaled cross-product residual between samples and the model.
-
-    Exact grids get an exact residual (0 when the fit is exact); float grids
-    are scored in float."""
-    exact = source.mode == "exact"
-    worst = Fraction(0) if exact else 0.0
+    """Worst scaled cross-product residual between the exact grid samples and
+    the model, computed exactly (0 when the fit is exact)."""
+    worst = Fraction(0)
     checked = 0
     for v in source.v_axis:
         for u in source.u_axis:
@@ -209,11 +206,8 @@ def _fit_residuals(source: jetplan.GridMapSource, model: RatMap) -> dict:
             m = model.evaluate([Fraction(1), Fraction(u), Fraction(v)])
             if m is None:
                 continue
-            if not exact:
-                y = [float(x) for x in y]
-                m = [float(x) for x in m]
-            ny = max(abs(x) for x in y) or (Fraction(1) if exact else 1.0)
-            nm = max(abs(x) for x in m) or (Fraction(1) if exact else 1.0)
+            ny = max(abs(x) for x in y) or Fraction(1)
+            nm = max(abs(x) for x in m) or Fraction(1)
             n1 = len(y)
             for i in range(n1):
                 for j in range(i + 1, n1):

@@ -109,7 +109,11 @@ class ConicSystem:
         if not (isinstance(data, dict) and isinstance(data.get("basis"), list)):
             raise ValueError("a conic system is a JSON object with a list of basis forms")
         sys = cls([HPoly.from_json(q) for q in data["basis"]])
-        if "dimension" in data and int(data["dimension"]) != sys.dimension:
+        dimension = data.get("dimension", sys.dimension)
+        # poly._json_int's rule: a JSON integer, not a bool, float, string or null
+        if type(dimension) is not int:
+            raise ValueError(f"dimension must be an integer, got {dimension!r}")
+        if dimension != sys.dimension:
             raise ValueError("dimension field disagrees with basis size")
         return sys
 
@@ -548,7 +552,7 @@ def khovanskii_classify(f_src, seed: int = 0):
         if exact:
             if norm != 1:
                 raise NotOnSphere(f"sample at distance^2 {norm} from 1")
-        elif abs(float(norm) - 1.0) > SPHERE_RTOL:
+        elif not abs(float(norm) - 1.0) <= SPHERE_RTOL:  # NaN fails too
             raise NotOnSphere(f"sample off the sphere by {abs(float(norm)-1.0):.2e}")
 
     plane = projcore.null_direction([[1, x, y, z] for x, y, z in samples], exact)

@@ -1,9 +1,10 @@
 """Jets of maps into projective space and per-line hyperplane extraction.
 
-A map source is an exact rational map (jets by polynomial shift and
-truncated series division, no rounding), a rectangular CSV sample grid
-(jets by central finite differences on evenly spaced nodes) or a black-box
-callable (no jets; fitting reads it point by point).  From an order-(n-1)
+A map source is an exact rational map (jets by an integer shift of the
+components on the polynomial kernel and an exact term-by-term quotient, no
+rounding), a rectangular CSV sample grid (jets by central finite
+differences on evenly spaced nodes) or a black-box callable (no jets;
+fitting reads it point by point).  From an order-(n-1)
 jet at a base point we build the slope-indexed family of vectors B_l, lift
 them to homogeneous coordinates and wedge them into a covector-valued
 polynomial in the slope; its value at a slope is the hyperplane containing
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from . import projcore, univar
-from .poly import RatMap
+from .poly import RatMap, variables
 from .projcore import Hyperplane
 
 #: float-mode relative threshold for "this covector polynomial is zero"
@@ -154,9 +155,11 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
     u_set: list = []
     v_set: list = []
     data: dict = {}
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) < 2:
+            raise ValueError(f"grid CSV row {number} has fewer than two cells")
         u, v = conv(row[0]), conv(row[1])
         if (u, v) in data:
             raise ValueError(f"grid CSV has two rows for the node u={u}, v={v}")
@@ -165,6 +168,8 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
         if v not in v_set:
             v_set.append(v)
         data[(u, v)] = tuple(conv(x) for x in row[2:])
+    if not data:
+        raise ValueError("grid CSV has no data rows")
     u_axis = sorted(u_set)
     v_axis = sorted(v_set)
     missing = next(((u, v) for v in v_axis for u in u_axis if (u, v) not in data), None)
@@ -222,64 +227,6 @@ class Jet:
         return max(abs(float(x)) for vec in self.coeffs.values() for x in vec) or 1.0
 
 
-def _shift_bivariate(pd: dict, u0: Fraction, v0: Fraction) -> dict:
-    """P(u0+s, v0+t) expanded exactly as a polynomial in (s, t)."""
-    out: dict = {}
-    for (a, b), c in pd.items():
-        for i in range(a + 1):
-            for j in range(b + 1):
-                coef = c * math.comb(a, i) * math.comb(b, j) * u0 ** (a - i) * v0 ** (b - j)
-                if coef:
-                    key = (i, j)
-                    s = out.get(key, Fraction(0)) + coef
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-    return out
-
-
-def _series_truncate(pd: dict, m: int) -> dict:
-    return {e: c for e, c in pd.items() if e[0] + e[1] <= m}
-
-
-def _series_mul(a: dict, b: dict, m: int) -> dict:
-    out: dict = {}
-    for (i, j), ca in a.items():
-        for (k, l), cb in b.items():
-            if i + j + k + l > m:
-                continue
-            key = (i + k, j + l)
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _series_inverse(d: dict, m: int) -> dict:
-    """Multiplicative inverse of a series with nonzero constant term."""
-    c0 = d.get((0, 0), Fraction(0))
-    if c0 == 0:
-        raise ZeroDivisionError("series has no constant term")
-    rest = {e: -c / c0 for e, c in d.items() if e != (0, 0)}
-    inv = {(0, 0): Fraction(1, 1) / c0}
-    power = {(0, 0): Fraction(1)}
-    for _ in range(m):
-        power = _series_mul(power, rest, m)
-        if not power:
-            break
-        for e, c in power.items():
-            key = e
-            s = inv.get(key, Fraction(0)) + c / c0
-            if s:
-                inv[key] = s
-            elif key in inv:
-                del inv[key]
-    return inv
-
-
 _STENCILS = {
     0: ((0, Fraction(1)),),
     1: ((-1, Fraction(-1, 2)), (1, Fraction(1, 2))),
@@ -291,9 +238,12 @@ _STENCILS = {
 def jet_of(source: MapSource, a: tuple, m: int) -> Jet:
     """Order-m jet of a map source at an affine base point.
 
-    Exact sources: polynomial shift plus truncated series division, so the
-    coefficients are exact rationals.  Grid sources: central differences of
-    matched order (m <= 3) on the stored pitch.
+    Exact sources: each component is shifted to the base point with one
+    integer `HPoly.substitute` and truncated at order m; the chart is the
+    component of largest absolute value there, and each other component's
+    quotient by it is solved term by term, so the coefficients are exact
+    rationals.  Grid sources: central differences of matched order (m <= 3)
+    on the stored pitch.
     """
     if isinstance(source, ExactMapSource):
         return _jet_exact(source, a, m)
@@ -304,25 +254,37 @@ def jet_of(source: MapSource, a: tuple, m: int) -> Jet:
 
 def _jet_exact(source: ExactMapSource, a: tuple, m: int) -> Jet:
     u0, v0 = Fraction(a[0]), Fraction(a[1])
-    comps = source.ratmap.components
-    vals = source.evaluate(u0, v0)
-    if vals is None:
+    # one integer shift per component: with L the lcm of the base point's
+    # denominators, x -> [L x0 : L (u0 x0 + x1) : L (v0 x0 + x2)] gives
+    # L^d F(1, u0 + s, v0 + t), and L^d cancels in every quotient below
+    L = math.lcm(u0.denominator, v0.denominator)
+    x0, x1, x2 = variables(3)
+    shift = [L * x0, L * u0 * x0 + L * x1, L * v0 * x0 + L * x2]
+    series = []
+    for comp in source.ratmap.components:
+        terms = comp.substitute(shift).terms
+        series.append({(e[1], e[2]): c for e, c in terms.items() if e[1] + e[2] <= m})
+    values = [s.get((0, 0), 0) for s in series]
+    if not any(values):
         raise OnIndeterminacy(f"map undefined at {a}")
-    chart = max(range(len(vals)), key=lambda i: (abs(vals[i]), -i))
-    shifted = [
-        _series_truncate(_shift_bivariate(c.dehomogenize(0), u0, v0), m) for c in comps
-    ]
-    inv_den = _series_inverse(shifted[chart], m)
-    coeffs: dict = {}
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            coeffs[(i, j)] = []
-    for idx, s in enumerate(shifted):
+    chart = max(range(len(values)), key=lambda i: (abs(values[i]), -i))
+    c0 = values[chart]
+    rest = [(k, c) for k, c in series[chart].items() if k != (0, 0)]
+    # lexicographic order visits every (k, l) <= (i, j) before (i, j)
+    coeffs: dict = {(i, j): [] for i in range(m + 1) for j in range(m + 1 - i)}
+    for idx, num in enumerate(series):
         if idx == chart:
             continue
-        series = _series_mul(s, inv_den, m)
-        for (i, j) in coeffs:
-            coeffs[(i, j)].append(series.get((i, j), Fraction(0)))
+        # q = num / series[chart], term by term: c0 q(i, j) is num(i, j) less
+        # the chart's other terms times the q terms already known
+        q: dict = {}
+        for (i, j), vec in coeffs.items():
+            acc = num.get((i, j), 0)
+            for (k, l), c in rest:
+                if k <= i and l <= j:
+                    acc -= q[(i - k, j - l)] * c
+            q[(i, j)] = Fraction(acc) / c0
+            vec.append(q[(i, j)])
     return Jet((u0, v0), m, chart, {k: tuple(v) for k, v in coeffs.items()}, "exact")
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from planarize import ratfit
 from planarize.cli import main
+from planarize.conicweb import circle_web
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
 
@@ -272,6 +273,18 @@ def _empty_grid(tmp_path):
     return str(path)
 
 
+def _grid_file(tmp_path, text):
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def _web_with_dimension(tmp_path, dimension):
+    data = circle_web().to_json()
+    data["dimension"] = dimension
+    return _json_file(tmp_path, data, "web")
+
+
 def _failing_fit(exc):
     def fit_map(*args, **kwargs):
         raise exc("planted fit failure")
@@ -313,6 +326,24 @@ MALFORMED = [
      "planarize: ValueError: grid CSV has no row for the node u=1, v=1"),
     ("empty grid", lambda t: ["fit", "--in", _empty_grid(t)], None, 1,
      "planarize: ValueError: grid CSV must start with columns u,v"),
+    ("header-only grid", lambda t: ["fit", "--in", _grid_file(t, "u,v,F1\n")], None, 1,
+     "planarize: ValueError: grid CSV has no data rows"),
+    ("khovanskii header-only grid", lambda t: ["khovanskii", "--in", _grid_file(t, "u,v,F1,F2,F3\n")], None, 1,
+     "planarize: ValueError: grid CSV has no data rows"),
+    ("short grid row", lambda t: ["fit", "--in", _grid_file(t, "u,v,F1\n0,0,1\n1\n")], None, 1,
+     "planarize: ValueError: grid CSV row 3 has fewer than two cells"),
+    ("khovanskii short grid row",
+     lambda t: ["khovanskii", "--in", _grid_file(t, "u,v,F1,F2,F3\n0,0,1,0,0\n1\n"), "--mode", "float"],
+     None, 1, "planarize: ValueError: grid CSV row 3 has fewer than two cells"),
+    ("web dimension null",
+     lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _web_with_dimension(t, None)],
+     None, 1, "planarize: ValueError: dimension must be an integer, got None"),
+    ("web dimension a list",
+     lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _web_with_dimension(t, [3])],
+     None, 1, "planarize: ValueError: dimension must be an integer, got [3]"),
+    ("web dimension fractional",
+     lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _web_with_dimension(t, 3.7)],
+     None, 1, "planarize: ValueError: dimension must be an integer, got 3.7"),
     ("fit negative degree", lambda t: ["fit", "--in", _square_grid(t), "--degree", "-1"], None, 1,
      "planarize: ValueError: degree bound must be at least 0, got -1"),
     ("kmax zero", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "0"], None, 1,
@@ -339,3 +370,22 @@ def test_malformed_input_exit_codes(tmp_path, capsys, monkeypatch, name, argv, f
     else:
         assert captured.err == ""
         assert json.loads(captured.out) == {"case": expect, "witness": None, "diagnostics": "planted fit failure"}
+
+
+def test_khovanskii_float_grid_with_a_nan_cell_is_off_the_sphere(tmp_path, capsys):
+    # NaN compares false with everything, so it must fail the sphere check
+    # rather than reach the SVD of the plane test
+    lines = ["u,v,F1,F2,F3"]
+    for j in range(8):
+        for i in range(8):
+            u, v = i / 4.0, j / 4.0
+            s = u * u + v * v + 1
+            cells = [2 * u / s, 2 * v / s, (u * u + v * v - 1) / s]
+            if (i, j) == (3, 5):
+                cells[2] = float("nan")
+            lines.append(",".join(repr(x) for x in [u, v, *cells]))
+    path = tmp_path / "sphere.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "khovanskii", "--in", str(path), "--mode", "float")
+    assert code == 2
+    assert json.loads(out)["case"] == "NotOnSphere"

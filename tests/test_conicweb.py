@@ -25,7 +25,7 @@ from planarize.conicweb import (
 from planarize.dualize import CoTrivial, classify
 from planarize.jetplan import CallableSource, ExactMapSource
 from planarize.poly import implicitize, reduce_map, variables
-from planarize.projcore import PLine2, PPoint
+from planarize.projcore import PLine2, PPoint, det
 from planarize.seeding import stable_rng
 
 X0, X1, X2 = variables(3)
@@ -166,6 +166,26 @@ def test_invert_via_net_inversion_fixture():
         for i in range(n1):
             for j in range(i + 1, n1):
                 assert wx[i] * x[j] == wx[j] * x[i]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_invert_via_net_sampled_matches_symbolic(seed):
+    # inversion∘A for a seeded nonsingular A: the black-box route fits the
+    # collineation from samples and must give the symbolic route's inverse
+    rng = stable_rng(seed, "net-sampled")
+    while True:
+        A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if det(A) != 0:
+            break
+    f = INVERSION.after(reduce_map([a * X0 + b * X1 + c * X2 for a, b, c in A]))
+    net = ConicSystem(list(INVERSION.components))
+
+    def fsample(u, v):
+        return f.evaluate([Fraction(1), Fraction(u), Fraction(v)])
+
+    W = invert_via_net(f, net, seed=seed)
+    assert invert_via_net(CallableSource(fsample, codim=2, mode="exact"), net, seed=seed) == W
+    assert W.after(f).projectively_equal(reduce_map([X0, X1, X2]))
 
 
 def test_invert_via_net_identity_with_degenerate_net():

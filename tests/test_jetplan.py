@@ -4,12 +4,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from sympy.polys.domains import QQ
+from sympy.polys.ring_series import rs_mul, rs_series_inversion
+from sympy.polys.rings import ring
 
+from planarize.cli import generate_map
 from planarize.jetplan import (
     ChartOverflow,
     DegeneratePoint,
     ExactMapSource,
     GridMapSource,
+    OnIndeterminacy,
     OrderMismatch,
     hyperplane_for_line,
     jet_of,
@@ -72,6 +77,75 @@ def test_jet_of_product_map_at_one_one_matches_symbolic_shift():
     }
     for k, v in expect.items():
         assert jet.coeffs[k] == tuple(F(c) for c in v)
+
+
+def _sympy_taylor(ratmap, a, m):
+    """Chart and Taylor coefficients of F_i / F_chart at (u0, v0), by sympy.
+
+    The chart is the component of largest absolute value at the base point
+    (the first one on a tie); coeffs[(i, j)] lists, for each other
+    component, the coefficient of s^i t^j in F_i / F_chart at (u0 + s, v0 + t),
+    read off sympy's power series in e of the quotient at (u0 + e s, v0 + e t).
+    """
+    R, e, s, t = ring("e,s,t", QQ)
+    u = QQ(a[0].numerator, a[0].denominator) + e * s
+    v = QQ(a[1].numerator, a[1].denominator) + e * t
+    series = [
+        sum((QQ(c.numerator, c.denominator) * u ** k[1] * v ** k[2] for k, c in comp.terms.items()), R.zero)
+        for comp in ratmap.components
+    ]
+    values = [p.coeff(1) for p in series]
+    chart = max(range(len(values)), key=lambda i: (abs(values[i]), -i))
+    inverse = rs_series_inversion(series[chart], e, m + 1)
+    coeffs = {(i, j): [] for i in range(m + 1) for j in range(m + 1 - i)}
+    for idx, p in enumerate(series):
+        if idx != chart:
+            q = dict(rs_mul(p, inverse, e, m + 1).terms())
+            for (i, j), vec in coeffs.items():
+                c = q.get((i + j, i, j), QQ(0))
+                vec.append(Fraction(int(c.numerator), int(c.denominator)))
+    return chart, coeffs
+
+
+@pytest.mark.parametrize("seed,degree,target", [(1, 2, 3), (2, 3, 3), (3, 2, 4), (4, 3, 4)])
+def test_exact_jets_match_sympy_taylor_series(seed, degree, target):
+    ratmap = generate_map(seed, degree, target)
+    src = ExactMapSource(ratmap)
+    for a in [(F(2) / 3, F(-5) / 7), (F(-7) / 4, F(3) / 10)]:
+        chart, expect = _sympy_taylor(ratmap, a, 3)
+        for m in range(4):
+            jet = jet_of(src, a, m)
+            assert (jet.base, jet.order, jet.chart, jet.mode) == (a, m, chart, "exact")
+            assert set(jet.coeffs) == {(i, j) for i in range(m + 1) for j in range(m + 1 - i)}
+            for k, vec in jet.coeffs.items():
+                assert all(type(x) is Fraction for x in vec)
+                assert list(vec) == expect[k]
+
+
+def test_exact_jets_in_a_chart_other_than_x0():
+    # (u, v, uv + 5) at (1/2, 1/3): the last component is the largest there
+    ratmap = reduce_map([X0 * X0, X0 * X1, X0 * X2, X1 * X2 + 5 * X0 * X0])
+    a = (F(1) / 2, F(1) / 3)
+    chart, expect = _sympy_taylor(ratmap, a, 2)
+    jet = jet_of(ExactMapSource(ratmap), a, 2)
+    assert jet.chart == chart == 3
+    assert {k: list(v) for k, v in jet.coeffs.items()} == expect
+
+
+@pytest.mark.parametrize("a", [(0, 0), (F(1) / 2, F(-1) / 3)])
+def test_exact_jets_raise_at_a_base_point_of_the_inversion(a):
+    # the circle inversion centred at a: (x - a)^2 + (y - b)^2, x - a, y - b
+    u0, v0 = F(a[0]), F(a[1])
+    dx, dy = X1 - u0 * X0, X2 - v0 * X0
+    inversion = reduce_map([dx * dx + dy * dy, X0 * dx, X0 * dy])
+    src = ExactMapSource(inversion)
+    for m in range(3):
+        with pytest.raises(OnIndeterminacy):
+            jet_of(src, a, m)
+    with pytest.raises(OnIndeterminacy):
+        nondegenerate_at(src, a)
+    # one unit to the right the map is defined, at [1 : 1 : 0]
+    assert jet_of(src, (u0 + 1, v0), 1).chart == 0
 
 
 # -- omega ------------------------------------------------------------------------
