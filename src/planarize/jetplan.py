@@ -151,6 +151,8 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
     if header[:2] != ["u", "v"]:
         raise ValueError("grid CSV must start with columns u,v")
     n = len(header) - 2
+    if n < 1:
+        raise ValueError("grid CSV has no value columns after u,v")
     conv = projcore.scalar_from_str if mode == "exact" else float
     u_set: list = []
     v_set: list = []

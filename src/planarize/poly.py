@@ -8,6 +8,8 @@ quotient of two coefficients goes through `coef_div`, because int / int
 would give a float.  On top of it sit:
 
 * HPoly / RatMap / UniTuple, the map types used everywhere else;
+* one integer evaluation kernel (`_p_eval_int`) for a node given as integer
+  coordinates over a common denominator, behind `p_eval` and the fits;
 * a recursive multivariate gcd (primitive pseudo-remainder sequences with
   contents extracted recursively) driving common-factor removal;
 * restriction of maps to lines, image-span dimension, implicitization by
@@ -117,16 +119,59 @@ def p_mul_term(a: PolyDict, exp: Term, c) -> PolyDict:
     return {tuple(map(operator.add, e, exp)): x * c for e, x in a.items()}
 
 
-def p_eval(a: PolyDict, xs: Sequence) -> Fraction:
-    xs = [Fraction(x) for x in xs]
-    total = Fraction(0)
-    for e, c in a.items():
-        v = c
-        for x, k in zip(xs, e):
+def _int_terms(a: PolyDict) -> tuple[PolyDict, int]:
+    """(A, m) with A int-coefficient and a = A / m, m the positive lcm of
+    the denominators of a's int and Fraction coefficients."""
+    if all(type(c) is int for c in a.values()):
+        return a, 1
+    m = math.lcm(*(c.denominator for c in a.values()))
+    return {e: c.numerator * (m // c.denominator) for e, c in a.items()}, m
+
+
+def _int_node(xs: Sequence) -> tuple[list[int], int]:
+    """(X, L) with X integer and xs = X / L, L the positive lcm of the
+    coordinate denominators."""
+    fx = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in xs]
+    L = math.lcm(*(x.denominator for x in fx))
+    return [x.numerator * (L // x.denominator) for x in fx], L
+
+
+def _powers(x: int, D: int) -> list[int]:
+    t = [1]
+    for _ in range(D):
+        t.append(t[-1] * x)
+    return t
+
+
+def _monomial_values(exps, X: Sequence[int], L: int, D: int) -> list[int]:
+    """L^(D - |e|) X^e for each exponent e with |e| <= D: the monomials at
+    the node X / L, homogenized to degree D, from int power tables."""
+    tables = [_powers(x, D) for x in X]
+    out = []
+    for e in exps:
+        w = 1
+        for t, k in zip(tables, e):
             if k:
-                v *= x**k
-        total += v
-    return total
+                w *= t[k]
+        out.append(w)
+    if L != 1:
+        lp = _powers(L, D)
+        out = [w * lp[D - sum(e)] for w, e in zip(out, exps)]
+    return out
+
+
+def _p_eval_int(a: PolyDict, X: Sequence[int], L: int, D: int) -> int:
+    """L^D a(X / L) for an int-coefficient term dict a of total degree <= D;
+    no Fraction is made."""
+    return sum(map(operator.mul, a.values(), _monomial_values(a, X, L, D)))
+
+
+def p_eval(a: PolyDict, xs: Sequence) -> Fraction:
+    """a at the point xs, as a Fraction, through the integer kernel."""
+    A, m = _int_terms(a)
+    X, L = _int_node(xs)
+    D = max(p_total_degree(a), 0)
+    return Fraction(_p_eval_int(A, X, L, D), m * L**D)
 
 
 def p_total_degree(a: PolyDict) -> int:
@@ -145,8 +190,7 @@ def p_canonical(a: PolyDict) -> PolyDict:
     """Int coefficients, content 1, lexicographically-leading term positive."""
     if not a:
         return {}
-    den = math.lcm(*(c.denominator for c in a.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in a.items()}
+    ints, _ = _int_terms(a)
     g = math.gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g

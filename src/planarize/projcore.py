@@ -61,6 +61,8 @@ def _as_fraction_vector(v: Sequence) -> list[Fraction]:
 
 def clear_denominators(v: Sequence) -> list[int]:
     """Scale a rational vector by the positive lcm of denominators."""
+    if all(type(c) is int for c in v):
+        return list(v)
     fv = [c if type(c) is int else Fraction(c) for c in v]
     m = math.lcm(*(c.denominator for c in fv))
     return [c.numerator * (m // c.denominator) for c in fv]
@@ -169,17 +171,27 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        # back-substitute pivot variables bottom-up
+        # x = y / den with integer y; back-substitute pivot variables
+        # bottom-up, scaling y and den so that each new entry is integral
+        y = [0] * ncols
+        y[fc] = 1
+        den = 1
+        solved = [fc]
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
-            s = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if ech[r][c] != 0 and x[c] != 0:
-                    s += Fraction(ech[r][c]) * x[c]
-            x[pc] = -s / ech[r][pc]
-        basis.append(tuple(x))
+            row = ech[r]
+            s = 0
+            for c in solved:  # entries left of the pivot are zero
+                s += row[c] * y[c]
+            piv = row[pc]
+            g = math.gcd(s, piv)
+            k = piv // g
+            if k != 1:
+                y = [c * k for c in y]
+                den *= k
+            y[pc] = -s // g
+            solved.append(pc)
+        basis.append(tuple(Fraction(c, den) for c in y))
     return basis
 
 
@@ -303,7 +315,7 @@ class Hyperplane:
         coords = p.coords if isinstance(p, PPoint) else p
         if len(coords) != len(self.covector):
             raise DimensionMismatch("point/hyperplane dimension mismatch")
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(self.covector, coords)) == 0
+        return sum(map(operator.mul, self.covector, coords)) == 0
 
     def __iter__(self):
         return iter(self.covector)
@@ -328,7 +340,7 @@ class PLine2:
         coords = p.coords if isinstance(p, PPoint) else p
         if len(coords) != 3:
             raise DimensionMismatch("expected a point of RP^2")
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(self.covector, coords)) == 0
+        return sum(map(operator.mul, self.covector, coords)) == 0
 
     def __iter__(self):
         return iter(self.covector)

@@ -9,6 +9,11 @@ insists the routes agree.  Both routes and the full-grid validation share
 one read of the grid and one sample check.  fit_map applies fit_bi per
 affine component of a projective map and reassembles the homogeneous result.
 
+Samples are used in integers through poly's evaluation kernel: a node is
+integer coordinates X over their common denominator L, each linear-system
+row is scaled by L^d and by the value's (positive) denominator, and the
+sample check compares p and q at X with every denominator cleared.
+
 All fitting here is exact: data either comes from a rational function of
 the stated degree or the fit is rejected (DegreeTooLow).
 """
@@ -36,6 +41,11 @@ from .poly import (
     p_sub,
     p_total_degree,
     reduce_map,
+    _int_node,
+    _int_terms,
+    _monomial_values,
+    _p_eval_int,
+    _p_from_univar,
 )
 from .seeding import stable_rng
 
@@ -92,11 +102,14 @@ class SampleSet:
 
 def _solve_linearized(pairs: Sequence, d: int) -> tuple[list, list]:
     """First nullspace element of p(u_i) - f_i q(u_i) = 0 on 2d+1 nodes,
-    as (raw numerator, raw denominator)."""
+    as (raw numerator, raw denominator).  Row i is the equation times
+    L_i^d f_i.den for the node u_i = U_i / L_i, so it is integer; the
+    factor is positive and leaves the nullspace unchanged."""
+    exps = [(k,) for k in range(d + 1)]
     rows = []
     for u, f in pairs[: 2 * d + 1]:
-        pu = [u**k for k in range(d + 1)]
-        rows.append(pu + [-f * u**k for k in range(d + 1)])
+        w = _monomial_values(exps, [u.numerator], u.denominator, d)
+        rows.append([f.denominator * x for x in w] + [-f.numerator * x for x in w])
     basis = projcore.nullspace(rows)
     if not basis:
         raise DegreeTooLow("linearized system has no nonzero solution")
@@ -105,18 +118,27 @@ def _solve_linearized(pairs: Sequence, d: int) -> tuple[list, list]:
     return praw, qraw
 
 
-def _check_samples(samples: Sequence, p: Callable, q: Callable, what: str = "") -> None:
+def _check_samples(samples: Sequence, p: PolyDict, q: PolyDict, what: str = "") -> None:
     """Every (node, value) sample equals p/q at its node, and where q
     vanishes p vanishes too.  A univariate node is named `node u`, a grid
-    node by its pair (u, v); `what` prefixes the message."""
+    node by its pair (u, v); `what` prefixes the message.
+
+    The test runs in integers: with p = P / m_p, q = Q / m_q, the node
+    X / L and D = max(deg p, deg q), write P_L = L^D P(X / L) and likewise
+    Q_L; then p = val q reads P_L m_q val.den = val.num Q_L m_p."""
+    P, m_p = _int_terms(p)
+    Q, m_q = _int_terms(q)
+    D = max(p_total_degree(p), p_total_degree(q), 0)
     for node, val in samples:
-        qv = q(node)
-        pv = p(node)
-        where = node if isinstance(node, tuple) else f"node {node}"
+        tup = isinstance(node, tuple)
+        X, L = _int_node(node if tup else (node,))
+        qv = _p_eval_int(Q, X, L, D)
+        pv = _p_eval_int(P, X, L, D)
+        where = node if tup else f"node {node}"
         if qv == 0:
             if pv != 0:
                 raise DegreeTooLow(f"{what}pole mismatch at {where}")
-        elif pv != val * qv:
+        elif pv * m_q * val.denominator != val.numerator * qv * m_p:
             raise DegreeTooLow(f"{what}residual at {where}")
 
 
@@ -135,8 +157,7 @@ def fit_uni(samples, d: int) -> UniRat:
         # q == 0 forces p == 0 on 2d+1 > d nodes, impossible for a nonzero vector
         raise AmbiguousFit("denominator vanished identically")
     # before the gcd, a common root of the raw solution makes both vanish
-    _check_samples(pairs, functools.partial(univar.evaluate, praw),
-                   functools.partial(univar.evaluate, qraw))
+    _check_samples(pairs, _p_from_univar(praw, 0, 1), _p_from_univar(qraw, 0, 1))
     g = univar.gcd(praw, qraw)
     if univar.degree(g) > 0:
         praw = univar.divexact(praw, g)
@@ -247,8 +268,7 @@ def fit_bi(
     raw = []
     for c, pairs, fit in kept:
         num, den = list(fit.num), list(fit.den)
-        _check_samples(pairs, functools.partial(univar.evaluate, num),
-                       functools.partial(univar.evaluate, den))
+        _check_samples(pairs, _p_from_univar(num, 0, 1), _p_from_univar(den, 0, 1))
         num += [Fraction(0)] * (d_u + 1 - len(num))
         den += [Fraction(0)] * (d_u + 1 - len(den))
         raw.append((c, num, den))
@@ -309,8 +329,8 @@ def fit_bi(
             node = (Fraction(u), Fraction(v))
             val = f(*node)
             if val is not None:
-                grid.append((node, val))
-    _check_samples(grid, functools.partial(p_eval, num_bi), functools.partial(p_eval, den_bi))
+                grid.append((node, Fraction(val)))
+    _check_samples(grid, num_bi, den_bi)
 
     direct = _fit_bi_direct(grid, d)
     cross = p_sub(p_mul(result.num, direct.den), p_mul(direct.num, result.den))
@@ -326,10 +346,10 @@ def _fit_bi_direct(grid: Sequence, d: int) -> BiRat:
     if len(grid) < 2 * len(monos):
         raise DegreeTooLow("too few samples for the direct fit")
     rows = []
-    for (u, v), val in grid:
-        row = [u**i * v**j for i, j in monos]
-        row += [-val * u**i * v**j for i, j in monos]
-        rows.append(row)
+    for node, val in grid:
+        X, L = _int_node(node)
+        w = _monomial_values(monos, X, L, d)
+        rows.append([val.denominator * x for x in w] + [-val.numerator * x for x in w])
     basis = projcore.nullspace(rows)
     if not basis:
         raise DegreeTooLow("direct fit: no rational function of this degree")
@@ -338,8 +358,7 @@ def _fit_bi_direct(grid: Sequence, d: int) -> BiRat:
     den = {m: c for m, c in zip(monos, vec[len(monos) :]) if c}
     if not den:
         raise DegreeTooLow("direct fit denominator vanished")
-    _check_samples(grid, functools.partial(p_eval, num), functools.partial(p_eval, den),
-                   "direct fit ")
+    _check_samples(grid, num, den, "direct fit ")
     g = p_gcd(num, den)
     if p_total_degree(g) > 0:
         num = p_divexact(num, g)

@@ -330,6 +330,11 @@ MALFORMED = [
      "planarize: ValueError: grid CSV has no data rows"),
     ("khovanskii header-only grid", lambda t: ["khovanskii", "--in", _grid_file(t, "u,v,F1,F2,F3\n")], None, 1,
      "planarize: ValueError: grid CSV has no data rows"),
+    ("grid without value columns", lambda t: ["fit", "--in", _grid_file(t, "u,v\n0,0\n1,0\n0,1\n1,1\n")],
+     None, 1, "planarize: ValueError: grid CSV has no value columns after u,v"),
+    ("khovanskii grid without value columns",
+     lambda t: ["khovanskii", "--in", _grid_file(t, "u,v\n0,0\n1,0\n0,1\n1,1\n")],
+     None, 1, "planarize: ValueError: grid CSV has no value columns after u,v"),
     ("short grid row", lambda t: ["fit", "--in", _grid_file(t, "u,v,F1\n0,0,1\n1\n")], None, 1,
      "planarize: ValueError: grid CSV row 3 has fewer than two cells"),
     ("khovanskii short grid row",

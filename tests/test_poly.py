@@ -15,6 +15,7 @@ from planarize.poly import (
     hpoly_gcd,
     implicitize,
     line_base_points,
+    p_eval,
     p_gcd,
     reduce_map,
     restrict_to_line,
@@ -61,6 +62,42 @@ def random_map(rng, degree, target_dim):
         m = reduce_map(comps)
         if m.degree == degree:
             return m
+
+
+# -- p_eval -------------------------------------------------------------------
+
+
+def fraction_eval(a, xs):
+    """Term-by-term Fraction reference for p_eval."""
+    total = Fraction(0)
+    for e, c in a.items():
+        v = Fraction(c)
+        for x, k in zip(xs, e):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_p_eval_matches_a_fraction_reference(seed):
+    rng = stable_rng(seed, "p_eval")
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        degree = rng.randint(0, 5)
+        monos = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+        if rng.random() < 0.5:
+            monos = [e for e in monos if sum(e) == degree]  # homogeneous
+        a = {}
+        for e in rng.sample(monos, rng.randint(0, len(monos))):
+            c = rng.randint(-9, 9) or 1
+            a[e] = c if rng.random() < 0.5 else Fraction(c, rng.randint(2, 12))
+        xs = [
+            rng.choice([0, rng.randint(-7, -1), rng.randint(1, 7), Fraction(rng.randint(-9, 9), rng.randint(2, 11))])
+            for _ in range(nvars)
+        ]
+        got = p_eval(a, xs)
+        assert type(got) is Fraction
+        assert got == fraction_eval(a, xs)
 
 
 # -- restrict_to_line ---------------------------------------------------------

@@ -23,6 +23,7 @@ from planarize.projcore import (
     scalar_to_str,
     wedge_complement,
 )
+from planarize.seeding import stable_rng
 
 # -- independent oracle: plain rational Gaussian elimination ---------------
 
@@ -182,6 +183,29 @@ def test_rank_and_nullspace_against_oracle():
     for v in ours:
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nullspace_vectors_match_sympy(seed):
+    # a product of random rational factors through rank r has n - r free
+    # columns; sympy's nullspace also sets each free variable to 1 in turn
+    sympy = pytest.importorskip("sympy")
+    rng = stable_rng(seed, "nullspace")
+    for _ in range(6):
+        nrows, ncols = rng.randint(2, 6), rng.randint(3, 8)
+        r = rng.randint(1, min(nrows, ncols - 2))
+
+        def entry():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        left = [[entry() for _ in range(r)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(r)]
+        rows = [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)] for lr in left]
+        ours = nullspace(rows)
+        oracle = sympy.Matrix(rows).nullspace()
+        assert len(ours) >= ncols - r
+        assert ours == [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in oracle]
+        assert all(type(x) is Fraction for v in ours for x in v)
 
 
 def test_det_exact():

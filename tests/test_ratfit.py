@@ -1,17 +1,19 @@
 """Rational interpolation: planted recovery, sharpness, and rejection."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from planarize import projcore, variables, reduce_map
 from planarize.cli import generate_map
-from planarize.jetplan import CallableSource, ExactMapSource
+from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource
 from planarize.projcore import nullspace
 from planarize.ratfit import (
     DegreeTooLow,
     SampleSet,
     UniRat,
+    _check_samples,
     fit_bi,
     fit_map,
     fit_uni,
@@ -113,6 +115,12 @@ def test_node_count_sharpness():
         assert len(nullspace(rows)) >= 2
 
 
+def test_fit_uni_at_rational_nodes():
+    planted = UniRat((F(2), F(-1), F(3)), (Fraction(1, 5), F(1)))
+    nodes = [Fraction(k, 3) + Fraction(1, 5) for k in range(7)]
+    assert unirat_equal(fit_uni(sample_unirat(planted, nodes), 2), planted)
+
+
 def test_sample_set_rejects_duplicate_nodes():
     with pytest.raises(ValueError):
         SampleSet.of([(1, 2), (1, 3)])
@@ -179,6 +187,58 @@ def test_fit_bi_probe_beyond_the_nodes():
     r = fit_bi(lambda u, v: None if u + v == 6 else 1 / Fraction(u + v - 6), 1)
     assert r.num == {(0, 0): F(1)}
     assert r.den == {(0, 0): F(-6), (1, 0): F(1), (0, 1): F(1)}
+
+
+RATIONAL_AXIS = [Fraction(k, 3) + Fraction(1, 5) for k in range(11)]
+
+
+def test_fit_bi_at_rational_nodes():
+    # every node has denominator 15 or 5, so the integer sample check and
+    # the integer rows must homogenize by the node denominator
+    def f(u, v):
+        return (u * u - 2 * v + Fraction(1, 2)) / (1 + u * v)
+
+    r = fit_bi(f, 2, RATIONAL_AXIS, RATIONAL_AXIS)
+    assert r.num == {(2, 0): F(1), (0, 1): F(-2), (0, 0): Fraction(1, 2)}
+    assert r.den == {(0, 0): F(1), (1, 1): F(1)}
+
+
+def test_fit_map_on_an_exact_grid_with_rational_nodes():
+    # x0^2 + x1^2 + x2^2 has no real zero, so every node is in the chart
+    planted = reduce_map([X0 * X0 + X1 * X1 + X2 * X2, X0 * X1 - 2 * X2 * X2, X1 * X2 + X0 * X2, X1 * X1])
+    values = []
+    for v in RATIONAL_AXIS:
+        row = []
+        for u in RATIONAL_AXIS:
+            y = planted.evaluate([F(1), u, v])
+            row.append(tuple(c / y[0] for c in y[1:]))
+        values.append(row)
+    grid = GridMapSource(RATIONAL_AXIS, RATIONAL_AXIS, values, mode="exact")
+    assert fit_map(grid, 2).projectively_equal(planted)
+
+
+# p = u + v, q = 1 + u^2 at the node (1/3, 2/5), and q = 3u - 1, which
+# vanishes at u = 1/3 while p does not
+CHECK_P = {(1, 0): 1, (0, 1): 1}
+CHECK_Q = {(0, 0): 1, (2, 0): 1}
+CHECK_NODE = (Fraction(1, 3), Fraction(2, 5))
+CHECK_VALUE = Fraction(11, 15) / Fraction(10, 9)
+
+
+def test_check_samples_accepts_the_value_at_a_rational_node():
+    _check_samples([(CHECK_NODE, CHECK_VALUE)], CHECK_P, CHECK_Q)
+    _check_samples([(Fraction(1, 3), Fraction(1, 3) / Fraction(10, 9))], {(1,): F(1)}, {(0,): 1, (2,): 1})
+
+
+@pytest.mark.parametrize("samples,p,q,message", [
+    ([(CHECK_NODE, CHECK_VALUE + Fraction(1, 10**12))], CHECK_P, CHECK_Q, "residual at (Fraction(1, 3), Fraction(2, 5))"),
+    ([(CHECK_NODE, F(7))], CHECK_P, {(1, 0): 3, (0, 0): -1}, "pole mismatch at (Fraction(1, 3), Fraction(2, 5))"),
+    ([(Fraction(1, 3), Fraction(1, 3) / Fraction(10, 9) + Fraction(1, 10**12))], {(1,): F(1)}, {(0,): 1, (2,): 1}, "residual at node 1/3"),
+    ([(Fraction(1, 3), F(7))], {(1,): F(1)}, {(1,): Fraction(3, 2), (0,): Fraction(-1, 2)}, "pole mismatch at node 1/3"),
+], ids=["grid residual", "grid pole mismatch", "line residual", "line pole mismatch"])
+def test_check_samples_rejects_at_a_rational_node(samples, p, q, message):
+    with pytest.raises(DegreeTooLow, match=re.escape(message)):
+        _check_samples(samples, p, q)
 
 
 # -- fit_map ----------------------------------------------------------------------
