@@ -25,7 +25,8 @@ from .conicweb import (
     QuadricFactor,
 )
 from .dualize import CoTrivial, Rational, Trivial
-from .poly import HPoly, RatMap, implicitize, reduce_map, _monomials
+from .poly import HPoly, RatMap, implicitize, line_base_points, reduce_map, _monomials
+from .projcore import PLine2
 from .seeding import stable_rng
 
 
@@ -122,8 +123,9 @@ def _web_report(verdict) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _emit_curves(path: str, F: RatMap, seed: int, curves: int = 8, samples: int = 33) -> None:
+def _emit_curves(path: str, F: RatMap, seed: int) -> None:
     """Sampled polylines of image curves of seeded lines, as plain CSV."""
+    curves, samples = 8, 33  # polylines written, samples per polyline
     rng = stable_rng(seed, "emit_curves")
     n1 = len(F.components)
     with open(path, "w", encoding="utf-8") as fh:
@@ -135,9 +137,6 @@ def _emit_curves(path: str, F: RatMap, seed: int, curves: int = 8, samples: int 
             cov = tuple(rng.randint(-5, 5) for _ in range(3))
             if cov == (0, 0, 0):
                 continue
-            from .projcore import PLine2
-            from .poly import line_base_points
-
             p0, p1 = line_base_points(PLine2.of(cov))
             rows = []
             for k in range(samples):

@@ -162,22 +162,14 @@ def _eval_projective(f_src, w: Sequence):
     return f_src.evaluate(u, v)
 
 
-def lines_to_curves(
-    f_src,
-    sys: ConicSystem,
-    lines: Sequence[PLine2],
-    samples_per_line: Optional[int] = None,
-) -> list[Optional[PPoint]]:
+def lines_to_curves(f_src, sys: ConicSystem, lines: Sequence[PLine2]) -> list[Optional[PPoint]]:
     """Per-line containing conic (system coordinates), or None.
 
-    For each line, at least dim+3 image samples are taken and the matrix of
+    For each line, dim+4 image samples are taken and the matrix of
     basis-form values must drop rank exactly (float mode: relative tolerance)
     for a conic to be reported.
     """
-    k = sys.dimension
-    m = samples_per_line if samples_per_line is not None else k + 4
-    if m < k + 3:
-        raise ValueError("need at least dim + 3 samples per line")
+    m = sys.dimension + 4
     out: list[Optional[PPoint]] = []
     for line in lines:
         rows = []
@@ -403,9 +395,12 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
     """The quadratic map W with W∘f = id, through a net of conics.
 
     Precondition (validated): the net map composed with f is a collineation
-    on the sampled region.  W is the net map precomposed with the inverse of
-    the fitted projective transformation; the identity W(f(x)) = x is
-    checked projectively at 20 samples.
+    P.  An exact f gives P by composition, which must reduce to degree one.
+    A sampled f must take each of 10 screening lines into a net conic (its
+    image under the net composite is then collinear), and P is fitted at
+    degree one from the composite's samples.  W is the net map precomposed
+    with the inverse of P; the identity W(f(x)) = x is checked projectively
+    at 20 samples.
     """
     if net.dimension != 2:
         raise ValueError("inversion needs a net (dimension 2)")
@@ -414,50 +409,19 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
     Phin = phi_map(net)
 
     if rational:
-        comp = Phin.after(f)
-        comp_src = ExactMapSource(comp)
+        P = Phin.after(f)
+        if P.degree != 1:
+            raise NotCollinear(f"the net composite has degree {P.degree}, not 1")
     else:
-
-        def fn(u, v):
-            img = f_src.evaluate(u, v)
-            if img is None:
-                return None
-            return Phin.evaluate(list(img))
-
-        comp_src = CallableSource(fn, codim=2, mode=f_src.mode)
-
-    # 10 sampled lines must map to collinear point sets
-    rng = stable_rng(seed, "net_collinear")
-    checked = 0
-    attempts = 0
-    while checked < 10 and attempts < 200:
-        attempts += 1
-        cov = tuple(rng.randint(-9, 9) for _ in range(3))
-        if cov == (0, 0, 0):
-            continue
-        rows = []
-        for w in _points_on_line(PLine2.of(cov), 5):
-            img = _eval_projective(comp_src, w)
-            if img is None:
-                continue
-            rows.append(list(img))
-            if len(rows) >= 5:
-                break
-        if len(rows) < 5:
-            continue
-        if projcore.rank_in_mode(rows, f_src.mode == "exact") > 2:
-            raise NotCollinear(f"images of line {cov} are not collinear")
-        checked += 1
-    if checked < 10:
-        raise NotCollinear("not enough usable lines for the collineation check")
-
-    try:
-        P = ratfit.fit_map(comp_src, 1, seed=seed)
-    except (DegreeTooLow, ChartOverflow) as exc:
-        raise ProjectiveFitFailed(str(exc)) from exc
+        if any(v is None for v in lines_to_curves(f_src, net, _screen_lines(seed, 10))):
+            raise NotCollinear("a screening line has no containing net conic")
+        try:
+            P = ratfit.fit_map(_composite_source(f_src, net), 1, seed=seed)
+        except (DegreeTooLow, ChartOverflow) as exc:
+            raise ProjectiveFitFailed(str(exc)) from exc
     mat = _matrix_of_linear_map(P)
     if projcore.det(mat) == 0:
-        raise ProjectiveFitFailed("fitted transformation is singular")
+        raise ProjectiveFitFailed("the collineation is singular")
     adj = _adjugate3(mat)
     comps = []
     for i in range(3):

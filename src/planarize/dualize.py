@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import projcore
+from . import projcore, ratfit
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
 from .poly import HPoly, RatMap, reduce_map, variables, _monomials
 from .projcore import Hyperplane, PPoint
@@ -203,14 +203,12 @@ def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:
     return Rational(F.degree)
 
 
-def classify_source(source, seed: int = 0, degree_bound: int = 3):
+def classify_source(source, seed: int = 0):
     """Classify a sampled map by fitting a rational model first.
 
     Returns (verdict, fitted map).  Fitting failures (DegreeTooLow) propagate:
-    a sampled map that is not rational of degree <= bound cannot be placed in
+    a sampled map that is not rational of degree <= 3 cannot be placed in
     the trichotomy by this artifact.
     """
-    from . import ratfit
-
-    model = ratfit.fit_map(source, degree_bound)
+    model = ratfit.fit_map(source, 3, seed=seed)
     return classify(model, seed=seed), model

@@ -499,14 +499,6 @@ class HPoly:
             acc = p_add(acc, term if term is not None else {tuple([0] * nvars_out): c})
         return HPoly(nvars_out, self.degree * inner_deg, acc)
 
-    def dehomogenize(self, var: int) -> PolyDict:
-        """Set x_var = 1; exponent tuples keep the remaining variables."""
-        out: PolyDict = {}
-        for e, c in self.terms.items():
-            e2 = tuple(k for i, k in enumerate(e) if i != var)
-            out[e2] = out.get(e2, 0) + c
-        return {e: c for e, c in out.items() if c}
-
     def canonical(self) -> "HPoly":
         return HPoly(self.nvars, self.degree, p_canonical(self.terms))
 

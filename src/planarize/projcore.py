@@ -6,7 +6,7 @@ so projective equality is plain tuple equality.  Ranks, nullspaces and
 determinants are computed with fraction-free Bareiss elimination on integer
 matrices; no rounding ever happens in exact mode.  A small float-mode rank
 helper (SVD with a relative tolerance) exists only for CSV-sampled inputs;
-rank_in_mode and null_direction pick the exact or the float route from a flag.
+null_direction picks the exact or the float route from a flag.
 """
 
 from __future__ import annotations
@@ -376,15 +376,15 @@ def hyperplane_through(ps: Sequence[PPoint]) -> Hyperplane | SpanVerdict:
     return Hyperplane.of(basis[0])
 
 
-def float_rank(rows: Sequence[Sequence[float]], rtol: float = FLOAT_RANK_RTOL) -> int:
-    """Rank with a relative singular-value cutoff (float mode only)."""
+def float_rank(rows: Sequence[Sequence[float]]) -> int:
+    """Rank with the relative singular-value cutoff FLOAT_RANK_RTOL (float mode only)."""
     a = np.asarray(rows, dtype=float)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
 
 
 def float_nullvector(rows: Sequence[Sequence[float]]) -> np.ndarray:
@@ -394,9 +394,7 @@ def float_nullvector(rows: Sequence[Sequence[float]]) -> np.ndarray:
     return vh[-1]
 
 
-def rationalize_direction(
-    vec: Sequence[float], max_den: int = 10**6, zero_rtol: float = FLOAT_RANK_RTOL
-) -> tuple[int, ...]:
+def rationalize_direction(vec: Sequence[float], max_den: int = 10**6) -> tuple[int, ...]:
     """Canonical rational representative of a float direction vector.
 
     Entries are scaled by the largest magnitude (so clean data becomes small
@@ -409,16 +407,11 @@ def rationalize_direction(
     snapped = []
     for x in vec:
         r = float(x) / top
-        if abs(r) <= zero_rtol:
+        if abs(r) <= FLOAT_RANK_RTOL:
             snapped.append(Fraction(0))
         else:
             snapped.append(Fraction(r).limit_denominator(max_den))
     return normalize(snapped)
-
-
-def rank_in_mode(rows: Sequence[Sequence], exact: bool) -> int:
-    """Exact rank, or the float_rank at FLOAT_RANK_RTOL of the rows as floats."""
-    return rank(rows) if exact else float_rank([[float(x) for x in r] for r in rows])
 
 
 def null_direction(rows: Sequence[Sequence], exact: bool) -> tuple[int, ...] | None:

@@ -12,6 +12,7 @@ from planarize.conicweb import (
     InverseQuadratic,
     NotCollinear,
     NotOnSphere,
+    ProjectiveFitFailed,
     Quadratic,
     QuadricFactor,
     circle_web,
@@ -201,6 +202,47 @@ def test_invert_via_net_rejects_non_collineation():
     q = reduce_map([X0 * X0 + X1 * X2, X1 * X1 - X0 * X2, X2 * X2 + X0 * X1])
     with pytest.raises(NotCollinear):
         invert_via_net(q, net)
+
+
+def test_invert_via_net_rejects_sampled_non_collineation():
+    net = ConicSystem([X0 * X0, X0 * X1, X0 * X2])
+    q = reduce_map([X0 * X0 + X1 * X2, X1 * X1 - X0 * X2, X2 * X2 + X0 * X1])
+
+    def qsample(u, v):
+        return q.evaluate([Fraction(1), Fraction(u), Fraction(v)])
+
+    with pytest.raises(NotCollinear):
+        invert_via_net(CallableSource(qsample, codim=2, mode="exact"), net)
+
+
+def test_invert_via_net_rejects_singular_collineation():
+    # the net map reduces to the identity, so the collineation is f itself,
+    # whose matrix has two equal rows
+    net = ConicSystem([X0 * X0, X0 * X1, X0 * X2])
+    f = reduce_map([X0, X1, X1])
+
+    def fsample(u, v):
+        return f.evaluate([Fraction(1), Fraction(u), Fraction(v)])
+
+    with pytest.raises(ProjectiveFitFailed):
+        invert_via_net(f, net)
+    with pytest.raises(ProjectiveFitFailed):
+        invert_via_net(CallableSource(fsample, codim=2, mode="exact"), net)
+
+
+def test_invert_via_net_composes_an_exact_map(monkeypatch):
+    # an exact map's collineation is the composite itself: no line screening
+    # and no refit from samples
+    from planarize import conicweb, ratfit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact map needs no sampling")
+
+    monkeypatch.setattr(ratfit, "fit_map", refuse)
+    monkeypatch.setattr(conicweb, "lines_to_curves", refuse)
+    net = ConicSystem([X1 * X1 + X2 * X2, X0 * X1, X0 * X2])
+    W = invert_via_net(INVERSION, net)
+    assert W.after(INVERSION).projectively_equal(reduce_map([X0, X1, X2]))
 
 
 def test_net_through_center():

@@ -188,6 +188,23 @@ def test_classify_source_on_sampled_map():
     assert model.projectively_equal(SEGRE)
 
 
+def test_classify_source_fits_with_its_seed(monkeypatch):
+    # the held-out draws of the fit are seeded like every other stage
+    from planarize import ratfit
+    from planarize.dualize import classify_source
+    from planarize.jetplan import ExactMapSource
+
+    seen = []
+
+    def fit_map(source, degree, seed=0):
+        seen.append(seed)
+        return SEGRE
+
+    monkeypatch.setattr(ratfit, "fit_map", fit_map)
+    classify_source(ExactMapSource(SEGRE), seed=7)
+    assert seen == [7]
+
+
 def test_dual_map_agrees_with_jet_hyperplanes():
     # two independent routes to the per-line hyperplane: the symbolic dual
     # (wedge of section images) and the jet construction at a point of the

@@ -249,11 +249,11 @@ def test_rationalize_direction_snaps_clean_ratios():
 
 
 def test_null_direction_and_rank_agree_across_modes():
-    from planarize.projcore import null_direction, rank_in_mode
+    from planarize.projcore import float_rank, null_direction, rank
 
     rows = [[1, 0, -2], [0, 1, -3], [2, 1, -7]]
     floats = [[float(x) for x in r] for r in rows]
     assert null_direction(rows, True) == null_direction(floats, False) == (2, 3, 1)
-    assert rank_in_mode(rows, True) == rank_in_mode(floats, False) == 2
+    assert rank(rows) == float_rank(floats) == 2
     assert null_direction([[1, 0], [0, 1]], True) is None
     assert null_direction([[1.0, 0.0], [0.0, 1.0]], False) is None
