@@ -4,7 +4,8 @@ A rational function of degree d is pinned down by its values at 2d+1
 distinct nodes: multiplying through by the denominator turns interpolation
 into a homogeneous linear system.  The same idea lifts to two variables
 line by line (the per-line coefficients are again rational in the line
-parameter) and then to whole projective maps, component by component.
+parameter), and whole projective maps are fitted with all components in one
+system per degree.
 """
 
 from fractions import Fraction

@@ -295,13 +295,6 @@ def _p_from_univar(p: Sequence, var: int, nvars: int) -> PolyDict:
     return out
 
 
-def p_lcm(a: PolyDict, b: PolyDict) -> PolyDict:
-    if not a or not b:
-        return {}
-    g = p_gcd(a, b)
-    return p_canonical(p_divexact(p_mul(a, b), g))
-
-
 def p_gcd(a: PolyDict, b: PolyDict) -> PolyDict:
     """Primitive gcd over the integers of two rational-coefficient polys.
 

@@ -6,8 +6,15 @@ validating on every spare node.  fit_bi lifts this to two variables in two
 independent ways (one reduced fit per line, whose coefficients are again
 rational in the line parameter, and a direct bivariate nullspace fit) and
 insists the routes agree.  Both routes and the full-grid validation share
-one read of the grid and one sample check.  fit_map applies fit_bi per
-affine component of a projective map and reassembles the homogeneous result.
+one read of the grid and one sample check.
+
+fit_map fits a whole projective map in one piece, not component by
+component: for k = 0, 1, ..., d it solves one integer system for the map
+G of degree k with G(x) parallel to the sample at each node, on the first
+2k+1 evaluable nodes of the first 2k+1 lattice rows (enough to certify a
+degree-k answer), checks the reduced solution in integers at every
+evaluable lattice node, and validates the accepted model at 20 held-out
+points.
 
 Samples are used in integers through poly's evaluation kernel: a node is
 integer coordinates X over their common denominator L, each linear-system
@@ -36,7 +43,6 @@ from .poly import (
     p_divexact,
     p_eval,
     p_gcd,
-    p_lcm,
     p_mul,
     p_sub,
     p_total_degree,
@@ -374,10 +380,28 @@ def _fit_bi_direct(grid: Sequence, d: int) -> BiRat:
 def fit_map(source, d: int, seed: int = 0) -> RatMap:
     """Reconstruct a rational map RP^2 -> RP^n from a sampled source.
 
-    Each affine component (relative to the largest-coordinate chart at a
-    base sample) is fitted with fit_bi; the components are put over a common
-    denominator, homogenized, reduced, and validated projectively at 20
-    held-out points.  Every read of the source goes through one table, so
+    The components are fitted together as one projective map.  For k = 0,
+    1, ..., d one integer system asks for a map G of degree k with G(x)
+    parallel to the sample Y at each node x: Y_c G_i(x) - Y_i G_c(x) = 0
+    for every i != c, c the chart of the node (its largest |Y_c|).  It is
+    built on the first 2k+1 evaluable nodes of the first 2k+1 lattice rows
+    that have that many, which certifies the answer: two degree-k maps
+    that agree there have 2x2 minors of degree <= 2k vanishing on 2k+1
+    points of 2k+1 rows, so the minors are 0 and the maps are equal.  The
+    first nullspace vector is reduced, and the reduced model is checked in
+    integers at every evaluable node of the lattice; if some node fails,
+    no map of degree k fits and the search goes on to k + 1.
+
+    AmbiguousFit is never raised.  A nullspace of more than one dimension
+    is made of h * G' for the forms h through some nodes, and it arises
+    when G' fails at those nodes; its reduced first vector then fails the
+    lattice check and the search goes on, ending in DegreeTooLow.  A
+    reduced model that passes the check spans the one-dimensional
+    nullspace at its own degree, where the search stops first.
+
+    The accepted model is validated projectively at 20 held-out points:
+    lattice draws for a grid, off-lattice rationals the fit never read for
+    other sources.  Every read of the source goes through one table, so
     each distinct (u, v) is evaluated once per call.
     """
     if d < 0:
@@ -391,50 +415,22 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         raise DegreeTooLow(f"grid too small for degree {d}: need {4 * d + 3} nodes per axis")
     else:
         u_nodes, v_nodes = lattice
-    base_val = None
-    for v in v_nodes:
-        for u in u_nodes:
-            base_val = evaluate(u, v)
-            if base_val is not None:
-                break
-        if base_val is not None:
-            break
-    if base_val is None:
+    rows = [_lattice_row(evaluate, u_nodes, v) for v in v_nodes]
+    nodes = [node for row in rows for node in row]
+    if not nodes:
         raise ChartOverflow("no evaluable sample found")
-    chart = max(range(len(base_val)), key=lambda i: (abs(base_val[i]), -i))
-    n1 = len(base_val)
+    n1 = len(nodes[0][2])
 
-    def component(i: int) -> Callable:
-        def fi(u, v):
-            y = evaluate(u, v)
-            if y is None or y[chart] == 0:
-                return None
-            return Fraction(y[i]) / Fraction(y[chart])
-
-        return fi
-
-    fits = []
-    for i in range(n1):
-        if i == chart:
+    for k in range(d + 1):
+        G = _solve_projective(rows, k, n1)
+        if G is None:
             continue
-        fits.append((i, fit_bi(component(i), d, u_nodes, v_nodes)))
-
-    D: PolyDict = {(0, 0): Fraction(1)}
-    for _, fit in fits:
-        D = p_lcm(D, fit.den)
-    affine: dict[int, PolyDict] = {chart: D}
-    for i, fit in fits:
-        affine[i] = p_mul(fit.num, p_divexact(D, fit.den))
-    E = max(p_total_degree(a) for a in affine.values() if a)
-    comps = []
-    for i in range(n1):
-        terms = {}
-        for (eu, ev), c in affine[i].items():
-            terms[(E - eu - ev, eu, ev)] = c
-        comps.append(HPoly(3, E, terms) if terms else HPoly.zero(3, E))
-    model = reduce_map(comps)
-    if model.degree > d:
-        raise DegreeTooLow(f"fitted degree {model.degree} exceeds bound {d}")
+        model = reduce_map(G)
+        comps = [c.terms for c in model.components]
+        if all(_parallel(comps, model.degree, node) for node in nodes):
+            break
+    else:
+        raise DegreeTooLow(f"no map of degree <= {d} fits the lattice samples")
 
     # held-out validation: a grid draws from its lattice, other sources get
     # off-lattice rationals never seen by the fit
@@ -463,3 +459,61 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     if checked == 0:
         raise ChartOverflow("validation found no evaluable points")
     return model
+
+
+def _lattice_row(evaluate: Callable, u_nodes: Sequence, v) -> list:
+    """The evaluable nodes of the lattice row at v, each as (X, L, Y, c):
+    the node X / L in integers, its value cleared to the integer vector Y
+    and its chart c, the first index of largest |Y_c|.  A value of None or
+    all zeros is not evaluable."""
+    row = []
+    for u in u_nodes:
+        y = evaluate(u, v)
+        if y is None:
+            continue
+        Y, _ = _int_node(y)
+        if not any(Y):
+            continue
+        X, L = _int_node((u, v))
+        c = max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
+        row.append((X, L, Y, c))
+    return row
+
+
+def _solve_projective(rows: Sequence, k: int, n1: int) -> Optional[list]:
+    """The first nullspace vector of the degree-k system on the certificate
+    nodes, as n1 forms of degree k in (x0, x1, x2), or None if it has none.
+    Node X / L is the point (L, X) and a monomial x0^(k-i-j) x1^i x2^j is
+    L^(k-i-j) X^(i, j) there."""
+    need = 2 * k + 1
+    cert = [row[:need] for row in rows if len(row) >= need][:need]
+    if len(cert) < need:
+        raise DegreeTooLow(f"fewer than {need} lattice rows with {need} evaluable nodes")
+    monos = [(i, j) for i in range(k + 1) for j in range(k + 1 - i)]
+    m = len(monos)
+    system = []
+    for X, L, Y, c in (node for row in cert for node in row):
+        w = _monomial_values(monos, X, L, k)
+        for i in range(n1):
+            if i == c:
+                continue
+            eq = [0] * (n1 * m)
+            eq[i * m : (i + 1) * m] = [Y[c] * x for x in w]
+            eq[c * m : (c + 1) * m] = [-Y[i] * x for x in w]
+            system.append(eq)
+    basis = projcore.nullspace(system)
+    if not basis:
+        return None
+    vec = basis[0]
+    return [
+        HPoly(3, k, {(k - i - j, i, j): vec[b * m + t] for t, (i, j) in enumerate(monos)})
+        for b in range(n1)
+    ]
+
+
+def _parallel(comps: Sequence[PolyDict], D: int, node) -> bool:
+    """The int-coefficient forms of degree D are parallel to the sample Y at
+    the node (or all vanish there): Y_c G_i(x) = Y_i G_c(x) for every i."""
+    X, L, Y, c = node
+    G = [_p_eval_int(a, (L, *X), 1, D) for a in comps]
+    return all(Y[c] * g == y * G[c] for g, y in zip(G, Y))

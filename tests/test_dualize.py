@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarize.cli import generate_map
 from planarize.dualize import (
@@ -251,3 +252,108 @@ def test_generic_cubics_are_not_planarizations():
     for seed in (11, 12):
         C = generate_map(seed, 3, 3)
         assert isinstance(classify(C, seed=seed), Indeterminate)
+
+
+
+# -- equivariance under collineations, against sympy's matrix algebra -------------
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.p), int(c.q))
+
+
+def _linear_map(M) -> RatMap:
+    """The collineation x -> M x of a sympy matrix, one linear form per row."""
+    n = M.cols
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return RatMap([HPoly(n, 1, {e: _fraction(c) for e, c in zip(unit, M.row(i))}) for i in range(M.rows)])
+
+
+def _invertible(rng, n):
+    sympy = pytest.importorskip("sympy")
+    while True:
+        M = sympy.Matrix(n, n, [rng.randint(-4, 4) for _ in range(n * n)])
+        if M.det() != 0:
+            return M
+
+
+def _sympy_plane_through_image(F, ell):
+    """The plane spanned by F at three points of the line ell, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    p, q = sympy.Matrix([ell]).nullspace()
+    imgs = [F.evaluate([_fraction(c) for c in x]) for x in (p, q, p + q)]
+    (plane,) = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in y] for y in imgs]).nullspace()
+    return [_fraction(c) for c in plane]
+
+
+def _parallel(a, b):
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dual_map_sends_a_line_to_the_plane_of_its_image(seed):
+    # the convention the identities below rest on: a line is its covector
+    # ell (points x with ell . x = 0), a plane its covector h
+    F = generate_map(seed, 2, 3)
+    Fh = dual_map(F, seed=seed)
+    rng = stable_rng(seed, "dual_sympy_lines")
+    for _ in range(4):
+        ell = [rng.randint(-9, 9) for _ in range(3)]
+        if any(ell):
+            assert _parallel(Fh.evaluate(ell), _sympy_plane_through_image(F, ell))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dual_of_a_precomposition(seed):
+    # A maps the line ell onto the line adj(A)^T ell, so dual(F A) = dual(F) adj(A)^T
+    sympy = pytest.importorskip("sympy")
+    F = generate_map(seed, 2, 3)
+    A = _invertible(stable_rng(seed, "dual_pre"), 3)
+    adjT = A.adjugate().T
+    ell = sympy.Matrix([2, -3, 5])
+    for x in sympy.Matrix([ell.T]).nullspace():
+        assert (adjT * ell).dot(A * x) == 0
+    lhs = dual_map(F.after(_linear_map(A)), seed=seed)
+    rhs = dual_map(F, seed=seed).after(_linear_map(adjT))
+    assert lhs.projectively_equal(rhs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dual_of_a_postcomposition(seed):
+    # L maps the plane h onto the plane L^-T h, so dual(L F) = L^-T dual(F)
+    sympy = pytest.importorskip("sympy")
+    F = generate_map(seed, 2, 3)
+    L = _invertible(stable_rng(seed, "dual_post"), 4)
+    invT = L.inv().T
+    h = sympy.Matrix([1, -2, 0, 3])
+    for y in sympy.Matrix([h.T]).nullspace():
+        assert (invT * h).dot(L * y) == 0
+    lhs = dual_map(_linear_map(L).after(F), seed=seed)
+    rhs = _linear_map(invT).after(dual_map(F, seed=seed))
+    assert lhs.projectively_equal(rhs)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_biduality_property(seed):
+    F = generate_map(seed, 2, 3)
+    assert dual_map(dual_map(F, seed=seed), seed=seed).projectively_equal(F)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.lists(st.integers(-5, 5), min_size=6, max_size=6), min_size=4, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_reduce_map_is_idempotent(coeffs, h):
+    # quadratics times a common linear factor h (possibly zero, then all-zero
+    # tuples are skipped)
+    monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    H = HPoly(3, 1, {(1, 0, 0): h[0], (0, 1, 0): h[1], (0, 0, 1): h[2]})
+    comps = [HPoly(3, 2, dict(zip(monos, row))) * H for row in coeffs]
+    if all(c.is_zero for c in comps):
+        return
+    once = reduce_map(comps)
+    twice = reduce_map(once.components)
+    assert twice == once
+    assert twice.to_json() == once.to_json()

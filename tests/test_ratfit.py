@@ -8,6 +8,7 @@ import pytest
 from planarize import projcore, variables, reduce_map
 from planarize.cli import generate_map
 from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource
+from planarize.poly import p_mul, p_sub
 from planarize.projcore import nullspace
 from planarize.ratfit import (
     DegreeTooLow,
@@ -307,3 +308,216 @@ def test_fit_map_solves_each_line_once(monkeypatch, seed, degree, d, most):
     planted = generate_map(seed, degree, 3)
     assert fit_map(ExactMapSource(planted), d).projectively_equal(planted)
     assert len(calls) <= most
+
+
+# -- fit_map against the planted map and the per-component fit_bi oracle ----------
+
+
+AXIS_15 = [Fraction(k, 3) + Fraction(1, 5) for k in range(15)]
+F_ONE = Fraction(1)
+
+
+def _callable_source(M):
+    return CallableSource(lambda u, v: M.evaluate([F_ONE, F(u), F(v)]), codim=M.codim)
+
+
+def _grid_source(M):
+    """M on the rational-node lattice AXIS_15^2, in the chart x0 = 1."""
+    values = []
+    for v in AXIS_15:
+        row = []
+        for u in AXIS_15:
+            y = M.evaluate([F_ONE, u, v])
+            row.append(tuple(c / y[0] for c in y[1:]))
+        values.append(row)
+    return GridMapSource(AXIS_15, AXIS_15, values, mode="exact")
+
+
+SOURCES = {"exact": ExactMapSource, "callable": _callable_source, "grid": _grid_source}
+
+
+def _affine(h):
+    """The form h in the chart x0 = 1, as a term dict in (u, v)."""
+    return {e[1:]: c for e, c in h.terms.items()}
+
+
+def _oracle_agrees(source, model, d):
+    """Each affine component y_i / y_0 fitted alone by fit_bi on the lattice
+    fit_map reads equals model_i / model_0."""
+    if isinstance(source, GridMapSource):
+        u_nodes, v_nodes = source.u_axis, source.v_axis
+    else:
+        u_nodes = v_nodes = None
+    m0 = _affine(model.components[0])
+    for i in range(1, len(model.components)):
+
+        def fi(u, v, i=i):
+            y = source.evaluate(u, v)
+            if y is None or y[0] == 0:
+                return None
+            return Fraction(y[i]) / Fraction(y[0])
+
+        oracle = fit_bi(fi, d, u_nodes, v_nodes)
+        mi = _affine(model.components[i])
+        if p_sub(p_mul(mi, oracle.den), p_mul(oracle.num, m0)):
+            return False
+    return True
+
+
+DIFFERENTIAL = [(n, degree) for n in (2, 3, 4, 5) for degree in (1, 2, 3)]
+
+
+def _planted(n, degree):
+    """A seeded map of this degree into RP^n whose x0 component has no zero
+    on the lattice AXIS_15^2, so every source kind can carry it."""
+    seed = 10 * n + degree
+    while True:
+        M = generate_map(seed, degree, n)
+        if all(M.components[0].evaluate([F_ONE, u, v]) for u in AXIS_15 for v in AXIS_15):
+            return M
+        seed += 100
+
+
+def _counted_nullspace(monkeypatch):
+    calls = []
+    real = projcore.nullspace
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(projcore, "nullspace", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,degree", DIFFERENTIAL, ids=[f"RP{n}-deg{k}" for n, k in DIFFERENTIAL])
+@pytest.mark.parametrize("kind", sorted(SOURCES))
+def test_fit_map_matches_planted_map_and_fit_bi(monkeypatch, kind, n, degree):
+    # one system per degree k <= d, each on at most (2d+1)^2 certificate nodes
+    calls = _counted_nullspace(monkeypatch)
+    planted = _planted(n, degree)
+    source = SOURCES[kind](planted)
+    model = fit_map(source, degree)
+    assert model == planted  # both reduced and canonically scaled
+    assert len(calls) <= degree + 1
+    assert max(calls) <= (2 * degree + 1) ** 2 * n
+    if degree <= 2 or (kind == "exact" and n <= 3):
+        assert _oracle_agrees(source, model, degree)
+
+
+def _after_collineation(M, B):
+    """M after the collineation adj(B), whose base points are those of M
+    moved by B: each column of B is sent to a multiple of a unit vector."""
+    cols = [[B[r][j] for r in range(3)] for j in range(3)]
+    adj = [projcore.cross(cols[1], cols[2]), projcore.cross(cols[2], cols[0]), projcore.cross(cols[0], cols[1])]
+    A = reduce_map([sum((c * x for c, x in zip(row, (X0, X1, X2))), 0 * X0) for row in adj])
+    return M.after(A)
+
+
+# columns (1, 1, 2), (1, 3, 0), (1, 4, 5): the lattice points (u, v) = (1, 2),
+# (3, 0) and (4, 5) of the chart x0 = 1
+LATTICE_BASE = [[1, 1, 1], [1, 3, 4], [2, 0, 5]]
+CREMONA = reduce_map([X1 * X2, X0 * X2, X0 * X1])
+INVERSION = reduce_map([X1 * X1 + X2 * X2, X0 * X1, X0 * X2])
+
+
+@pytest.mark.parametrize("inner", [CREMONA, INVERSION], ids=["cremona", "inversion"])
+def test_fit_map_black_box_with_base_points_on_the_lattice(inner):
+    planted = _after_collineation(inner, LATTICE_BASE)
+    source = _callable_source(planted)
+    unreadable = [(u, v) for u in range(11) for v in range(11) if source.evaluate(u, v) is None]
+    assert (1, 2) in unreadable  # sent to the base point (1:0:0) of the inner map
+    model = fit_map(source, 2)
+    assert model == planted
+    assert _oracle_agrees(source, model, 2)
+
+
+def test_fit_map_stops_at_the_degree_of_the_data(monkeypatch):
+    # a collineation fitted at d = 3 is found at k = 1: systems for k = 0, 1
+    calls = _counted_nullspace(monkeypatch)
+    planted = reduce_map([X0 + 2 * X1, 3 * X1 - X2, X0 + X2])
+    assert fit_map(ExactMapSource(planted), 3) == planted
+    assert calls == [2, 18]
+
+
+# -- poisoned samples -------------------------------------------------------------
+
+
+def _poisoned_grid(M, axis, node):
+    """M on axis^2 in the chart x0 = 1, with the first affine value at `node`
+    (a pair of indices) moved by one."""
+    values = []
+    for iv, v in enumerate(axis):
+        row = []
+        for iu, u in enumerate(axis):
+            y = M.evaluate([F_ONE, u, v])
+            val = [c / y[0] for c in y[1:]]
+            if (iu, iv) == node:
+                val[0] += 1
+            row.append(tuple(val))
+        values.append(row)
+    return GridMapSource(axis, axis, values, mode="exact")
+
+
+COLLINEATION = reduce_map([X0 + X1 + X2, 2 * X1 - X0, X0 + 3 * X2])
+
+
+def test_every_poisoned_node_fails_at_degree_one():
+    planted = COLLINEATION
+    axis = [F(k) for k in range(7)]
+    for node in [(iu, iv) for iv in range(7) for iu in range(7)]:
+        with pytest.raises(DegreeTooLow):
+            fit_map(_poisoned_grid(planted, axis, node), 1)
+
+
+@pytest.mark.parametrize("planted", [
+    reduce_map([X0 * X0 + X1 * X1 + X2 * X2, X0 * X1 - 2 * X2 * X2, X1 * X2 + X0 * X2, X1 * X1]),
+    COLLINEATION,
+], ids=["quadratic", "collineation"])
+def test_poisoned_nodes_fail_at_degree_two(planted):
+    # x0^2 + x1^2 + x2^2 has no real zero.  The certificate nodes of k = 2 are
+    # the first five of the first five rows.  Under the collineation F the
+    # k = 2 nullspace is h * F for the linear forms h vanishing at the
+    # poisoned node, so its reduced first vector must fail the lattice check.
+    axis = [F(k) for k in range(11)]
+    rng = stable_rng(11, "poisoned_nodes")
+    inside = [(rng.randrange(5), rng.randrange(5)) for _ in range(4)]
+    outside = [(rng.randrange(5, 11), rng.randrange(11)) for _ in range(3)] + [(rng.randrange(5), 10)]
+    for node in inside + outside:
+        with pytest.raises(DegreeTooLow):
+            fit_map(_poisoned_grid(planted, axis, node), 2)
+
+
+def test_poisoned_node_off_the_x0_chart_fails():
+    # x1 vanishes on the column u = 0, so the node (0, 3) must be read in
+    # another chart: there y = (0, 4, 6) is poisoned to (0, 5, 6)
+    planted = reduce_map([X1, X0 + X2, X0 - X1 + 2 * X2])
+
+    def poisoned(u, v):
+        y = planted.evaluate([F_ONE, F(u), F(v)])
+        return (y[0], y[1] + 1, y[2]) if (u, v) == (0, 3) else y
+
+    assert fit_map(_callable_source(planted), 1) == planted
+    with pytest.raises(DegreeTooLow):
+        fit_map(CallableSource(poisoned, codim=2), 1)
+
+
+def test_held_out_validation_catches_one_bad_point():
+    planted = generate_map(3, 2, 3)
+    reads = []
+
+    def clean(u, v):
+        reads.append((F(u), F(v)))
+        return planted.evaluate([F_ONE, F(u), F(v)])
+
+    assert fit_map(CallableSource(clean, codim=3), 2) == planted
+    held_out = [p for p in reads if p[0].denominator != 1]
+    assert held_out  # draws off the integer lattice the fit reads
+    bad = held_out[0]
+
+    def poisoned(u, v):
+        y = planted.evaluate([F_ONE, F(u), F(v)])
+        return (y[0] + 1, *y[1:]) if (F(u), F(v)) == bad else y
+
+    with pytest.raises(DegreeTooLow, match="held-out validation failed"):
+        fit_map(CallableSource(poisoned, codim=3), 2)
