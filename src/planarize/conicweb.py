@@ -525,7 +525,8 @@ def khovanskii_classify(f_src, seed: int = 0):
 
     model = None
     last_exc = None
-    for d in (1, 2, 3):
+    # no d = 1: a degree-1 model's image is a plane, and coplanar samples returned above
+    for d in (2, 3):
         try:
             model = ratfit.fit_map(emb, d, seed=seed)
             break

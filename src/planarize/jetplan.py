@@ -256,12 +256,12 @@ def jet_of(source: MapSource, a: tuple, m: int) -> Jet:
 
 def _jet_exact(source: ExactMapSource, a: tuple, m: int) -> Jet:
     u0, v0 = Fraction(a[0]), Fraction(a[1])
-    # one integer shift per component: with L the lcm of the base point's
-    # denominators, x -> [L x0 : L (u0 x0 + x1) : L (v0 x0 + x2)] gives
-    # L^d F(1, u0 + s, v0 + t), and L^d cancels in every quotient below
-    L = math.lcm(u0.denominator, v0.denominator)
+    # one integer shift per component: with (u0, v0) = (U, V) / L,
+    # x -> [L x0 : U x0 + L x1 : V x0 + L x2] gives L^d F(1, u0 + s, v0 + t),
+    # and L^d cancels in every quotient below
+    (U, V), L = projcore._cleared((u0, v0))
     x0, x1, x2 = variables(3)
-    shift = [L * x0, L * u0 * x0 + L * x1, L * v0 * x0 + L * x2]
+    shift = [L * x0, U * x0 + L * x1, V * x0 + L * x2]
     series = []
     for comp in source.ratmap.components:
         terms = comp.substitute(shift).terms

@@ -9,11 +9,13 @@ would give a float.  On top of it sit:
 
 * HPoly / RatMap / UniTuple, the map types used everywhere else;
 * one integer evaluation kernel (`_p_eval_int`) for a node given as integer
-  coordinates over a common denominator, behind `p_eval` and the fits;
+  coordinates over a common denominator, behind `p_eval` and the fits (the
+  denominators of nodes and coefficients are cleared in projcore);
 * a recursive multivariate gcd (primitive pseudo-remainder sequences with
   contents extracted recursively) driving common-factor removal;
 * restriction of maps to lines, image-span dimension, implicitization by
-  exact linear algebra, and generic fiber counting through resultants.
+  exact linear algebra, and generic fiber counting through resultants
+  whose gcd is taken by `hpoly_gcd`.
 
 Everything here is pure and exact; callers may parallelize freely.
 """
@@ -121,19 +123,9 @@ def p_mul_term(a: PolyDict, exp: Term, c) -> PolyDict:
 
 def _int_terms(a: PolyDict) -> tuple[PolyDict, int]:
     """(A, m) with A int-coefficient and a = A / m, m the positive lcm of
-    the denominators of a's int and Fraction coefficients."""
-    if all(type(c) is int for c in a.values()):
-        return a, 1
-    m = math.lcm(*(c.denominator for c in a.values()))
-    return {e: c.numerator * (m // c.denominator) for e, c in a.items()}, m
-
-
-def _int_node(xs: Sequence) -> tuple[list[int], int]:
-    """(X, L) with X integer and xs = X / L, L the positive lcm of the
-    coordinate denominators."""
-    fx = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in xs]
-    L = math.lcm(*(x.denominator for x in fx))
-    return [x.numerator * (L // x.denominator) for x in fx], L
+    the denominators of a's coefficients."""
+    X, m = projcore._cleared(a.values())
+    return dict(zip(a, X)), m
 
 
 def _powers(x: int, D: int) -> list[int]:
@@ -168,10 +160,10 @@ def _p_eval_int(a: PolyDict, X: Sequence[int], L: int, D: int) -> int:
 
 def p_eval(a: PolyDict, xs: Sequence) -> Fraction:
     """a at the point xs, as a Fraction, through the integer kernel."""
-    A, m = _int_terms(a)
-    X, L = _int_node(xs)
+    C, m = projcore._cleared(a.values())
+    X, L = projcore._cleared(xs)
     D = max(p_total_degree(a), 0)
-    return Fraction(_p_eval_int(A, X, L, D), m * L**D)
+    return Fraction(sum(map(operator.mul, C, _monomial_values(a, X, L, D))), m * L**D)
 
 
 def p_total_degree(a: PolyDict) -> int:
@@ -190,11 +182,11 @@ def p_canonical(a: PolyDict) -> PolyDict:
     """Int coefficients, content 1, lexicographically-leading term positive."""
     if not a:
         return {}
-    ints, _ = _int_terms(a)
-    g = math.gcd(*ints.values())
-    if ints[max(ints)] < 0:
+    X, _ = projcore._cleared(a.values())
+    g = math.gcd(*X)
+    if a[max(a)] < 0:
         g = -g
-    return {e: c // g for e, c in ints.items()}
+    return {e: c // g for e, c in zip(a, X)}
 
 
 def _p_constant(a: PolyDict) -> bool:
@@ -939,23 +931,6 @@ def _bf_distinct_roots_excluding(form: PolyDict, excl: PolyDict) -> int:
     return (1 if a > 0 else 0) + (1 if b > 0 else 0) + max(univar.degree(core), 0)
 
 
-def _bf_gcd(f: PolyDict, g: PolyDict) -> PolyDict:
-    if not f:
-        return g
-    if not g:
-        return f
-    fa, fb, fc = _bf_split(f)
-    ga, gb, gc = _bf_split(g)
-    a, b = min(fa, ga), min(fb, gb)
-    core = univar.gcd(fc, gc)
-    deg = a + b + univar.degree(core)
-    out: PolyDict = {}
-    for k, c in enumerate(core):
-        if c:
-            out[(deg - (b + k), b + k)] = c
-    return out
-
-
 def _random_combination(polys: Sequence[HPoly], rng) -> HPoly:
     while True:
         out = HPoly.zero(polys[0].nvars, polys[0].degree)
@@ -966,8 +941,9 @@ def _random_combination(polys: Sequence[HPoly], rng) -> HPoly:
 
 
 def _eliminant(eqs: Sequence[HPoly], rng) -> Optional[PolyDict]:
-    """Gcd of eliminants from three independent random pairs of combinations."""
-    acc: Optional[PolyDict] = None
+    """Gcd of eliminants from three independent random pairs of
+    combinations, as a binary form (its scale is arbitrary)."""
+    acc: Optional[HPoly] = None
     for _ in range(3):
         for _attempt in range(4):
             G1 = _random_combination(eqs, rng)
@@ -980,8 +956,9 @@ def _eliminant(eqs: Sequence[HPoly], rng) -> Optional[PolyDict]:
                 break
         else:
             return None
-        acc = R if acc is None else _bf_gcd(acc, R)
-    return acc
+        R = HPoly(2, G1.degree * G2.degree, R)
+        acc = R if acc is None else hpoly_gcd(acc, R)
+    return acc.terms
 
 
 def fiber_count(F: RatMap, y: PPoint, seed: int = 0) -> int:

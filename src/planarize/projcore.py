@@ -4,9 +4,12 @@ Coordinates of projective points, lines and hyperplanes are kept as integer
 vectors in a canonical form (no common factor, first nonzero entry positive),
 so projective equality is plain tuple equality.  Ranks, nullspaces and
 determinants are computed with fraction-free Bareiss elimination on integer
-matrices; no rounding ever happens in exact mode.  A small float-mode rank
-helper (SVD with a relative tolerance) exists only for CSV-sampled inputs;
-null_direction picks the exact or the float route from a flag.
+matrices; no rounding ever happens in exact mode.  Denominators are cleared
+here, once, for the whole package: `_cleared` turns a rational vector into
+integers over the lcm of its denominators, and the polynomial and
+univariate kernels use it too.  A small float-mode rank helper (SVD with a
+relative tolerance) exists only for CSV-sampled inputs; null_direction
+picks the exact or the float route from a flag.
 """
 
 from __future__ import annotations
@@ -55,17 +58,20 @@ def scalar_from_str(s: str) -> Fraction:
         raise ValueError(f"scalar {s!r} is not a rational number") from None
 
 
-def _as_fraction_vector(v: Sequence) -> list[Fraction]:
-    return [Fraction(c) for c in v]
+def _cleared(v: Sequence) -> tuple[list[int], int]:
+    """(X, L) with X integer and v = X / L, L the positive lcm of the
+    denominators of v's entries (anything Fraction accepts); an all-int v
+    comes back as a list with L = 1."""
+    if all(type(c) is int for c in v):
+        return list(v), 1
+    fv = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in v]
+    L = math.lcm(*(c.denominator for c in fv))
+    return [c.numerator * (L // c.denominator) for c in fv], L
 
 
 def clear_denominators(v: Sequence) -> list[int]:
     """Scale a rational vector by the positive lcm of denominators."""
-    if all(type(c) is int for c in v):
-        return list(v)
-    fv = [c if type(c) is int else Fraction(c) for c in v]
-    m = math.lcm(*(c.denominator for c in fv))
-    return [c.numerator * (m // c.denominator) for c in fv]
+    return _cleared(v)[0]
 
 
 def normalize(v: Sequence) -> tuple[int, ...]:
@@ -77,7 +83,7 @@ def normalize(v: Sequence) -> tuple[int, ...]:
 
     Raises ZeroVector if all entries are zero.
     """
-    iv = clear_denominators(v)
+    iv, _ = _cleared(v)
     g = 0
     for c in iv:
         g = math.gcd(g, abs(c))
@@ -202,11 +208,13 @@ def det(rows: Sequence[Sequence]) -> Fraction:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant needs a square matrix")
-    fv = [_as_fraction_vector(r) for r in rows]
+    mat = []
     scale = 1
-    for r in fv:
-        scale *= math.lcm(*(c.denominator for c in r))
-    ech, pivots, sign = _bareiss_echelon(_integer_rows(fv))
+    for r in rows:
+        X, L = _cleared(r)
+        mat.append(X)
+        scale *= L
+    ech, pivots, sign = _bareiss_echelon(mat)
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * ech[n - 1][n - 1], scale)
@@ -387,13 +395,6 @@ def float_rank(rows: Sequence[Sequence[float]]) -> int:
     return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
 
 
-def float_nullvector(rows: Sequence[Sequence[float]]) -> np.ndarray:
-    """Right singular vector of the smallest singular value (float mode)."""
-    a = np.asarray(rows, dtype=float)
-    _, _, vh = np.linalg.svd(a)
-    return vh[-1]
-
-
 def rationalize_direction(vec: Sequence[float], max_den: int = 10**6) -> tuple[int, ...]:
     """Canonical rational representative of a float direction vector.
 
@@ -418,11 +419,12 @@ def null_direction(rows: Sequence[Sequence], exact: bool) -> tuple[int, ...] | N
     """Canonical first right-null direction of a matrix, or None when its
     columns are independent.  Float rows have one when their float_rank at
     FLOAT_RANK_RTOL is below the column count; it is the rationalized
-    singular direction of the smallest singular value."""
+    singular direction of the smallest singular value.  One full SVD gives
+    both the rank and that direction."""
     if exact:
         basis = nullspace(rows)
         return normalize(basis[0]) if basis else None
-    fm = [[float(x) for x in r] for r in rows]
-    if float_rank(fm) < len(fm[0]):
-        return rationalize_direction(float_nullvector(fm))
-    return None
+    a = np.array([[float(x) for x in r] for r in rows])
+    _, s, vh = np.linalg.svd(a)
+    r = int(np.sum(s > FLOAT_RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
+    return rationalize_direction(vh[-1]) if r < a.shape[1] else None

@@ -13,8 +13,8 @@ component: for k = 0, 1, ..., d it solves one integer system for the map
 G of degree k with G(x) parallel to the sample at each node, on the first
 2k+1 evaluable nodes of the first 2k+1 lattice rows (enough to certify a
 degree-k answer), checks the reduced solution in integers at every
-evaluable lattice node, and validates the accepted model at 20 held-out
-points.
+evaluable lattice node, and validates the accepted model the same way at
+20 held-out points.
 
 Samples are used in integers through poly's evaluation kernel: a node is
 integer coordinates X over their common denominator L, each linear-system
@@ -47,7 +47,6 @@ from .poly import (
     p_sub,
     p_total_degree,
     reduce_map,
-    _int_node,
     _int_terms,
     _monomial_values,
     _p_eval_int,
@@ -137,7 +136,7 @@ def _check_samples(samples: Sequence, p: PolyDict, q: PolyDict, what: str = "") 
     D = max(p_total_degree(p), p_total_degree(q), 0)
     for node, val in samples:
         tup = isinstance(node, tuple)
-        X, L = _int_node(node if tup else (node,))
+        X, L = projcore._cleared(node if tup else (node,))
         qv = _p_eval_int(Q, X, L, D)
         pv = _p_eval_int(P, X, L, D)
         where = node if tup else f"node {node}"
@@ -353,7 +352,7 @@ def _fit_bi_direct(grid: Sequence, d: int) -> BiRat:
         raise DegreeTooLow("too few samples for the direct fit")
     rows = []
     for node, val in grid:
-        X, L = _int_node(node)
+        X, L = projcore._cleared(node)
         w = _monomial_values(monos, X, L, d)
         rows.append([val.denominator * x for x in w] + [-val.numerator * x for x in w])
     basis = projcore.nullspace(rows)
@@ -399,9 +398,10 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     reduced model that passes the check spans the one-dimensional
     nullspace at its own degree, where the search stops first.
 
-    The accepted model is validated projectively at 20 held-out points:
-    lattice draws for a grid, off-lattice rationals the fit never read for
-    other sources.  Every read of the source goes through one table, so
+    The accepted model is validated by the same integer check at 20
+    held-out points: lattice draws for a grid, off-lattice rationals the
+    fit never read for other sources; a draw where the model vanishes is
+    skipped.  Every read of the source goes through one table, so
     each distinct (u, v) is evaluated once per call.
     """
     if d < 0:
@@ -415,7 +415,8 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         raise DegreeTooLow(f"grid too small for degree {d}: need {4 * d + 3} nodes per axis")
     else:
         u_nodes, v_nodes = lattice
-    rows = [_lattice_row(evaluate, u_nodes, v) for v in v_nodes]
+    # the evaluable nodes of each lattice row
+    rows = [[n for n in (_node(evaluate, u, v) for u in u_nodes) if n] for v in v_nodes]
     nodes = [node for row in rows for node in row]
     if not nodes:
         raise ChartOverflow("no evaluable sample found")
@@ -445,39 +446,32 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         else:
             u = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 3)
             v = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 7)
-        y = evaluate(u, v)
-        if y is None:
+        node = _node(evaluate, u, v)
+        if node is None:
             continue
-        m = model.evaluate([Fraction(1), Fraction(u), Fraction(v)])
-        if m is None:
-            continue
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                if Fraction(y[i]) * m[j] != Fraction(y[j]) * m[i]:
-                    raise DegreeTooLow("held-out validation failed")
+        X, L = node[:2]
+        if not any(_p_eval_int(a, (L, *X), 1, model.degree) for a in comps):
+            continue  # the model vanishes here
+        if not _parallel(comps, model.degree, node):
+            raise DegreeTooLow("held-out validation failed")
         checked += 1
     if checked == 0:
         raise ChartOverflow("validation found no evaluable points")
     return model
 
 
-def _lattice_row(evaluate: Callable, u_nodes: Sequence, v) -> list:
-    """The evaluable nodes of the lattice row at v, each as (X, L, Y, c):
-    the node X / L in integers, its value cleared to the integer vector Y
-    and its chart c, the first index of largest |Y_c|.  A value of None or
-    all zeros is not evaluable."""
-    row = []
-    for u in u_nodes:
-        y = evaluate(u, v)
-        if y is None:
-            continue
-        Y, _ = _int_node(y)
-        if not any(Y):
-            continue
-        X, L = _int_node((u, v))
-        c = max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
-        row.append((X, L, Y, c))
-    return row
+def _node(evaluate: Callable, u, v) -> Optional[tuple]:
+    """The node (u, v) as (X, L, Y, c): the node X / L in integers, its
+    value cleared to the integer vector Y and its chart c, the first index
+    of largest |Y_c|; None if the value is None or all zeros."""
+    y = evaluate(u, v)
+    if y is None:
+        return None
+    Y, _ = projcore._cleared(y)
+    if not any(Y):
+        return None
+    X, L = projcore._cleared((u, v))
+    return X, L, Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
 
 
 def _solve_projective(rows: Sequence, k: int, n1: int) -> Optional[list]:

@@ -7,15 +7,16 @@ rational fitting and the jet wedges that call them expect.
 
 The gcd kernel works on integers with the content kept apart:
 `content_primitive` splits a polynomial once into its rational content and
-an integer primitive part, and `gcd`, `squarefree_part`, `lcm` and
-`divexact` compute on those int lists.  The gcd is the heuristic GCDHEU
-(Char, Geddes & Gonnet 1989): evaluate both primitive parts at a large
-integer xi, take the integer gcd, read a candidate off its symmetric base-xi
-digits and accept its primitive part only if it divides both inputs exactly.
-Since xi stays at least 2 min(|a|, |b|) + 2 (max norms), an accepted
-candidate is the gcd.  After a fixed number of evaluation points the
-primitive pseudo-remainder sequence decides.  The gcd, squarefree part and
-lcm are primitive int lists with a positive leading coefficient.
+an integer primitive part (projcore clears the denominators), and `gcd`,
+`squarefree_part`, `lcm` and `divexact` compute on those int lists.  The
+gcd is the heuristic GCDHEU (Char, Geddes & Gonnet 1989): evaluate both
+primitive parts at a large integer xi, take the integer gcd, read a
+candidate off its symmetric base-xi digits and accept its primitive part
+only if it divides both inputs exactly.  Since xi stays at least
+2 min(|a|, |b|) + 2 (max norms), an accepted candidate is the gcd.  After
+a fixed number of evaluation points the primitive pseudo-remainder
+sequence decides.  The gcd, squarefree part and lcm are primitive int
+lists with a positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from . import projcore
 
 Poly = list  # list of ints and Fractions, low-to-high
 
@@ -54,13 +57,6 @@ def add(p: Sequence, q: Sequence) -> Poly:
 
 def sub(p: Sequence, q: Sequence) -> Poly:
     return add(p, [-c for c in q])
-
-
-def scale(p: Sequence, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return []
-    return [x * c for x in p]
 
 
 def mul(p: Sequence, q: Sequence) -> Poly:
@@ -98,8 +94,7 @@ def content_primitive(p: Sequence) -> tuple[Fraction, list[int]]:
     p = trim(p)
     if not p:
         return Fraction(0), []
-    den = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
+    ints, den = projcore._cleared(p)
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
@@ -234,8 +229,6 @@ def lcm(p: Sequence, q: Sequence) -> list[int]:
 
 def resultant(p: Sequence, q: Sequence) -> Fraction:
     """Sylvester-matrix resultant of two univariate rationals (exact)."""
-    from . import projcore
-
     p = trim(p)
     q = trim(q)
     n, m = len(p) - 1, len(q) - 1
@@ -273,5 +266,6 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
                 continue
             basis = mul(basis, [-xj, Fraction(1)])
             denom *= xi - xj
-        out = add(out, scale(basis, yi / denom))
+        c = yi / denom
+        out = add(out, [x * c for x in basis])
     return out

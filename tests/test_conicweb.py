@@ -27,6 +27,7 @@ from planarize.dualize import CoTrivial, classify
 from planarize.jetplan import CallableSource, ExactMapSource
 from planarize.poly import implicitize, reduce_map, variables
 from planarize.projcore import PLine2, PPoint, det
+from planarize.ratfit import DegreeTooLow
 from planarize.seeding import stable_rng
 
 X0, X1, X2 = variables(3)
@@ -380,3 +381,46 @@ def test_sampled_map_passes_screening_at_seed_26():
 
     verdict = classify_web(CallableSource(inversion, codim=2, mode="exact"), circle_web(), seed=26)
     assert isinstance(verdict, QuadricFactor)
+
+
+def test_khovanskii_fits_a_callable_once(monkeypatch):
+    # a degree-1 model has its image in a plane, which the plane test has
+    # already reported, so the degree search starts at 2
+    from planarize import ratfit
+
+    degrees = []
+    fit_map = ratfit.fit_map
+
+    def counted(source, d, seed=0):
+        degrees.append(d)
+        return fit_map(source, d, seed=seed)
+
+    monkeypatch.setattr(ratfit, "fit_map", counted)
+    verdict = khovanskii_classify(CallableSource(stereo, codim=3, mode="exact"))
+    assert isinstance(verdict, Quadratic)
+    assert degrees == [2]
+
+
+def _sphere_grid(fn, n):
+    from planarize.jetplan import GridMapSource
+
+    axis = [Fraction(k, 3) for k in range(n)]
+    return GridMapSource(axis, axis, [[fn(u, v) for u in axis] for v in axis], mode="exact")
+
+
+def test_khovanskii_small_grids_keep_their_verdicts():
+    # 7 nodes per axis fit no degree above 1, 11 fit degree 2 but not 3
+    too_small = "no rational model of degree <= 3 fits: grid too small for degree 3: need 15 nodes per axis"
+    with pytest.raises(DegreeTooLow) as exc:
+        khovanskii_classify(_sphere_grid(stereo, 7))
+    assert str(exc.value) == too_small
+    verdict = khovanskii_classify(_sphere_grid(stereo, 11))
+    assert isinstance(verdict, Quadratic) and verdict.map.degree == 2
+
+    def quartic(u, v):  # stereographic after a quadratic map of the plane
+        return stereo(F(u) * F(u) - F(v), F(u) + F(v) * F(v))
+
+    for n in (7, 11):
+        with pytest.raises(DegreeTooLow) as exc:
+            khovanskii_classify(_sphere_grid(quartic, n))
+        assert str(exc.value) == too_small

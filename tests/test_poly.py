@@ -359,3 +359,88 @@ def test_fiber_rejects_positive_dimensional_fibers():
     veron = reduce_map([X0 * X0, X0 * X1, X1 * X1])
     with pytest.raises(NonGenericTarget):
         fiber_count(veron, PPoint.of(1, 1, 1))
+
+
+# -- denominators, cleared once in projcore -------------------------------------
+
+
+def _random_dict(rng, nvars, nterms):
+    out = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, 3) for _ in range(nvars))
+        kind = rng.randrange(3)
+        c = rng.randint(-50, 50) if kind == 0 else Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+        if kind == 2:
+            c = Fraction(c) + Fraction(rng.randint(-3, 3))  # may be integral but stored as a Fraction
+        if c:
+            out[e] = c
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_int_terms_and_p_canonical_match_sympy(seed):
+    from planarize.poly import _int_terms, p_canonical
+
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x0:3")
+    rng = stable_rng(seed, "int_terms_sympy")
+    for nterms in (1, 2, 5, 9):
+        a = _random_dict(rng, 3, nterms)
+        if not a:
+            continue
+        P = sympy.Poly.from_dict(
+            {e: sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for e, c in a.items()},
+            gens, domain="QQ",
+        )
+        den, ints = P.clear_denoms(convert=True)
+        A, m = _int_terms(a)
+        assert m == int(den) and all(type(c) is int for c in A.values())
+        assert A == {e: int(c) for e, c in ints.as_dict().items()}
+        g, prim = ints.primitive()
+        lead = max(a)  # the lexicographically leading exponent
+        sign = 1 if prim.as_dict()[lead] > 0 else -1
+        assert p_canonical(a) == {e: sign * int(c) for e, c in prim.as_dict().items()}
+
+
+def test_eliminant_is_the_sympy_gcd_of_its_binary_forms(monkeypatch):
+    from planarize import poly
+
+    sympy = pytest.importorskip("sympy")
+    x0, x1 = sympy.symbols("x0 x1")
+    seen = []
+    resultant = poly._resultant_wrt_x2
+
+    def recorded(G1, G2):
+        R = resultant(G1, G2)
+        seen.append(R)
+        return R
+
+    def form(d):
+        return sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x0 ** e[0] * x1 ** e[1]
+                   for e, c in d.items())
+
+    monkeypatch.setattr(poly, "_resultant_wrt_x2", recorded)
+    cases = [
+        ([X0 * X0, X1 * X1, X2 * X2], (1, 4, 9)),
+        ([X0 * X0, X0 * X1, X0 * X2, X1 * X1 + X2 * X2], (4, 6, 10, 34)),
+        ([X1 * X2, X0 * X2, X0 * X1], (6, 3, 2)),
+        ([X0 * X1 - X2 * X2, X1 * X1 + X0 * X2, X0 * X0 - X1 * X2], (1, 2, 3)),
+    ]
+    checked = 0
+    for comps, y in cases:
+        for trial in range(4):
+            rng = stable_rng(trial, "eliminant_sympy")
+            mat = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+            FT = poly._apply_linear_change(reduce_map(comps), mat)
+            eqs = [y[0] * c - y[i] * FT.components[0] for i, c in enumerate(FT.components) if i]
+            del seen[:]
+            E = poly._eliminant(eqs, rng)
+            if E is None:  # a coordinate change fiber_count would skip
+                continue
+            forms = [R for R in seen if R]  # a zero resultant is drawn again
+            assert len(forms) == 3
+            oracle = sympy.gcd(sympy.gcd(form(forms[0]), form(forms[1])), form(forms[2]))
+            ratio = sympy.cancel(form(E) / oracle)
+            assert ratio.is_number and ratio != 0
+            checked += 1
+    assert checked >= 8

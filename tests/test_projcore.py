@@ -257,3 +257,99 @@ def test_null_direction_and_rank_agree_across_modes():
     assert rank(rows) == float_rank(floats) == 2
     assert null_direction([[1, 0], [0, 1]], True) is None
     assert null_direction([[1.0, 0.0], [0.0, 1.0]], False) is None
+
+
+# -- the one denominator-clearing helper --------------------------------------
+
+mixed_entries = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(mixed_entries, max_size=6))
+def test_cleared_is_the_least_common_denominator(vec):
+    import math
+
+    from planarize.projcore import _cleared
+
+    X, L = _cleared(vec)
+    assert all(type(x) is int for x in X) and type(L) is int and L >= 1
+    assert [Fraction(x, L) for x in X] == [Fraction(c) for c in vec]
+    # L is least iff no prime divides L and every X_i at once
+    assert math.gcd(L, *X) == 1
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-10**30, 10**30), max_size=6))
+def test_cleared_returns_an_int_vector_unchanged(vec):
+    from planarize.projcore import _cleared
+
+    assert _cleared(vec) == (vec, 1)
+    assert _cleared(tuple(vec)) == (vec, 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_det_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = stable_rng(seed, "det_sympy")
+
+    def entry():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return rng.randint(-40, 40) / 8  # a float with an exact binary value
+
+    for n in range(1, 6):
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        singular = rows[:-1] + [[2 * Fraction(a) for a in rows[0]]] if n > 1 else [[0]]
+        for m in (rows, singular):
+            oracle = sympy.Matrix([[sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in r] for r in m]).det()
+            got = det(m)
+            assert type(got) is Fraction
+            assert got == Fraction(int(sympy.numer(oracle)), int(sympy.denom(oracle)))
+    assert det([[1, 2], [3, 4]]) == -2
+
+
+def _null_direction_reference(rows):
+    """Float rank and null direction from numpy, two SVDs as the docs state
+    them: the rank counts singular values above FLOAT_RANK_RTOL * s_max."""
+    import numpy as np
+
+    from planarize.projcore import FLOAT_RANK_RTOL, rationalize_direction
+
+    a = np.array(rows, dtype=float)
+    s = np.linalg.svd(a, compute_uv=False)
+    r = int(np.sum(s > FLOAT_RANK_RTOL * s[0])) if s[0] > 0 else 0
+    if r == a.shape[1]:
+        return None
+    return rationalize_direction(np.linalg.svd(a)[2][-1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_float_null_direction_matches_numpy(seed):
+    from planarize.projcore import null_direction
+
+    rng = stable_rng(seed, "float_null_direction")
+    ncols = rng.randint(2, 6)
+
+    def row():
+        return [rng.uniform(-5, 5) for _ in range(ncols)]
+
+    full = [row() for _ in range(ncols + 2)]
+    base = [row() for _ in range(ncols - 1)]
+    deficient = list(base)
+    for _ in range(3):
+        ks = [rng.randint(-3, 3) for _ in base]
+        deficient.append([sum(k * r[j] for k, r in zip(ks, base)) for j in range(ncols)])
+    short = [row() for _ in range(ncols - 1)]
+    zero = [[0.0] * ncols for _ in range(ncols)]
+    for rows in (full, deficient, short, zero):
+        assert null_direction(rows, False) == _null_direction_reference(rows)
+    assert null_direction(full, False) is None
+    assert null_direction(deficient, False) is not None
+    assert null_direction(short, False) is not None

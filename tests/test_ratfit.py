@@ -521,3 +521,38 @@ def test_held_out_validation_catches_one_bad_point():
 
     with pytest.raises(DegreeTooLow, match="held-out validation failed"):
         fit_map(CallableSource(poisoned, codim=3), 2)
+
+
+def test_held_out_draw_where_the_model_vanishes_is_skipped():
+    # a black box that reports some value at a base point of its map: the
+    # model vanishes at that held-out draw, which is neither a failure nor
+    # one of the 20 checks, so the fit reads as many points as a clean source
+    def reads_of(fn):
+        reads = []
+
+        def recorded(u, v):
+            reads.append((F(u), F(v)))
+            return fn(u, v)
+
+        return fit_map(CallableSource(recorded, codim=2), 2), reads
+
+    probe = reduce_map([X0 * X0 + X1 * X1, X1 * X2, X0 * X2 - X1 * X1])
+    _, reads = reads_of(lambda u, v: probe.evaluate([F_ONE, F(u), F(v)]))
+    u0, v0 = next(p for p in reads if p[0].denominator != 1)  # the first held-out draw
+    L = u0.denominator * v0.denominator
+    l1 = int(u0 * L) * X0 - L * X1
+    l2 = int(v0 * L) * X0 - L * X2
+    planted = reduce_map([l1 * X0, l2 * X0, l1 * X1 + l2 * X2])
+    assert planted.evaluate([F_ONE, u0, v0]) is None
+
+    def clean(u, v):
+        return planted.evaluate([F_ONE, F(u), F(v)])
+
+    def filled(u, v):
+        return (F(1), F(2), F(3)) if (F(u), F(v)) == (u0, v0) else clean(u, v)
+
+    model, clean_reads = reads_of(clean)
+    assert model == planted
+    model, filled_reads = reads_of(filled)
+    assert model == planted
+    assert (u0, v0) in filled_reads and filled_reads == clean_reads

@@ -185,3 +185,25 @@ def test_resultant_matches_sympy(seed):
     for p, q in cases:
         expect = sympy.resultant(to_sympy(p), to_sympy(q)) if p and q else 0
         assert univar.resultant(p, q) == expect
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_content_primitive_matches_sympy(seed):
+    rng = stable_rng(seed, "univar-content")
+    cases = [[], [0, 0], [Fraction(-6, 5)], [4, 0, -6], [Fraction(3, 4), Fraction(-9, 10)]]
+    for deg in (1, 4, 9):
+        cases.append(random_poly(rng, deg, bits=40))
+        cases.append(random_poly(rng, deg, rational=True, neg_lead=True))
+        cases.append([c * Fraction(rng.randint(1, 99), rng.randint(1, 99)) for c in random_poly(rng, deg)])
+    for p in cases:
+        c, P = univar.content_primitive(p)
+        assert all(type(x) is int for x in P) and type(c) is Fraction
+        if not univar.trim(p):
+            assert (c, P) == (0, [])
+            continue
+        den, ints = to_sympy(p).clear_denoms(convert=True)
+        g, prim = ints.primitive()
+        if prim.LC() < 0:
+            g, prim = -g, -prim
+        assert c == Fraction(int(g)) / int(den)
+        assert P == [int(x) for x in reversed(prim.all_coeffs())]
