@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import conicweb, dualize, jetplan, ratfit
+from . import conicweb, dualize, jetplan, projcore, ratfit
 from .conicweb import (
     ConicSystem,
     InCircle,
@@ -23,9 +23,10 @@ from .conicweb import (
     InverseQuadratic,
     Quadratic,
     QuadricFactor,
+    Unresolved,
 )
 from .dualize import CoTrivial, Rational, Trivial
-from .poly import HPoly, RatMap, implicitize, line_base_points, reduce_map, _monomials
+from .poly import HPoly, RatMap, implicitize, line_base_points, reduce_map, _monomials, _p_eval_int
 from .projcore import PLine2
 from .seeding import stable_rng
 
@@ -95,27 +96,31 @@ def _classify_report(verdict) -> tuple[dict, int]:
     return {"class": "Indeterminate", "witness": None, "degree": None, "reason": verdict.reason}, 2
 
 
-def _web_report(verdict) -> tuple[dict, int]:
+def _case_report(verdict) -> tuple[dict, int]:
+    """The report of a web or sphere verdict, named by its class: a witness
+    (exit 0), or for Unresolved and for an exception that left the map
+    unclassified, the reason as diagnostics (exit 2)."""
+    case = type(verdict).__name__
+    if isinstance(verdict, (Unresolved, Exception)):
+        reason = verdict.reason if isinstance(verdict, Unresolved) else str(verdict)
+        return {"case": case, "witness": None, "diagnostics": reason}, 2
     if isinstance(verdict, InConic):
-        return {"case": "InConic", "witness": list(verdict.member.coords), "diagnostics": None}, 0
-    if isinstance(verdict, InverseQuadratic):
-        return {"case": "InverseQuadratic", "witness": verdict.witness.to_json(), "diagnostics": None}, 0
-    if isinstance(verdict, Quadratic):
-        return {"case": "Quadratic", "witness": verdict.map.to_json(), "diagnostics": None}, 0
-    if isinstance(verdict, QuadricFactor):
-        return (
-            {
-                "case": "QuadricFactor",
-                "witness": {
-                    "quadric": verdict.quadric.to_json(),
-                    "system_map": verdict.system_map.to_json(),
-                    "composite": verdict.composite.to_json(),
-                },
-                "diagnostics": None,
-            },
-            0,
-        )
-    return {"case": "Unresolved", "witness": None, "diagnostics": verdict.reason}, 2
+        witness = list(verdict.member.coords)
+    elif isinstance(verdict, InCircle):
+        witness = list(verdict.plane.covector)
+    elif isinstance(verdict, CoTrivial):
+        witness = list(verdict.center.coords)
+    elif isinstance(verdict, InverseQuadratic):
+        witness = verdict.witness.to_json()
+    elif isinstance(verdict, Quadratic):
+        witness = verdict.map.to_json()
+    else:
+        witness = {
+            "quadric": verdict.quadric.to_json(),
+            "system_map": verdict.system_map.to_json(),
+            "composite": verdict.composite.to_json(),
+        }
+    return {"case": case, "witness": witness, "diagnostics": None}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +198,25 @@ def _cmd_fit(args) -> int:
 
 
 def _fit_residuals(source: jetplan.GridMapSource, model: RatMap) -> dict:
-    """Worst scaled cross-product residual between the exact grid samples and
-    the model, computed exactly (0 when the fit is exact)."""
+    """Worst scaled cross-product residual |Y_i M_j - Y_j M_i| / (max|Y| max|M|)
+    between the exact grid samples Y and the model values M, computed exactly
+    (0 when the fit is exact).  It does not change when Y or M is scaled, so
+    both are integers: Y the node's value with its denominators cleared, M
+    the model's integer components at the node X / L taken as (L, X)."""
+    comps = [c.terms for c in model.components]
     worst = Fraction(0)
     checked = 0
-    for v in source.v_axis:
-        for u in source.u_axis:
-            y = source.evaluate(u, v)
-            if y is None:
+    for iv, v in enumerate(source.v_axis):
+        for iu, u in enumerate(source.u_axis):
+            Y, _ = projcore._cleared((1, *source.node_value(iu, iv)))
+            X, L = projcore._cleared((u, v))
+            M = [_p_eval_int(a, (L, *X), 1, model.degree) for a in comps]
+            if not any(M):
                 continue
-            m = model.evaluate([Fraction(1), Fraction(u), Fraction(v)])
-            if m is None:
-                continue
-            ny = max(abs(x) for x in y) or Fraction(1)
-            nm = max(abs(x) for x in m) or Fraction(1)
-            n1 = len(y)
-            for i in range(n1):
-                for j in range(i + 1, n1):
-                    r = abs((y[i] * m[j] - y[j] * m[i]) / (ny * nm))
-                    worst = max(worst, r)
+            cross = max(
+                abs(Y[i] * M[j] - Y[j] * M[i]) for i in range(len(Y)) for j in range(i + 1, len(Y))
+            )
+            worst = max(worst, Fraction(cross, max(map(abs, Y)) * max(map(abs, M))))
             checked += 1
     return {"max_cross_residual": float(worst), "nodes_checked": checked}
 
@@ -222,11 +227,11 @@ def _cmd_web_classify(args) -> int:
     try:
         verdict = conicweb.classify_web(f, web, seed=args.seed)
     except conicweb.NotALinesToCurvesMap as exc:
-        _emit({"case": "NotALinesToCurvesMap", "witness": None, "diagnostics": str(exc)}, args.out)
-        return 2
-    report, code = _web_report(verdict)
-    if args.emit_curves:
-        _emit_curves(args.emit_curves, f, args.seed)
+        verdict = exc
+    else:
+        if args.emit_curves:
+            _emit_curves(args.emit_curves, f, args.seed)
+    report, code = _case_report(verdict)
     _emit(report, args.out)
     return code
 
@@ -248,16 +253,10 @@ def _cmd_khovanskii(args) -> int:
         verdict = conicweb.khovanskii_classify(source, seed=args.seed)
     except (conicweb.NotOnSphere, conicweb.DegreeAnomaly, conicweb.TooFewSamples,
             ratfit.DegreeTooLow, ratfit.AmbiguousFit) as exc:
-        _emit({"case": type(exc).__name__, "witness": None, "diagnostics": str(exc)}, args.out)
-        return 2
-    if isinstance(verdict, InCircle):
-        _emit({"case": "InCircle", "witness": list(verdict.plane.covector), "diagnostics": None}, args.out)
-        return 0
-    if isinstance(verdict, CoTrivial):
-        _emit({"case": "CoTrivial", "witness": list(verdict.center.coords), "diagnostics": None}, args.out)
-        return 0
-    _emit({"case": "Quadratic", "witness": verdict.map.to_json(), "diagnostics": None}, args.out)
-    return 0
+        verdict = exc
+    report, code = _case_report(verdict)
+    _emit(report, args.out)
+    return code
 
 
 def _cmd_gen(args) -> int:

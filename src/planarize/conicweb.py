@@ -3,7 +3,8 @@
 A linear system is spanned by independent quadratic forms; its map sends a
 point to the tuple of basis values, turning conic membership of image
 curves into hyperplane membership after composition.  On top of that sit
-the per-line conic finder, the web classifier (which routes through the
+the per-line conic finder (an exact map restricted to the line, a sampled
+source read at image points), the web classifier (which routes through the
 planarization trichotomy), inversion through a net, and the classification
 of sphere-valued maps taking lines to circles.
 """
@@ -20,10 +21,12 @@ from .jetplan import CallableSource, ExactMapSource, GridMapSource
 from .poly import (
     HPoly,
     RatMap,
+    UniTuple,
     fiber_count,
     implicitize,
     line_base_points,
     reduce_map,
+    restrict_to_line,
     variables,
     NonGenericTarget,
 )
@@ -151,10 +154,8 @@ def _points_on_line(line: PLine2, count: int) -> list[tuple[int, ...]]:
 
 
 def _eval_projective(f_src, w: Sequence):
-    """Evaluate a map source at a projective domain point (exact sources
-    anywhere; chart-bound sources only at finite points)."""
-    if isinstance(f_src, ExactMapSource):
-        return f_src.ratmap.evaluate([Fraction(x) for x in w])
+    """Evaluate a sampled source at a projective domain point; it is bound to
+    the affine chart, so a point with w0 = 0 has no value."""
     if w[0] == 0:
         return None
     u = Fraction(w[1], w[0]) if f_src.mode == "exact" else w[1] / w[0]
@@ -165,23 +166,32 @@ def _eval_projective(f_src, w: Sequence):
 def lines_to_curves(f_src, sys: ConicSystem, lines: Sequence[PLine2]) -> list[Optional[PPoint]]:
     """Per-line containing conic (system coordinates), or None.
 
-    For each line, dim+4 image samples are taken and the matrix of
-    basis-form values must drop rank exactly (float mode: relative tolerance)
-    for a conic to be reported.
+    An exact map is restricted to the line and the basis forms composed with
+    the restriction, so the rows are their coefficient vectors, exact at any
+    degree; a sampled source gives dim+4 rows of basis-form values at image
+    samples.  The rows must drop rank exactly (float mode: relative
+    tolerance) for a conic to be reported.
     """
     m = sys.dimension + 4
     out: list[Optional[PPoint]] = []
     for line in lines:
-        rows = []
-        for w in _points_on_line(line, m):
-            img = _eval_projective(f_src, w)
-            if img is None:
-                continue
-            rows.append([q.evaluate(list(img)) for q in sys.basis])
-            if len(rows) >= m:
-                break
-        if len(rows) < m:
-            raise TooFewSamples(f"line {line.covector} yielded {len(rows)} samples")
+        if isinstance(f_src, ExactMapSource):
+            restricted = restrict_to_line(f_src.ratmap, line)
+            if restricted.is_zero:  # the line lies in the indeterminacy locus
+                raise TooFewSamples(f"line {line.covector} yielded 0 samples")
+            composed = [q.substitute(list(restricted.components)) for q in sys.basis]
+            rows = UniTuple(composed).coefficient_vectors()
+        else:
+            rows = []
+            for w in _points_on_line(line, m):
+                img = _eval_projective(f_src, w)
+                if img is None:
+                    continue
+                rows.append([q.evaluate(list(img)) for q in sys.basis])
+                if len(rows) >= m:
+                    break
+            if len(rows) < m:
+                raise TooFewSamples(f"line {line.covector} yielded {len(rows)} samples")
         direction = projcore.null_direction(rows, f_src.mode == "exact")
         out.append(None if direction is None else PPoint(direction))
     return out
@@ -405,7 +415,7 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
     if net.dimension != 2:
         raise ValueError("inversion needs a net (dimension 2)")
     rational = isinstance(f, RatMap)
-    f_src = ExactMapSource(f) if rational else f
+    exact = rational or f.mode == "exact"
     Phin = phi_map(net)
 
     if rational:
@@ -413,10 +423,10 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
         if P.degree != 1:
             raise NotCollinear(f"the net composite has degree {P.degree}, not 1")
     else:
-        if any(v is None for v in lines_to_curves(f_src, net, _screen_lines(seed, 10))):
+        if any(v is None for v in lines_to_curves(f, net, _screen_lines(seed, 10))):
             raise NotCollinear("a screening line has no containing net conic")
         try:
-            P = ratfit.fit_map(_composite_source(f_src, net), 1, seed=seed)
+            P = ratfit.fit_map(_composite_source(f, net), 1, seed=seed)
         except (DegreeTooLow, ChartOverflow) as exc:
             raise ProjectiveFitFailed(str(exc)) from exc
     mat = _matrix_of_linear_map(P)
@@ -439,15 +449,15 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
         w = tuple(rng.randint(-9, 9) for _ in range(3))
         if w == (0, 0, 0):
             continue
-        fx = _eval_projective(f_src, w)
+        fx = f.evaluate(w) if rational else _eval_projective(f, w)
         if fx is None:
             continue
-        wx = W.evaluate([Fraction(x) for x in fx]) if f_src.mode == "exact" else W.evaluate(
+        wx = W.evaluate([Fraction(x) for x in fx]) if exact else W.evaluate(
             [Fraction(float(x)).limit_denominator(10**9) for x in fx]
         )
         if wx is None:
             continue
-        if f_src.mode == "exact":
+        if exact:
             for i in range(3):
                 for j in range(i + 1, 3):
                     if wx[i] * Fraction(w[j]) != wx[j] * Fraction(w[i]):

@@ -8,8 +8,9 @@ fitting reads it point by point).  From an order-(n-1)
 jet at a base point we build the slope-indexed family of vectors B_l, lift
 them to homogeneous coordinates and wedge them into a covector-valued
 polynomial in the slope; its value at a slope is the hyperplane containing
-the image of the line with that slope, and its identical vanishing signals
-degeneracy.
+the image of the line with that slope (checked against the map restricted
+to the line for an exact map, against the Taylor curve for a grid), and its
+identical vanishing signals degeneracy.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from . import projcore, univar
-from .poly import RatMap, variables
-from .projcore import Hyperplane
+from .poly import RatMap, restrict_to_line, variables
+from .projcore import Hyperplane, PLine2
 
 #: float-mode relative threshold for "this covector polynomial is zero"
 DEGENERACY_RTOL = 1e-7
@@ -444,8 +445,10 @@ def hyperplane_for_line(source: MapSource, a: tuple, slope) -> Hyperplane:
     """Hyperplane containing the image of the line through `a` with `slope`.
 
     The slope may be affine (v = slope * u relative to the base point),
-    "inf" for the vertical line, or a projective pair (dv, du).  Exactly
-    computed image points of the line are cross-checked for containment.
+    "inf" for the vertical line, or a projective pair (dv, du).  For an
+    exact map the hyperplane must contain every coefficient vector of the
+    map restricted to the line; a grid's Taylor curve along the line is
+    checked against CONTAINMENT_RTOL.
     """
     n = source.codim
     jet = jet_of(source, a, n - 1)
@@ -460,33 +463,20 @@ def hyperplane_for_line(source: MapSource, a: tuple, slope) -> Hyperplane:
         raise DegeneratePoint(f"map degenerate at {a}")
     if all(x == 0 for x in value):
         raise DegenerateSlope(f"hyperplane family vanishes at slope {slope}")
-    plane = Hyperplane.of(value) if jet.mode == "exact" else None
-    _validate_containment(source, jet, a, (num, den), value, n)
-    if plane is None:
-        plane = Hyperplane(projcore.rationalize_direction(value, max_den=10**9))
-    return plane
-
-
-def _validate_containment(source, jet, a, direction, covector, n):
-    num, den = direction
     if isinstance(source, ExactMapSource):
-        du, dv = Fraction(den), Fraction(num)
-        good = 0
-        k = 1
-        while good < 2 * n and k < 64:
-            for s in (Fraction(k, 8), Fraction(-k, 8)):
-                img = source.evaluate(Fraction(a[0]) + s * du, Fraction(a[1]) + s * dv)
-                if img is None:
-                    continue
-                pairing = sum(Fraction(c) * x for c, x in zip(covector, img))
-                if pairing != 0:
-                    raise DegenerateSlope(
-                        f"image of the line with slope {num}/{den} leaves the hyperplane"
-                    )
-                good += 1
-            k += 1
-        return
-    # float/grid: check the Taylor curve itself against the covector
+        plane = Hyperplane.of(value)
+        # the line through [1 : a] in the direction [0 : du : dv]
+        line = PLine2.of(projcore.cross((1, *jet.base), (0, den, num)))
+        if not all(map(plane.contains, restrict_to_line(source.ratmap, line).coefficient_vectors())):
+            raise DegenerateSlope(f"image of the line with slope {slope} leaves the hyperplane")
+        return plane
+    _validate_containment(jet, (num, den), value, n)
+    return Hyperplane(projcore.rationalize_direction(value, max_den=10**9))
+
+
+def _validate_containment(jet, direction, covector, n):
+    """Check a grid jet's Taylor curve along the line against the covector."""
+    num, den = direction
     scale = math.sqrt(sum(float(c) ** 2 for c in covector)) or 1.0
     lam = None if den == 0 else num / den
     use = jet.transposed() if den == 0 else jet

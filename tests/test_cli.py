@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from planarize import ratfit
-from planarize.cli import main
-from planarize.conicweb import circle_web
+from planarize.cli import generate_map, main
+from planarize.conicweb import ConicSystem, circle_web
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
 
@@ -394,3 +394,55 @@ def test_khovanskii_float_grid_with_a_nan_cell_is_off_the_sphere(tmp_path, capsy
     code, out = run(capsys, "khovanskii", "--in", str(path), "--mode", "float")
     assert code == 2
     assert json.loads(out)["case"] == "NotOnSphere"
+
+
+def _generated(tmp_path, seed, degree, target_dim):
+    return _json_file(tmp_path, generate_map(seed, degree, target_dim).to_json(), "map")
+
+
+def _map_file(tmp_path, components):
+    return _json_file(tmp_path, reduce_map(components).to_json(), "map")
+
+
+def _web_file(tmp_path, basis=None):
+    web = circle_web() if basis is None else ConicSystem(basis)
+    return _json_file(tmp_path, web.to_json(), "web")
+
+
+INVERSION = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2]
+COLLINEATION = [X0, X1 + X2, X2]
+
+# name, argv (given tmp_path), exit code, fields of the report
+REPORTS = [
+    ("dualize everywhere degenerate", lambda t: ["dualize", "--in", _generated(t, 5, 2, 4)], 2,
+     {"error": "EverywhereDegenerate"}),
+    ("web-classify not lines to conics",
+     lambda t: ["web-classify", "--in", _generated(t, 5, 3, 2), "--web", _web_file(t)], 2,
+     {"case": "NotALinesToCurvesMap", "witness": None}),
+    ("implicitize no relation up to kmax",
+     lambda t: ["implicitize", "--in", _generated(t, 5, 2, 3), "--kmax", "1"], 0,
+     {"degree": None, "relation": None}),
+    ("web-classify in conic with curves",
+     lambda t: ["web-classify", "--in", _map_file(t, [X0 * X0 + X1 * X1, X0 * X0 - X1 * X1, 2 * X0 * X1]),
+                "--web", _web_file(t), "--emit-curves", str(t / "curves.csv")], 0,
+     {"case": "InConic", "witness": [1, 0, 0, -1], "diagnostics": None}),
+    ("web-classify inverse quadratic",
+     lambda t: ["web-classify", "--in", _map_file(t, INVERSION),
+                "--web", _web_file(t, INVERSION + [X0 * X0 + X1 * X1])], 0,
+     {"case": "InverseQuadratic", "witness": reduce_map(INVERSION).to_json(), "diagnostics": None}),
+    ("web-classify collineation",
+     lambda t: ["web-classify", "--in", _map_file(t, COLLINEATION), "--web", _web_file(t)], 0,
+     {"case": "Quadratic", "witness": reduce_map(COLLINEATION).to_json(), "diagnostics": None}),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,fields", REPORTS, ids=[r[0] for r in REPORTS])
+def test_report_paths(tmp_path, capsys, name, argv, code, fields):
+    args = argv(tmp_path)
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert {k: report[k] for k in fields} == fields
+    if "--emit-curves" in args:
+        assert (tmp_path / "curves.csv").read_text().startswith("curve,param,y0,y1,y2\n")

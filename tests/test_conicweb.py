@@ -15,6 +15,7 @@ from planarize.conicweb import (
     ProjectiveFitFailed,
     Quadratic,
     QuadricFactor,
+    TooFewSamples,
     circle_web,
     classify_web,
     invert_via_net,
@@ -25,7 +26,7 @@ from planarize.conicweb import (
 )
 from planarize.dualize import CoTrivial, classify
 from planarize.jetplan import CallableSource, ExactMapSource
-from planarize.poly import implicitize, reduce_map, variables
+from planarize.poly import RatMap, implicitize, reduce_map, variables
 from planarize.projcore import PLine2, PPoint, det
 from planarize.ratfit import DegreeTooLow
 from planarize.seeding import stable_rng
@@ -109,6 +110,69 @@ def test_generic_cubic_has_no_containing_conic():
     cubic = reduce_map([X0**3 + X1**3, X1 * X1 * X2, X0 * X1 * X2 + X2**3])
     lam = lines_to_curves(ExactMapSource(cubic), circle_web(), [PLine2.of(1, 2, 3)])[0]
     assert lam is None
+
+
+ORIGIN_NET = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2]
+IN_CONIC = reduce_map([X0 * X0 + X1 * X1, X0 * X0 - X1 * X1, 2 * X0 * X1])
+
+
+def _collineation(rng):
+    while True:
+        A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if det(A) != 0:
+            return reduce_map([a * X0 + b * X1 + c * X2 for a, b, c in A])
+
+
+def _chart_source(M):
+    # the exact map read point by point in the chart x0 = 1
+    return CallableSource(lambda u, v: M.evaluate([1, u, v]), codim=M.codim, mode="exact")
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_restricted_conics_match_sampled_conics(seed):
+    # the restriction route against the sampling route on the same maps
+    from planarize.cli import generate_map
+
+    rng = stable_rng(seed, "restricted-vs-sampled")
+    A = _collineation(rng)
+    maps = [INVERSION.after(A), _collineation(rng), IN_CONIC.after(A),
+            generate_map(seed, 2, 2), generate_map(seed, 3, 2)]
+    systems = [circle_web(), ConicSystem(ORIGIN_NET + [X0 * X0 + X1 * X1]), ConicSystem(ORIGIN_NET)]
+    lines = []
+    while len(lines) < 10:
+        cov = tuple(rng.randint(-9, 9) for _ in range(3))
+        if cov[1:] != (0, 0):  # the chart source has no point on x0 = 0
+            lines.append(PLine2.of(cov))
+    for M in maps:
+        for system in systems:
+            exact = lines_to_curves(ExactMapSource(M), system, lines)
+            assert exact == lines_to_curves(_chart_source(M), system, lines)
+
+
+def test_line_in_the_indeterminacy_locus_yields_no_samples():
+    # an unreduced map whose common factor x1 vanishes on the line x1 = 0
+    unreduced = RatMap([X0 * X1, X1 * X1, X1 * X2])
+    line = PLine2.of(0, 1, 0)
+    for source in (ExactMapSource(unreduced), _chart_source(unreduced)):
+        with pytest.raises(TooFewSamples, match=r"line \(0, 1, 0\) yielded 0 samples"):
+            lines_to_curves(source, circle_web(), [line])
+
+
+def test_lines_to_curves_reads_no_point_of_an_exact_map(monkeypatch):
+    calls = []
+
+    def count(method):
+        def counted(*args):
+            calls.append(method.__name__)
+            return method(*args)
+
+        return counted
+
+    monkeypatch.setattr(ExactMapSource, "evaluate", count(ExactMapSource.evaluate))
+    monkeypatch.setattr(RatMap, "evaluate", count(RatMap.evaluate))
+    lines = [PLine2.of(1, 2, 3), PLine2.of(0, 1, 1), PLine2.of(5, -1, 2)]
+    assert None not in lines_to_curves(ExactMapSource(INVERSION), circle_web(), lines)
+    assert calls == []
 
 
 # -- classify_web ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Jets, the slope-indexed hyperplane family, and per-line extraction."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from planarize.cli import generate_map
 from planarize.jetplan import (
     ChartOverflow,
     DegeneratePoint,
+    DegenerateSlope,
     ExactMapSource,
     GridMapSource,
     OnIndeterminacy,
@@ -23,7 +25,7 @@ from planarize.jetplan import (
     read_csv_grid,
     write_csv_grid,
 )
-from planarize.poly import HPoly, reduce_map, variables
+from planarize.poly import HPoly, RatMap, reduce_map, variables
 from planarize.projcore import PPoint, hyperplane_through
 from planarize.seeding import stable_rng
 
@@ -265,6 +267,33 @@ def test_containment_along_planarization_lines():
             u, v = a[0] + t, a[1] + slope * t
             val = PARABOLOID.evaluate([F(1), u, v])
             assert sum(F(c) * x for c, x in zip(h.covector, val)) == 0
+
+
+@pytest.mark.parametrize("slope,printed", [(2, "2"), (Fraction(1, 3), "1/3"), ("inf", "inf"), ((1, 3), "(1, 3)")])
+def test_line_leaving_the_hyperplane_names_the_slope_as_given(slope, printed):
+    # a generic cubic into RP^3 is no planarization: the jet's hyperplane
+    # osculates the image of the line but does not contain it
+    src = ExactMapSource(generate_map(7, 3, 3))
+    message = f"image of the line with slope {printed} leaves the hyperplane"
+    with pytest.raises(DegenerateSlope, match=f"^{re.escape(message)}$"):
+        hyperplane_for_line(src, (Fraction(1, 3), Fraction(1, 5)), slope)
+
+
+def test_exact_containment_reads_no_point_of_the_map(monkeypatch):
+    calls = []
+
+    def count(method):
+        def counted(*args):
+            calls.append(method.__name__)
+            return method(*args)
+
+        return counted
+
+    monkeypatch.setattr(ExactMapSource, "evaluate", count(ExactMapSource.evaluate))
+    monkeypatch.setattr(RatMap, "evaluate", count(RatMap.evaluate))
+    for slope in (2, "inf", (3, -1)):
+        hyperplane_for_line(ExactMapSource(PARABOLOID), (Fraction(1, 2), Fraction(-1, 3)), slope)
+    assert calls == []
 
 
 # -- grid (float) mode -----------------------------------------------------------------
