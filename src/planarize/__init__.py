@@ -13,7 +13,6 @@ from .poly import (
     HPoly,
     RatMap,
     UniTuple,
-    fiber_count,
     implicitize,
     reduce_map,
     restrict_to_line,
@@ -37,5 +36,4 @@ __all__ = [
     "restrict_to_line",
     "span_dim",
     "implicitize",
-    "fiber_count",
 ]

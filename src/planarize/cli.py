@@ -22,7 +22,6 @@ from .conicweb import (
     InConic,
     InverseQuadratic,
     Quadratic,
-    QuadricFactor,
     Unresolved,
 )
 from .dualize import CoTrivial, Rational, Trivial

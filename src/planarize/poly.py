@@ -13,9 +13,8 @@ would give a float.  On top of it sit:
   denominators of nodes and coefficients are cleared in projcore);
 * a recursive multivariate gcd (primitive pseudo-remainder sequences with
   contents extracted recursively) driving common-factor removal;
-* restriction of maps to lines, image-span dimension, implicitization by
-  exact linear algebra, and generic fiber counting through resultants
-  whose gcd is taken by `hpoly_gcd`.
+* restriction of maps to lines, image-span dimension and implicitization
+  by exact linear algebra.
 
 Everything here is pure and exact; callers may parallelize freely.
 """
@@ -30,7 +29,6 @@ from typing import Optional, Sequence
 
 from . import projcore, univar
 from .projcore import PLine2, PPoint, normalize
-from .seeding import stable_rng
 
 Term = tuple
 PolyDict = dict
@@ -38,10 +36,6 @@ PolyDict = dict
 
 class AllZero(ValueError):
     """Every component of a would-be rational map is the zero polynomial."""
-
-
-class NonGenericTarget(ValueError):
-    """Fiber counting hit a target whose eliminant degenerates; resample."""
 
 
 # ---------------------------------------------------------------------------
@@ -862,153 +856,3 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
                 raise AssertionError("implicitize produced a non-vanishing relation")
             return k, rel
     return None
-
-
-# ---------------------------------------------------------------------------
-# fiber counting via resultants
-# ---------------------------------------------------------------------------
-
-
-def _apply_linear_change(F: RatMap, mat: Sequence[Sequence[int]]) -> RatMap:
-    subs = [HPoly(3, 1, {(1, 0, 0): row[0], (0, 1, 0): row[1], (0, 0, 1): row[2]}) for row in mat]
-    return RatMap([c.substitute(subs) for c in F.components])
-
-
-def _resultant_wrt_x2(G1: HPoly, G2: HPoly) -> PolyDict:
-    """Resultant of two ternary forms w.r.t. x_2, as a binary form in (x_0,x_1).
-
-    Requires both leading coefficients in x_2 to be constants (the caller
-    arranges this with a generic linear change), so specialization commutes
-    with the resultant and evaluation/interpolation is exact.
-    """
-    d1, d2 = G1.degree, G2.degree
-    if G1.terms.get((0, 0, d1)) is None or G2.terms.get((0, 0, d2)) is None:
-        raise NonGenericTarget("leading coefficient in x_2 not constant")
-    D = d1 * d2
-    samples = []
-    for t in range(D + 1):
-        tF = Fraction(t)
-
-        def specialize(G: HPoly) -> list:
-            coeffs = [Fraction(0)] * (G.degree + 1)
-            for e, c in G.terms.items():
-                coeffs[e[2]] += c * tF ** e[1]
-            return univar.trim(coeffs)
-
-        r = univar.resultant(specialize(G1), specialize(G2))
-        samples.append((tF, r))
-    R = univar.lagrange_interpolate(samples)
-    return {(D - k, k): c for k, c in enumerate(R) if c}
-
-
-def _bf_split(form: PolyDict) -> tuple[int, int, list]:
-    """Binary form -> (x0 multiplicity, x1 multiplicity, core as univar in x1/x0)."""
-    if not form:
-        return 0, 0, []
-    a = min(e[0] for e in form)
-    b = min(e[1] for e in form)
-    deg = max(e[1] for e in form) - b
-    core = [0] * (deg + 1)
-    for e, c in form.items():
-        core[e[1] - b] += c
-    return a, b, univar.trim(core)
-
-
-def _bf_distinct_roots_excluding(form: PolyDict, excl: PolyDict) -> int:
-    """Distinct projective roots of a binary form, minus roots it shares
-    with `excl` (used to drop indeterminacy points)."""
-    a, b, core = _bf_split(form)
-    core = univar.squarefree_part(core)
-    if excl:
-        ea, eb, ecore = _bf_split(excl)
-        if ea > 0:
-            a = 0
-        if eb > 0:
-            b = 0
-        g = univar.gcd(core, ecore)
-        if univar.degree(g) > 0:
-            core = univar.divexact(core, g)
-    return (1 if a > 0 else 0) + (1 if b > 0 else 0) + max(univar.degree(core), 0)
-
-
-def _random_combination(polys: Sequence[HPoly], rng) -> HPoly:
-    while True:
-        out = HPoly.zero(polys[0].nvars, polys[0].degree)
-        for p in polys:
-            out = out + rng.randint(1, 9) * p
-        if not out.is_zero:
-            return out
-
-
-def _eliminant(eqs: Sequence[HPoly], rng) -> Optional[PolyDict]:
-    """Gcd of eliminants from three independent random pairs of
-    combinations, as a binary form (its scale is arbitrary)."""
-    acc: Optional[HPoly] = None
-    for _ in range(3):
-        for _attempt in range(4):
-            G1 = _random_combination(eqs, rng)
-            G2 = _random_combination(eqs, rng)
-            try:
-                R = _resultant_wrt_x2(G1, G2)
-            except NonGenericTarget:
-                return None
-            if R:
-                break
-        else:
-            return None
-        R = HPoly(2, G1.degree * G2.degree, R)
-        acc = R if acc is None else hpoly_gcd(acc, R)
-    return acc.terms
-
-
-def fiber_count(F: RatMap, y: PPoint, seed: int = 0) -> int:
-    """Number of distinct complex projective preimages of a generic target.
-
-    Eliminates two variables by resultants of random combinations of the
-    fiber equations {y_j F_i - y_i F_j}, counts distinct roots of the
-    squarefree eliminant, and excludes indeterminacy points of F.  Two
-    independent linear changes of coordinates must agree on the count;
-    persistent degeneracy raises NonGenericTarget (caller should resample).
-    """
-    if F.domain_vars != 3:
-        raise ValueError("fiber counting needs domain RP^2")
-    yc = y.coords
-    if len(yc) != len(F.components):
-        raise ValueError("target dimension mismatch")
-    j0 = max(range(len(yc)), key=lambda i: abs(yc[i]))
-
-    def fiber_equations(G: RatMap) -> list[HPoly]:
-        eqs = []
-        for i in range(len(yc)):
-            if i == j0:
-                continue
-            e = Fraction(yc[j0]) * G.components[i] - Fraction(yc[i]) * G.components[j0]
-            if not e.is_zero:
-                eqs.append(e)
-        return eqs
-
-    if len(fiber_equations(F)) < 2:
-        raise NonGenericTarget("fewer than two independent fiber equations")
-
-    counts = []
-    for attempt in range(6):
-        rng = stable_rng(seed, "fiber_count", attempt)
-        mat = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-        if projcore.det(mat) == 0:
-            continue
-        FT = _apply_linear_change(F, mat)
-        eqs = fiber_equations(FT)
-        E = _eliminant(eqs, rng)
-        if E is None:
-            continue
-        if not E:
-            raise NonGenericTarget("eliminant vanished identically")
-        indet = _eliminant(list(FT.components), rng)
-        if indet is None:
-            continue
-        counts.append(_bf_distinct_roots_excluding(E, indet if indet else {}))
-        if len(counts) >= 2 and counts[-1] == counts[-2]:
-            return counts[-1]
-    if not counts:
-        raise NonGenericTarget("no usable coordinate change found")
-    raise NonGenericTarget(f"unstable fiber counts {counts}")

@@ -1,22 +1,22 @@
 """Dense univariate polynomials with exact coefficients, and their gcd.
 
 Coefficient lists are low-to-high degree; the zero polynomial is [].  A
-coefficient is an int or a Fraction.  The arithmetic helpers (add, mul,
-evaluate, interpolation, the Sylvester resultant) work in Fractions, as the
-rational fitting and the jet wedges that call them expect.
+coefficient is an int or a Fraction.  The arithmetic helpers (add, sub,
+mul, evaluate) work in Fractions, as the rational fitting and the jet
+wedges that call them expect.
 
 The gcd kernel works on integers with the content kept apart:
 `content_primitive` splits a polynomial once into its rational content and
 an integer primitive part (projcore clears the denominators), and `gcd`,
-`squarefree_part`, `lcm` and `divexact` compute on those int lists.  The
-gcd is the heuristic GCDHEU (Char, Geddes & Gonnet 1989): evaluate both
-primitive parts at a large integer xi, take the integer gcd, read a
-candidate off its symmetric base-xi digits and accept its primitive part
-only if it divides both inputs exactly.  Since xi stays at least
+`lcm` and `divexact` compute on those int lists.  The gcd is the
+heuristic GCDHEU (Char, Geddes & Gonnet 1989): evaluate both primitive
+parts at a large integer xi, take the integer gcd, read a candidate off
+its symmetric base-xi digits and accept its primitive part only if it
+divides both inputs exactly.  Since xi stays at least
 2 min(|a|, |b|) + 2 (max norms), an accepted candidate is the gcd.  After
 a fixed number of evaluation points the primitive pseudo-remainder
-sequence decides.  The gcd, squarefree part and lcm are primitive int
-lists with a positive leading coefficient.
+sequence decides.  The gcd and lcm are primitive int lists with a
+positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ def evaluate(p: Sequence, x) -> Fraction:
     for c in reversed(list(p)):
         acc = acc * x + c
     return acc
-
-
-def derivative(p: Sequence) -> Poly:
-    return trim([i * c for i, c in enumerate(p)][1:])
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +201,6 @@ def divexact(p: Sequence, q: Sequence) -> Poly:
     return [c * ratio for c in quo]
 
 
-def squarefree_part(p: Sequence) -> list[int]:
-    """p with every repeated factor reduced to multiplicity one, primitive."""
-    a = content_primitive(p)[1]
-    if len(a) <= 2:
-        return a
-    return _exquo(a, gcd(a, derivative(a)))
-
-
 def lcm(p: Sequence, q: Sequence) -> list[int]:
     """Primitive lcm with positive lead ([] when either is zero)."""
     a = content_primitive(p)[1]
@@ -220,52 +208,3 @@ def lcm(p: Sequence, q: Sequence) -> list[int]:
     if not a or not b:
         return []
     return content_primitive(mul(a, _exquo(b, gcd(a, b))))[1]
-
-
-# ---------------------------------------------------------------------------
-# resultants and interpolation
-# ---------------------------------------------------------------------------
-
-
-def resultant(p: Sequence, q: Sequence) -> Fraction:
-    """Sylvester-matrix resultant of two univariate rationals (exact)."""
-    p = trim(p)
-    q = trim(q)
-    n, m = len(p) - 1, len(q) - 1
-    if n < 0 or m < 0:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(p[0]) ** m
-    if m == 0:
-        return Fraction(q[0]) ** n
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(p)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(q)):
-            row[i + j] = c
-        rows.append(row)
-    return projcore.det(rows)
-
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact interpolating polynomial through distinct nodes."""
-    out: Poly = []
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = mul(basis, [-xj, Fraction(1)])
-            denom *= xi - xj
-        c = yi / denom
-        out = add(out, [x * c for x in basis])
-    return out

@@ -349,6 +349,13 @@ MALFORMED = [
     ("web dimension fractional",
      lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _web_with_dimension(t, 3.7)],
      None, 1, "planarize: ValueError: dimension must be an integer, got 3.7"),
+    ("web map into RP^3",
+     lambda t: ["web-classify", "--in", _generated(t, 3, 2, 3), "--web", _web_with_dimension(t, 3)],
+     None, 1, "planarize: ValueError: a map taking lines to conics must go into RP^2, got RP^3"),
+    ("one-component web map",
+     lambda t: ["web-classify", "--in", _json_file(t, {"components": SEGRE_JSON["components"][:1]}, "map"),
+                "--web", _web_with_dimension(t, 3)],
+     None, 1, "planarize: ValueError: a map taking lines to conics must go into RP^2, got RP^0"),
     ("fit negative degree", lambda t: ["fit", "--in", _square_grid(t), "--degree", "-1"], None, 1,
      "planarize: ValueError: degree bound must be at least 0, got -1"),
     ("kmax zero", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "0"], None, 1,

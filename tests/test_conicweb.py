@@ -217,6 +217,93 @@ def test_composition_degree_bound():
         assert comp.degree <= 4
 
 
+# -- the rational branch: the system map is birational by degree -----------------------
+
+
+def _linear(m):
+    return [m[i][0] * X0 + m[i][1] * X1 + m[i][2] * X2 for i in range(3)]
+
+
+B = [[2, 1, 0], [1, 0, 1], [0, 1, 1]]
+ADJ_B = [[-1, -1, 1], [-1, 2, -2], [1, -2, -1]]  # B * ADJ_B = det(B) = -3
+SIGMA = [X1 * X2, X0 * X2, X0 * X1]
+# the conics through the B-images of the coordinate points, and two fourth
+# members: one with no base point (quartic image), one through B e2 (cubic)
+NET_B = [q.substitute(_linear(ADJ_B)) for q in SIGMA]
+QUARTIC_WEB = ConicSystem(NET_B + [X0 * X0 + 2 * X1 * X1 + 3 * X2 * X2 + X0 * X1])
+CUBIC_WEB = ConicSystem(NET_B + [(X0 * X0 + X1 * X1 + X0 * X2 + X1 * X2).substitute(_linear(ADJ_B))])
+
+
+def _preimages(Phi, x):
+    """The points of Phi's fiber through x that are not base points, solved
+    by sympy in the chart x0 = 1 and on the line x0 = 0."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:3")
+    comps = [sum(c * sympy.prod([v**e for v, e in zip(xs, exp)]) for exp, c in p.terms.items())
+             for p in Phi.components]
+    y = [int(c) for c in Phi.evaluate(x)]
+    eqs = [y[j] * comps[i] - y[i] * comps[j] for i in range(4) for j in range(i + 1, 4)]
+    found = []
+    for chart in ({xs[0]: 1}, {xs[0]: 0, xs[1]: 1}, {xs[0]: 0, xs[1]: 0, xs[2]: 1}):
+        free = [v for v in xs if v not in chart]
+        rest = [sympy.expand(e.subs(chart)) for e in eqs]
+        if free:
+            sols = sympy.solve(rest, free, dict=True)
+        else:
+            sols = [{}] if all(e == 0 for e in rest) else []
+        for sol in sols:
+            assert set(sol) == set(free)  # no fiber component of positive dimension
+            point = [v.subs({**chart, **sol}) for v in xs]
+            if any(sympy.expand(c.subs(dict(zip(xs, point)))) != 0 for c in comps):
+                found.append(point)
+    return found
+
+
+@pytest.mark.parametrize("web,degree", [(QUARTIC_WEB, 4), (CUBIC_WEB, 3), (circle_web(), 2)],
+                         ids=["quartic", "cubic", "circle"])
+def test_system_map_image_degree_and_single_preimages(web, degree):
+    # deg(Phi) * deg(S) <= 4, so an image of degree 3 or 4 forces a birational
+    # Phi; sympy counts the fiber through seeded points independently.  Points
+    # on the preimage of the image's double curve have two preimages, and
+    # small coordinates often land there ((1, 1, 2) does on the quartic web), so
+    # the coordinates run to 99
+    Phi = phi_map(web)
+    assert implicitize(Phi, 4)[0] == degree
+    rng = stable_rng(degree, "web-preimages")
+    checked = 0
+    while checked < 3:
+        x = [rng.randint(-99, 99) for _ in range(3)]
+        if Phi.evaluate(x) is None:
+            continue
+        (point,) = _preimages(Phi, x)
+        assert PPoint.of(*point) == PPoint.of(*x)
+        checked += 1
+
+
+@pytest.mark.parametrize("web", [QUARTIC_WEB, CUBIC_WEB], ids=["quartic", "cubic"])
+@pytest.mark.parametrize("seed", range(6))
+def test_classify_web_rational_branch_recovers_the_quadratic_map(monkeypatch, web, seed):
+    # no unforced input is known to reach the rational branch, so the
+    # trichotomy is forced to Rational; f = B∘σ∘A takes lines to conics of
+    # the net through the B e_i, hence to web members
+    from planarize import dualize
+
+    monkeypatch.setattr(dualize, "classify", lambda F, seed=0: dualize.Rational(F.degree))
+    A = [[1, 1, 0], [0, 1, 1], [1, 0, 2]]
+    f = reduce_map([c.substitute([q.substitute(_linear(A)) for q in SIGMA]) for c in _linear(B)])
+    assert f.degree == 2
+    verdict = classify_web(f, web, seed=seed)
+    assert isinstance(verdict, Quadratic) and verdict.map == f
+
+
+@pytest.mark.parametrize("call", [lambda f: classify_web(f, circle_web()),
+                                  lambda f: invert_via_net(f, ConicSystem(list(INVERSION.components)))],
+                         ids=["classify_web", "invert_via_net"])
+def test_web_maps_must_go_into_the_plane(call):
+    with pytest.raises(ValueError, match="must go into RP\\^2, got RP\\^3"):
+        call(reduce_map([X0 * X0, X0 * X1, X0 * X2, X1 * X2]))
+
+
 # -- net inversion ----------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""The package imports only the standard library, numpy and itself."""
+"""The package imports only the standard library, numpy and itself, and uses every name it imports."""
 
 import ast
 import sys
@@ -20,3 +20,21 @@ def test_runtime_imports_are_stdlib_numpy_or_relative(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     assert found <= allowed, f"{path.name} imports {sorted(found - allowed)}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=[p.name for p in SOURCES if p.name != "__init__.py"])
+def test_every_imported_name_is_used(path):
+    # __init__.py imports to re-export; everywhere else an import no code reads is dead
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"

@@ -8,10 +8,8 @@ import pytest
 from planarize.poly import (
     AllZero,
     HPoly,
-    NonGenericTarget,
     RatMap,
     UniTuple,
-    fiber_count,
     hpoly_gcd,
     implicitize,
     line_base_points,
@@ -271,40 +269,6 @@ def test_implicitize_no_relation_for_plane_identity():
     assert implicitize(F, 4) is None
 
 
-# -- fiber_count ----------------------------------------------------------------
-
-
-def test_fiber_of_projective_map_is_one():
-    F = reduce_map([X0 + X1, X1 - X2, X0 + 2 * X2])
-    assert fiber_count(F, PPoint.of(5, 3, 2)) == 1
-
-
-def test_fiber_of_coordinate_squares_is_four():
-    F = reduce_map([X0 * X0, X1 * X1, X2 * X2])
-    x = PPoint.of(1, 2, 3)
-    y = F.evaluate_point(x)
-    # brute-force oracle over sign patterns: (±1, ±2, ±3) up to scale
-    sols = set()
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            sols.add(PPoint.of(1, 2 * s1, 3 * s2))
-    assert len(sols) == 4
-    assert fiber_count(F, y) == 4
-
-
-def test_fiber_of_circle_web_map_is_one():
-    F = reduce_map([X0 * X0, X0 * X1, X0 * X2, X1 * X1 + X2 * X2])
-    y = F.evaluate_point(PPoint.of(2, 3, 5))
-    assert fiber_count(F, y) == 1
-
-
-def test_fiber_nongeneric_target_detected():
-    # the fiber over [0:0:0:1] of the Segre-type map is the whole line x0 = 0
-    F = reduce_map([X0 * X0, X0 * X1, X0 * X2, X1 * X2])
-    with pytest.raises(NonGenericTarget):
-        fiber_count(F, PPoint.of(0, 0, 0, 1))
-
-
 # -- gcd engine ----------------------------------------------------------------
 
 
@@ -351,16 +315,6 @@ def test_ratmap_json_round_trip():
     assert RatMap.from_json(F.to_json()) == F
 
 
-def test_fiber_rejects_positive_dimensional_fibers():
-    # maps factoring through a line have one-dimensional fibers everywhere
-    tw = reduce_map([X0**3, X0 * X0 * X1, X0 * X1 * X1, X1**3])
-    with pytest.raises(NonGenericTarget):
-        fiber_count(tw, tw.evaluate_point(PPoint.of(2, 3, 1)))
-    veron = reduce_map([X0 * X0, X0 * X1, X1 * X1])
-    with pytest.raises(NonGenericTarget):
-        fiber_count(veron, PPoint.of(1, 1, 1))
-
-
 # -- denominators, cleared once in projcore -------------------------------------
 
 
@@ -400,47 +354,3 @@ def test_int_terms_and_p_canonical_match_sympy(seed):
         lead = max(a)  # the lexicographically leading exponent
         sign = 1 if prim.as_dict()[lead] > 0 else -1
         assert p_canonical(a) == {e: sign * int(c) for e, c in prim.as_dict().items()}
-
-
-def test_eliminant_is_the_sympy_gcd_of_its_binary_forms(monkeypatch):
-    from planarize import poly
-
-    sympy = pytest.importorskip("sympy")
-    x0, x1 = sympy.symbols("x0 x1")
-    seen = []
-    resultant = poly._resultant_wrt_x2
-
-    def recorded(G1, G2):
-        R = resultant(G1, G2)
-        seen.append(R)
-        return R
-
-    def form(d):
-        return sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x0 ** e[0] * x1 ** e[1]
-                   for e, c in d.items())
-
-    monkeypatch.setattr(poly, "_resultant_wrt_x2", recorded)
-    cases = [
-        ([X0 * X0, X1 * X1, X2 * X2], (1, 4, 9)),
-        ([X0 * X0, X0 * X1, X0 * X2, X1 * X1 + X2 * X2], (4, 6, 10, 34)),
-        ([X1 * X2, X0 * X2, X0 * X1], (6, 3, 2)),
-        ([X0 * X1 - X2 * X2, X1 * X1 + X0 * X2, X0 * X0 - X1 * X2], (1, 2, 3)),
-    ]
-    checked = 0
-    for comps, y in cases:
-        for trial in range(4):
-            rng = stable_rng(trial, "eliminant_sympy")
-            mat = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-            FT = poly._apply_linear_change(reduce_map(comps), mat)
-            eqs = [y[0] * c - y[i] * FT.components[0] for i, c in enumerate(FT.components) if i]
-            del seen[:]
-            E = poly._eliminant(eqs, rng)
-            if E is None:  # a coordinate change fiber_count would skip
-                continue
-            forms = [R for R in seen if R]  # a zero resultant is drawn again
-            assert len(forms) == 3
-            oracle = sympy.gcd(sympy.gcd(form(forms[0]), form(forms[1])), form(forms[2]))
-            ratio = sympy.cancel(form(E) / oracle)
-            assert ratio.is_number and ratio != 0
-            checked += 1
-    assert checked >= 8

@@ -1,10 +1,10 @@
 """The univariate gcd kernel against the sympy oracle.
 
 gcd (its GCDHEU path and its primitive-PRS fallback, each also called
-directly), squarefree part, lcm, exact division and the Sylvester resultant,
-on seeded inputs up to degree 70: zero, constant, coprime, planted common
-factors, negative leads, rational and large coefficients.  Every gcd,
-squarefree part and lcm must be primitive with a positive lead.
+directly), lcm and exact division, on seeded inputs up to degree 70: zero,
+constant, coprime, planted common factors, negative leads, rational and
+large coefficients.  Every gcd and lcm must be primitive with a positive
+lead.
 """
 
 from fractions import Fraction
@@ -128,20 +128,6 @@ def test_heuristic_rejects_a_candidate_that_does_not_divide(monkeypatch, a, b):
     assert univar.gcd(a, b) == univar._prs_gcd(a, b) == [1]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_squarefree_part_matches_sympy(seed):
-    rng = stable_rng(seed, "univar-sqf")
-    cases = [[], [Fraction(7, 3)], random_poly(rng, 1, neg_lead=True)]
-    f1, f2, f3 = random_poly(rng, 4), random_poly(rng, 6, rational=True), random_poly(rng, 9, neg_lead=True)
-    cases.append(univar.mul(univar.mul(univar.mul(f1, f1), univar.mul(f1, f2)), univar.mul(f2, f3)))
-    big = random_poly(rng, 10, bits=25)
-    cases.append(univar.mul(univar.mul(big, big), univar.mul(univar.mul(big, f3), random_poly(rng, 30))))
-    for p in cases:
-        got = univar.squarefree_part(p)
-        assert got == canon(sympy.sqf_part(to_sympy(p)) if p else to_sympy(p))
-        assert_primitive(got)
-
-
 @pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
 def test_lcm_matches_sympy(name, p, q):
     got = univar.lcm(p, q)
@@ -172,19 +158,6 @@ def test_divexact_keeps_ints_for_integral_quotients():
     assert all(type(c) is int for c in univar.divexact([2, 4, 2], [1, 1]))
     half = univar.divexact([1, 1], [2, 2])
     assert half == [Fraction(1, 2)] and type(half[0]) is Fraction
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_resultant_matches_sympy(seed):
-    rng = stable_rng(seed, "univar-resultant")
-    cases = [([], random_poly(rng, 3)), ([5], random_poly(rng, 4)), (random_poly(rng, 2), [Fraction(-2, 3)])]
-    for n, m in [(1, 1), (3, 2), (6, 8), (12, 9)]:
-        cases.append((random_poly(rng, n, rational=True), random_poly(rng, m, neg_lead=True)))
-    g = random_poly(rng, 2)
-    cases.append((univar.mul(g, random_poly(rng, 3)), univar.mul(g, random_poly(rng, 4))))
-    for p, q in cases:
-        expect = sympy.resultant(to_sympy(p), to_sympy(q)) if p and q else 0
-        assert univar.resultant(p, q) == expect
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
