@@ -17,13 +17,14 @@ from typing import Optional, Sequence, Union
 
 from . import projcore, ratfit
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
-from .poly import HPoly, RatMap, reduce_map, variables, _monomials
-from .projcore import Hyperplane, PPoint
+from .poly import HPoly, RatMap, reduce_map, restrict_to_line, span_dim, variables, _monomials
+from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
 
 class EverywhereDegenerate(ValueError):
-    """No sampled point of the map determines per-line hyperplanes."""
+    """No point of the map determines per-line hyperplanes: its lines' images
+    span too little for their degree, or no sampled point is nondegenerate."""
 
 
 class SectionCollapse(ValueError):
@@ -31,8 +32,8 @@ class SectionCollapse(ValueError):
 
 
 class NotPlanar(ValueError):
-    """A computed hyperplane fails to contain sampled image points: the
-    input is not a planarization along some line."""
+    """The input is not a planarization along some line: the line's image
+    spans all of RP^n, or a computed hyperplane misses an image point."""
 
 
 @dataclass(frozen=True)
@@ -113,30 +114,57 @@ def _precheck_points(seed: int):
     return pts
 
 
+def _check_preconditions(F: RatMap, seed: int) -> None:
+    """Raise EverywhereDegenerate or NotPlanar as `dual_map` orders them."""
+    n, d = F.codim, F.degree
+    if d + 1 < n:
+        raise EverywhereDegenerate(
+            f"a degree-{d} map into RP^{n} is everywhere degenerate: "
+            f"each line's image spans rank at most d+1 = {d + 1} < n = {n}"
+        )
+    if d >= n:
+        # no zero entry: a line through a coordinate point restricts sparse
+        # maps such as [x0^d : x1^d : x2^d : ...] to proportional forms
+        rng = stable_rng(seed, "dual_span_line")
+        line = PLine2.of([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3)])
+        if span_dim(restrict_to_line(F, line)) == n + 1:
+            raise NotPlanar(f"the image of line {line.covector} spans RP^{n}, so no hyperplane contains it")
+    src = ExactMapSource(F)
+    for a in _precheck_points(seed):
+        try:
+            if nondegenerate_at(src, a):
+                return
+        except OnIndeterminacy:
+            continue
+    raise EverywhereDegenerate("no sampled point is nondegenerate")
+
+
 def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     """The rational map sending a line to the hyperplane containing its image.
 
-    Requires the input to be nondegenerate at some rational point (checked on
-    a fixed 3x3 grid plus 16 seeded points, else EverywhereDegenerate).  The
-    result is validated by exact containment on 10 seeded (line, point) pairs
-    and raises NotPlanar on failure.  Output degree is at most n(n-1)/2.
+    Restricted to a line, a degree-d map into RP^n is n+1 binary forms of
+    degree d, so the image of a line spans rank at most min(d+1, n+1).  The
+    preconditions are decided in this order, before any symbolic work:
+
+    1. d+1 < n: no line's image picks out one hyperplane, so
+       EverywhereDegenerate at once.
+    2. d >= n: F is restricted to one seeded line; if that line's image
+       spans rank n+1 (all of RP^n), no hyperplane contains it and
+       NotPlanar names the line.
+    3. Otherwise the map must be nondegenerate at some rational point, by
+       the jets at a fixed 3x3 grid plus 16 seeded points, else
+       EverywhereDegenerate.
+
+    The result is validated by exact containment on 10 seeded (line, point)
+    pairs and raises NotPlanar on failure.  Output degree is at most
+    n(n-1)/2.
     """
     if F.domain_vars != 3:
         raise ValueError("dual maps need domain RP^2")
     n = F.codim
     if n < 2:
         raise ValueError("dual maps need a target of dimension at least 2")
-    src = ExactMapSource(F)
-    found = False
-    for a in _precheck_points(seed):
-        try:
-            if nondegenerate_at(src, a):
-                found = True
-                break
-        except OnIndeterminacy:
-            continue
-    if not found:
-        raise EverywhereDegenerate("no sampled point is nondegenerate")
+    _check_preconditions(F, seed)
 
     for start in range(len(_SECTION_DIRECTIONS) - n + 1):
         directions = _SECTION_DIRECTIONS[start : start + n]
@@ -178,7 +206,7 @@ def _validate_dual(F: RatMap, Fhat: RatMap, seed: int):
 
 
 def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:
-    """Trivial / co-trivial / rational trichotomy for a rational map to RP^3.
+    """Trivial / co-trivial / rational trichotomy for a rational map to RP^n, n >= 2.
 
     Trivial: the components satisfy a linear relation (the image lies in the
     witness hyperplane).  Co-trivial: the dual's components do (every

@@ -1,12 +1,16 @@
 """Command-line pipeline: determinism, round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from planarize import ratfit
-from planarize.cli import generate_map, main
+from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, generate_map, main
 from planarize.conicweb import ConicSystem, circle_web
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
@@ -300,6 +304,11 @@ MALFORMED = [
      "planarize: ValueError: degree must be at least 0"),
     ("target dim zero", lambda t: ["gen", "--target-dim", "0"], None, 1,
      "planarize: ValueError: target dimension must be at least 1"),
+    ("degree over the limit", lambda t: ["gen", "--degree", str(MAX_GEN_DEGREE + 1)], None, 1,
+     f"planarize: ValueError: degree must be at least 0 and at most {MAX_GEN_DEGREE}, got {MAX_GEN_DEGREE + 1}"),
+    ("target dim over the limit", lambda t: ["gen", "--target-dim", str(MAX_GEN_TARGET_DIM + 1)], None, 1,
+     "planarize: ValueError: target dimension must be at least 1 and at most "
+     f"{MAX_GEN_TARGET_DIM}, got {MAX_GEN_TARGET_DIM + 1}"),
     ("zero denominator", lambda t: ["classify", "--in", _map_with_coefficient(t, "1/0")], None, 1,
      "planarize: ValueError: scalar '1/0' has a zero denominator"),
     ("map is a list", lambda t: ["classify", "--in", _json_file(t, SEGRE_JSON["components"])], None, 1,
@@ -382,6 +391,37 @@ def test_malformed_input_exit_codes(tmp_path, capsys, monkeypatch, name, argv, f
     else:
         assert captured.err == ""
         assert json.loads(captured.out) == {"case": expect, "witness": None, "diagnostics": "planted fit failure"}
+
+
+def _planarize(*argv, timeout):
+    """`python -m planarize` in its own interpreter, killed after `timeout` s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "planarize", *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["--degree", "16", "--target-dim", "3"],
+    ["--degree", "100000", "--target-dim", "3"],
+    ["--degree", "3", "--target-dim", "100000"],
+])
+def test_gen_over_a_limit_exits_1_at_once(argv):
+    run = _planarize("gen", "--seed", "1", *argv, timeout=30)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("planarize: ValueError: ") and "at most" in line
+
+
+def test_gen_at_the_limits_finishes():
+    for degree, target_dim in ((MAX_GEN_DEGREE, 3), (2, MAX_GEN_TARGET_DIM)):
+        run = _planarize("gen", "--seed", "1", "--degree", str(degree), "--target-dim", str(target_dim), timeout=60)
+        assert run.returncode == 0, run.stderr
+        m = RatMap.from_json(json.loads(run.stdout))
+        assert (m.degree, m.codim) == (degree, target_dim)
 
 
 def test_khovanskii_float_grid_with_a_nan_cell_is_off_the_sphere(tmp_path, capsys):

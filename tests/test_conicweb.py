@@ -489,6 +489,20 @@ def test_classify_web_inverse_quadratic_branch():
     assert verdict.witness.projectively_equal(INVERSION)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_quartic_web_composites_of_inversion_after_a_collineation_stay_co_trivial(seed):
+    # the composite is a quartic into RP^3 (d >= n), so the dual's span check
+    # restricts it to a line first; as a planarization it goes on to the dual
+    web = ConicSystem([X1 * X1 + X2 * X2, X0 * X1, X0 * X2, X0 * X0 + X1 * X1])
+    f = INVERSION.after(_collineation(stable_rng(seed, "inversion-after-collineation")))
+    composite = reduce_map([q.substitute(list(f.components)) for q in web.basis])
+    assert composite.degree == 4
+    assert isinstance(classify(composite, seed=seed), CoTrivial)
+    verdict = classify_web(f, web, seed=seed)
+    assert isinstance(verdict, InverseQuadratic)
+    assert verdict.witness.after(f).projectively_equal(reduce_map([X0, X1, X2]))
+
+
 def test_lines_to_curves_float_mode():
     def fsample(u, v):
         denom = u * u + v * v

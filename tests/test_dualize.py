@@ -1,23 +1,28 @@
 """Dual planarizations and the trichotomy classifier."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planarize import dualize
 from planarize.cli import generate_map
 from planarize.dualize import (
     CoTrivial,
     EverywhereDegenerate,
     Indeterminate,
+    NotPlanar,
     Rational,
     Trivial,
+    _precheck_points,
     classify,
     component_dependence,
     dual_map,
 )
-from planarize.poly import HPoly, RatMap, implicitize, reduce_map, variables
-from planarize.projcore import PPoint
+from planarize.jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
+from planarize.poly import HPoly, RatMap, implicitize, reduce_map, restrict_to_line, span_dim, variables
+from planarize.projcore import Hyperplane, PLine2, PPoint
 from planarize.seeding import stable_rng
 
 X0, X1, X2 = variables(3)
@@ -357,3 +362,116 @@ def test_reduce_map_is_idempotent(coeffs, h):
     twice = reduce_map(once.components)
     assert twice == once
     assert twice.to_json() == once.to_json()
+
+
+# -- preconditions from the span bound, against sympy and the jets ---------------
+
+TWISTED_CUBIC = reduce_map([X0**3, X0**2 * X1, X0 * X1**2, X1**3])
+# on a line through a coordinate point two of its components restrict to
+# proportional forms, so such a line is no witness
+SPARSE_QUARTIC = reduce_map([X0**4, X1**4, X2**4, X0**3 * X1])
+
+
+def _sympy_line_rank(F, cov):
+    """Rank of the coefficient matrix of F restricted to the line `cov`, by
+    sympy: the line is spanned by its sympy nullspace basis, each component
+    substituted as an expression and read off as a binary form in s, t."""
+    sympy = pytest.importorskip("sympy")
+    s, t = sympy.symbols("s t")
+    p, q = sympy.Matrix([list(cov)]).nullspace()
+    x = [s * p[i] + t * q[i] for i in range(3)]
+    rows = []
+    for comp in F.components:
+        expr = sum(
+            sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+            for e, c in comp.terms.items()
+        )
+        form = sympy.Poly(sympy.expand(expr), s, t)
+        rows.append([form.coeff_monomial(s ** (F.degree - j) * t**j) for j in range(F.degree + 1)])
+    return sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([(0, 2), (1, 3), (1, 4), (2, 4)]))
+def test_maps_whose_lines_span_too_little_are_everywhere_degenerate(seed, dn):
+    # d + 1 < n: the degree bound alone decides, and the jets agree
+    d, n = dn
+    F = generate_map(seed, d, n)
+    with pytest.raises(EverywhereDegenerate, match=rf"at most d\+1 = {d + 1} < n = {n}"):
+        dual_map(F, seed=seed)
+    src = ExactMapSource(F)
+    for a in _precheck_points(seed):
+        try:
+            assert not nondegenerate_at(src, a)
+        except OnIndeterminacy:
+            pass
+    rng = stable_rng(seed, "span_too_little_lines")
+    for _ in range(2):
+        cov = tuple(rng.randint(-9, 9) for _ in range(3))
+        if cov == (0, 0, 0):
+            continue
+        rank = _sympy_line_rank(F, cov)
+        assert rank <= d + 1
+        assert rank == span_dim(restrict_to_line(F, PLine2.of(cov)))
+
+
+def _witness_line(exc) -> tuple:
+    found = re.search(r"line \(([-\d, ]+)\) spans RP\^", str(exc))
+    assert found, str(exc)
+    return tuple(int(c) for c in found.group(1).split(","))
+
+
+@pytest.mark.parametrize(
+    "F",
+    [generate_map(11, 3, 3), generate_map(12, 3, 3), generate_map(1, 2, 2), generate_map(2, 2, 2), TWISTED_CUBIC,
+     SPARSE_QUARTIC],
+    ids=["cubic-rp3-11", "cubic-rp3-12", "quadratic-rp2-1", "quadratic-rp2-2", "twisted-cubic", "sparse-quartic"],
+)
+def test_a_line_whose_image_spans_rp_n_witnesses_not_planar(F):
+    # d >= n: the named line's image spans all of RP^n by sympy's rank
+    for seed in (0, 3):
+        with pytest.raises(NotPlanar) as info:
+            dual_map(F, seed=seed)
+        assert _sympy_line_rank(F, _witness_line(info.value)) == F.codim + 1
+        assert classify(F, seed=seed) == Indeterminate(str(info.value))
+
+
+def test_the_span_bound_decides_before_any_jet(monkeypatch):
+    calls = []
+
+    def counting(source, a):
+        calls.append(a)
+        return nondegenerate_at(source, a)
+
+    monkeypatch.setattr(dualize, "nondegenerate_at", counting)
+    for d, n in ((1, 3), (2, 4), (2, 5), (3, 5)):
+        F = generate_map(5, d, n)
+        with pytest.raises(EverywhereDegenerate):
+            dual_map(F, seed=5)
+        expect = Indeterminate("everywhere degenerate but components are independent")
+        if component_dependence(F) is not None:
+            expect = Trivial(Hyperplane(component_dependence(F)))
+        assert classify(F, seed=5) == expect
+    with pytest.raises(NotPlanar):
+        dual_map(generate_map(5, 3, 3), seed=5)
+    assert calls == []
+    # d + 1 = n still goes through the jets
+    dual_map(generate_map(5, 2, 3), seed=5)
+    assert calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cubic_duals_pass_the_span_check_and_keep_their_verdict(seed):
+    # the dual of a generic quadratic is a cubic into RP^3 (d >= n), a
+    # planarization: no line's image spans RP^3, its dual is F again, and it
+    # classifies as rational of degree 3
+    F = generate_map(seed, 2, 3)
+    Fh = dual_map(F, seed=seed)
+    assert (Fh.degree, Fh.codim) == (3, 3)
+    rng = stable_rng(seed, "cubic_dual_lines")
+    for _ in range(3):
+        cov = tuple(rng.randint(-9, 9) for _ in range(3))
+        if cov != (0, 0, 0):
+            assert _sympy_line_rank(Fh, cov) <= 3
+    assert dual_map(Fh, seed=seed).projectively_equal(F)
+    assert classify(Fh, seed=seed) == Rational(3)

@@ -149,7 +149,7 @@ GOLDEN = {
     "dualize-quadratic-rp3": "470952f1302f40b6806d9b2d7c0fc51fe935605e19a5dd6de0f0ee2aebbbbfac",
     "dualize-fractional-coefficients": "dc22ddea991113f53b14e259bd789e6b365b26ecd623afba619b45f3101e21f2",
     "dualize-cubic-rp4": "076152a3ffac428aa675f3c48ee5470f9daa2bd683cb16c782c373ed62a678ca",
-    "classify-cubic-rp3": "86a28aae1870e7fc81dfee6177dc8bb1394b36928f56f1b34a1f34546f7b985a",
+    "classify-cubic-rp3": "227c8db9d39206f30573081c87233e04f98b9fde47ac61fe3d02fc036f7d8018",
     "implicitize-quadratic-rp3": "308f5d7d939c1ff2247dc5fb648c383906988978ac8b6249ce321aa201a7f79e",
     "implicitize-origin-web": "0b81242189c6eb682853fde7cb5496bfdce9999d257f2ce9fba217acaeee0e48",
     "fit-exact-grid": "572e8d74fa5835b2cc87e35d9d665842ea29e50d6347ee22e1086f9ac08f5736",
