@@ -5,8 +5,10 @@ point to the tuple of basis values, turning conic membership of image
 curves into hyperplane membership after composition.  On top of that sit
 the per-line conic finder (an exact map restricted to the line, a sampled
 source read at image points), the web classifier (which routes through the
-planarization trichotomy), inversion through a net, and the classification
-of sphere-valued maps taking lines to circles.
+planarization trichotomy, whose certified dual also decides whether an exact
+map takes lines to web conics at all), inversion through a net (checked as
+an identity of maps for an exact map), and the classification of
+sphere-valued maps taking lines to circles.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ class TooFewSamples(ValueError):
 
 
 class NotALinesToCurvesMap(ValueError):
-    """The screening lines found no containing conic for some line."""
+    """Some line is taken into no conic of the system: for an exact map, the
+    dual of the web composite shows it is no planarization; for a sampled
+    map, a screening line has no containing conic."""
 
 
 class NotCollinear(ValueError):
@@ -282,31 +286,39 @@ def net_through(web: ConicSystem, center: PPoint) -> ConicSystem:
 def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     """Sort a lines-to-web-conics map into its structural case.
 
-    The composite of the system map with f is classified by the
-    planarization trichotomy; the verdict then routes to: image inside one
-    conic; f itself of degree one (reported as the degree-<=2 rational case
-    with the recovered map); both maps onto a common quadric; a local
-    inverse of a quadratic map through the induced net; or the degree-<=2
-    rational case, where the system map is birational by its image degree.
+    f takes a line into a web conic exactly when the composite F of the
+    system map with f takes it into a plane, so F's dual decides whether f
+    takes lines to web conics at all: an exact f is composed and F's dual
+    certified, and a dual that shows F is no planarization raises
+    NotALinesToCurvesMap.  A sampled f is first screened on 25 seeded lines
+    and F is fitted from its samples.  The trichotomy of F then routes to:
+    image inside one conic; f itself of degree one (reported as the
+    degree-<=2 rational case with the recovered map); both maps onto a
+    common quadric; a local inverse of a quadratic map through the induced
+    net; or the degree-<=2 rational case, where the system map is
+    birational by its image degree.
     """
     if web.dimension != 3:
         raise ValueError("classification needs a web (dimension 3)")
     if f.codim != 2:
         raise ValueError(f"a map taking lines to conics must go into RP^2, got RP^{f.codim}")
     rational = isinstance(f, RatMap)
-    f_src = ExactMapSource(f) if rational else f
-
-    verdicts = lines_to_curves(f_src, web, _screen_lines(seed))
-    if any(v is None for v in verdicts):
-        raise NotALinesToCurvesMap("a screening line has no containing conic")
-
     if rational:
         F = reduce_map([q.substitute(list(f.components)) for q in web.basis])
     else:
-        F = ratfit.fit_map(_composite_source(f_src, web), 3, seed=seed)
+        if any(v is None for v in lines_to_curves(f, web, _screen_lines(seed))):
+            raise NotALinesToCurvesMap("a screening line has no containing conic")
+        F = ratfit.fit_map(_composite_source(f, web), 3, seed=seed)
     Phi = phi_map(web)
 
-    verdict = dualize.classify(F, seed=seed)
+    try:
+        verdict = dualize._classify(F, seed)
+    except dualize.NotPlanar as exc:
+        # a sampled f has passed the screen, so its fitted F failing the
+        # dual leaves it unresolved
+        if rational:
+            raise NotALinesToCurvesMap(str(exc)) from exc
+        verdict = Indeterminate(str(exc))
     if isinstance(verdict, Trivial):
         return InConic(PPoint(verdict.hyperplane.covector))
     if isinstance(verdict, Indeterminate):
@@ -320,7 +332,7 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
             f_deg1 = f
     else:
         try:
-            f_deg1 = ratfit.fit_map(f_src, 1, seed=seed)
+            f_deg1 = ratfit.fit_map(f, 1, seed=seed)
         except (DegreeTooLow, ChartOverflow):
             f_deg1 = None
     if f_deg1 is not None:
@@ -338,7 +350,7 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     if isinstance(verdict, CoTrivial):
         net = net_through(web, verdict.center)
         try:
-            W = invert_via_net(f if rational else f_src, net, seed=seed)
+            W = invert_via_net(f, net, seed=seed)
         except (NotCollinear, ProjectiveFitFailed, DegreeTooLow) as exc:
             return Unresolved(str(exc))
         return InverseQuadratic(W)
@@ -355,7 +367,7 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
         f_rec = f
     else:
         try:
-            f_rec = ratfit.fit_map(f_src, 2, seed=seed)
+            f_rec = ratfit.fit_map(f, 2, seed=seed)
         except (DegreeTooLow, ChartOverflow) as exc:
             return Unresolved(f"direct recovery failed: {exc}")
     if f_rec.degree <= 2:
@@ -396,15 +408,15 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
     A sampled f must take each of 10 screening lines into a net conic (its
     image under the net composite is then collinear), and P is fitted at
     degree one from the composite's samples.  W is the net map precomposed
-    with the inverse of P; the identity W(f(x)) = x is checked projectively
-    at 20 samples.
+    with the inverse of P.  For an exact f, W∘f must be the identity as a
+    map; for a sampled f, W(f(x)) = x is checked projectively at 20
+    samples.
     """
     if net.dimension != 2:
         raise ValueError("inversion needs a net (dimension 2)")
     if f.codim != 2:
         raise ValueError(f"a map inverted through a net must go into RP^2, got RP^{f.codim}")
     rational = isinstance(f, RatMap)
-    exact = rational or f.mode == "exact"
     Phin = phi_map(net)
 
     if rational:
@@ -430,6 +442,16 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
         comps.append(acc)
     W = reduce_map(comps)
 
+    if rational:
+        # P = Phin∘f / h with matrix M, so W∘f = h·det(M)·id identically;
+        # only a fault in the construction above can fail this.  The
+        # composite is compared unreduced: proportionality needs no gcd
+        composite = RatMap([w.substitute(f.components) for w in W.components])
+        if not composite.projectively_equal(RatMap(variables(3))):
+            raise ProjectiveFitFailed("W∘f is not the identity")
+        return W
+
+    exact = f.mode == "exact"
     rng = stable_rng(seed, "net_inverse_validate")
     checked = 0
     attempts = 0
@@ -438,7 +460,7 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
         w = tuple(rng.randint(-9, 9) for _ in range(3))
         if w == (0, 0, 0):
             continue
-        fx = f.evaluate(w) if rational else _eval_projective(f, w)
+        fx = _eval_projective(f, w)
         if fx is None:
             continue
         wx = W.evaluate([Fraction(x) for x in fx]) if exact else W.evaluate(

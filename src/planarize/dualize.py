@@ -5,19 +5,21 @@ hyperplane containing the image of that line.  For rational maps it is
 computed fully symbolically: three (or n) canonical rational sections put
 points on the moving line, their images are wedged into the covector of the
 containing hyperplane, and the common polynomial factor is removed.  The
-classifier then sorts a map into the trivial / co-trivial / rational
+result is certified by an exact identity in the line, not by sample points.
+The classifier then sorts a map into the trivial / co-trivial / rational
 trichotomy by two exact rank computations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import projcore, ratfit
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
-from .poly import HPoly, RatMap, reduce_map, restrict_to_line, span_dim, variables, _monomials
+from .poly import HPoly, RatMap, p_add, p_mul, reduce_map, restrict_to_line, span_dim, variables, _monomials
 from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
@@ -139,6 +141,12 @@ def _check_preconditions(F: RatMap, seed: int) -> None:
     raise EverywhereDegenerate("no sampled point is nondegenerate")
 
 
+def _section_row(F: RatMap, direction: Sequence[int]) -> list[HPoly]:
+    """F at the point l x c of the moving line l, one polynomial in l per component."""
+    section = _symbolic_section(direction)
+    return [comp.substitute(section) for comp in F.components]
+
+
 def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     """The rational map sending a line to the hyperplane containing its image.
 
@@ -155,9 +163,9 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
        the jets at a fixed 3x3 grid plus 16 seeded points, else
        EverywhereDegenerate.
 
-    The result is validated by exact containment on 10 seeded (line, point)
-    pairs and raises NotPlanar on failure.  Output degree is at most
-    n(n-1)/2.
+    The result is certified exactly: its pairing with F at d+1 section
+    points of the moving line must vanish identically, else NotPlanar.
+    Output degree is at most n(n-1)/2.
     """
     if F.domain_vars != 3:
         raise ValueError("dual maps need domain RP^2")
@@ -167,42 +175,39 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     _check_preconditions(F, seed)
 
     for start in range(len(_SECTION_DIRECTIONS) - n + 1):
-        directions = _SECTION_DIRECTIONS[start : start + n]
-        sections = [_symbolic_section(d) for d in directions]
-        rows = [[comp.substitute(sec) for comp in F.components] for sec in sections]
+        rows = [_section_row(F, c) for c in _SECTION_DIRECTIONS[start : start + n]]
         covector = projcore.signed_minors(rows)
         if all(c.is_zero for c in covector):
             continue
         Fhat = reduce_map(covector)
-        _validate_dual(F, Fhat, seed)
+        _validate_dual(F, Fhat, rows, start)
         return Fhat
     raise SectionCollapse("all canonical section sets collapse identically")
 
 
-def _validate_dual(F: RatMap, Fhat: RatMap, seed: int):
-    rng = stable_rng(seed, "dual_validate")
-    checked = 0
-    attempts = 0
-    while checked < 10 and attempts < 400:
-        attempts += 1
-        line = tuple(rng.randint(-9, 9) for _ in range(3))
-        if line == (0, 0, 0):
-            continue
-        hval = Fhat.evaluate(line)
-        if hval is None:
-            continue
-        r = tuple(rng.randint(-9, 9) for _ in range(3))
-        p = projcore.cross(line, r)
-        if p == (0, 0, 0):
-            continue
-        img = F.evaluate(p)
-        if img is None:
-            continue
-        if sum(a * b for a, b in zip(hval, img)) != 0:
-            raise NotPlanar(
-                "computed hyperplane misses an image point of its line"
-            )
-        checked += 1
+def _validate_dual(F: RatMap, Fhat: RatMap, rows: list[list[HPoly]], start: int) -> None:
+    """Raise NotPlanar unless Fhat(l) contains the image of the line l, as an
+    identity in l.
+
+    On a line, the pairing Fhat(l) . F is a binary form of degree d, so it
+    vanishes along the line once it vanishes at d+1 distinct points of it.
+    The points l x c and l x c' coincide only on the lines with
+    l . (c x c') = 0, so for pairwise independent directions the d+1 pairings
+    sum_i Fhat_i * F_i(l x c), each zero as a polynomial in l, certify the
+    containment on a Zariski-open set of lines, hence on all of them.  The
+    window's n rows are reused; when d >= n, d+1-n more come from the section
+    directions outside the window, then from (1, k, k^2) for k = 2, 3, ....
+    """
+    outside = _SECTION_DIRECTIONS[:start] + _SECTION_DIRECTIONS[start + len(rows) :]
+    moment = ((1, k, k * k) for k in itertools.count(2))
+    more = itertools.islice(itertools.chain(outside, moment), max(0, F.degree + 1 - len(rows)))
+    extra = [_section_row(F, c) for c in more]
+    for row in rows + extra:
+        pairing: dict = {}
+        for fh, comp in zip(Fhat.components, row):
+            pairing = p_add(pairing, p_mul(fh.terms, comp.terms))
+        if pairing:
+            raise NotPlanar("computed hyperplane misses an image point of its line")
 
 
 def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:
@@ -214,6 +219,15 @@ def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:
     map is reported rational with its own degree.  Inputs on which the dual
     construction breaks down (not planarizations) come back Indeterminate.
     """
+    try:
+        return _classify(F, seed)
+    except NotPlanar as exc:
+        return Indeterminate(str(exc))
+
+
+def _classify(F: RatMap, seed: int) -> PlanarizationClass:
+    """`classify`, except that a map shown not to be a planarization raises
+    NotPlanar instead of coming back Indeterminate."""
     if F.domain_vars != 3:
         raise ValueError("classification needs domain RP^2")
     dep = component_dependence(F)
@@ -223,7 +237,7 @@ def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:
         Fhat = dual_map(F, seed=seed)
     except EverywhereDegenerate:
         return Indeterminate("everywhere degenerate but components are independent")
-    except (NotPlanar, SectionCollapse) as exc:
+    except SectionCollapse as exc:
         return Indeterminate(str(exc))
     dep2 = component_dependence(Fhat)
     if dep2 is not None:

@@ -1,5 +1,6 @@
 """Conic systems, the web classifier, net inversion, sphere maps."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,14 @@ from planarize.conicweb import (
     InCircle,
     InConic,
     InverseQuadratic,
+    NotALinesToCurvesMap,
     NotCollinear,
     NotOnSphere,
     ProjectiveFitFailed,
     Quadratic,
     QuadricFactor,
     TooFewSamples,
+    _screen_lines,
     circle_web,
     classify_web,
     invert_via_net,
@@ -288,7 +291,7 @@ def test_classify_web_rational_branch_recovers_the_quadratic_map(monkeypatch, we
     # the net through the B e_i, hence to web members
     from planarize import dualize
 
-    monkeypatch.setattr(dualize, "classify", lambda F, seed=0: dualize.Rational(F.degree))
+    monkeypatch.setattr(dualize, "_classify", lambda F, seed: dualize.Rational(F.degree))
     A = [[1, 1, 0], [0, 1, 1], [1, 0, 2]]
     f = reduce_map([c.substitute([q.substitute(_linear(A)) for q in SIGMA]) for c in _linear(B)])
     assert f.degree == 2
@@ -589,3 +592,102 @@ def test_khovanskii_small_grids_keep_their_verdicts():
         with pytest.raises(DegreeTooLow) as exc:
             khovanskii_classify(_sphere_grid(quartic, n))
         assert str(exc.value) == too_small
+
+
+# -- exact maps are certified, not screened or sampled ---------------------------------
+
+ORIGIN_WEB = ConicSystem(ORIGIN_NET + [X0 * X0 + X1 * X1])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an exact map is not screened or sampled")
+
+
+@pytest.mark.parametrize(
+    "f,web,case",
+    [(INVERSION, circle_web(), QuadricFactor), (INVERSION, ORIGIN_WEB, InverseQuadratic),
+     (IN_CONIC, circle_web(), InConic), (reduce_map([X0 + X1, X1 - 2 * X2, X0 + X2]), circle_web(), Quadratic)],
+    ids=["quadric-factor", "inverse-quadratic", "in-conic", "quadratic"],
+)
+def test_classify_web_reaches_every_case_of_an_exact_map_without_a_screen(monkeypatch, f, web, case):
+    from planarize import conicweb
+
+    monkeypatch.setattr(conicweb, "lines_to_curves", _refuse)
+    assert isinstance(classify_web(f, web), case)
+
+
+def test_an_exact_map_taking_a_line_to_no_conic_is_refused_by_the_dual(monkeypatch):
+    # the message is the dual's: here the span witness of the composite, a
+    # sextic into RP^3 whose named line's image spans RP^3
+    from planarize import conicweb
+    from planarize.cli import generate_map
+    from planarize.dualize import NotPlanar, dual_map
+
+    monkeypatch.setattr(conicweb, "lines_to_curves", _refuse)
+    f = generate_map(5, 3, 2)
+    composite = reduce_map([q.substitute(list(f.components)) for q in circle_web().basis])
+    with pytest.raises(NotPlanar) as dual_info:
+        dual_map(composite)
+    with pytest.raises(NotALinesToCurvesMap) as info:
+        classify_web(f, circle_web())
+    assert str(info.value) == str(dual_info.value)
+    assert re.fullmatch(r"the image of line \([-\d, ]+\) spans RP\^3, so no hyperplane contains it", str(info.value))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_the_dual_refuses_exactly_the_maps_the_line_screen_refuses(seed):
+    from planarize.cli import generate_map
+
+    rng = stable_rng(seed, "dual-vs-screen")
+    A = _collineation(rng)
+    maps = [INVERSION.after(A), _collineation(rng), IN_CONIC.after(A),
+            generate_map(seed, 2, 2), generate_map(seed, 3, 2)]
+    for M in maps:
+        for web in (circle_web(), ORIGIN_WEB):
+            screened = None in lines_to_curves(ExactMapSource(M), web, _screen_lines(seed))
+            try:
+                classify_web(M, web, seed=seed)
+                refused = False
+            except NotALinesToCurvesMap:
+                refused = True
+            assert refused == screened, (M, web.basis)
+
+
+def test_a_sampled_map_is_still_screened_on_25_lines(monkeypatch):
+    from planarize import conicweb
+
+    screened = []
+    real = conicweb.lines_to_curves
+
+    def counting(f_src, system, lines):
+        screened.append(len(lines))
+        return real(f_src, system, lines)
+
+    monkeypatch.setattr(conicweb, "lines_to_curves", counting)
+    verdict = classify_web(_chart_source(INVERSION), circle_web())
+    assert isinstance(verdict, QuadricFactor)
+    assert screened == [25]
+
+
+def test_invert_via_net_evaluates_no_point_of_an_exact_map(monkeypatch):
+    f = INVERSION.after(_collineation(stable_rng(4, "net-exact-no-points")))
+    net = ConicSystem(ORIGIN_NET)
+    monkeypatch.setattr(RatMap, "evaluate", _refuse)
+    W = invert_via_net(f, net)
+    assert W.after(f).projectively_equal(reduce_map([X0, X1, X2]))
+
+
+def test_invert_via_net_refuses_a_corrupted_adjugate(monkeypatch):
+    from planarize import conicweb
+
+    real = conicweb._adjugate3
+
+    def corrupted(m):
+        adj = real(m)
+        adj[0][1] += 1
+        return adj
+
+    f = INVERSION.after(_collineation(stable_rng(4, "net-exact-no-points")))
+    monkeypatch.setattr(conicweb, "_adjugate3", corrupted)
+    with pytest.raises(ProjectiveFitFailed, match="W∘f is not the identity"):
+        invert_via_net(f, ConicSystem(ORIGIN_NET))

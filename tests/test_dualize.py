@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarize import dualize
+from planarize import dualize, projcore
 from planarize.cli import generate_map
 from planarize.dualize import (
     CoTrivial,
@@ -16,12 +16,14 @@ from planarize.dualize import (
     Rational,
     Trivial,
     _precheck_points,
+    _section_row,
+    _validate_dual,
     classify,
     component_dependence,
     dual_map,
 )
 from planarize.jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
-from planarize.poly import HPoly, RatMap, implicitize, reduce_map, restrict_to_line, span_dim, variables
+from planarize.poly import HPoly, RatMap, _monomials, implicitize, reduce_map, restrict_to_line, span_dim, variables
 from planarize.projcore import Hyperplane, PLine2, PPoint
 from planarize.seeding import stable_rng
 
@@ -475,3 +477,111 @@ def test_cubic_duals_pass_the_span_check_and_keep_their_verdict(seed):
             assert _sympy_line_rank(Fh, cov) <= 3
     assert dual_map(Fh, seed=seed).projectively_equal(F)
     assert classify(Fh, seed=seed) == Rational(3)
+
+
+# -- the exact certificate on d+1 section rows ---------------------------------------
+
+
+def _sympy_pairing_along_lines(F, Fh):
+    """sum_i Fh_i(l) * F_i(s*(l x e0) + t*(l x e1)), expanded by sympy in the
+    five variables (l0, l1, l2, s, t)."""
+    sympy = pytest.importorskip("sympy")
+    l0, l1, l2, s, t = sympy.symbols("l0:3 s t")
+
+    def expr(poly, xs):
+        return sum(
+            sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+            * sympy.prod([x**k for x, k in zip(xs, e)])
+            for e, c in poly.terms.items()
+        )
+
+    # l x e0 = (0, l2, -l1) and l x e1 = (-l2, 0, l0) span the line l when l2 != 0
+    point = [-t * l2, s * l2, -s * l1 + t * l0]
+    return sympy.expand(
+        sum(expr(h, (l0, l1, l2)) * expr(c, point) for h, c in zip(Fh.components, F.components))
+    )
+
+
+def _differential_maps():
+    maps = [("segre", SEGRE, 0)]
+    for seed in (1, 2, 3):
+        F = generate_map(seed, 2, 3)
+        A = _linear_map(_invertible(stable_rng(seed, "dual_pre"), 3))
+        L = _linear_map(_invertible(stable_rng(seed, "dual_post"), 4))
+        maps += [
+            (f"quadratic-{seed}", F, seed),
+            (f"cubic-dual-{seed}", dual_map(F, seed=seed), seed),
+            (f"precomposed-{seed}", F.after(A), seed),
+            (f"postcomposed-{seed}", L.after(F), seed),
+        ]
+    return maps
+
+
+def test_every_differential_dual_pairs_to_zero_along_its_lines():
+    # the certificate's identity, expanded independently by sympy on every
+    # dual the differential tests above compute
+    for name, F, seed in _differential_maps():
+        Fh = dual_map(F, seed=seed)
+        assert _sympy_pairing_along_lines(F, Fh) == 0, name
+
+
+def _perturbed_reduce_map(monkeypatch):
+    real = dualize.reduce_map
+
+    def planted(components):
+        Fh = real(components)
+        first = Fh.components[0]
+        e = min(first.terms)
+        bumped = HPoly(3, first.degree, {**first.terms, e: first.terms[e] + 1})
+        return RatMap((bumped,) + Fh.components[1:])
+
+    monkeypatch.setattr(dualize, "reduce_map", planted)
+
+
+@pytest.mark.parametrize("which", ["quadratic", "cubic-dual"])
+def test_a_planted_dual_with_one_perturbed_coefficient_is_not_planar(monkeypatch, which):
+    # a quadratic into RP^3 has d+1 = n, so the window's rows alone certify;
+    # its cubic dual has d >= n and needs one row more
+    F = generate_map(1, 2, 3)
+    if which == "cubic-dual":
+        F = dual_map(F, seed=1)
+    _perturbed_reduce_map(monkeypatch)
+    with pytest.raises(NotPlanar, match="computed hyperplane misses an image point of its line"):
+        dual_map(F, seed=1)
+    assert classify(F, seed=1) == Indeterminate("computed hyperplane misses an image point of its line")
+
+
+def test_the_rows_past_the_window_carry_the_certificate_for_d_at_least_n():
+    # a generic cubic into RP^3 is no planarization, yet the wedge of its
+    # window rows annihilates those rows by construction; the extra row
+    # F(l x (1, 1, 0)) is what refuses it
+    F = generate_map(11, 3, 3)
+    rows = [_section_row(F, c) for c in dualize._SECTION_DIRECTIONS[:3]]
+    Fh = reduce_map(projcore.signed_minors(rows))
+    for row in rows:
+        assert sum((h * c for h, c in zip(Fh.components, row)), HPoly.zero(3, Fh.degree + 3)).is_zero
+    with pytest.raises(NotPlanar, match="computed hyperplane misses an image point of its line"):
+        _validate_dual(F, Fh, rows, 0)
+
+
+def test_a_degree_12_map_with_a_linear_relation_reaches_the_moment_rows(monkeypatch):
+    # d+1 = 13 rows: the window's 3, the 9 section directions outside it and
+    # (1, 2, 4); the dual is the constant witness hyperplane.  x0^12 and
+    # x1^12 share no factor, so the map is built reduced without a gcd (a
+    # generated degree-12 map spends tens of seconds in reduce_map)
+    rng = stable_rng(3, "degree_12_relation")
+    g = [X0**12, X1**12, HPoly(3, 12, {m: rng.randint(-9, 9) for m in _monomials(3, 12)})]
+    F = RatMap(g + [g[0] + 2 * g[1] - 3 * g[2]])
+    seen = []
+    real = dualize._section_row
+
+    def counting(F, direction):
+        seen.append(tuple(direction))
+        return real(F, direction)
+
+    monkeypatch.setattr(dualize, "_section_row", counting)
+    Fh = dual_map(F, seed=3)
+    assert Fh.degree == 0
+    assert Fh.projectively_equal(RatMap([HPoly(3, 0, {(0, 0, 0): c}) for c in (1, 2, -3, -1)]))
+    assert len(seen) == 13 and seen[-1] == (1, 2, 4)
+    assert set(seen[:12]) == set(dualize._SECTION_DIRECTIONS)
