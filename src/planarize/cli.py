@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -241,8 +242,24 @@ def _cmd_web_classify(args) -> int:
     return code
 
 
+#: largest degree-kmax system, in cells (rows times columns), that
+#: `implicitize --kmax` may set up: on a 2-core machine a cubic into RP^3
+#: whose image has degree 9 takes about 6 s at kmax 9 (89,320 cells), and
+#: kmax 12 (319,865 cells) asks for far larger systems
+MAX_IMPLICITIZE_CELLS = 100_000
+
+
 def _cmd_implicitize(args) -> int:
     F = _load_map(args.infile)
+    if args.kmax >= 1:
+        # the degree-kmax system: target monomials by composed domain monomials
+        m = F.domain_vars - 1
+        cells = math.comb(args.kmax + F.codim, F.codim) * math.comb(args.kmax * F.degree + m, m)
+        if cells > MAX_IMPLICITIZE_CELLS:
+            raise ValueError(
+                f"kmax {args.kmax} needs a system of {cells} cells, more than "
+                f"MAX_IMPLICITIZE_CELLS = {MAX_IMPLICITIZE_CELLS}"
+            )
     result = implicitize(F, args.kmax)
     if result is None:
         _emit({"degree": None, "relation": None}, args.out)

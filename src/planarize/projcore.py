@@ -2,12 +2,16 @@
 
 Coordinates of projective points, lines and hyperplanes are kept as integer
 vectors in a canonical form (no common factor, first nonzero entry positive),
-so projective equality is plain tuple equality.  Ranks, nullspaces and
-determinants are computed with fraction-free Bareiss elimination on integer
-matrices; no rounding ever happens in exact mode.  Denominators are cleared
-here, once, for the whole package: `_cleared` turns a rational vector into
-integers over the lcm of its denominators, and the polynomial and
-univariate kernels use it too.  A small float-mode rank helper (SVD with a
+so projective equality is plain tuple equality.  Ranks and determinants are
+computed with fraction-free Bareiss elimination on integer matrices.
+Nullspaces of systems of at least _MODULAR_MIN_CELLS cells are computed
+modulo fixed 31-bit primes in int64 arithmetic, lifted by CRT and rational
+reconstruction, and returned only once A·X = 0 holds in integers; smaller
+systems, and those the primes cannot settle, use Bareiss.  Both routes give
+the same basis, and no rounding ever happens in exact mode.  Denominators
+are cleared here, once, for the whole package: `_cleared` turns a rational
+vector into integers over the lcm of its denominators, and the polynomial
+and univariate kernels use it too.  A small float-mode rank helper (SVD with a
 relative tolerance) exists only for CSV-sampled inputs; null_direction
 picks the exact or the float route from a flag.
 """
@@ -162,8 +166,13 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     """Exact right-nullspace basis of a rational matrix.
 
     Basis vectors are produced one per free column, in increasing column
-    order, each with the free variable set to 1; this makes the output
-    deterministic.
+    order, each with the free variable set to 1 and every other free
+    variable 0; this makes the output deterministic.  Systems of at least
+    _MODULAR_MIN_CELLS cells are solved modulo fixed primes and lifted by
+    rational reconstruction, and the basis is returned only after A·X = 0
+    is checked in integers (see _nullspace_modular); smaller systems, and
+    larger ones the primes cannot settle, go through Bareiss.  Both routes
+    return the same basis.
     """
     if not rows:
         return []
@@ -172,6 +181,10 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     if len(widths) != 1:
         raise DimensionMismatch("rows of unequal length")
     ncols = widths.pop()
+    if len(mat) * ncols >= _MODULAR_MIN_CELLS:
+        basis = _nullspace_modular(mat, ncols)
+        if basis is not None:
+            return basis
     ech, pivots, _ = _bareiss_echelon(mat)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -199,6 +212,140 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
             solved.append(pc)
         basis.append(tuple(Fraction(c, den) for c in y))
     return basis
+
+
+#: systems with fewer cells than this stay on Bareiss: there numpy's cost
+#: per pivot outweighs the big-integer arithmetic it saves
+_MODULAR_MIN_CELLS = 200
+
+#: the largest 31-bit primes; p² < 2⁶² keeps every product of two residues
+#: inside int64
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+    2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
+)
+
+
+def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p) of an int64 matrix with entries
+    in [0, p): (its nonzero rows, their pivot columns)."""
+    m = a.copy()
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        i = r + int(m[r:, c].argmax())
+        piv = int(m[i, c])
+        if not piv:
+            continue
+        if i != r:  # rows r.. are zero left of c
+            m[[r, i], c:] = m[[i, r], c:]
+        m[r, c:] = m[r, c:] * pow(piv, -1, p) % p
+        f = m[:, c].copy()
+        f[r] = 0
+        hit = np.flatnonzero(f)
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - f[hit, None] * m[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _ratrecon(u: int, m: int) -> tuple[int, int] | None:
+    """Maximal quotient rational reconstruction (Monagan, ISSAC 2004):
+    (n, d) with d > 0, gcd(n, d) = 1 and n ≡ u·d (mod m), taken at the
+    largest quotient of the Euclidean sequence of (m, u); None when no
+    quotient exceeds T = 2¹⁰·log₂ m or n and d share a factor."""
+    if u == 0:
+        return 0, 1
+    best = m.bit_length() << 10
+    n = d = 0
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 and r0 > best:
+        q = r0 // r1
+        if q > best:
+            n, d, best = r1, t1, q
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if d == 0 or math.gcd(n, d) != 1:
+        return None
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _nullspace_modular(mat: list[list[int]], ncols: int) -> list[tuple[Fraction, ...]] | None:
+    """nullspace() of an integer matrix from its RREFs modulo _PRIMES, or
+    None when the primes run out first.
+
+    Only primes with the best pivot list seen are combined by CRT: highest
+    rank first, then the lexicographically smallest list, which bounds the
+    rational one from below (rank_p ≤ rank_Q on every leading block of
+    columns).  A basis is returned only when every reconstructed vector X
+    satisfies A·X = 0 in integers.  Each vector is 1 on its free column, 0 on
+    the other free columns and 0 on the pivot columns after its own, so n −
+    rank_p independent vectors of ker_Q give rank_p = rank_Q, every mod-p
+    free column is free over Q, and the basis is the one Bareiss gives.
+    """
+    lim = 1 << 62
+    big = any(max(r, default=0) >= lim or min(r, default=0) <= -lim for r in mat)
+    base = None if big else np.array(mat, dtype=np.int64)
+    best = None
+    for p in _PRIMES:
+        a = np.array([[x % p for x in row] for row in mat], dtype=np.int64) if big else base % p
+        ech, pivots = _rref_mod(a, p)
+        if len(pivots) == ncols:
+            return []  # full rank mod p, so full rank over Q
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        res = ech[:, free].T.tolist()  # R[r][fc] mod p, one list per free column fc
+        if best is None or key < best:
+            best, modulus, crt = key, p, res
+        else:
+            inv = pow(modulus % p, -1, p)
+            crt = [
+                [x + modulus * ((r - x % p) * inv % p) for x, r in zip(xs, rs)]
+                for xs, rs in zip(crt, res)
+            ]
+            modulus *= p
+        basis = _lift(crt, pivots, free, modulus)
+        if basis is not None and all(_annihilates(mat, v) for v in basis):
+            return basis
+    return None
+
+
+def _lift(crt: list[list[int]], pivots: list[int], free: list[int], m: int) -> list[tuple[Fraction, ...]] | None:
+    """Rational basis vectors from the CRT images mod m of each free
+    column's RREF entries, or None when one entry does not reconstruct.
+    Each entry is reconstructed times the denominator of the entries before
+    it, so that once the vector's common denominator is found the rest are
+    integers, which reconstruct up to about m / T in size."""
+    ncols = len(pivots) + len(free)
+    basis = []
+    for fc, col in zip(free, crt):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        den = 1
+        for pc, u in zip(pivots, col):
+            if not u:
+                continue
+            nd = _ratrecon(-u * den % m, m)
+            if nd is None:
+                return None
+            den *= nd[1]
+            x[pc] = Fraction(nd[0], den)
+        basis.append(tuple(x))
+    return basis
+
+
+def _annihilates(mat: list[list[int]], v: Sequence[Fraction]) -> bool:
+    """A·v = 0 in integers, with v cleared of its denominators."""
+    X, _ = _cleared(v)
+    support = [(j, x) for j, x in enumerate(X) if x]
+    return not any(sum(row[j] * x for j, x in support) for row in mat)
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -373,14 +520,11 @@ def hyperplane_through(ps: Sequence[PPoint]) -> Hyperplane | SpanVerdict:
     """
     if not ps:
         raise ZeroVector("need at least one point")
-    rows = [list(p.coords) for p in ps]
-    k = len(rows[0]) - 1
-    r = rank(rows)
-    if r < k:
-        return NOT_UNIQUE
-    if r > k:
+    basis = nullspace([list(p.coords) for p in ps])
+    if not basis:
         return NONE_EXISTS
-    basis = nullspace(rows)
+    if len(basis) > 1:
+        return NOT_UNIQUE
     return Hyperplane.of(basis[0])
 
 

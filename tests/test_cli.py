@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from planarize import ratfit
-from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, generate_map, main
+from planarize import cli, ratfit
+from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, MAX_IMPLICITIZE_CELLS, generate_map, main
 from planarize.conicweb import ConicSystem, circle_web
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
@@ -371,6 +371,9 @@ MALFORMED = [
      "planarize: ValueError: kmax must be at least 1, got 0"),
     ("kmax negative", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "-1"], None, 1,
      "planarize: ValueError: kmax must be at least 1, got -1"),
+    ("kmax over the cell limit", lambda t: ["implicitize", "--in", _generated(t, 1, 3, 3), "--kmax", "12"], None, 1,
+     "planarize: ValueError: kmax 12 needs a system of 319865 cells, more than "
+     f"MAX_IMPLICITIZE_CELLS = {MAX_IMPLICITIZE_CELLS}"),
     ("mode off khovanskii", lambda t: ["classify", "--in", "m.json", "--mode", "exact"], None, 1,
      "planarize: error: unrecognized arguments: --mode exact"),
     ("khovanskii ambiguous fit", lambda t: ["khovanskii", "--in", _stereo_grid(t)],
@@ -414,6 +417,28 @@ def test_gen_over_a_limit_exits_1_at_once(argv):
     assert run.stdout == ""
     (line,) = run.stderr.splitlines()
     assert line.startswith("planarize: ValueError: ") and "at most" in line
+
+
+def test_implicitize_over_the_cell_limit_exits_1_at_once(tmp_path):
+    # the image of a generic cubic into RP^3 has degree 9, so no relation
+    # ends the search early
+    path = _generated(tmp_path, 1, 3, 3)
+    run = _planarize("implicitize", "--in", path, "--kmax", "12", timeout=30)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("planarize: ValueError: ") and "MAX_IMPLICITIZE_CELLS" in line
+
+
+@pytest.mark.parametrize("kmax,code", [(9, 0), (10, 1)])
+def test_implicitize_cell_limit_is_checked_before_the_search(tmp_path, capsys, monkeypatch, kmax, code):
+    # kmax 9 on a cubic into RP^3 is 220 x 406 = 89,320 cells, kmax 10 is
+    # 286 x 496 = 141,856
+    searched = []
+    monkeypatch.setattr(cli, "implicitize", lambda F, k: searched.append(k))
+    assert main(["implicitize", "--in", _generated(tmp_path, 1, 3, 3), "--kmax", str(kmax)]) == code
+    assert searched == ([kmax] if code == 0 else [])
+    capsys.readouterr()
 
 
 def test_gen_at_the_limits_finishes():

@@ -1,10 +1,14 @@
 """Exact projective linear algebra: contract examples and properties."""
 
+import ast
+import inspect
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planarize import projcore
 from planarize.projcore import (
     NONE_EXISTS,
     DimensionMismatch,
@@ -353,3 +357,131 @@ def test_float_null_direction_matches_numpy(seed):
     assert null_direction(full, False) is None
     assert null_direction(deficient, False) is not None
     assert null_direction(short, False) is not None
+
+
+# -- the modular nullspace route against Bareiss ------------------------------
+
+
+def _bareiss_only(rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projcore, "_MODULAR_MIN_CELLS", math.inf)
+        return nullspace(rows)
+
+
+def _modular(rows):
+    """nullspace(rows) with the modular route taken at every size, and the
+    number of Bareiss eliminations it fell back to."""
+    calls = []
+    real = projcore._bareiss_echelon
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projcore, "_MODULAR_MIN_CELLS", 0)
+        mp.setattr(projcore, "_bareiss_echelon", lambda m: calls.append(m) or real(m))
+        return nullspace(rows), len(calls)
+
+
+@st.composite
+def low_rank_products(draw, bound=9):
+    """L·R for integer L (n x r) and R (r x m), r drawn up to min(n, m), with
+    zero rows and zero columns spliced in."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    r = draw(st.integers(0, min(n, m)))
+    entries = st.integers(-bound, bound)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r))
+    rows = [[sum(a * right[k][j] for k, a in enumerate(lr)) for j in range(m)] for lr in left]
+    for c in draw(st.lists(st.integers(0, m), max_size=2)):
+        rows = [row[:c] + [0] + row[c:] for row in rows]
+    for i in draw(st.lists(st.integers(0, n), max_size=2)):
+        rows.insert(i, [0] * len(rows[0]))
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(low_rank_products())
+def test_modular_nullspace_matches_bareiss_on_low_rank_products(rows):
+    got, fallbacks = _modular(rows)
+    assert repr(got) == repr(_bareiss_only(rows))
+    assert fallbacks == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(low_rank_products(), st.lists(st.integers(2**62, 2**90), min_size=10, max_size=10))
+def test_modular_nullspace_reduces_entries_above_2_to_the_62(rows, scales):
+    # row scaling keeps the nullspace, so the answer stays small while the
+    # entries do not fit in int64
+    rows = [[scales[i % len(scales)] * x for x in row] for i, row in enumerate(rows)]
+    got, fallbacks = _modular(rows)
+    assert repr(got) == repr(_bareiss_only(rows))
+    assert fallbacks == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(low_rank_products(), st.integers(0, 63))
+def test_modular_nullspace_skips_a_prime_the_matrix_is_singular_modulo(rows, where):
+    # p0·M plus one unit entry has rank 1 modulo the first prime
+    p0 = projcore._PRIMES[0]
+    rows = [[p0 * x for x in row] for row in rows]
+    i, j = where % len(rows), where // len(rows) % len(rows[0])
+    rows[i][j] += 1
+    got, fallbacks = _modular(rows)
+    assert repr(got) == repr(_bareiss_only(rows))
+    assert fallbacks == 0
+
+
+def test_modular_nullspace_skips_a_later_prime_with_a_worse_pivot_list():
+    # modulo the second prime p1 the pivot moves from column 0 to column 1;
+    # the kernel vector (-1/p1, 1, 0) needs two primes, so p1 is met after
+    # the first prime and must not be combined with it
+    p1 = projcore._PRIMES[1]
+    rows = [[p1, 1, 7]]
+    got, fallbacks = _modular(rows)
+    assert repr(got) == repr(_bareiss_only(rows))
+    assert got[0] == (Fraction(-1, p1), 1, 0)
+    assert fallbacks == 0
+
+
+def test_modular_nullspace_answers_with_big_rational_entries():
+    # a 6 x 7 system of rank 6 with entries up to 10^6: one kernel vector
+    # whose entries, ratios of 6 x 6 minors, need several primes
+    rng = stable_rng(1, "modular_nullspace")
+    rows = [[rng.randint(-10**6, 10**6) for _ in range(7)] for _ in range(6)]
+    got, fallbacks = _modular(rows)
+    assert repr(got) == repr(_bareiss_only(rows))
+    assert fallbacks == 0 and len(got) == 1
+    assert max(abs(x.numerator) for x in got[0]).bit_length() > 31
+
+
+def test_modular_nullspace_falls_back_past_the_crt_bound():
+    # the kernel vector (3^300, 1) is larger than the product of all primes
+    rows = [[1, -3**300]]
+    assert math.prod(projcore._PRIMES) < 3**300
+    got, fallbacks = _modular(rows)
+    assert fallbacks == 1
+    assert got == _bareiss_only(rows) == [(Fraction(3**300), Fraction(1))]
+
+
+def test_primes_are_a_literal_tuple_of_distinct_31_bit_primes():
+    sympy = pytest.importorskip("sympy")
+    primes = projcore._PRIMES
+    assert type(primes) is tuple and len(set(primes)) == len(primes)
+    assert all(sympy.isprime(p) for p in primes)
+    assert max(primes) ** 2 < 2**63
+    # written out in the source: nothing is computed at import
+    tree = ast.parse(inspect.getsource(projcore))
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_PRIMES"]
+    ]
+    assert isinstance(value, ast.Tuple) and all(isinstance(e, ast.Constant) for e in value.elts)
+
+
+def test_nullspace_routes_by_cell_count(monkeypatch):
+    # 10 x 20 = 200 cells take the modular route, 199 cells do not
+    seen = []
+    real = projcore._nullspace_modular
+    monkeypatch.setattr(projcore, "_nullspace_modular", lambda m, n: seen.append(len(m) * n) or real(m, n))
+    rng = stable_rng(2, "modular_route")
+    wide = [[rng.randint(-5, 5) for _ in range(20)] for _ in range(10)]
+    assert nullspace(wide) == _bareiss_only(wide)
+    assert nullspace([[1] * 199]) == _bareiss_only([[1] * 199])
+    assert seen == [200]
