@@ -5,10 +5,12 @@ point to the tuple of basis values, turning conic membership of image
 curves into hyperplane membership after composition.  On top of that sit
 the per-line conic finder (an exact map restricted to the line, a sampled
 source read at image points), the web classifier (which routes through the
-planarization trichotomy, whose certified dual also decides whether an exact
-map takes lines to web conics at all), inversion through a net (checked as
-an identity of maps for an exact map), and the classification of
-sphere-valued maps taking lines to circles.
+planarization trichotomy, whose certified dual also decides whether the map
+takes lines to web conics at all), inversion through a net (checked as an
+identity of maps), and the classification of sphere-valued maps taking
+lines to circles.  The web classifier and net inversion work on exact maps
+only: a sampled source is first fitted once as a rational map of degree at
+most three.
 """
 
 from __future__ import annotations
@@ -32,12 +34,9 @@ from .poly import (
 )
 from .projcore import Hyperplane, PLine2, PPoint
 from .ratfit import ChartOverflow, DegreeTooLow
-from .seeding import stable_rng
 
 #: float-mode tolerance on |x|^2 - 1 for sphere samples
 SPHERE_RTOL = 1e-9
-#: float-mode relative residual of W∘f against the identity in net inversion
-INVERSE_RTOL = 1e-6
 
 
 class DependentBasis(ValueError):
@@ -49,9 +48,8 @@ class TooFewSamples(ValueError):
 
 
 class NotALinesToCurvesMap(ValueError):
-    """Some line is taken into no conic of the system: for an exact map, the
-    dual of the web composite shows it is no planarization; for a sampled
-    map, a screening line has no containing conic."""
+    """Some line is taken into no conic of the system: the dual of the web
+    composite shows it is no planarization."""
 
 
 class NotCollinear(ValueError):
@@ -242,32 +240,6 @@ class Unresolved:
 WebCase = Union[InConic, InverseQuadratic, Quadratic, QuadricFactor, Unresolved]
 
 
-def _screen_lines(seed: int, count: int = 25) -> list[PLine2]:
-    rng = stable_rng(seed, "web_screen")
-    lines = []
-    while len(lines) < count:
-        cov = tuple(rng.randint(-9, 9) for _ in range(3))
-        if cov[1] == cov[2] == 0:
-            # the zero covector, or the line x0 = 0, on which a source bound
-            # to the affine chart has no point
-            continue
-        lines.append(PLine2.of(cov))
-    return lines
-
-
-def _composite_source(f_src, web: ConicSystem):
-    def fn(u, v):
-        img = f_src.evaluate(u, v)
-        if img is None:
-            return None
-        vals = tuple(q.evaluate(list(img)) for q in web.basis)
-        if all(x == 0 for x in vals):
-            return None
-        return vals
-
-    return CallableSource(fn, codim=web.dimension, mode=f_src.mode)
-
-
 def net_through(web: ConicSystem, center: PPoint) -> ConicSystem:
     """The net of web members whose composite hyperplanes pass through the
     center: one linear condition on the system coordinates."""
@@ -286,39 +258,31 @@ def net_through(web: ConicSystem, center: PPoint) -> ConicSystem:
 def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     """Sort a lines-to-web-conics map into its structural case.
 
-    f takes a line into a web conic exactly when the composite F of the
-    system map with f takes it into a plane, so F's dual decides whether f
-    takes lines to web conics at all: an exact f is composed and F's dual
-    certified, and a dual that shows F is no planarization raises
-    NotALinesToCurvesMap.  A sampled f is first screened on 25 seeded lines
-    and F is fitted from its samples.  The trichotomy of F then routes to:
-    image inside one conic; f itself of degree one (reported as the
-    degree-<=2 rational case with the recovered map); both maps onto a
-    common quadric; a local inverse of a quadratic map through the induced
-    net; or the degree-<=2 rational case, where the system map is
-    birational by its image degree.
+    A sampled f is first fitted as a rational map of degree at most three;
+    a fit failure (DegreeTooLow, ChartOverflow) propagates.  f takes a line
+    into a web conic exactly when the composite F of the system map with f
+    takes it into a plane, so F's dual decides whether f takes lines to web
+    conics at all: F is composed and its dual certified, and a dual that
+    shows F is no planarization raises NotALinesToCurvesMap.  The
+    trichotomy of F then routes to: image inside one conic; f itself of
+    degree one (reported as the degree-<=2 rational case with the map);
+    both maps onto a common quadric; a local inverse of a quadratic map
+    through the induced net; or the degree-<=2 rational case, where the
+    system map is birational by its image degree.
     """
     if web.dimension != 3:
         raise ValueError("classification needs a web (dimension 3)")
     if f.codim != 2:
         raise ValueError(f"a map taking lines to conics must go into RP^2, got RP^{f.codim}")
-    rational = isinstance(f, RatMap)
-    if rational:
-        F = reduce_map([q.substitute(list(f.components)) for q in web.basis])
-    else:
-        if any(v is None for v in lines_to_curves(f, web, _screen_lines(seed))):
-            raise NotALinesToCurvesMap("a screening line has no containing conic")
-        F = ratfit.fit_map(_composite_source(f, web), 3, seed=seed)
+    if not isinstance(f, RatMap):
+        f = ratfit.fit_map(f, 3, seed=seed)
+    F = reduce_map([q.substitute(list(f.components)) for q in web.basis])
     Phi = phi_map(web)
 
     try:
         verdict = dualize._classify(F, seed)
     except dualize.NotPlanar as exc:
-        # a sampled f has passed the screen, so its fitted F failing the
-        # dual leaves it unresolved
-        if rational:
-            raise NotALinesToCurvesMap(str(exc)) from exc
-        verdict = Indeterminate(str(exc))
+        raise NotALinesToCurvesMap(str(exc)) from exc
     if isinstance(verdict, Trivial):
         return InConic(PPoint(verdict.hyperplane.covector))
     if isinstance(verdict, Indeterminate):
@@ -326,17 +290,8 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
 
     # a collineation input degenerates every other case; report the
     # degree-1 map under the rational-case variant
-    f_deg1: Optional[RatMap] = None
-    if rational:
-        if f.degree == 1:
-            f_deg1 = f
-    else:
-        try:
-            f_deg1 = ratfit.fit_map(f, 1, seed=seed)
-        except (DegreeTooLow, ChartOverflow):
-            f_deg1 = None
-    if f_deg1 is not None:
-        return Quadratic(f_deg1)
+    if f.degree == 1:
+        return Quadratic(f)
 
     imp = implicitize(Phi, 4)
     if imp is not None and imp[0] == 2:
@@ -351,7 +306,7 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
         net = net_through(web, verdict.center)
         try:
             W = invert_via_net(f, net, seed=seed)
-        except (NotCollinear, ProjectiveFitFailed, DegreeTooLow) as exc:
+        except (NotCollinear, ProjectiveFitFailed) as exc:
             return Unresolved(str(exc))
         return InverseQuadratic(W)
 
@@ -363,16 +318,9 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     # deg(Phi) * deg(S) <= 4.  S is irreducible, so `implicitize` returned
     # its least degree deg(S); the quadric case returned above, leaving
     # deg(S) = 3 or 4 and hence deg(Phi) = 1.
-    if rational:
-        f_rec = f
-    else:
-        try:
-            f_rec = ratfit.fit_map(f, 2, seed=seed)
-        except (DegreeTooLow, ChartOverflow) as exc:
-            return Unresolved(f"direct recovery failed: {exc}")
-    if f_rec.degree <= 2:
-        return Quadratic(f_rec)
-    return Unresolved(f"recovered map has degree {f_rec.degree} > 2")
+    if f.degree <= 2:
+        return Quadratic(f)
+    return Unresolved(f"recovered map has degree {f.degree} > 2")
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +329,6 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
 
 
 def _matrix_of_linear_map(P: RatMap) -> list[list[Fraction]]:
-    if P.degree != 1:
-        raise ProjectiveFitFailed("expected a degree-1 map")
     mat = []
     for comp in P.components:
         row = []
@@ -403,33 +349,22 @@ def _adjugate3(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
     """The quadratic map W with W∘f = id, through a net of conics.
 
-    Precondition (validated): the net map composed with f is a collineation
-    P.  An exact f gives P by composition, which must reduce to degree one.
-    A sampled f must take each of 10 screening lines into a net conic (its
-    image under the net composite is then collinear), and P is fitted at
-    degree one from the composite's samples.  W is the net map precomposed
-    with the inverse of P.  For an exact f, W∘f must be the identity as a
-    map; for a sampled f, W(f(x)) = x is checked projectively at 20
-    samples.
+    A sampled f is first fitted as a rational map of degree at most three;
+    a fit failure (DegreeTooLow, ChartOverflow) propagates.  Precondition
+    (validated): the net map composed with f reduces to a collineation P.
+    W is the net map precomposed with the inverse of P, and W∘f must be the
+    identity as a map.
     """
     if net.dimension != 2:
         raise ValueError("inversion needs a net (dimension 2)")
     if f.codim != 2:
         raise ValueError(f"a map inverted through a net must go into RP^2, got RP^{f.codim}")
-    rational = isinstance(f, RatMap)
+    if not isinstance(f, RatMap):
+        f = ratfit.fit_map(f, 3, seed=seed)
     Phin = phi_map(net)
-
-    if rational:
-        P = Phin.after(f)
-        if P.degree != 1:
-            raise NotCollinear(f"the net composite has degree {P.degree}, not 1")
-    else:
-        if any(v is None for v in lines_to_curves(f, net, _screen_lines(seed, 10))):
-            raise NotCollinear("a screening line has no containing net conic")
-        try:
-            P = ratfit.fit_map(_composite_source(f, net), 1, seed=seed)
-        except (DegreeTooLow, ChartOverflow) as exc:
-            raise ProjectiveFitFailed(str(exc)) from exc
+    P = Phin.after(f)
+    if P.degree != 1:
+        raise NotCollinear(f"the net composite has degree {P.degree}, not 1")
     mat = _matrix_of_linear_map(P)
     if projcore.det(mat) == 0:
         raise ProjectiveFitFailed("the collineation is singular")
@@ -442,50 +377,12 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
         comps.append(acc)
     W = reduce_map(comps)
 
-    if rational:
-        # P = Phin∘f / h with matrix M, so W∘f = h·det(M)·id identically;
-        # only a fault in the construction above can fail this.  The
-        # composite is compared unreduced: proportionality needs no gcd
-        composite = RatMap([w.substitute(f.components) for w in W.components])
-        if not composite.projectively_equal(RatMap(variables(3))):
-            raise ProjectiveFitFailed("W∘f is not the identity")
-        return W
-
-    exact = f.mode == "exact"
-    rng = stable_rng(seed, "net_inverse_validate")
-    checked = 0
-    attempts = 0
-    while checked < 20 and attempts < 400:
-        attempts += 1
-        w = tuple(rng.randint(-9, 9) for _ in range(3))
-        if w == (0, 0, 0):
-            continue
-        fx = _eval_projective(f, w)
-        if fx is None:
-            continue
-        wx = W.evaluate([Fraction(x) for x in fx]) if exact else W.evaluate(
-            [Fraction(float(x)).limit_denominator(10**9) for x in fx]
-        )
-        if wx is None:
-            continue
-        if exact:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if wx[i] * Fraction(w[j]) != wx[j] * Fraction(w[i]):
-                        raise ProjectiveFitFailed("W∘f is not the identity")
-        else:
-            nw = max(abs(float(x)) for x in wx) or 1.0
-            nx = max(abs(float(x)) for x in w) or 1.0
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    resid = abs(float(wx[i]) * w[j] - float(wx[j]) * w[i]) / (nw * nx)
-                    if resid > INVERSE_RTOL:
-                        raise ProjectiveFitFailed(
-                            f"W∘f deviates from the identity by {resid:.2e}"
-                        )
-        checked += 1
-    if checked < 20:
-        raise ProjectiveFitFailed("not enough points to validate the inverse")
+    # P = Phin∘f / h with matrix M, so W∘f = h·det(M)·id identically; only a
+    # fault in the construction above can fail this.  The composite is
+    # compared unreduced: proportionality needs no gcd
+    composite = RatMap([w.substitute(f.components) for w in W.components])
+    if not composite.projectively_equal(RatMap(variables(3))):
+        raise ProjectiveFitFailed("W∘f is not the identity")
     return W
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import projcore, univar
-from .projcore import PLine2, PPoint, normalize
+from .projcore import PLine2, normalize
 
 Term = tuple
 PolyDict = dict
@@ -636,10 +636,6 @@ class RatMap:
         if all(v == 0 for v in vals):
             return None
         return vals
-
-    def evaluate_point(self, p: PPoint) -> Optional[PPoint]:
-        v = self.evaluate(list(p.coords))
-        return None if v is None else PPoint.of(v)
 
     def after(self, inner: "RatMap") -> "RatMap":
         """Reduced composition self∘inner."""

@@ -18,7 +18,6 @@ from planarize.conicweb import (
     Quadratic,
     QuadricFactor,
     TooFewSamples,
-    _screen_lines,
     circle_web,
     classify_web,
     invert_via_net,
@@ -28,7 +27,7 @@ from planarize.conicweb import (
     phi_map,
 )
 from planarize.dualize import CoTrivial, classify
-from planarize.jetplan import CallableSource, ExactMapSource
+from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource, read_csv_grid, write_csv_grid
 from planarize.poly import RatMap, implicitize, reduce_map, variables
 from planarize.projcore import PLine2, PPoint, det
 from planarize.ratfit import DegreeTooLow
@@ -327,7 +326,7 @@ def test_invert_via_net_inversion_fixture():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_invert_via_net_sampled_matches_symbolic(seed):
     # inversion∘A for a seeded nonsingular A: the black-box route fits the
-    # collineation from samples and must give the symbolic route's inverse
+    # map from samples and must give the symbolic route's inverse
     rng = stable_rng(seed, "net-sampled")
     while True:
         A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
@@ -448,7 +447,7 @@ def test_khovanskii_off_sphere_rejected():
 
 
 def test_classify_web_sampled_inversion():
-    # the evaluator-only path: composite is fitted, not composed symbolically
+    # the evaluator-only path: f is fitted, then composed symbolically
     def fsample(u, v):
         return INVERSION.evaluate([Fraction(1), Fraction(u), Fraction(v)])
 
@@ -541,8 +540,9 @@ def test_khovanskii_float_equator_grid():
 
 
 def test_sampled_map_passes_screening_at_seed_26():
-    # seed 26 used to draw the line x0 = 0 among its screening lines, where a
-    # source bound to the affine chart has no point (TooFewSamples)
+    # seed 26 once drew the line x0 = 0 among the screening lines of a sampled
+    # map, where a source bound to the affine chart has no point
+    # (TooFewSamples); a sampled map is now fitted, not screened
     def inversion(u, v):
         s = u * u + v * v
         return None if s == 0 else (s, F(u), F(v))
@@ -634,6 +634,17 @@ def test_an_exact_map_taking_a_line_to_no_conic_is_refused_by_the_dual(monkeypat
     assert re.fullmatch(r"the image of line \([-\d, ]+\) spans RP\^3, so no hyperplane contains it", str(info.value))
 
 
+def _screen_lines(seed):
+    # 25 seeded lines, none of them x0 = 0, on which a chart-bound source has no point
+    rng = stable_rng(seed, "web_screen")
+    lines = []
+    while len(lines) < 25:
+        cov = tuple(rng.randint(-9, 9) for _ in range(3))
+        if cov[1:] != (0, 0):
+            lines.append(PLine2.of(cov))
+    return lines
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_the_dual_refuses_exactly_the_maps_the_line_screen_refuses(seed):
     from planarize.cli import generate_map
@@ -651,22 +662,6 @@ def test_the_dual_refuses_exactly_the_maps_the_line_screen_refuses(seed):
             except NotALinesToCurvesMap:
                 refused = True
             assert refused == screened, (M, web.basis)
-
-
-def test_a_sampled_map_is_still_screened_on_25_lines(monkeypatch):
-    from planarize import conicweb
-
-    screened = []
-    real = conicweb.lines_to_curves
-
-    def counting(f_src, system, lines):
-        screened.append(len(lines))
-        return real(f_src, system, lines)
-
-    monkeypatch.setattr(conicweb, "lines_to_curves", counting)
-    verdict = classify_web(_chart_source(INVERSION), circle_web())
-    assert isinstance(verdict, QuadricFactor)
-    assert screened == [25]
 
 
 def test_invert_via_net_evaluates_no_point_of_an_exact_map(monkeypatch):
@@ -691,3 +686,59 @@ def test_invert_via_net_refuses_a_corrupted_adjugate(monkeypatch):
     monkeypatch.setattr(conicweb, "_adjugate3", corrupted)
     with pytest.raises(ProjectiveFitFailed, match="W∘f is not the identity"):
         invert_via_net(f, ConicSystem(ORIGIN_NET))
+
+
+# -- a sampled map is fitted once, then takes the exact route ---------------------------
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_sampled_map_gets_the_verdict_of_the_exact_map(seed):
+    # the verdict class and witness, or the exception class, of each call
+    from planarize.cli import generate_map
+
+    rng = stable_rng(seed, "sampled-vs-exact")
+    A = _collineation(rng)
+    maps = [INVERSION.after(A), _collineation(rng), IN_CONIC.after(A),
+            generate_map(seed, 2, 2), generate_map(seed, 3, 2)]
+    calls = [lambda f: classify_web(f, circle_web(), seed=seed),
+             lambda f: classify_web(f, ORIGIN_WEB, seed=seed),
+             lambda f: invert_via_net(f, ConicSystem(ORIGIN_NET), seed=seed)]
+    for M in maps:
+        for call in calls:
+            exact = _outcome(lambda: call(M))
+            assert _outcome(lambda: call(_chart_source(M))) == exact, (M, exact)
+    # inversion∘A in the origin web: its composite is a quartic, which a fit
+    # of the composite at degree <= 3 could not reach
+    assert isinstance(classify_web(_chart_source(maps[0]), ORIGIN_WEB, seed=seed), InverseQuadratic)
+
+
+def test_an_exact_grid_of_the_inversion_is_classified_and_inverted():
+    # the grid has no node at the origin, where the inversion is undefined;
+    # 15 nodes per axis are what a fit of degree 3 needs
+    axis = [Fraction(k, 3) + Fraction(1, 5) for k in range(15)]
+    values = [[(u / (u * u + v * v), v / (u * u + v * v)) for u in axis] for v in axis]
+    grid = read_csv_grid(write_csv_grid(GridMapSource(axis, axis, values, mode="exact")), mode="exact")
+    verdict = classify_web(grid, circle_web())
+    assert isinstance(verdict, QuadricFactor)
+    assert verdict == classify_web(INVERSION, circle_web())
+    assert invert_via_net(grid, ConicSystem(ORIGIN_NET)) == invert_via_net(INVERSION, ConicSystem(ORIGIN_NET))
+
+
+@pytest.mark.parametrize("call", [lambda f: classify_web(f, circle_web()),
+                                  lambda f: invert_via_net(f, ConicSystem(ORIGIN_NET))],
+                         ids=["classify_web", "invert_via_net"])
+def test_a_sampled_map_of_degree_above_three_is_refused_by_the_fit(call):
+    from planarize.cli import generate_map
+
+    f = generate_map(1, 4, 2)
+    assert f.degree == 4
+    with pytest.raises(DegreeTooLow) as info:
+        call(_chart_source(f))
+    assert str(info.value) == "no map of degree <= 3 fits the lattice samples"
