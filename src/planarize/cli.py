@@ -174,7 +174,7 @@ def _cmd_dualize(args) -> int:
     F = _load_map(args.infile)
     try:
         Fh = dualize.dual_map(F, seed=args.seed)
-    except (dualize.EverywhereDegenerate, dualize.SectionCollapse, dualize.NotPlanar) as exc:
+    except (dualize.EverywhereDegenerate, dualize.NotPlanar) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 2
     if args.emit_curves:
@@ -184,7 +184,8 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    F = _load_map(args.infile)
+    # the verdict reads the degree: [x0^2 : x0x1 : x0x2] is the identity
+    F = reduce_map(_load_map(args.infile).components)
     report, code = _classify_report(dualize.classify(F, seed=args.seed))
     _emit(report, args.out)
     return code
@@ -228,7 +229,7 @@ def _fit_residuals(source: jetplan.GridMapSource, model: RatMap) -> dict:
 
 
 def _cmd_web_classify(args) -> int:
-    f = _load_map(args.infile)
+    f = reduce_map(_load_map(args.infile).components)  # as in classify
     web = ConicSystem.from_json(_load_json(args.web))
     try:
         verdict = conicweb.classify_web(f, web, seed=args.seed)

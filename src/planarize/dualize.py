@@ -2,10 +2,10 @@
 
 The dual assigns to a line of RP^2 (a point of the dual plane) the
 hyperplane containing the image of that line.  For rational maps it is
-computed fully symbolically: three (or n) canonical rational sections put
-points on the moving line, their images are wedged into the covector of the
-containing hyperplane, and the common polynomial factor is removed.  The
-result is certified by an exact identity in the line, not by sample points.
+solved for exactly: d+1 rational sections put points on the moving line, and
+the dual is the lowest-degree form G in the line whose pairing with F at
+every section point vanishes identically, one exact linear system.  The
+solve is its own certificate: no minors, no gcd and no second check.
 The classifier then sorts a map into the trivial / co-trivial / rational
 trichotomy by two exact rank computations.
 """
@@ -13,29 +13,28 @@ trichotomy by two exact rank computations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import projcore, ratfit
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
-from .poly import HPoly, RatMap, p_add, p_mul, reduce_map, restrict_to_line, span_dim, variables, _monomials
+from .poly import HPoly, RatMap, restrict_to_line, span_dim, variables, _canonical_scale, _monomials
 from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
 
 class EverywhereDegenerate(ValueError):
     """No point of the map determines per-line hyperplanes: its lines' images
-    span too little for their degree, or no sampled point is nondegenerate."""
-
-
-class SectionCollapse(ValueError):
-    """Every canonical section set degenerates identically (re-seed)."""
+    span too little for their degree, no sampled point is nondegenerate, or
+    the pairing system of the dual has more than one lowest solution."""
 
 
 class NotPlanar(ValueError):
     """The input is not a planarization along some line: the line's image
-    spans all of RP^n, or a computed hyperplane misses an image point."""
+    spans all of RP^n, or the pairing system of the dual has no solution up
+    to its degree bound, so no hyperplane contains the images of the lines."""
 
 
 @dataclass(frozen=True)
@@ -61,25 +60,6 @@ class Indeterminate:
 PlanarizationClass = Union[Trivial, CoTrivial, Rational, Indeterminate]
 
 
-#: constant directions whose cross product with the moving line covector
-#: gives rational point-sections of the line; windows of n of these are
-#: tried in order until the symbolic wedge is not identically zero
-_SECTION_DIRECTIONS = [
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
-    (1, 1, 0),
-    (0, 1, 1),
-    (1, 0, 1),
-    (1, 1, 1),
-    (1, -1, 0),
-    (0, 1, -1),
-    (1, 0, -1),
-    (1, 1, -1),
-    (1, -1, 1),
-]
-
-
 def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
     """A covector c with sum_i c_i F_i = 0, or None if components are independent."""
     monos = _monomials(F.domain_vars, F.degree)
@@ -88,17 +68,6 @@ def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
     if not basis:
         return None
     return projcore.normalize(basis[0])
-
-
-def _symbolic_section(direction: Sequence[int]) -> list[HPoly]:
-    """Cross product of the moving line covector with a constant direction."""
-    av = variables(3)
-    c = direction
-    return [
-        c[2] * av[1] - c[1] * av[2],
-        c[0] * av[2] - c[2] * av[0],
-        c[1] * av[0] - c[0] * av[1],
-    ]
 
 
 def _precheck_points(seed: int):
@@ -141,10 +110,37 @@ def _check_preconditions(F: RatMap, seed: int) -> None:
     raise EverywhereDegenerate("no sampled point is nondegenerate")
 
 
+def _section_directions(count: int) -> list[tuple[int, int, int]]:
+    """The coordinate points, then (1, k, k^2) for k = 1, 2, ...: `count`
+    pairwise independent directions, the sparse ones first."""
+    coordinate = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    return (coordinate + [(1, k, k * k) for k in range(1, count - 2)])[:count]
+
+
 def _section_row(F: RatMap, direction: Sequence[int]) -> list[HPoly]:
     """F at the point l x c of the moving line l, one polynomial in l per component."""
-    section = _symbolic_section(direction)
+    section = list(projcore.cross(variables(3), direction))
     return [comp.substitute(section) for comp in F.components]
+
+
+def _pairing_nullspace(rows: list[list[HPoly]], D: int) -> list[tuple[Fraction, ...]]:
+    """Nullspace of the pairing system at degree D: the unknowns are the
+    coefficients of n+1 forms G_i of degree D, form by form, and the
+    equations the coefficients of sum_i G_i * row_i, one per monomial and
+    row.  Each entry is set once: a column's terms reach distinct monomials."""
+    monos = _monomials(3, D)
+    ncols = len(rows[0]) * len(monos)
+    matrix = []
+    for row in rows:
+        equations: dict = {}
+        for i, comp in enumerate(row):
+            for j, mu in enumerate(monos):
+                col = i * len(monos) + j
+                for e, c in comp.terms.items():
+                    key = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
+                    equations.setdefault(key, [0] * ncols)[col] = c
+        matrix.extend(equations.values())
+    return projcore.nullspace(matrix)
 
 
 def dual_map(F: RatMap, seed: int = 0) -> RatMap:
@@ -163,51 +159,46 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
        the jets at a fixed 3x3 grid plus 16 seeded points, else
        EverywhereDegenerate.
 
-    The result is certified exactly: its pairing with F at d+1 section
-    points of the moving line must vanish identically, else NotPlanar.
-    Output degree is at most n(n-1)/2.
+    The dual is then the lowest-degree solution G of the pairing identity
+    sum_i G_i(l) * F_i(l x c) = 0 in the line l, for the d+1 directions c of
+    _section_directions.  On a line the pairing is a degree-d binary form,
+    zero at the d+1 points l x c, so G(l) contains the line's image: the
+    exact solve is the certificate.  A lowest solution has no common
+    factor, so no gcd is taken, and it is unique up to the canonical scale.
+    Every solution of degree D = deg G + k is g * G, so the nullity is
+    C(k+2, 2).  Degrees 0 and 1 are tried first, then the generic degree
+    n(n-1)/2, where the nullity gives k and one solve at D - k finishes,
+    then upward to n*d - n(n-1)/2: the degree of n rows' minors less the
+    section factors l . (c x c') they share.  No solution up to there
+    raises NotPlanar; a nullity other than C(k+2, 2), or other than 1 at
+    the lowest degree, raises EverywhereDegenerate.
     """
     if F.domain_vars != 3:
         raise ValueError("dual maps need domain RP^2")
-    n = F.codim
+    n, d = F.codim, F.degree
     if n < 2:
         raise ValueError("dual maps need a target of dimension at least 2")
     _check_preconditions(F, seed)
 
-    for start in range(len(_SECTION_DIRECTIONS) - n + 1):
-        rows = [_section_row(F, c) for c in _SECTION_DIRECTIONS[start : start + n]]
-        covector = projcore.signed_minors(rows)
-        if all(c.is_zero for c in covector):
+    rows = [_section_row(F, c) for c in _section_directions(d + 1)]
+    generic = n * (n - 1) // 2
+    top = n * d - generic
+    for D in itertools.chain((0, 1), range(max(generic, 2), top + 1)):
+        basis = _pairing_nullspace(rows, D)
+        if not basis:
             continue
-        Fhat = reduce_map(covector)
-        _validate_dual(F, Fhat, rows, start)
-        return Fhat
-    raise SectionCollapse("all canonical section sets collapse identically")
-
-
-def _validate_dual(F: RatMap, Fhat: RatMap, rows: list[list[HPoly]], start: int) -> None:
-    """Raise NotPlanar unless Fhat(l) contains the image of the line l, as an
-    identity in l.
-
-    On a line, the pairing Fhat(l) . F is a binary form of degree d, so it
-    vanishes along the line once it vanishes at d+1 distinct points of it.
-    The points l x c and l x c' coincide only on the lines with
-    l . (c x c') = 0, so for pairwise independent directions the d+1 pairings
-    sum_i Fhat_i * F_i(l x c), each zero as a polynomial in l, certify the
-    containment on a Zariski-open set of lines, hence on all of them.  The
-    window's n rows are reused; when d >= n, d+1-n more come from the section
-    directions outside the window, then from (1, k, k^2) for k = 2, 3, ....
-    """
-    outside = _SECTION_DIRECTIONS[:start] + _SECTION_DIRECTIONS[start + len(rows) :]
-    moment = ((1, k, k * k) for k in itertools.count(2))
-    more = itertools.islice(itertools.chain(outside, moment), max(0, F.degree + 1 - len(rows)))
-    extra = [_section_row(F, c) for c in more]
-    for row in rows + extra:
-        pairing: dict = {}
-        for fh, comp in zip(Fhat.components, row):
-            pairing = p_add(pairing, p_mul(fh.terms, comp.terms))
-        if pairing:
-            raise NotPlanar("computed hyperplane misses an image point of its line")
+        nullity = len(basis)
+        k = next((k for k in range(nullity) if math.comb(k + 2, 2) == nullity), None)
+        if k:
+            basis = _pairing_nullspace(rows, D - k)
+        if k is None or len(basis) != 1:
+            raise EverywhereDegenerate(
+                f"the pairing system has nullity {nullity} at degree {D}, so no line has one hyperplane"
+            )
+        monos = _monomials(3, D - k)
+        forms = [HPoly(3, D - k, dict(zip(monos, basis[0][i * len(monos) :]))) for i in range(n + 1)]
+        return RatMap(_canonical_scale(forms))
+    raise NotPlanar(f"no form of degree at most {top} in the line sends it to a hyperplane containing its image")
 
 
 def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:
@@ -237,8 +228,6 @@ def _classify(F: RatMap, seed: int) -> PlanarizationClass:
         Fhat = dual_map(F, seed=seed)
     except EverywhereDegenerate:
         return Indeterminate("everywhere degenerate but components are independent")
-    except SectionCollapse as exc:
-        return Indeterminate(str(exc))
     dep2 = component_dependence(Fhat)
     if dep2 is not None:
         return CoTrivial(PPoint(dep2))

@@ -450,9 +450,6 @@ class PPoint:
             coords = tuple(coords[0])
         return cls(normalize(coords))
 
-    def __iter__(self):
-        return iter(self.coords)
-
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -471,9 +468,6 @@ class Hyperplane:
         if len(coords) != len(self.covector):
             raise DimensionMismatch("point/hyperplane dimension mismatch")
         return sum(map(operator.mul, self.covector, coords)) == 0
-
-    def __iter__(self):
-        return iter(self.covector)
 
 
 @dataclass(frozen=True)
@@ -496,9 +490,6 @@ class PLine2:
         if len(coords) != 3:
             raise DimensionMismatch("expected a point of RP^2")
         return sum(map(operator.mul, self.covector, coords)) == 0
-
-    def __iter__(self):
-        return iter(self.covector)
 
 
 def cross(u: Sequence, v: Sequence) -> tuple:

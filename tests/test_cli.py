@@ -484,6 +484,22 @@ def _web_file(tmp_path, basis=None):
 INVERSION = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2]
 COLLINEATION = [X0, X1 + X2, X2]
 
+
+def test_a_map_with_a_common_factor_gets_the_verdict_of_its_reduced_map(tmp_path, capsys):
+    # the identity times x0 is the identity: Rational of degree 1, and Quadratic
+    # on the circle web with the identity as its witness
+    web = _web_file(tmp_path)
+    reports = []
+    for name, components in (("times-x0", [X0 * X0, X0 * X1, X0 * X2]), ("identity", [X0, X1, X2])):
+        path = _json_file(tmp_path, RatMap(components).to_json(), name)
+        reports.append([run(capsys, "classify", "--in", path), run(capsys, "web-classify", "--in", path, "--web", web)])
+    assert reports[0] == reports[1]
+    (code, out), (web_code, web_out) = reports[1]
+    assert (code, json.loads(out)["class"], json.loads(out)["degree"]) == (0, "Rational", 1)
+    assert (web_code, json.loads(web_out)["case"]) == (0, "Quadratic")
+    assert json.loads(web_out)["witness"] == reduce_map([X0, X1, X2]).to_json()
+
+
 # name, argv (given tmp_path), exit code, fields of the report
 REPORTS = [
     ("dualize everywhere degenerate", lambda t: ["dualize", "--in", _generated(t, 5, 2, 4)], 2,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from planarize import dualize, projcore
 from planarize.cli import generate_map
+from planarize.conicweb import circle_web
 from planarize.dualize import (
     CoTrivial,
     EverywhereDegenerate,
@@ -16,8 +17,9 @@ from planarize.dualize import (
     Rational,
     Trivial,
     _precheck_points,
+    _pairing_nullspace,
+    _section_directions,
     _section_row,
-    _validate_dual,
     classify,
     component_dependence,
     dual_map,
@@ -215,8 +217,8 @@ def test_classify_source_fits_with_its_seed(monkeypatch):
 
 def test_dual_map_agrees_with_jet_hyperplanes():
     # two independent routes to the per-line hyperplane: the symbolic dual
-    # (wedge of section images) and the jet construction at a point of the
-    # line with the matching slope
+    # (the pairing system on section rows) and the jet construction at a
+    # point of the line with the matching slope
     from planarize.jetplan import ExactMapSource, hyperplane_for_line
     from planarize.projcore import Hyperplane, cross, normalize
 
@@ -525,53 +527,33 @@ def test_every_differential_dual_pairs_to_zero_along_its_lines():
         assert _sympy_pairing_along_lines(F, Fh) == 0, name
 
 
-def _perturbed_reduce_map(monkeypatch):
-    real = dualize.reduce_map
-
-    def planted(components):
-        Fh = real(components)
-        first = Fh.components[0]
-        e = min(first.terms)
-        bumped = HPoly(3, first.degree, {**first.terms, e: first.terms[e] + 1})
-        return RatMap((bumped,) + Fh.components[1:])
-
-    monkeypatch.setattr(dualize, "reduce_map", planted)
-
-
-@pytest.mark.parametrize("which", ["quadratic", "cubic-dual"])
-def test_a_planted_dual_with_one_perturbed_coefficient_is_not_planar(monkeypatch, which):
-    # a quadratic into RP^3 has d+1 = n, so the window's rows alone certify;
-    # its cubic dual has d >= n and needs one row more
-    F = generate_map(1, 2, 3)
-    if which == "cubic-dual":
-        F = dual_map(F, seed=1)
-    _perturbed_reduce_map(monkeypatch)
-    with pytest.raises(NotPlanar, match="computed hyperplane misses an image point of its line"):
-        dual_map(F, seed=1)
-    assert classify(F, seed=1) == Indeterminate("computed hyperplane misses an image point of its line")
-
-
-def test_the_rows_past_the_window_carry_the_certificate_for_d_at_least_n():
-    # a generic cubic into RP^3 is no planarization, yet the wedge of its
-    # window rows annihilates those rows by construction; the extra row
-    # F(l x (1, 1, 0)) is what refuses it
+def test_the_rows_past_the_window_carry_the_certificate_for_d_at_least_n(monkeypatch):
+    # a generic cubic into RP^3 is no planarization, yet the pairing system on
+    # its first n = 3 section rows alone has a solution (the wedge of those
+    # rows); the fourth row F(l x (1, 1, 1)) is what refuses it
     F = generate_map(11, 3, 3)
-    rows = [_section_row(F, c) for c in dualize._SECTION_DIRECTIONS[:3]]
-    Fh = reduce_map(projcore.signed_minors(rows))
-    for row in rows:
-        assert sum((h * c for h, c in zip(Fh.components, row)), HPoly.zero(3, Fh.degree + 3)).is_zero
-    with pytest.raises(NotPlanar, match="computed hyperplane misses an image point of its line"):
-        _validate_dual(F, Fh, rows, 0)
+    monkeypatch.setattr(dualize, "_check_preconditions", lambda F, seed: None)
+    with pytest.raises(NotPlanar, match="no form of degree at most 6 in the line"):
+        dual_map(F)
+    rows = [_section_row(F, c) for c in _section_directions(4)]
+    assert any(_pairing_nullspace(rows[:3], D) for D in range(7))
+    assert not any(_pairing_nullspace(rows, D) for D in range(7))
+
+
+def _degree_12_relation_map():
+    """A dense degree-12 map into RP^3 with the linear relation y0 + 2 y1 - 3 y2
+    = y3.  x0^12 and x1^12 share no factor, so the map is built reduced
+    without a gcd (a generated degree-12 map spends tens of seconds in
+    reduce_map)."""
+    rng = stable_rng(3, "degree_12_relation")
+    g = [X0**12, X1**12, HPoly(3, 12, {m: rng.randint(-9, 9) for m in _monomials(3, 12)})]
+    return RatMap(g + [g[0] + 2 * g[1] - 3 * g[2]])
 
 
 def test_a_degree_12_map_with_a_linear_relation_reaches_the_moment_rows(monkeypatch):
-    # d+1 = 13 rows: the window's 3, the 9 section directions outside it and
-    # (1, 2, 4); the dual is the constant witness hyperplane.  x0^12 and
-    # x1^12 share no factor, so the map is built reduced without a gcd (a
-    # generated degree-12 map spends tens of seconds in reduce_map)
-    rng = stable_rng(3, "degree_12_relation")
-    g = [X0**12, X1**12, HPoly(3, 12, {m: rng.randint(-9, 9) for m in _monomials(3, 12)})]
-    F = RatMap(g + [g[0] + 2 * g[1] - 3 * g[2]])
+    # d+1 = 13 rows: the three coordinate points, then (1, k, k^2) for
+    # k = 1..10; the dual is the constant witness hyperplane
+    F = _degree_12_relation_map()
     seen = []
     real = dualize._section_row
 
@@ -583,5 +565,46 @@ def test_a_degree_12_map_with_a_linear_relation_reaches_the_moment_rows(monkeypa
     Fh = dual_map(F, seed=3)
     assert Fh.degree == 0
     assert Fh.projectively_equal(RatMap([HPoly(3, 0, {(0, 0, 0): c}) for c in (1, 2, -3, -1)]))
-    assert len(seen) == 13 and seen[-1] == (1, 2, 4)
-    assert set(seen[:12]) == set(dualize._SECTION_DIRECTIONS)
+    assert seen == [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [(1, k, k * k) for k in range(1, 11)]
+
+
+# -- the pairing system against the wedge of section rows ------------------------------
+
+
+def _oracle_maps():
+    """The differential maps, cubics into RP^4, circle-web composites, a
+    stereographic sphere map and the degree-12 relation map."""
+    maps = [(name, F) for name, F, _ in _differential_maps()]
+    maps += [(f"cubic-rp4-{seed}", generate_map(seed, 3, 4)) for seed in (1, 2)]
+    for seed in (1, 2):
+        A = _linear_map(_invertible(stable_rng(seed, "dual_pre"), 3))
+        maps.append((f"circle-web-{seed}", RatMap(circle_web().basis).after(A)))
+    sphere = RatMap([X0 * X0 + X1 * X1 + X2 * X2, 2 * X0 * X1, 2 * X0 * X2, X1 * X1 + X2 * X2 - X0 * X0])
+    maps.append(("stereographic", sphere.after(_linear_map(_invertible(stable_rng(3, "dual_pre"), 3)))))
+    maps.append(("degree-12-relation", _degree_12_relation_map()))
+    return maps
+
+
+def _wedge_dual(F):
+    """The dual by the wedge: the reduced signed minors of the first window
+    of n consecutive section rows whose minors are not all zero."""
+    n = F.codim
+    directions = _section_directions(n + 6)
+    for start in range(len(directions) - n + 1):
+        minors = projcore.signed_minors([_section_row(F, c) for c in directions[start : start + n]])
+        if not all(m.is_zero for m in minors):
+            return reduce_map(minors)
+    raise AssertionError("every window collapses")
+
+
+ORACLE_MAPS = _oracle_maps()
+
+
+@pytest.mark.parametrize("name, F", ORACLE_MAPS, ids=[name for name, _ in ORACLE_MAPS])
+def test_the_pairing_dual_is_the_reduced_wedge_and_its_nullity_grows_as_the_multiples(name, F):
+    # every solution of degree deg(Fh) + k is g * Fh with g of degree k
+    Fh = dual_map(F)
+    assert repr(Fh) == repr(_wedge_dual(F))
+    rows = [_section_row(F, c) for c in _section_directions(F.degree + 1)]
+    nullities = [len(_pairing_nullspace(rows, D)) for D in range(max(Fh.degree - 1, 0), Fh.degree + 2)]
+    assert nullities == ([0] if Fh.degree else []) + [1, 3]

@@ -1,6 +1,7 @@
 """The package imports only the standard library, numpy and itself, and uses every name it imports."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -38,3 +39,29 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def test_every_exception_class_is_raised():
+    # an exception class no `raise` names is dead: nothing can catch it
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for node in classes:
+            bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+            builtin = any(isinstance(getattr(builtins, b, None), type) and issubclass(getattr(builtins, b), BaseException)
+                          for b in bases)
+            if node.name not in exceptions and (builtin or bases & exceptions):
+                exceptions.add(node.name)
+                grew = True
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, (ast.Name, ast.Attribute)):
+                    raised.add(target.id if isinstance(target, ast.Name) else target.attr)
+    assert exceptions, "no exception classes found"
+    assert not exceptions - raised, f"never raised: {sorted(exceptions - raised)}"
