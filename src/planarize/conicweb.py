@@ -288,17 +288,19 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     if isinstance(verdict, Indeterminate):
         return Unresolved(verdict.reason)
 
+    # the degree tests below read the map's degree, not its components'
+    f = reduce_map(f.components)
     # a collineation input degenerates every other case; report the
     # degree-1 map under the rational-case variant
     if f.degree == 1:
         return Quadratic(f)
 
-    imp = implicitize(Phi, 4)
-    if imp is not None and imp[0] == 2:
+    # a web's forms are independent, so a relation of degree <= 2 is a
+    # quadric; implicitize has checked that it vanishes on Phi
+    imp = implicitize(Phi, 2)
+    if imp is not None:
         Q = imp[1]
-        on_quadric_phi = Q.substitute(list(Phi.components)).is_zero
-        on_quadric_F = Q.substitute(list(F.components)).is_zero
-        if on_quadric_phi and on_quadric_F and F.degree <= 2:
+        if Q.substitute(list(F.components)).is_zero and F.degree <= 2:
             return QuadricFactor(Q, Phi, F)
         return Unresolved("image surface is a quadric but the composite fails its checks")
 
@@ -315,9 +317,8 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     # four independent conics share no common line; S is then a surface (a
     # map onto a curve spans at most three conics) that lies in no plane.
     # Two members of the web meet in 4 points, so
-    # deg(Phi) * deg(S) <= 4.  S is irreducible, so `implicitize` returned
-    # its least degree deg(S); the quadric case returned above, leaving
-    # deg(S) = 3 or 4 and hence deg(Phi) = 1.
+    # deg(Phi) * deg(S) <= 4.  S has no quadric relation, so deg(S) >= 3,
+    # leaving deg(S) = 3 or 4 and hence deg(Phi) = 1.
     if f.degree <= 2:
         return Quadratic(f)
     return Unresolved(f"recovered map has degree {f.degree} > 2")

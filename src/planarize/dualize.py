@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from . import projcore, ratfit
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
-from .poly import HPoly, RatMap, restrict_to_line, span_dim, variables, _canonical_scale, _monomials
+from .poly import HPoly, RatMap, reduce_map, restrict_to_line, span_dim, variables, _canonical_scale, _monomials
 from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
@@ -207,8 +207,9 @@ def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:
     Trivial: the components satisfy a linear relation (the image lies in the
     witness hyperplane).  Co-trivial: the dual's components do (every
     per-line hyperplane passes through the witness center).  Otherwise the
-    map is reported rational with its own degree.  Inputs on which the dual
-    construction breaks down (not planarizations) come back Indeterminate.
+    map is reported rational with its own degree, that of the reduced map.
+    Inputs on which the dual construction breaks down (not planarizations)
+    come back Indeterminate.
     """
     try:
         return _classify(F, seed)
@@ -231,7 +232,9 @@ def _classify(F: RatMap, seed: int) -> PlanarizationClass:
     dep2 = component_dependence(Fhat)
     if dep2 is not None:
         return CoTrivial(PPoint(dep2))
-    return Rational(F.degree)
+    # the degree of the map, not of its components: [x0^2 : x0x1 : x0x2] is
+    # the identity
+    return Rational(reduce_map(F.components).degree)
 
 
 def classify_source(source, seed: int = 0):

@@ -11,8 +11,11 @@ would give a float.  On top of it sit:
 * one integer evaluation kernel (`_p_eval_int`) for a node given as integer
   coordinates over a common denominator, behind `p_eval` and the fits (the
   denominators of nodes and coefficients are cleared in projcore);
-* a recursive multivariate gcd (primitive pseudo-remainder sequences with
-  contents extracted recursively) driving common-factor removal;
+* common-factor removal without a multivariate gcd (`reduce_map`): the
+  univariate gcd of the components restricted to one fixed line bounds the
+  degree of a common factor and, when it is constant, proves the map
+  reduced; otherwise the reduced map is the lowest-degree solution G of
+  F_c G_i = F_i G_c, one exact nullspace per degree;
 * restriction of maps to lines, image-span dimension and implicitization
   by exact linear algebra.
 
@@ -30,7 +33,6 @@ from typing import Optional, Sequence
 from . import projcore, univar
 from .projcore import PLine2, normalize
 
-Term = tuple
 PolyDict = dict
 
 
@@ -109,12 +111,6 @@ def p_mul(a: PolyDict, b: PolyDict) -> PolyDict:
     return out
 
 
-def p_mul_term(a: PolyDict, exp: Term, c) -> PolyDict:
-    if not a or c == 0:
-        return {}
-    return {tuple(map(operator.add, e, exp)): x * c for e, x in a.items()}
-
-
 def _int_terms(a: PolyDict) -> tuple[PolyDict, int]:
     """(A, m) with A int-coefficient and a = A / m, m the positive lcm of
     the denominators of a's coefficients."""
@@ -166,12 +162,6 @@ def p_total_degree(a: PolyDict) -> int:
     return max(sum(e) for e in a)
 
 
-def p_degree_in(a: PolyDict, var: int) -> int:
-    if not a:
-        return -1
-    return max(e[var] for e in a)
-
-
 def p_canonical(a: PolyDict) -> PolyDict:
     """Int coefficients, content 1, lexicographically-leading term positive."""
     if not a:
@@ -183,94 +173,6 @@ def p_canonical(a: PolyDict) -> PolyDict:
     return {e: c // g for e, c in zip(a, X)}
 
 
-def _p_constant(a: PolyDict) -> bool:
-    return all(all(k == 0 for k in e) for e in a)
-
-
-def _coeffs_wrt(a: PolyDict, var: int) -> dict[int, PolyDict]:
-    """View as a polynomial in `var`: exponent-of-var -> coefficient poly."""
-    out: dict[int, PolyDict] = {}
-    for e, c in a.items():
-        k = e[var]
-        e2 = list(e)
-        e2[var] = 0
-        out.setdefault(k, {})[tuple(e2)] = c
-    return out
-
-
-def p_divexact(a: PolyDict, b: PolyDict) -> PolyDict:
-    """Exact division in the polynomial ring; raises if not divisible."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return {}
-    quo: PolyDict = {}
-    rem = dict(a)
-    lead_b = max(b)
-    cb = b[lead_b]
-    while rem:
-        lead_r = max(rem)
-        diff = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("inexact polynomial division")
-        c = coef_div(rem[lead_r], cb)
-        quo[diff] = c
-        rem = p_sub(rem, p_mul_term(b, diff, c))
-    return quo
-
-
-def _p_prem(a: PolyDict, b: PolyDict, var: int) -> PolyDict:
-    """Pseudo-remainder of a by b in the main variable."""
-    db = p_degree_in(b, var)
-    cb = _coeffs_wrt(b, var)
-    lc_b = cb[db]
-    r = dict(a)
-    while r:
-        dr = p_degree_in(r, var)
-        if dr < db:
-            break
-        cr = _coeffs_wrt(r, var)
-        lc_r = cr[dr]
-        shift = [0] * len(next(iter(a)))
-        shift[var] = dr - db
-        r = p_sub(p_mul(lc_b, r), p_mul(p_mul_term(lc_r, tuple(shift), 1), b))
-    return r
-
-
-def _p_content_wrt(a: PolyDict, var: int) -> tuple[PolyDict, PolyDict]:
-    """(content, primitive part) of a viewed as a polynomial in `var`."""
-    coeffs = _coeffs_wrt(a, var)
-    cont: PolyDict = {}
-    for poly in coeffs.values():
-        cont = p_gcd(cont, poly)
-        if _p_constant(cont) and cont:
-            break
-    if not cont:
-        return {}, {}
-    prim = p_divexact(a, cont)
-    return cont, prim
-
-
-def _p_only_var(a: PolyDict) -> Optional[int]:
-    """The single variable a depends on, or None (constants give None)."""
-    seen = None
-    for e in a:
-        for i, k in enumerate(e):
-            if k:
-                if seen is None:
-                    seen = i
-                elif seen != i:
-                    return None
-    return seen
-
-
-def _p_to_univar(a: PolyDict, var: int) -> list:
-    out = [0] * (p_degree_in(a, var) + 1)
-    for e, c in a.items():
-        out[e[var]] += c
-    return univar.trim(out)
-
-
 def _p_from_univar(p: Sequence, var: int, nvars: int) -> PolyDict:
     out: PolyDict = {}
     for k, c in enumerate(p):
@@ -279,54 +181,6 @@ def _p_from_univar(p: Sequence, var: int, nvars: int) -> PolyDict:
             e[var] = k
             out[tuple(e)] = c
     return out
-
-
-def p_gcd(a: PolyDict, b: PolyDict) -> PolyDict:
-    """Primitive gcd over the integers of two rational-coefficient polys.
-
-    Recursive pseudo-remainder sequence in the variable of highest degree,
-    with contents (computed by recursive gcds) extracted at every step.
-    """
-    a = p_canonical(a)
-    b = p_canonical(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if _p_constant(a) or _p_constant(b):
-        g = math.gcd(*a.values(), *b.values())
-        zero = tuple([0] * len(next(iter(a))))
-        return {zero: g}
-    nvars = len(next(iter(a)))
-    deg_a = [p_degree_in(a, v) for v in range(nvars)]
-    deg_b = [p_degree_in(b, v) for v in range(nvars)]
-    shared = [v for v in range(nvars) if deg_a[v] > 0 and deg_b[v] > 0]
-    if not shared:
-        zero = tuple([0] * nvars)
-        return {zero: 1}
-    var = max(shared, key=lambda v: max(deg_a[v], deg_b[v]))
-    ua, ub = _p_only_var(a), _p_only_var(b)
-    if ua == var and ub == var:
-        g = univar.gcd(_p_to_univar(a, var), _p_to_univar(b, var))
-        return p_canonical(_p_from_univar(g, var, nvars))
-    cont_a, prim_a = _p_content_wrt(a, var)
-    cont_b, prim_b = _p_content_wrt(b, var)
-    cont = p_gcd(cont_a, cont_b)
-    f, g = prim_a, prim_b
-    if p_degree_in(f, var) < p_degree_in(g, var):
-        f, g = g, f
-    while True:
-        if p_degree_in(g, var) <= 0:
-            # var-primitive polys share no factor of var-degree 0
-            part = {tuple([0] * nvars): 1}
-            break
-        r = _p_prem(f, g, var)
-        if not r:
-            part = g
-            break
-        _, r = _p_content_wrt(r, var)
-        f, g = g, r
-    return p_canonical(p_mul(cont, part))
 
 
 # ---------------------------------------------------------------------------
@@ -531,53 +385,6 @@ def variables(nvars: int) -> tuple[HPoly, ...]:
     return tuple(out)
 
 
-def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
-    """Gcd of two homogeneous polynomials (canonical integer form).
-
-    Monomial content is stripped first; the rest dehomogenizes through x_0
-    (a gcd of forms is a form, and forms free of x_0 dehomogenize
-    injectively), which keeps the recursive PRS one variable smaller.
-    """
-    if f.is_zero:
-        return g.canonical()
-    if g.is_zero:
-        return f.canonical()
-    if f.nvars != g.nvars:
-        raise ValueError("different variable counts")
-    nvars = f.nvars
-
-    def strip(p: HPoly) -> tuple[tuple[int, ...], PolyDict]:
-        mins = [min(e[i] for e in p.terms) for i in range(nvars)]
-        stripped = {tuple(k - m for k, m in zip(e, mins)): c for e, c in p.terms.items()}
-        return tuple(mins), stripped
-
-    mf, fd = strip(f)
-    mg, gd = strip(g)
-    common = tuple(min(a, b) for a, b in zip(mf, mg))
-    if nvars == 1:
-        h: PolyDict = {(0,): 1}
-    else:
-        fh = {e[1:]: c for e, c in fd.items()}
-        gh = {e[1:]: c for e, c in gd.items()}
-        hd = p_gcd(fh, gh)
-        # rehomogenize to the gcd's own total degree
-        deg = p_total_degree(hd)
-        h = {}
-        for e, c in hd.items():
-            h[(deg - sum(e),) + e] = c
-    lift = {tuple(k + m for k, m in zip(e, common)): c for e, c in h.items()}
-    deg_total = sum(next(iter(lift))) if lift else 0
-    return HPoly(nvars, deg_total, lift).canonical()
-
-
-def hpoly_divexact(f: HPoly, g: HPoly) -> HPoly:
-    if g.is_zero:
-        raise ZeroDivisionError
-    if f.is_zero:
-        return HPoly.zero(f.nvars, f.degree - g.degree)
-    return HPoly(f.nvars, f.degree - g.degree, p_divexact(f.terms, g.terms))
-
-
 # ---------------------------------------------------------------------------
 # rational maps
 # ---------------------------------------------------------------------------
@@ -678,24 +485,83 @@ def _canonical_scale(components: Sequence[HPoly]) -> tuple[HPoly, ...]:
 
 
 def reduce_map(components: Sequence[HPoly]) -> RatMap:
-    """Divide out the full common polynomial factor and rescale canonically."""
+    """Divide out the full common polynomial factor and rescale canonically.
+
+    No multivariate gcd is taken.  `_common_degree_bound` bounds the degree
+    of a common factor from one line; a bound of 0 proves the map reduced.
+    Otherwise write F = h R with R reduced and c a nonzero component: the
+    forms G with F_c G_i = F_i G_c for every i are the multiples g R, so
+    the lowest degree k with a nonzero solution is deg R, where the
+    solutions are the scalar multiples of R (`_parallel_forms`).  No
+    solution below deg F leaves F as it is.  A lone component has no
+    equations and reduces to the constant map.
+    """
     components = list(components)
     if not components:
         raise AllZero("no components")
     nonzero = [c for c in components if not c.is_zero]
     if not nonzero:
         raise AllZero("all components are zero")
-    g = nonzero[0].canonical()
-    for c in nonzero[1:]:
-        if g.degree == 0:
-            break
-        g = hpoly_gcd(g, c)
-    if g.degree > 0:
-        components = [
-            hpoly_divexact(c, g) if not c.is_zero else HPoly.zero(c.nvars, c.degree - g.degree)
-            for c in components
-        ]
+    nvars, d = nonzero[0].nvars, nonzero[0].degree
+    if len(components) == 1:
+        components = [HPoly(nvars, 0, {(0,) * nvars: 1})]
+    else:
+        for k in range(d - _common_degree_bound(nonzero), d):
+            G = _parallel_forms(components, k)
+            if G is not None:
+                components = G
+                break
     return RatMap(_canonical_scale(components))
+
+
+def _common_degree_bound(forms: Sequence[HPoly]) -> int:
+    """An upper bound on the degree of a common factor h of nonzero forms
+    of degree d, from their restrictions to the line x_i = (i+1) u0 +
+    (i+1)^3 u1.  h restricted to the line divides every restriction, so
+    the degree of their gcd (its power of u0 included) bounds deg h;
+    if the line lies in h = 0 every restriction is zero and the bound is
+    d.  A base point on the line can only raise the bound.  The scan stops
+    at the first restriction that leaves a constant gcd."""
+    nvars, d = forms[0].nvars, forms[0].degree
+    line = [HPoly(2, 1, {(1, 0): i + 1, (0, 1): (i + 1) ** 3}) for i in range(nvars)]
+    g: list = []  # the gcd with u0 = 1, a polynomial in u1
+    u0_power = d
+    for f in forms:
+        r = f.substitute(line).terms
+        p = univar.trim([r.get((d - j, j), 0) for j in range(d + 1)])
+        if not p:
+            continue
+        g = univar.gcd(g, p)
+        u0_power = min(u0_power, d + 1 - len(p))
+        if len(g) == 1 and u0_power == 0:
+            return 0
+    return len(g) - 1 + u0_power if g else d
+
+
+def _parallel_forms(components: Sequence[HPoly], k: int) -> Optional[list[HPoly]]:
+    """The first nullspace vector of F_c G_i - F_i G_c = 0 (i != c), c the
+    nonzero component with the fewest terms, over n+1 forms G of degree k
+    taken component-major, or None if there is none.  Each entry is set
+    once: a column's terms reach distinct monomials."""
+    nvars = components[0].nvars
+    c = min((i for i, f in enumerate(components) if not f.is_zero), key=lambda i: len(components[i].terms))
+    monos = _monomials(nvars, k)
+    m = len(monos)
+    ncols = len(components) * m
+    matrix = []
+    for i, f in enumerate(components):
+        if i == c:
+            continue
+        equations: dict = {}
+        for j, mu in enumerate(monos):
+            for col, form, sign in ((i * m + j, components[c], 1), (c * m + j, f, -1)):
+                for e, a in form.terms.items():
+                    equations.setdefault(tuple(map(operator.add, mu, e)), [0] * ncols)[col] = sign * a
+        matrix.extend(equations.values())
+    basis = projcore.nullspace(matrix)
+    if not basis:
+        return None
+    return [HPoly(nvars, k, dict(zip(monos, basis[0][b * m : (b + 1) * m]))) for b in range(len(components))]
 
 
 # ---------------------------------------------------------------------------

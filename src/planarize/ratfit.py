@@ -40,9 +40,7 @@ from .poly import (
     RatMap,
     coef_div,
     p_canonical,
-    p_divexact,
     p_eval,
-    p_gcd,
     p_mul,
     p_sub,
     p_total_degree,
@@ -181,7 +179,7 @@ def fit_uni(samples, d: int) -> UniRat:
 
 @dataclass(frozen=True)
 class BiRat:
-    """Reduced bivariate rational function in exponent-dict form."""
+    """Bivariate rational function in exponent-dict form (reduced from fit_bi)."""
 
     num: dict
     den: dict
@@ -313,10 +311,14 @@ def fit_bi(
     den_bi = {e: c for e, c in den_bi.items() if c}
     if not den_bi:
         raise DegreeTooLow("assembled denominator vanished")
-    g = p_gcd(num_bi, den_bi)
-    if p_total_degree(g) > 0:
-        num_bi = p_divexact(num_bi, g)
-        den_bi = p_divexact(den_bi, g)
+    # a common factor of num and den lowers the degree of the reduced
+    # homogenized pair [den : num]; an unchanged degree keeps both dicts
+    top = max(p_total_degree(num_bi), p_total_degree(den_bi))
+    pair = reduce_map(
+        [HPoly(3, top, {(top - i - j, i, j): c for (i, j), c in p.items()}) for p in (den_bi, num_bi)]
+    )
+    if pair.degree < top:
+        den_bi, num_bi = ({e[1:]: c for e, c in comp.terms.items()} for comp in pair.components)
     scale_ref = p_canonical(den_bi)
     lead = max(den_bi)
     s = coef_div(scale_ref[lead], den_bi[lead])
@@ -345,7 +347,8 @@ def fit_bi(
 
 
 def _fit_bi_direct(grid: Sequence, d: int) -> BiRat:
-    """One-shot bivariate nullspace fit over every evaluable grid sample."""
+    """One-shot bivariate nullspace fit over every evaluable grid sample,
+    not reduced."""
     monos = [(i, j) for i in range(d + 1) for j in range(d + 1 - i) if i + j <= d]
     monos.sort()
     if len(grid) < 2 * len(monos):
@@ -364,10 +367,7 @@ def _fit_bi_direct(grid: Sequence, d: int) -> BiRat:
     if not den:
         raise DegreeTooLow("direct fit denominator vanished")
     _check_samples(grid, num, den, "direct fit ")
-    g = p_gcd(num, den)
-    if p_total_degree(g) > 0:
-        num = p_divexact(num, g)
-        den = p_divexact(den, g)
+    # its one use, the cross-check, is blind to a common factor of num and den
     return BiRat(num, den)
 
 

@@ -7,6 +7,8 @@ import itertools
 import time
 from fractions import Fraction
 
+import sympy
+
 from planarize import univar
 from planarize.cli import generate_map
 from planarize.conicweb import (
@@ -30,10 +32,8 @@ from planarize.poly import (
     reduce_map,
     span_dim,
     variables,
-    p_gcd,
     p_mul,
     p_sub,
-    p_total_degree,
 )
 from planarize.projcore import PPoint
 from planarize.ratfit import fit_bi, fit_uni
@@ -180,6 +180,11 @@ def _plant_unirat(rng, d):
         return p, q
 
 
+def _to_sympy_uv(a):
+    u, v = sympy.symbols("u v")
+    return sum(sympy.Rational(c.numerator, c.denominator) * u**i * v**j for (i, j), c in a.items())
+
+
 def test_criterion_5_rational_fitting():
     # 50 planted univariate recoveries per degree
     for d in (1, 2, 3):
@@ -208,8 +213,7 @@ def test_criterion_5_rational_fitting():
         den = {m: c for m, c in den.items() if c}
         if not num or not den:
             continue
-        g = p_gcd(num, den)
-        if p_total_degree(g) > 0:
+        if sympy.gcd(_to_sympy_uv(num), _to_sympy_uv(den)).free_symbols:
             continue
 
         def f(u, v, num=num, den=den):

@@ -206,6 +206,13 @@ def test_classify_web_projective_input_reports_degree_one_map():
     assert verdict.map.projectively_equal(f)
 
 
+def test_classify_web_reads_the_degree_of_the_reduced_map():
+    # a constructor-built collineation times x0 is still the degree-1 case
+    f = reduce_map([X0 + X1, X1 - 2 * X2, X0 + X2])
+    verdict = classify_web(RatMap([X0 * c for c in f.components]), circle_web())
+    assert verdict == Quadratic(f)
+
+
 def test_composition_degree_bound():
     # reduce(Phi∘f) has degree <= 4 for degree-2 f; equals 2 for the inversion
     from planarize.cli import generate_map

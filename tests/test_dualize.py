@@ -161,6 +161,13 @@ def test_classify_generic_quadratic_rational_two():
     assert verdict == Rational(2)
 
 
+def test_classify_reads_the_degree_of_the_reduced_map():
+    # the constructor keeps a common factor; the verdict is the map's
+    assert classify(RatMap([X0 * X0, X0 * X1, X0 * X2])) == Rational(1)
+    F = generate_map(1, 2, 3)
+    assert classify(RatMap([X0 * c for c in F.components]), seed=1) == Rational(2)
+
+
 def test_classify_soundness_matches_implicitize_at_one():
     rng = stable_rng(44, "soundness")
     for seed in range(6):

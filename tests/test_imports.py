@@ -65,3 +65,48 @@ def test_every_exception_class_is_raised():
                     raised.add(target.id if isinstance(target, ast.Name) else target.attr)
     assert exceptions, "no exception classes found"
     assert not exceptions - raised, f"never raised: {sorted(exceptions - raised)}"
+
+
+def _references(paths):
+    """Every name a file reads, as a variable, an attribute or an import,
+    each with the functions it is read inside, innermost last."""
+    refs = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside + (node.name,)
+        if isinstance(node, ast.Name):
+            refs.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            refs.append((node.name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return refs
+
+
+def test_every_function_is_referenced():
+    # a function no code names is dead, such as a helper a deletion left
+    # behind; a private one must be named in the package, a public one may
+    # be named by the tests or the demos too.  A function naming itself
+    # (recursion) does not count.
+    root = Path(__file__).resolve().parent.parent
+    package = _references(SOURCES)
+    outside = _references(sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py")))
+    defined = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    unreferenced = []
+    for name in sorted(defined):
+        refs = package if name.startswith("_") else package + outside
+        if not any(ref == name and name not in inside for ref, inside in refs):
+            unreferenced.append(name)
+    assert not unreferenced, f"functions no code names: {unreferenced}"

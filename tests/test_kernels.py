@@ -11,8 +11,6 @@ from planarize.poly import (
     HPoly,
     _monomials,
     coef_div,
-    hpoly_divexact,
-    hpoly_gcd,
     implicitize,
     p_mul,
     reduce_map,
@@ -177,18 +175,6 @@ def test_coefficient_convention_and_sympy(seed):
     assert_convention(sub)
     expect = to_sympy(f).subs(dict(zip(XS, [to_sympy(a) for a in args])), simultaneous=True)
     assert sympy.expand(to_sympy(sub) - expect) == 0
-
-    # exact division, also by a divisor whose scale leaves a fractional quotient
-    assert hpoly_divexact(fg, g) == f
-    half = hpoly_divexact(fg, 2 * g)
-    assert_convention(half)
-    assert half == Fraction(1, 2) * f
-
-    # the gcd is sympy's up to a constant factor, in canonical int form
-    h = hpoly_gcd(f * g, f * k)
-    assert all(type(c) is int for c in h.terms.values())
-    ratio = sympy.cancel(to_sympy(h) / sympy.gcd(to_sympy(f * g), to_sympy(f * k)))
-    assert ratio.is_number and ratio != 0
 
     assert all(type(c) is int for c in f.canonical().terms.values())
     m = reduce_map([f * g, f * k, f2 * g])

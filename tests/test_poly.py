@@ -1,20 +1,24 @@
 """Polynomial/rational-map layer: contract examples with independent oracles."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from planarize.poly import (
     AllZero,
     HPoly,
     RatMap,
     UniTuple,
-    hpoly_gcd,
+    _canonical_scale,
+    _common_degree_bound,
+    _monomials,
     implicitize,
     line_base_points,
     p_eval,
-    p_gcd,
     reduce_map,
     restrict_to_line,
     span_dim,
@@ -269,35 +273,115 @@ def test_implicitize_no_relation_for_plane_identity():
     assert implicitize(F, 4) is None
 
 
-# -- gcd engine ----------------------------------------------------------------
+# -- reduce_map against sympy's gcd ----------------------------------------------
+
+# reduce_map restricts to the line x_i = (i+1) u0 + (i+1)^3 u1, through
+# LINE_POINT (u1 = 0) and (1, 8, 27) (u0 = 0); LINE_FORM vanishes on it, and
+# POINT_FORM at (1, 8, 27), where the power of u0 counts in the gcd
+LINE_POINT = (1, 2, 3)
+LINE_FORM = 5 * X0 - 4 * X1 + X2
+POINT_FORM = 8 * X0 - X1
 
 
-def test_hpoly_gcd_divides_and_contains_planted_factor():
-    from planarize.poly import hpoly_divexact
-
-    rng = stable_rng(29, "gcd_plant")
-    for _ in range(8):
-        g = random_hpoly(rng, 3, 2)
-        a = random_hpoly(rng, 3, rng.choice([1, 2]))
-        b = random_hpoly(rng, 3, rng.choice([1, 2]))
-        if g.is_zero or a.is_zero or b.is_zero:
-            continue
-        h = hpoly_gcd(g * a, g * b)
-        # h divides both products ...
-        assert hpoly_divexact(g * a, h) * h == g * a
-        assert hpoly_divexact(g * b, h) * h == g * b
-        # ... and the planted factor divides h
-        assert hpoly_gcd(h, g) == g.canonical()
+def _sympy_form(p):
+    xs = sympy.symbols("x0:3")
+    return sum(
+        (sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * sympy.prod(x**k for x, k in zip(xs, e))
+         for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
 
 
-def test_p_gcd_bivariate_exact():
-    # (u+v)(u-v) vs (u+v)^2 -> u+v
-    a = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    b = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
-    from planarize.poly import p_mul
+def _from_sympy(expr, degree):
+    xs = sympy.symbols("x0:3")
+    if expr == 0:
+        return HPoly.zero(3, degree)
+    terms = sympy.Poly(expr, *xs).as_dict()
+    return HPoly(3, degree, {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items()})
 
-    g = p_gcd(p_mul(a, b), p_mul(a, a))
-    assert g == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+
+def _sympy_reduced(components):
+    """The components divided by sympy's gcd, canonically scaled: the
+    reduced map by an independent gcd."""
+    exprs = [_sympy_form(c) for c in components]
+    g = functools.reduce(sympy.gcd, exprs)
+    xs = sympy.symbols("x0:3")
+    degree = components[0].degree - sympy.Poly(g, *xs).total_degree()
+    return RatMap(_canonical_scale([_from_sympy(sympy.cancel(e / g), degree) for e in exprs]))
+
+
+def _form_through(rng, degree, point):
+    """A random form of the degree vanishing at the point (x0 = 1 there)."""
+    q = random_hpoly(rng, 3, degree, -3, 3)
+    return q - q.evaluate(point) * X0**degree
+
+
+coefficients = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.sampled_from(["generic", "line factor", "point factor", "base point"]),
+    st.lists(coefficients, min_size=10, max_size=10),
+)
+def test_reduce_map_matches_the_sympy_gcd(seed, count, h_degree, degree, kind, h_coeffs):
+    rng = stable_rng(seed, "reduce_sympy")
+    monos = _monomials(3, h_degree)
+    h = HPoly(3, h_degree, dict(zip(monos, h_coeffs)))
+    if h.is_zero:
+        h = X0**h_degree
+    if kind == "line factor":
+        h = h * LINE_FORM
+    if kind == "point factor":
+        h = h * POINT_FORM
+    if kind == "base point" and degree:
+        cofactors = [_form_through(rng, degree, LINE_POINT) for _ in range(count)]
+    else:
+        cofactors = [random_hpoly(rng, 3, degree, -3, 3) for _ in range(count)]
+    if count > 1 and rng.random() < 0.4:
+        cofactors[rng.randrange(count)] = HPoly.zero(3, degree)
+    F = [h * c for c in cofactors]
+    if all(c.is_zero for c in F):
+        return
+    got = reduce_map(F)
+    assert got.to_json() == _sympy_reduced(F).to_json()
+    assert reduce_map(got.components) == got
+    if count > 1:
+        # no common factor is left
+        g = functools.reduce(sympy.gcd, [_sympy_form(c) for c in got.components])
+        assert not g.free_symbols
+
+
+def test_reduce_factor_through_the_certificate_line():
+    # every restriction is zero, so the bound is the degree itself
+    F = [LINE_FORM * X0, LINE_FORM * X1, LINE_FORM * (X2 + X0)]
+    assert _common_degree_bound(F) == 2
+    assert reduce_map(F).components == (X0, X1, X2 + X0)
+
+
+def test_reduce_factor_through_the_u0_point_of_the_line():
+    # the restrictions' gcd in u1 is constant; the factor is their common u0
+    F = [POINT_FORM * X0, POINT_FORM * X1, POINT_FORM * X2]
+    assert _common_degree_bound(F) == 1
+    assert reduce_map(F).components == (X0, X1, X2)
+
+
+def test_reduce_base_point_on_the_certificate_line():
+    # the forms share the point (1, 2, 3) of the line but no factor: the
+    # restricted gcd is spurious and the solve finds the map reduced
+    F = [(X1 - 2 * X0) * X1, (X2 - 3 * X0) * X2]
+    assert _common_degree_bound(F) == 1
+    assert reduce_map(F).components == _canonical_scale(F)
+
+
+def test_reduce_single_component_is_the_constant_map():
+    assert reduce_map([X0 * X1 - 3 * X2 * X2]).components == (HPoly(3, 0, {(0, 0, 0): 1}),)
+    m = reduce_map([HPoly.zero(3, 2), -2 * X0 * X1, HPoly.zero(3, 2)])
+    assert m.components == (HPoly.zero(3, 0), HPoly(3, 0, {(0, 0, 0): 1}), HPoly.zero(3, 0))
 
 
 # -- serialization ----------------------------------------------------------------
