@@ -245,7 +245,7 @@ def _cmd_web_classify(args) -> int:
 
 #: largest degree-kmax system, in cells (rows times columns), that
 #: `implicitize --kmax` may set up: on a 2-core machine a cubic into RP^3
-#: whose image has degree 9 takes about 6 s at kmax 9 (89,320 cells), and
+#: whose image has degree 9 takes about 1.5 s at kmax 9 (89,320 cells), and
 #: kmax 12 (319,865 cells) asks for far larger systems
 MAX_IMPLICITIZE_CELLS = 100_000
 
@@ -253,7 +253,7 @@ MAX_IMPLICITIZE_CELLS = 100_000
 def _cmd_implicitize(args) -> int:
     F = _load_map(args.infile)
     if args.kmax >= 1:
-        # the degree-kmax system: target monomials by composed domain monomials
+        # the degree-kmax system: target monomials by principal-lattice points
         m = F.domain_vars - 1
         cells = math.comb(args.kmax + F.codim, F.codim) * math.comb(args.kmax * F.degree + m, m)
         if cells > MAX_IMPLICITIZE_CELLS:

@@ -3,14 +3,13 @@
 A linear system is spanned by independent quadratic forms; its map sends a
 point to the tuple of basis values, turning conic membership of image
 curves into hyperplane membership after composition.  On top of that sit
-the per-line conic finder (an exact map restricted to the line, a sampled
-source read at image points), the web classifier (which routes through the
-planarization trichotomy, whose certified dual also decides whether the map
-takes lines to web conics at all), inversion through a net (checked as an
-identity of maps), and the classification of sphere-valued maps taking
-lines to circles.  The web classifier and net inversion work on exact maps
-only: a sampled source is first fitted once as a rational map of degree at
-most three.
+the per-line conic finder (an exact map restricted to the line), the web
+classifier (which routes through the planarization trichotomy, whose
+certified dual also decides whether the map takes lines to web conics at
+all), inversion through a net (checked as an identity of maps), and the
+classification of sphere-valued maps taking lines to circles.  The web
+classifier and net inversion work on exact maps only: a sampled source is
+first fitted once as a rational map of degree at most three.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .poly import (
     RatMap,
     UniTuple,
     implicitize,
-    line_base_points,
     reduce_map,
     restrict_to_line,
     variables,
@@ -44,7 +42,7 @@ class DependentBasis(ValueError):
 
 
 class TooFewSamples(ValueError):
-    """A line did not yield enough evaluable sample points."""
+    """A line lies in the indeterminacy locus: the map restricted to it is zero."""
 
 
 class NotALinesToCurvesMap(ValueError):
@@ -132,67 +130,23 @@ def phi_map(sys: ConicSystem) -> RatMap:
     return reduce_map(list(sys.basis))
 
 
-# ---------------------------------------------------------------------------
-# sampling helpers
-# ---------------------------------------------------------------------------
-
-
-def _points_on_line(line: PLine2, count: int) -> list[tuple[int, ...]]:
-    p0, p1 = line_base_points(line)
-    ts = [0]
-    k = 1
-    while len(ts) < 3 * count + 4:
-        ts.extend([k, -k])
-        k += 1
-    pts = []
-    for t in ts:
-        w = tuple(a + t * b for a, b in zip(p0, p1))
-        if any(w):
-            pts.append(w)
-    pts.append(tuple(p1))
-    return pts
-
-
-def _eval_projective(f_src, w: Sequence):
-    """Evaluate a sampled source at a projective domain point; it is bound to
-    the affine chart, so a point with w0 = 0 has no value."""
-    if w[0] == 0:
-        return None
-    u = Fraction(w[1], w[0]) if f_src.mode == "exact" else w[1] / w[0]
-    v = Fraction(w[2], w[0]) if f_src.mode == "exact" else w[2] / w[0]
-    return f_src.evaluate(u, v)
-
-
 def lines_to_curves(f_src, sys: ConicSystem, lines: Sequence[PLine2]) -> list[Optional[PPoint]]:
     """Per-line containing conic (system coordinates), or None.
 
-    An exact map is restricted to the line and the basis forms composed with
-    the restriction, so the rows are their coefficient vectors, exact at any
-    degree; a sampled source gives dim+4 rows of basis-form values at image
-    samples.  The rows must drop rank exactly (float mode: relative
-    tolerance) for a conic to be reported.
+    The exact map is restricted to the line and the basis forms composed
+    with the restriction; the conic is the null direction of their
+    coefficient vectors, exact at any degree.  Only an exact source has a
+    restriction: any other source raises TypeError.
     """
-    m = sys.dimension + 4
+    if not isinstance(f_src, ExactMapSource):
+        raise TypeError("lines_to_curves needs an exact rational map")
     out: list[Optional[PPoint]] = []
     for line in lines:
-        if isinstance(f_src, ExactMapSource):
-            restricted = restrict_to_line(f_src.ratmap, line)
-            if restricted.is_zero:  # the line lies in the indeterminacy locus
-                raise TooFewSamples(f"line {line.covector} yielded 0 samples")
-            composed = [q.substitute(list(restricted.components)) for q in sys.basis]
-            rows = UniTuple(composed).coefficient_vectors()
-        else:
-            rows = []
-            for w in _points_on_line(line, m):
-                img = _eval_projective(f_src, w)
-                if img is None:
-                    continue
-                rows.append([q.evaluate(list(img)) for q in sys.basis])
-                if len(rows) >= m:
-                    break
-            if len(rows) < m:
-                raise TooFewSamples(f"line {line.covector} yielded {len(rows)} samples")
-        direction = projcore.null_direction(rows, f_src.mode == "exact")
+        restricted = restrict_to_line(f_src.ratmap, line)
+        if restricted.is_zero:  # the line lies in the indeterminacy locus
+            raise TooFewSamples(f"line {line.covector} yielded 0 samples")
+        composed = [q.substitute(list(restricted.components)) for q in sys.basis]
+        direction = projcore.null_direction(UniTuple(composed).coefficient_vectors(), True)
         out.append(None if direction is None else PPoint(direction))
     return out
 
@@ -296,7 +250,7 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
         return Quadratic(f)
 
     # a web's forms are independent, so a relation of degree <= 2 is a
-    # quadric; implicitize has checked that it vanishes on Phi
+    # quadric; implicitize's solve proves that it vanishes on Phi
     imp = implicitize(Phi, 2)
     if imp is not None:
         Q = imp[1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import projcore, ratfit
+from . import projcore
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
 from .poly import HPoly, RatMap, reduce_map, restrict_to_line, span_dim, variables, _canonical_scale, _monomials
 from .projcore import Hyperplane, PLine2, PPoint
@@ -236,13 +236,3 @@ def _classify(F: RatMap, seed: int) -> PlanarizationClass:
     # the identity
     return Rational(reduce_map(F.components).degree)
 
-
-def classify_source(source, seed: int = 0):
-    """Classify a sampled map by fitting a rational model first.
-
-    Returns (verdict, fitted map).  Fitting failures (DegreeTooLow) propagate:
-    a sampled map that is not rational of degree <= 3 cannot be placed in
-    the trichotomy by this artifact.
-    """
-    model = ratfit.fit_map(source, 3, seed=seed)
-    return classify(model, seed=seed), model

@@ -16,8 +16,11 @@ would give a float.  On top of it sit:
   degree of a common factor and, when it is constant, proves the map
   reduced; otherwise the reduced map is the lowest-degree solution G of
   F_c G_i = F_i G_c, one exact nullspace per degree;
-* restriction of maps to lines, image-span dimension and implicitization
-  by exact linear algebra.
+* restriction of maps to lines and image-span dimension;
+* implicitization by evaluation: the degree-k relations of F are the
+  kernel of one integer matrix of the values F(x)^e at the points x of the
+  principal lattice of degree k deg F, which decides an identity of forms
+  of that degree, so the solve needs no composed product and no check.
 
 Everything here is pure and exact; callers may parallelize freely.
 """
@@ -687,34 +690,32 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
     coordinates vanishing identically after composition with F; returns
     (k, relation) for the first k that works, or None if none does.
     The relation is the first nullspace generator, canonically scaled.
-    Each composed monomial of degree k >= 2 is one product: a composed
-    monomial of degree k - 1 times one component.
+
+    The degree-k system is built by evaluation, not composition: one row
+    per point (1, a) of the principal lattice, a >= 0 with |a| <= k d, and
+    one column per target monomial e, holding F(x)^e.  A form of degree
+    k d that vanishes on that lattice is zero (the lattice is unisolvent
+    for polynomials of degree <= k d in the chart x0 = 1), so the kernel
+    is exactly the set of degree-k relations, and the solve certifies
+    itself.  The components are first scaled by one common multiplier to
+    integers, which scales each degree-k column by the same factor.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     n1 = len(F.components)
     d = F.degree
-    units = [tuple(int(i == j) for j in range(n1)) for i in range(n1)]
-    composed = dict(zip(units, F.components))
+    X, _ = projcore._cleared([c for comp in F.components for c in comp.terms.values()])
+    it = iter(X)
+    comps = [dict(zip(comp.terms, it)) for comp in F.components]
     for k in range(1, kmax + 1):
         target_monos = _monomials(n1, k)
-        if k > 1:
-            below = composed
-            composed = {}
-            for exp in target_monos:
-                i = next(j for j, e in enumerate(exp) if e)
-                rest = tuple(e - (j == i) for j, e in enumerate(exp))
-                composed[exp] = below[rest] * F.components[i]
-        x_monos = _monomials(F.domain_vars, k * d)
-        matrix = [
-            [composed[exp].terms.get(xm, 0) for exp in target_monos] for xm in x_monos
-        ]
+        matrix = []
+        for e in _monomials(F.domain_vars, k * d):
+            x = (1, *e[1:])
+            values = [_p_eval_int(comp, x, 1, d) for comp in comps]
+            matrix.append(_monomial_values(target_monos, values, 1, k))
         basis = projcore.nullspace(matrix)
         if basis:
             terms = {e: c for e, c in zip(target_monos, basis[0]) if c}
-            rel = HPoly(n1, k, terms).canonical()
-            check = rel.substitute(list(F.components))
-            if not check.is_zero:
-                raise AssertionError("implicitize produced a non-vanishing relation")
-            return k, rel
+            return k, HPoly(n1, k, terms).canonical()
     return None

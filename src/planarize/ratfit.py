@@ -283,7 +283,9 @@ def fit_bi(
         if all(univar.evaluate(den, u) != 0 for _, _, den in raw)
     )
 
-    # stage 2: each coefficient slot is rational of degree <= d in c
+    # stage 2: each coefficient slot is rational of degree <= d in c.  As in
+    # stage 1, the reduced fit is checked, so it has no pole at a kept line
+    # and takes its sample there.
     slot_fits = []
     for slot in range(2 * (d_u + 1)):
         samples = []
@@ -291,7 +293,9 @@ def fit_bi(
             scale = Fraction(1) / univar.evaluate(den, probe)
             coef = (num[slot] if slot <= d_u else den[slot - d_u - 1]) * scale
             samples.append((c, coef))
-        slot_fits.append(fit_uni(samples, d))
+        sf = fit_uni(samples, d)
+        _check_samples(samples, _p_from_univar(list(sf.num), 0, 1), _p_from_univar(list(sf.den), 0, 1))
+        slot_fits.append(sf)
 
     dens = [list(sf.den) for sf in slot_fits]
     D = [Fraction(1)]
@@ -311,14 +315,6 @@ def fit_bi(
     den_bi = {e: c for e, c in den_bi.items() if c}
     if not den_bi:
         raise DegreeTooLow("assembled denominator vanished")
-    # a common factor of num and den lowers the degree of the reduced
-    # homogenized pair [den : num]; an unchanged degree keeps both dicts
-    top = max(p_total_degree(num_bi), p_total_degree(den_bi))
-    pair = reduce_map(
-        [HPoly(3, top, {(top - i - j, i, j): c for (i, j), c in p.items()}) for p in (den_bi, num_bi)]
-    )
-    if pair.degree < top:
-        den_bi, num_bi = ({e[1:]: c for e, c in comp.terms.items()} for comp in pair.components)
     scale_ref = p_canonical(den_bi)
     lead = max(den_bi)
     s = coef_div(scale_ref[lead], den_bi[lead])
@@ -327,6 +323,19 @@ def fit_bi(
     result = BiRat(num_bi, den_bi)
     if result.degree > d:
         raise DegreeTooLow(f"assembled degree {result.degree} exceeds bound {d}")
+    # The pair P = num_bi, Q = den_bi needs no reduction: it is coprime.
+    # Each slot fit N_s / Q_s takes its sample at every kept line c, so D(c)
+    # != 0 and (P, Q)(u, c) is a nonzero multiple of the line's coprime fit.
+    # * Q(probe, c) = D(c): the den slots at the probe sum to 1 at every kept
+    #   line; deg Q <= d (checked above), and deg D <= d + deg Q_s <= 2d, as the
+    #   coefficient N_s D / Q_s of a nonzero slot has degree <= d; and there
+    #   are at least 2d + 2 kept lines.
+    # * No factor h(c) alone: if h divides D, the slot whose Q_s holds the
+    #   highest power of h has a coefficient N_s D / Q_s prime to h;
+    #   otherwise h divides every N_s, so h divides Q(probe, c) = D.
+    # * No factor g involving u: at each kept line g(u, c) divides a coprime
+    #   pair, so it is constant in u; each u^k-coefficient of g, k >= 1, has
+    #   degree <= d and vanishes at 2d + 2 points, so it is zero.
 
     # one read of the grid serves the full validation (it covers the lines
     # skipped above) and the direct route

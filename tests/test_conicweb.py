@@ -28,8 +28,8 @@ from planarize.conicweb import (
 )
 from planarize.dualize import CoTrivial, classify
 from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource, read_csv_grid, write_csv_grid
-from planarize.poly import RatMap, implicitize, reduce_map, variables
-from planarize.projcore import PLine2, PPoint, det
+from planarize.poly import RatMap, implicitize, line_base_points, reduce_map, variables
+from planarize.projcore import PLine2, PPoint, det, normalize, nullspace
 from planarize.ratfit import DegreeTooLow
 from planarize.seeding import stable_rng
 
@@ -130,6 +130,21 @@ def _chart_source(M):
     return CallableSource(lambda u, v: M.evaluate([1, u, v]), codim=M.codim, mode="exact")
 
 
+def _sampled_conic(M, system, line):
+    """The point-sampling route, oracle for lines_to_curves: the basis forms
+    at the images of dim+4 points of the line, then an exact nullspace."""
+    p0, p1 = line_base_points(line)
+    rows = []
+    t = 0
+    while len(rows) < system.dimension + 4:
+        img = M.evaluate([a + t * b for a, b in zip(p0, p1)])
+        if img is not None:
+            rows.append([q.evaluate(list(img)) for q in system.basis])
+        t = -t if t > 0 else 1 - t
+    basis = nullspace(rows)
+    return PPoint(normalize(basis[0])) if basis else None
+
+
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_restricted_conics_match_sampled_conics(seed):
     # the restriction route against the sampling route on the same maps
@@ -140,24 +155,23 @@ def test_restricted_conics_match_sampled_conics(seed):
     maps = [INVERSION.after(A), _collineation(rng), IN_CONIC.after(A),
             generate_map(seed, 2, 2), generate_map(seed, 3, 2)]
     systems = [circle_web(), ConicSystem(ORIGIN_NET + [X0 * X0 + X1 * X1]), ConicSystem(ORIGIN_NET)]
-    lines = []
-    while len(lines) < 10:
-        cov = tuple(rng.randint(-9, 9) for _ in range(3))
-        if cov[1:] != (0, 0):  # the chart source has no point on x0 = 0
-            lines.append(PLine2.of(cov))
+    lines = [PLine2.of(tuple(rng.randint(-9, 9) for _ in range(3))) for _ in range(10)]
     for M in maps:
         for system in systems:
             exact = lines_to_curves(ExactMapSource(M), system, lines)
-            assert exact == lines_to_curves(_chart_source(M), system, lines)
+            assert exact == [_sampled_conic(M, system, line) for line in lines]
 
 
 def test_line_in_the_indeterminacy_locus_yields_no_samples():
     # an unreduced map whose common factor x1 vanishes on the line x1 = 0
     unreduced = RatMap([X0 * X1, X1 * X1, X1 * X2])
-    line = PLine2.of(0, 1, 0)
-    for source in (ExactMapSource(unreduced), _chart_source(unreduced)):
-        with pytest.raises(TooFewSamples, match=r"line \(0, 1, 0\) yielded 0 samples"):
-            lines_to_curves(source, circle_web(), [line])
+    with pytest.raises(TooFewSamples, match=r"line \(0, 1, 0\) yielded 0 samples"):
+        lines_to_curves(ExactMapSource(unreduced), circle_web(), [PLine2.of(0, 1, 0)])
+
+
+def test_lines_to_curves_needs_an_exact_map():
+    with pytest.raises(TypeError, match="exact rational map"):
+        lines_to_curves(_chart_source(INVERSION), circle_web(), [PLine2.of(1, 2, 3)])
 
 
 def test_lines_to_curves_reads_no_point_of_an_exact_map(monkeypatch):
@@ -510,20 +524,6 @@ def test_quartic_web_composites_of_inversion_after_a_collineation_stay_co_trivia
     verdict = classify_web(f, web, seed=seed)
     assert isinstance(verdict, InverseQuadratic)
     assert verdict.witness.after(f).projectively_equal(reduce_map([X0, X1, X2]))
-
-
-def test_lines_to_curves_float_mode():
-    def fsample(u, v):
-        denom = u * u + v * v
-        if denom == 0:
-            return None
-        return (1.0, u / denom, v / denom)  # affine inversion, float
-
-    src = CallableSource(fsample, codim=2, mode="float")
-    lam = lines_to_curves(src, circle_web(), [PLine2.of(1, 2, 3)])[0]
-    assert lam is not None
-    exact = lines_to_curves(ExactMapSource(INVERSION), circle_web(), [PLine2.of(1, 2, 3)])[0]
-    assert lam == exact
 
 
 def test_khovanskii_float_equator_grid():

@@ -191,35 +191,19 @@ def test_component_dependence_none_for_independent():
     assert component_dependence(SEGRE) is None
 
 
-def test_classify_source_on_sampled_map():
-    # black-box samples of a quadratic map: fit at the theorem bound, delegate
-    from planarize.dualize import classify_source
+def test_fit_then_classify_a_sampled_map():
+    # black-box samples of a quadratic map: fit at the theorem bound, then classify
     from planarize.jetplan import CallableSource
+    from planarize.ratfit import fit_map
 
     def sample(u, v):
         return SEGRE.evaluate([Fraction(1), Fraction(u), Fraction(v)])
 
-    verdict, model = classify_source(CallableSource(sample, codim=3, mode="exact"))
+    model = fit_map(CallableSource(sample, codim=3, mode="exact"), 3)
+    verdict = classify(model)
     assert isinstance(verdict, CoTrivial)
     assert verdict.center == PPoint.of(0, 0, 0, 1)
     assert model.projectively_equal(SEGRE)
-
-
-def test_classify_source_fits_with_its_seed(monkeypatch):
-    # the held-out draws of the fit are seeded like every other stage
-    from planarize import ratfit
-    from planarize.dualize import classify_source
-    from planarize.jetplan import ExactMapSource
-
-    seen = []
-
-    def fit_map(source, degree, seed=0):
-        seen.append(seed)
-        return SEGRE
-
-    monkeypatch.setattr(ratfit, "fit_map", fit_map)
-    classify_source(ExactMapSource(SEGRE), seed=7)
-    assert seen == [7]
 
 
 def test_dual_map_agrees_with_jet_hyperplanes():

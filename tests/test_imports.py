@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import re
 import sys
 from pathlib import Path
 
@@ -92,11 +93,13 @@ def _references(paths):
 def test_every_function_is_referenced():
     # a function no code names is dead, such as a helper a deletion left
     # behind; a private one must be named in the package, a public one may
-    # be named by the tests or the demos too.  A function naming itself
-    # (recursion) does not count.
+    # be named by the tests or the demos too, and one that only the tests
+    # name must be API: listed in planarize.__all__ or named in README.  A
+    # function naming itself (recursion) does not count.
     root = Path(__file__).resolve().parent.parent
     package = _references(SOURCES)
-    outside = _references(sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py")))
+    demos = _references(sorted((root / "demos").glob("*.py")))
+    tests = _references(sorted((root / "tests").glob("*.py")))
     defined = {
         node.name
         for path in SOURCES
@@ -104,9 +107,25 @@ def test_every_function_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
     }
-    unreferenced = []
+    init = ast.parse((root / "src" / "planarize" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        elt.value
+        for node in init.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    readme = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+
+    def named(name, refs):
+        return any(ref == name and name not in inside for ref, inside in refs)
+
+    unreferenced, test_only = [], []
     for name in sorted(defined):
-        refs = package if name.startswith("_") else package + outside
-        if not any(ref == name and name not in inside for ref, inside in refs):
+        if named(name, package) or (not name.startswith("_") and named(name, demos)):
+            continue
+        if name.startswith("_") or not named(name, tests):
             unreferenced.append(name)
+        elif name not in exported and name not in readme:
+            test_only.append(name)
     assert not unreferenced, f"functions no code names: {unreferenced}"
+    assert not test_only, f"public functions only the tests name, neither in __all__ nor in README: {test_only}"

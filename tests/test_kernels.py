@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from planarize import poly
 from planarize.cli import generate_map
 from planarize.poly import (
     HPoly,
-    _monomials,
     coef_div,
     implicitize,
     p_mul,
@@ -198,20 +198,21 @@ def test_coefficient_edges_keep_fractions():
     assert type(coef_div(Fraction(3, 2), Fraction(1, 2))) is int
 
 
-def test_implicitize_one_product_per_composed_monomial(monkeypatch):
-    products = []
-    mul = HPoly.__mul__
-
-    def counting(self, other):
-        if isinstance(other, HPoly):
-            products.append((self.degree, other.degree))
-        return mul(self, other)
-
-    monkeypatch.setattr(HPoly, "__mul__", counting)
+def test_implicitize_builds_no_product_and_no_composition(monkeypatch):
+    # the degree-k system holds values of F on the principal lattice, so
+    # no composed monomial is multiplied out and no relation substituted
     F = generate_map(3, 2, 3)
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"implicitize called {name}")
+        return call
+
+    for name in ("__mul__", "__rmul__", "__pow__", "substitute"):
+        monkeypatch.setattr(HPoly, name, refuse(f"HPoly.{name}"))
+    monkeypatch.setattr(poly, "p_mul", refuse("p_mul"))
     k, rel = implicitize(F, 4)
-    assert k == 4
-    # degree-1 monomials are the components themselves; each one of degree
-    # j >= 2 is a degree-(j-1) composed monomial times one component
-    expect = [(2 * (j - 1), 2) for j in range(2, k + 1) for _ in _monomials(4, j)]
-    assert sorted(products) == expect
+    assert k == 4 and rel.degree == 4
+    assert calls == []

@@ -24,7 +24,8 @@ from planarize.poly import (
     span_dim,
     variables,
 )
-from planarize.projcore import PLine2, PPoint
+from planarize.cli import generate_map
+from planarize.projcore import PLine2, PPoint, nullspace
 from planarize.seeding import stable_rng
 
 X0, X1, X2 = variables(3)
@@ -271,6 +272,85 @@ def test_implicitize_relation_vanishes_after_composition():
 def test_implicitize_no_relation_for_plane_identity():
     F = reduce_map([X0, X1, X2])
     assert implicitize(F, 4) is None
+
+
+def implicitize_by_composition(F, kmax):
+    """The coefficient route, oracle for implicitize: every composed
+    monomial F^e is built as a product, and the degree-k system matches
+    coefficients of the domain monomials of degree k d."""
+    n1 = len(F.components)
+    units = [tuple(int(i == j) for j in range(n1)) for i in range(n1)]
+    composed = dict(zip(units, F.components))
+    for k in range(1, kmax + 1):
+        target_monos = _monomials(n1, k)
+        if k > 1:
+            below, composed = composed, {}
+            for exp in target_monos:
+                i = next(j for j, e in enumerate(exp) if e)
+                rest = tuple(e - (j == i) for j, e in enumerate(exp))
+                composed[exp] = below[rest] * F.components[i]
+        matrix = [
+            [composed[exp].terms.get(xm, 0) for exp in target_monos]
+            for xm in _monomials(F.domain_vars, k * F.degree)
+        ]
+        basis = nullspace(matrix)
+        if basis:
+            terms = {e: c for e, c in zip(target_monos, basis[0]) if c}
+            return k, HPoly(n1, k, terms).canonical()
+    return None
+
+
+def vanishes_on(rel, F):
+    """sympy: rel(F_0, ..., F_n) expands to zero."""
+    xs = sympy.symbols(f"x0:{F.domain_vars}")
+    ys = sympy.symbols(f"y0:{len(F.components)}")
+
+    def expr(p, vs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(v**k for v, k in zip(vs, e))
+                   for e, c in p.terms.items())
+
+    composed = expr(rel, ys).subs({y: expr(c, xs) for y, c in zip(ys, F.components)}, simultaneous=True)
+    return sympy.expand(composed) == 0
+
+
+@st.composite
+def small_maps(draw):
+    """Maps from RP^(nvars-1), nvars 1-4, of degree <= 3 (<= 2 from RP^2 on)
+    into RP^1..RP^3: dense seeded components, some with Fraction
+    coefficients, and at most one zero component."""
+    nvars = draw(st.sampled_from([2, 3, 4, 1]))
+    degree = draw(st.sampled_from([2, 1, 3, 0][: 2 if nvars > 2 else 3 if nvars == 2 else 4]))
+    count = draw(st.sampled_from([4, 3, 2]))
+    rng = stable_rng(draw(st.integers(0, 10**6)), "implicitize_maps")
+    denominator = draw(st.sampled_from([1, 3, 2]))
+    comps = [random_hpoly(rng, nvars, degree, -3, 3) * Fraction(1, rng.randint(1, denominator))
+             for _ in range(count)]
+    zero = draw(st.integers(0, 3 * count)) - 2 * count
+    if 0 <= zero < count:
+        comps[zero] = HPoly.zero(nvars, degree)
+    if all(c.is_zero for c in comps):
+        comps[0] = HPoly.monomial([degree] + [0] * (nvars - 1))
+    return RatMap(comps)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_maps(), st.sampled_from([4, 3, 2, 1]))
+def test_implicitize_matches_the_composition_route(F, kmax):
+    out = implicitize(F, kmax)
+    assert repr(out) == repr(implicitize_by_composition(F, kmax))
+    if out is not None:
+        assert vanishes_on(out[1], F)
+
+
+@pytest.mark.parametrize("F, kmax", [
+    (generate_map(3, 2, 3), 4),
+    (RatMap([Fraction(1, 3) * c for c in generate_map(5, 2, 3).components[:3]] + [X0 * X1]), 4),
+    (reduce_map([X0 * X0, X0 * X1, X0 * X2, X1 * X1 + X2 * X2]), 2),
+], ids=["generic quadratic", "fraction coefficients", "circle web"])
+def test_implicitize_relation_vanishes_by_sympy(F, kmax):
+    k, rel = implicitize(F, kmax)
+    assert repr((k, rel)) == repr(implicitize_by_composition(F, kmax))
+    assert vanishes_on(rel, F)
 
 
 # -- reduce_map against sympy's gcd ----------------------------------------------

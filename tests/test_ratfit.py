@@ -4,11 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from planarize import projcore, variables, reduce_map
 from planarize.cli import generate_map
 from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource
-from planarize.poly import p_mul, p_sub
+from planarize.poly import p_eval, p_mul, p_sub
 from planarize.projcore import nullspace
 from planarize.ratfit import (
     DegreeTooLow,
@@ -191,6 +192,40 @@ def test_fit_bi_probe_beyond_the_nodes():
 
 
 RATIONAL_AXIS = [Fraction(k, 3) + Fraction(1, 5) for k in range(11)]
+
+
+def _bivariate(rng, degree, sparsity):
+    terms = {(i, j): Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+             for i in range(degree + 1) for j in range(degree + 1 - i) if rng.random() >= sparsity}
+    return {e: c for e, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_fit_bi_returns_a_coprime_pair(seed):
+    # fit_bi does not reduce its assembled pair; sympy's gcd of num and den
+    # must be constant, also when the sampled formula carries a common factor
+    u, v = sympy.symbols("u v")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * u**i * v**j for (i, j), c in p.items())
+
+    rng = stable_rng(seed, "fit_bi_coprime")
+    d = rng.choice([1, 2, 2, 3])
+    A = _bivariate(rng, rng.randint(0, d - 1), rng.choice([0, 0.4]))
+    B = _bivariate(rng, rng.randint(0, d - 1), rng.choice([0, 0.4])) or {(0, 0): 1}
+    h = _bivariate(rng, 1, 0) or {(0, 1): 1}
+    if seed % 2:  # keep the formula reduced
+        h = {(0, 0): 1}
+
+    def f(x, y):
+        q = p_eval(B, [x, y]) * p_eval(h, [x, y])
+        return None if q == 0 else p_eval(A, [x, y]) * p_eval(h, [x, y]) / q
+
+    axes = (RATIONAL_AXIS, RATIONAL_AXIS) if seed % 4 == 3 and d < 3 else ()
+    r = fit_bi(f, d, *axes)
+    num, den = expr(r.num), expr(r.den)
+    assert sympy.gcd(num, den).free_symbols == set()
+    assert sympy.cancel(num / den - expr(A) / expr(B)) == 0
 
 
 def test_fit_bi_at_rational_nodes():
