@@ -2,10 +2,9 @@
 
 A rational function of degree d is pinned down by its values at 2d+1
 distinct nodes: multiplying through by the denominator turns interpolation
-into a homogeneous linear system.  The same idea lifts to two variables
-line by line (the per-line coefficients are again rational in the line
-parameter), and whole projective maps are fitted with all components in one
-system per degree.
+into a homogeneous linear system.  Whole projective maps are fitted the
+same way, with all components in one system per degree, and a function
+P/Q of two variables is the map [Q : P] to RP^1, fitted as such.
 """
 
 from fractions import Fraction
@@ -26,7 +25,7 @@ try:
 except DegreeTooLow as exc:
     print("cubic at degree 2 rejected:", exc)
 
-# Two variables, two independent routes that must agree.
+# Two variables: f = P/Q is fitted as the graph map [1 : f] = [Q : P].
 g = fit_bi(lambda u, v: Fraction(u + v) / Fraction(1 + u * u), 2)
 print("bivariate numerator:", g.num)
 print("bivariate denominator:", g.den)

@@ -24,6 +24,12 @@ from .poly import HPoly, RatMap, reduce_map, restrict_to_line, span_dim, variabl
 from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
+#: largest pairing system, in cells (rows times columns), that `dual_map`
+#: may solve: on a 2-core machine a quintic into RP^6 (1,319,472 cells at
+#: the generic degree 15) classifies in about 6 s, and a sextic into RP^7
+#: (5,752,208 cells at degree 21) would take about 71 s
+MAX_DUAL_CELLS = 1_500_000
+
 
 class EverywhereDegenerate(ValueError):
     """No point of the map determines per-line hyperplanes: its lines' images
@@ -127,7 +133,15 @@ def _pairing_nullspace(rows: list[list[HPoly]], D: int) -> list[tuple[Fraction, 
     """Nullspace of the pairing system at degree D: the unknowns are the
     coefficients of n+1 forms G_i of degree D, form by form, and the
     equations the coefficients of sum_i G_i * row_i, one per monomial and
-    row.  Each entry is set once: a column's terms reach distinct monomials."""
+    row.  Each entry is set once: a column's terms reach distinct monomials.
+    A system of more than MAX_DUAL_CELLS cells (at most C(D+d+2, 2) rows
+    per section, d the degree of the map) raises ValueError unsolved."""
+    d = rows[0][0].degree
+    cells = len(rows) * math.comb(D + d + 2, 2) * len(rows[0]) * math.comb(D + 2, 2)
+    if cells > MAX_DUAL_CELLS:
+        raise ValueError(
+            f"the pairing system at degree {D} has {cells} cells, more than MAX_DUAL_CELLS = {MAX_DUAL_CELLS}"
+        )
     monos = _monomials(3, D)
     ncols = len(rows[0]) * len(monos)
     matrix = []
@@ -171,7 +185,8 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     then upward to n*d - n(n-1)/2: the degree of n rows' minors less the
     section factors l . (c x c') they share.  No solution up to there
     raises NotPlanar; a nullity other than C(k+2, 2), or other than 1 at
-    the lowest degree, raises EverywhereDegenerate.
+    the lowest degree, raises EverywhereDegenerate.  A system of more than
+    MAX_DUAL_CELLS cells raises ValueError before it is solved.
     """
     if F.domain_vars != 3:
         raise ValueError("dual maps need domain RP^2")

@@ -73,11 +73,6 @@ def _cleared(v: Sequence) -> tuple[list[int], int]:
     return [c.numerator * (L // c.denominator) for c in fv], L
 
 
-def clear_denominators(v: Sequence) -> list[int]:
-    """Scale a rational vector by the positive lcm of denominators."""
-    return _cleared(v)[0]
-
-
 def normalize(v: Sequence) -> tuple[int, ...]:
     """Canonical integer representative of a projective coordinate vector.
 
@@ -108,7 +103,7 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     Positive scaling preserves the sign of every maximal minor, which the
     wedge complement relies on.
     """
-    return [clear_denominators(r) for r in rows]
+    return [_cleared(r)[0] for r in rows]
 
 
 def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int]:

@@ -7,16 +7,16 @@ wedges that call them expect.
 
 The gcd kernel works on integers with the content kept apart:
 `content_primitive` splits a polynomial once into its rational content and
-an integer primitive part (projcore clears the denominators), and `gcd`,
-`lcm` and `divexact` compute on those int lists.  The gcd is the
+an integer primitive part (projcore clears the denominators), and `gcd`
+and `divexact` compute on those int lists.  The gcd is the
 heuristic GCDHEU (Char, Geddes & Gonnet 1989): evaluate both primitive
 parts at a large integer xi, take the integer gcd, read a candidate off
 its symmetric base-xi digits and accept its primitive part only if it
 divides both inputs exactly.  Since xi stays at least
 2 min(|a|, |b|) + 2 (max norms), an accepted candidate is the gcd.  After
 a fixed number of evaluation points the primitive pseudo-remainder
-sequence decides.  The gcd and lcm are primitive int lists with a
-positive leading coefficient.
+sequence decides.  The gcd is a primitive int list with a positive
+leading coefficient.
 """
 
 from __future__ import annotations
@@ -199,12 +199,3 @@ def divexact(p: Sequence, q: Sequence) -> Poly:
     if ratio.denominator == 1:
         ratio = ratio.numerator
     return [c * ratio for c in quo]
-
-
-def lcm(p: Sequence, q: Sequence) -> list[int]:
-    """Primitive lcm with positive lead ([] when either is zero)."""
-    a = content_primitive(p)[1]
-    b = content_primitive(q)[1]
-    if not a or not b:
-        return []
-    return content_primitive(mul(a, _exquo(b, gcd(a, b))))[1]

@@ -202,7 +202,7 @@ def test_criterion_5_rational_fitting():
             lhs = univar.mul(list(got.num), q)
             rhs = univar.mul(list(got.den), p)
             assert univar.sub(lhs, rhs) == []
-    # 10 planted bivariate recoveries, both routes (fit_bi enforces agreement)
+    # 10 planted bivariate recoveries, each fitted by fit_map as the graph map [1 : f]
     rng = stable_rng(55, "acc_bi")
     recovered = 0
     while recovered < 10:

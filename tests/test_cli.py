@@ -12,6 +12,7 @@ import pytest
 from planarize import cli, ratfit
 from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, MAX_IMPLICITIZE_CELLS, generate_map, main
 from planarize.conicweb import ConicSystem, circle_web
+from planarize.dualize import MAX_DUAL_CELLS
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
 
@@ -135,9 +136,9 @@ def test_fit_cli_round_trip(tmp_path, capsys):
     assert RatMap.from_json(report["map"]).projectively_equal(F)
 
 
-def test_fit_cli_probe_beyond_the_grid(tmp_path, capsys):
-    # (u, v) -> (u + v - 6, u) on the 7x7 grid 0..6: every u node is a pole
-    # of some line's denominator, so the probe node lies beyond the grid
+def test_fit_cli_component_vanishing_on_every_grid_line(tmp_path, capsys):
+    # (u, v) -> (u + v - 6, u) on the 7x7 grid 0..6: the first component
+    # vanishes at one node of every row and every column
     us = [Fraction(k) for k in range(7)]
     values = [[(u + v - 6, u) for u in us] for v in us]
     path = tmp_path / "affine.csv"
@@ -428,6 +429,18 @@ def test_implicitize_over_the_cell_limit_exits_1_at_once(tmp_path):
     assert run.stdout == ""
     (line,) = run.stderr.splitlines()
     assert line.startswith("planarize: ValueError: ") and "MAX_IMPLICITIZE_CELLS" in line
+
+
+def test_classify_over_the_dual_cell_limit_exits_1_at_once(tmp_path):
+    # a sextic into RP^7 (d + 1 = n) reaches the pairing system at the
+    # generic degree 21: 7 * 406 rows by 8 * 253 columns
+    path = _generated(tmp_path, 1, 6, 7)
+    run = _planarize("classify", "--in", path, timeout=30)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line == ("planarize: ValueError: the pairing system at degree 21 has 5752208 cells, "
+                    f"more than MAX_DUAL_CELLS = {MAX_DUAL_CELLS}")
 
 
 @pytest.mark.parametrize("kmax,code", [(9, 0), (10, 1)])

@@ -1,10 +1,9 @@
 """The univariate gcd kernel against the sympy oracle.
 
 gcd (its GCDHEU path and its primitive-PRS fallback, each also called
-directly), lcm and exact division, on seeded inputs up to degree 70: zero,
+directly) and exact division, on seeded inputs up to degree 70: zero,
 constant, coprime, planted common factors, negative leads, rational and
-large coefficients.  Every gcd and lcm must be primitive with a positive
-lead.
+large coefficients.  Every gcd must be primitive with a positive lead.
 """
 
 from fractions import Fraction
@@ -126,14 +125,6 @@ def test_heuristic_rejects_a_candidate_that_does_not_divide(monkeypatch, a, b):
     monkeypatch.setattr(univar, "HEU_TRIES", 1)
     assert univar._heu_gcd(a, b) is None
     assert univar.gcd(a, b) == univar._prs_gcd(a, b) == [1]
-
-
-@pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
-def test_lcm_matches_sympy(name, p, q):
-    got = univar.lcm(p, q)
-    expect = canon(sympy.lcm(to_sympy(p), to_sympy(q))) if p and q else []
-    assert got == expect
-    assert_primitive(got)
 
 
 @pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
