@@ -1,9 +1,10 @@
 """The univariate gcd kernel against the sympy oracle.
 
 gcd (its GCDHEU path and its primitive-PRS fallback, each also called
-directly) and exact division, on seeded inputs up to degree 70: zero,
-constant, coprime, planted common factors, negative leads, rational and
-large coefficients.  Every gcd must be primitive with a positive lead.
+directly), exact division and the gcd cofactors, on seeded inputs up to
+degree 70: zero, constant, coprime, planted common factors, negative leads,
+rational and large coefficients.  Every gcd must be primitive with a
+positive lead.
 """
 
 from fractions import Fraction
@@ -125,6 +126,21 @@ def test_heuristic_rejects_a_candidate_that_does_not_divide(monkeypatch, a, b):
     monkeypatch.setattr(univar, "HEU_TRIES", 1)
     assert univar._heu_gcd(a, b) is None
     assert univar.gcd(a, b) == univar._prs_gcd(a, b) == [1]
+
+
+@pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
+def test_gcd_cofactors_are_coprime_and_span_the_lcm(name, p, q):
+    # the reduction p/q -> (p/g)/(q/g) that fit_uni makes: both divisions are
+    # exact, the cofactors share no factor, and p * (q/g) is sympy's lcm
+    g = univar.gcd(p, q)
+    if not g:
+        assert not univar.trim(p) and not univar.trim(q)
+        return
+    a, b = univar.divexact(p, g), univar.divexact(q, g)
+    assert univar.mul(a, g) == univar.trim(p) and univar.mul(b, g) == univar.trim(q)
+    assert univar.gcd(a, b) == ([1] if a or b else [])
+    expect = canon(sympy.lcm(to_sympy(p), to_sympy(q))) if univar.trim(p) and univar.trim(q) else []
+    assert univar.content_primitive(univar.mul(p, b))[1] == expect
 
 
 @pytest.mark.parametrize("name,p,q", CASES, ids=IDS)
