@@ -2,10 +2,18 @@
 
 The dual assigns to a line of RP^2 (a point of the dual plane) the
 hyperplane containing the image of that line.  For rational maps it is
-solved for exactly: d+1 rational sections put points on the moving line, and
-the dual is the lowest-degree form G in the line whose pairing with F at
-every section point vanishes identically, one exact linear system.  The
-solve is its own certificate: no minors, no gcd and no second check.
+found exactly, by one of two routes:
+
+* d+1 = n: the image of a line has n coefficient vectors, and their signed
+  maximal minors (the wedge) are the hyperplane.  The wedge is evaluated
+  in integers at the lines (a, b, 1) of the principal lattice, interpolated
+  by Newton forward differences and reduced: no linear system is solved.
+* d >= n: d+1 rational sections put points on the moving line, and the
+  dual is the lowest-degree form G in the line whose pairing with F at
+  every section point vanishes identically, one exact linear system per
+  degree.  The solve is its own certificate: no minors, no gcd and no
+  second check.
+
 The classifier then sorts a map into the trivial / co-trivial / rational
 trichotomy by two exact rank computations.
 """
@@ -20,15 +28,33 @@ from typing import Optional, Sequence, Union
 
 from . import projcore
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
-from .poly import HPoly, RatMap, reduce_map, restrict_to_line, span_dim, variables, _canonical_scale, _monomials
+from .poly import (
+    HPoly,
+    RatMap,
+    reduce_map,
+    restrict_to_line,
+    span_dim,
+    variables,
+    _binomial_row,
+    _canonical_scale,
+    _monomials,
+    _newton_triangle,
+    _powers,
+)
 from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
 #: largest pairing system, in cells (rows times columns), that `dual_map`
-#: may solve: on a 2-core machine a quintic into RP^6 (1,319,472 cells at
-#: the generic degree 15) classifies in about 6 s, and a sextic into RP^7
-#: (5,752,208 cells at degree 21) would take about 71 s
+#: may solve for a map of degree d >= n; it was sized when d + 1 = n maps
+#: still took this system, where a quintic into RP^6 (1,319,472 cells at
+#: degree 15) classified in about 6 s on a 2-core machine
 MAX_DUAL_CELLS = 1_500_000
+#: most principal-lattice points, C(D+2, 2) with D = d(d+1)/2, on which
+#: `dual_map` may interpolate the wedge of a map with d + 1 = n: on a 2-core
+#: machine a sextic into RP^7 (253 points) classifies in about 0.8 s and a
+#: septic into RP^8 (435) in about 2 s; an octic into RP^9 (703) would take
+#: about 6 s
+MAX_WEDGE_POINTS = 500
 
 
 class EverywhereDegenerate(ValueError):
@@ -157,6 +183,52 @@ def _pairing_nullspace(rows: list[list[HPoly]], D: int) -> list[tuple[Fraction, 
     return projcore.nullspace(matrix)
 
 
+def _wedge_forms(F: RatMap) -> list[HPoly]:
+    """The forms H of degree D = d(d+1)/2 whose reduction is the dual of a
+    map with d + 1 = n, from the wedge of one line's image.
+
+    For the line l = (a, b, 1), F(s p + t q) with p = l x e0 = (0, 1, -b)
+    and q = l x e1 = (-1, 0, a) has n coefficient vectors in Z^(n+1) (the
+    components first cleared to integers by one common multiplier), and
+    their signed maximal minors W(l) are the covector of the hyperplane
+    they span.  As a form in l, W = +-l_2^(d(d+1)/2) H: p x q = l_2 l, and
+    Sym^d of a change of parameter has determinant det^(d(d+1)/2).  So H has
+    degree n d - d(d+1)/2 = D and equals W where l_2 = 1: each component is
+    interpolated from its values on the principal lattice Lambda_D
+    (`poly._newton_triangle`, at the scale (D!)^2) and homogenized.  H is
+    zero exactly when no line's image spans a hyperplane.
+
+    On the line, x0 = -t and x1 = s, and x2 = a t - b s has the binomial
+    row (a t - b s)^k = sum_m B_km a^m b^(k-m) t^m s^(k-m), B_k the row of
+    (-s + t)^k.  So every entry of the coefficient vectors is a fixed
+    integer combination of the products a^m b^j, listed once per map; at
+    each lattice point only the power tables of a and b change."""
+    n, d = F.codim, F.degree
+    D = d * (d + 1) // 2
+    X, _ = projcore._cleared([c for comp in F.components for c in comp.terms.values()])
+    it = iter(X)
+    signed = [_binomial_row(-1, 1, k) for k in range(d + 1)]
+    terms = []  # (power of t, component, coefficient, power of a, power of b)
+    for i, comp in enumerate(F.components):
+        for e, c in zip(comp.terms, it):
+            c = -c if e[0] % 2 else c
+            terms.extend((e[0] + m, i, c * beta, m, e[2] - m) for m, beta in enumerate(signed[e[2]]))
+
+    def wedge_at(a: int, b: int) -> list[int]:
+        ap, bp = _powers(a, d), _powers(b, d)
+        rows = [[0] * (n + 1) for _ in range(d + 1)]
+        for r, i, c, m, j in terms:
+            rows[r][i] += c * ap[m] * bp[j]
+        return projcore.signed_minors(rows)
+
+    grid = [[wedge_at(a, b) for b in range(D + 1 - a)] for a in range(D + 1)]
+    H = []
+    for i in range(n + 1):
+        coeffs = _newton_triangle([[w[i] for w in row] for row in grid], D)
+        H.append(HPoly(3, D, {(k, l, D - k - l): c for (k, l), c in coeffs.items()}))
+    return H
+
+
 def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     """The rational map sending a line to the hyperplane containing its image.
 
@@ -173,7 +245,12 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
        the jets at a fixed 3x3 grid plus 16 seeded points, else
        EverywhereDegenerate.
 
-    The dual is then the lowest-degree solution G of the pairing identity
+    For d+1 = n the dual is the reduced wedge of one line's image, read in
+    integers at the lines (a, b, 1) of the principal lattice of degree
+    d(d+1)/2 and interpolated (`_wedge_forms`); a lattice of more than
+    MAX_WEDGE_POINTS points raises ValueError before the preconditions.
+
+    For d >= n the dual is the lowest-degree solution G of the pairing identity
     sum_i G_i(l) * F_i(l x c) = 0 in the line l, for the d+1 directions c of
     _section_directions.  On a line the pairing is a degree-d binary form,
     zero at the d+1 points l x c, so G(l) contains the line's image: the
@@ -193,7 +270,18 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     n, d = F.codim, F.degree
     if n < 2:
         raise ValueError("dual maps need a target of dimension at least 2")
+    points = math.comb(d * (d + 1) // 2 + 2, 2)
+    if d + 1 == n and points > MAX_WEDGE_POINTS:
+        raise ValueError(
+            f"the wedge of a degree-{d} map into RP^{n} needs {points} lattice points, "
+            f"more than MAX_WEDGE_POINTS = {MAX_WEDGE_POINTS}"
+        )
     _check_preconditions(F, seed)
+    if d + 1 == n:
+        H = _wedge_forms(F)
+        if all(h.is_zero for h in H):
+            raise EverywhereDegenerate(f"no line's image spans a hyperplane of RP^{n}")
+        return reduce_map(H)
 
     rows = [_section_row(F, c) for c in _section_directions(d + 1)]
     generic = n * (n - 1) // 2

@@ -16,8 +16,12 @@ would give a float.  On top of it sit:
   degree of a common factor and, when it is constant, proves the map
   reduced; otherwise the reduced map is the lowest-degree solution G of
   F_c G_i = F_i G_c, one exact nullspace per degree;
-* restriction of maps to lines and image-span dimension;
-* implicitization by evaluation: the degree-k relations of F are the
+* restriction of maps to lines by the binomial theorem, with no product
+  of polynomials, and image-span dimension;
+* the principal lattice of degree D, the points (a, b) >= 0 with
+  a + b <= D, on which a polynomial of degree D is fixed by its values:
+  Newton interpolation there in integers (`_newton_triangle`), and
+  implicitization by evaluation: the degree-k relations of F are the
   kernel of one integer matrix of the values F(x)^e at the points x of the
   principal lattice of degree k deg F, which decides an identity of forms
   of that degree, so the solve needs no composed product and no check.
@@ -526,12 +530,11 @@ def _common_degree_bound(forms: Sequence[HPoly]) -> int:
     d.  A base point on the line can only raise the bound.  The scan stops
     at the first restriction that leaves a constant gcd."""
     nvars, d = forms[0].nvars, forms[0].degree
-    line = [HPoly(2, 1, {(1, 0): i + 1, (0, 1): (i + 1) ** 3}) for i in range(nvars)]
+    rows = _line_rows([f.terms for f in forms], range(1, nvars + 1), [(i + 1) ** 3 for i in range(nvars)], d)
     g: list = []  # the gcd with u0 = 1, a polynomial in u1
     u0_power = d
-    for f in forms:
-        r = f.substitute(line).terms
-        p = univar.trim([r.get((d - j, j), 0) for j in range(d + 1)])
+    for col in range(len(forms)):
+        p = univar.trim([row[col] for row in rows])
         if not p:
             continue
         g = univar.gcd(g, p)
@@ -643,6 +646,50 @@ def line_base_points(line: PLine2) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return pts[0], pts[1]
 
 
+def _convolve(a: list, b: list) -> list:
+    """The coefficient list of the product of two univariate coefficient
+    lists; zero entries of `a` are skipped, so pass the sparser one first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _binomial_row(u, v, k: int) -> list:
+    """(u s + v t)^k as its coefficients of s^(k-r) t^r, r = 0..k, read off
+    the binomial theorem from power tables of u and v."""
+    up, vp = _powers(u, k), _powers(v, k)
+    return [math.comb(k, r) * up[k - r] * vp[r] for r in range(k + 1)]
+
+
+def _line_rows(comps: Sequence[PolyDict], p: Sequence[int], q: Sequence[int], d: int) -> list[list]:
+    """The coefficient vectors A_0..A_d of F(s p + t q) = sum_r s^(d-r) t^r A_r,
+    one entry per term dict of `comps` (forms of degree d in len(p) variables).
+
+    Each power (p_i s + q_i t)^k is read off the binomial theorem
+    (`_binomial_row`), and a monomial's row is the product of its
+    variables' rows, formed once for all the forms that share it; no
+    polynomial product is formed, so the cost grows as the degree times the
+    terms, not as the square of the degree."""
+    monomial_rows: dict = {}
+    out = [[0] * len(comps) for _ in range(d + 1)]
+    for col, terms in enumerate(comps):
+        for e, c in terms.items():
+            row = monomial_rows.get(e)
+            if row is None:
+                row = [1]
+                for u, v, k in zip(p, q, e):
+                    if k:
+                        row = _convolve(row, _binomial_row(u, v, k))
+                monomial_rows[e] = row
+            for r, x in enumerate(row):
+                if x:
+                    out[r][col] += c * x
+    return out
+
+
 def restrict_to_line(F: RatMap, line: PLine2) -> UniTuple:
     """Compose F with the canonical degree-1 parameterization of a line.
 
@@ -653,8 +700,9 @@ def restrict_to_line(F: RatMap, line: PLine2) -> UniTuple:
     if F.domain_vars != 3:
         raise ValueError("restriction needs a map with domain RP^2")
     p0, p1 = line_base_points(line)
-    subs = [HPoly(2, 1, {(1, 0): p0[i], (0, 1): p1[i]}) for i in range(3)]
-    return UniTuple([c.substitute(subs) for c in F.components])
+    d = F.degree
+    rows = _line_rows([c.terms for c in F.components], p0, p1, d)
+    return UniTuple([HPoly(2, d, {(d - r, r): row[i] for r, row in enumerate(rows)}) for i in range(len(F.components))])
 
 
 def span_dim(t: UniTuple) -> int:
@@ -665,7 +713,7 @@ def span_dim(t: UniTuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# implicitization
+# the principal lattice: interpolation and implicitization
 # ---------------------------------------------------------------------------
 
 
@@ -681,6 +729,49 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
         exp.append(degree + nvars - 2 - prev)
         out.append(tuple(exp))
     return sorted(out)
+
+
+def _stirling_scaled(D: int) -> list[list[int]]:
+    """T[i][k] = (D!/i!) s(i, k) for 0 <= k <= i <= D, s the signed Stirling
+    numbers of the first kind, so that D! C(a, i) = sum_k T[i][k] a^k."""
+    s = [[1]]
+    for i in range(D):
+        prev = s[-1] + [0]
+        s.append([(prev[k - 1] if k else 0) - i * prev[k] for k in range(i + 2)])
+    f = math.factorial(D)
+    return [[f // math.factorial(i) * x for x in row] for i, row in enumerate(s)]
+
+
+def _newton_triangle(values: Sequence[Sequence[int]], D: int) -> dict:
+    """(D!)^2 f as {(k, l): coefficient of a^k b^l}, for the polynomial f of
+    degree <= D in (a, b) whose values on the principal lattice are given as
+    values[a][b] = f(a, b), a, b >= 0, a + b <= D.
+
+    The lattice is unisolvent for degree D, and f = sum c_ij C(a, i) C(b, j)
+    over i + j <= D with c_ij the forward difference of order i in a and j
+    in b at the origin: integer differences, row by row in b, then column by
+    column in a.  One change of basis takes the binomials to monomials,
+    D! C(a, i) = sum_k T[i][k] a^k (`_stirling_scaled`), so the whole
+    interpolant stays in integers at the scale (D!)^2."""
+    c = [list(row) for row in values]
+    for row in c:
+        for k in range(1, len(row)):
+            for b in range(len(row) - 1, k - 1, -1):
+                row[b] -= row[b - 1]
+    for j in range(D + 1):
+        for k in range(1, D - j + 1):
+            for a in range(D - j, k - 1, -1):
+                c[a][j] -= c[a - 1][j]
+    T = _stirling_scaled(D)
+    # B[k][j] = sum_i T[i][k] c_ij, then the coefficient sum_j T[j][l] B[k][j]
+    B = [[sum(T[i][k] * c[i][j] for i in range(k, D - j + 1)) for j in range(D + 1 - k)] for k in range(D + 1)]
+    out = {}
+    for k in range(D + 1):
+        for l in range(D + 1 - k):
+            v = sum(T[j][l] * B[k][j] for j in range(l, D - k + 1))
+            if v:
+                out[k, l] = v
+    return out
 
 
 def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:

@@ -18,6 +18,8 @@ picks the exact or the float route from a flag.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -379,30 +381,40 @@ def signed_minors(
     n = len(rows)
     if n == 0 or any(len(r) != n + 1 for r in rows):
         raise DimensionMismatch(f"need {n} rows of length {n + 1}")
-    memo: dict = {}
+    # level by level: the determinants of the last m rows on every m-set of
+    # columns, in the order of _minor_plan(n)
+    minors = list(rows[-1])
+    for m, level in enumerate(_minor_plan(n), start=2):
+        row = rows[n - m]
+        current = []
+        for expansion in level:
+            acc = None
+            for c, sub, odd in expansion:
+                term = mul(row[c], minors[sub])
+                if odd:
+                    term = neg(term)
+                acc = term if acc is None else add(acc, term)
+            current.append(acc)
+        minors = current
+    # the n-sets come as combinations of range(n + 1): column n left out first
+    return [neg(minors[n - j]) if j % 2 else minors[n - j] for j in range(n + 1)]
 
-    def minor(cols: tuple):
-        # determinant of the last len(cols) rows on these columns
-        if cols not in memo:
-            row = rows[n - len(cols)]
-            if len(cols) == 1:
-                memo[cols] = row[cols[0]]
-            else:
-                acc = None
-                for k, c in enumerate(cols):
-                    term = mul(row[c], minor(cols[:k] + cols[k + 1 :]))
-                    if k % 2:
-                        term = neg(term)
-                    acc = term if acc is None else add(acc, term)
-                memo[cols] = acc
-        return memo[cols]
 
-    every = tuple(range(n + 1))
-    out = []
-    for j in range(n + 1):
-        d = minor(every[:j] + every[j + 1 :])
-        out.append(neg(d) if j % 2 else d)
-    return out
+@functools.lru_cache(maxsize=None)
+def _minor_plan(n: int) -> tuple:
+    """For m = 2..n, the cofactor expansions of the m-sets of columns of an
+    n x (n+1) matrix, in itertools.combinations order: for each set, one
+    (column, index of the (m-1)-set left when it is removed, odd position)
+    per column of the set."""
+    plan = []
+    previous = {(c,): c for c in range(n + 1)}
+    for m in range(2, n + 1):
+        sets = list(itertools.combinations(range(n + 1), m))
+        plan.append(tuple(
+            tuple((c, previous[cols[:k] + cols[k + 1 :]], k % 2) for k, c in enumerate(cols)) for cols in sets
+        ))
+        previous = {cols: i for i, cols in enumerate(sets)}
+    return tuple(plan)
 
 
 def wedge_complement(vs: Sequence[Sequence]) -> tuple[int, ...]:

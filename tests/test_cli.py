@@ -12,7 +12,7 @@ import pytest
 from planarize import cli, ratfit
 from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, MAX_IMPLICITIZE_CELLS, generate_map, main
 from planarize.conicweb import ConicSystem, circle_web
-from planarize.dualize import MAX_DUAL_CELLS
+from planarize.dualize import MAX_WEDGE_POINTS
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
 
@@ -431,16 +431,24 @@ def test_implicitize_over_the_cell_limit_exits_1_at_once(tmp_path):
     assert line.startswith("planarize: ValueError: ") and "MAX_IMPLICITIZE_CELLS" in line
 
 
-def test_classify_over_the_dual_cell_limit_exits_1_at_once(tmp_path):
-    # a sextic into RP^7 (d + 1 = n) reaches the pairing system at the
-    # generic degree 21: 7 * 406 rows by 8 * 253 columns
-    path = _generated(tmp_path, 1, 6, 7)
+def test_classify_over_the_wedge_point_limit_exits_1_at_once(tmp_path):
+    # an octic into RP^9 (d + 1 = n) would interpolate its wedge on the
+    # principal lattice of degree 36: C(38, 2) = 703 points
+    path = _generated(tmp_path, 1, 8, 9)
     run = _planarize("classify", "--in", path, timeout=30)
     assert run.returncode == 1
     assert run.stdout == ""
     (line,) = run.stderr.splitlines()
-    assert line == ("planarize: ValueError: the pairing system at degree 21 has 5752208 cells, "
-                    f"more than MAX_DUAL_CELLS = {MAX_DUAL_CELLS}")
+    assert line == ("planarize: ValueError: the wedge of a degree-8 map into RP^9 needs 703 lattice points, "
+                    f"more than MAX_WEDGE_POINTS = {MAX_WEDGE_POINTS}")
+
+
+def test_classify_of_a_sextic_into_rp7_is_rational(tmp_path):
+    # the largest map the pairing system refused now takes the wedge route
+    path = _generated(tmp_path, 1, 6, 7)
+    run = _planarize("classify", "--in", path, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["class"] == "Rational"
 
 
 @pytest.mark.parametrize("kmax,code", [(9, 0), (10, 1)])

@@ -25,7 +25,17 @@ from planarize.dualize import (
     dual_map,
 )
 from planarize.jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
-from planarize.poly import HPoly, RatMap, _monomials, implicitize, reduce_map, restrict_to_line, span_dim, variables
+from planarize.poly import (
+    HPoly,
+    RatMap,
+    _canonical_scale,
+    _monomials,
+    implicitize,
+    reduce_map,
+    restrict_to_line,
+    span_dim,
+    variables,
+)
 from planarize.projcore import Hyperplane, PLine2, PPoint
 from planarize.seeding import stable_rng
 
@@ -599,3 +609,108 @@ def test_the_pairing_dual_is_the_reduced_wedge_and_its_nullity_grows_as_the_mult
     rows = [_section_row(F, c) for c in _section_directions(F.degree + 1)]
     nullities = [len(_pairing_nullspace(rows, D)) for D in range(max(Fh.degree - 1, 0), Fh.degree + 2)]
     assert nullities == ([0] if Fh.degree else []) + [1, 3]
+
+
+# -- the wedge route for d + 1 = n against the pairing system ---------------------------
+
+
+def _pairing_dual(F):
+    """The lowest solution of the pairing system on d+1 section rows, solved
+    at D = 0, 1, 2, ... until one exists: the oracle of the wedge route."""
+    rows = [_section_row(F, c) for c in _section_directions(F.degree + 1)]
+    for D in range(F.codim * F.degree + 1):
+        basis = _pairing_nullspace(rows, D)
+        if basis:
+            assert len(basis) == 1, f"nullity {len(basis)} at the lowest degree {D}"
+            monos = _monomials(3, D)
+            forms = [HPoly(3, D, dict(zip(monos, basis[0][i * len(monos) :]))) for i in range(F.codim + 1)]
+            return RatMap(_canonical_scale(forms))
+    raise AssertionError("the pairing system has no solution")
+
+
+SPHERE = RatMap([X0 * X0 + X1 * X1 + X2 * X2, 2 * X0 * X1, 2 * X0 * X2, X1 * X1 + X2 * X2 - X0 * X0])
+
+
+def _wedge_route_map(kind, seed, fractions):
+    """A map with d + 1 = n of the given kind, its components scaled by
+    seeded Fractions when `fractions` is set (a diagonal collineation after
+    the map, so the kind is kept)."""
+    rng = stable_rng(seed, "wedge_route_maps")
+    if kind == "generic":
+        d = rng.choice((1, 2, 3))
+        F = generate_map(seed, d, d + 1)
+    elif kind == "trivial":
+        d = rng.choice((2, 3))
+        G = list(generate_map(seed, d, d).components)
+        relation = sum((rng.randint(-3, 3) * g for g in G[1:]), rng.randint(1, 3) * G[0])
+        F = RatMap(G + [relation])
+    elif kind == "circle-web":
+        F = RatMap(circle_web().basis).after(_linear_map(_invertible(rng, 3)))
+    else:
+        F = SPHERE.after(_linear_map(_invertible(rng, 3)))
+    if fractions:
+        F = RatMap([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9)) * c for c in F.components])
+    return F
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(st.sampled_from(["generic", "trivial", "circle-web", "sphere"]), st.integers(0, 10**6), st.booleans())
+def test_the_wedge_route_gives_the_pairing_dual_byte_for_byte(kind, seed, fractions):
+    F = _wedge_route_map(kind, seed, fractions)
+    assert F.degree + 1 == F.codim
+    assert repr(dual_map(F, seed=seed)) == repr(_pairing_dual(F))
+
+
+def _degenerate_wedge_maps():
+    """Maps with d + 1 = n whose every line's image spans less than a
+    hyperplane: cones, maps through a curve and maps with a base curve."""
+    rng = stable_rng(0, "degenerate_wedge_maps")
+
+    def form(degree):
+        return HPoly(3, degree, {m: rng.randint(-5, 5) for m in _monomials(3, degree)})
+
+    k, g0, g1, f = form(2), form(1), form(1), form(4)
+    q0, q1, c0, c1 = form(2), form(2), form(3), form(3)
+    return [
+        # the cone over a conic with vertex (0, 0, 0, 1, 1, 2): a line's image spans 4 < 5
+        ("cone", RatMap([k * g0 * g0, k * g0 * g1, k * g1 * g1, f, f + k * g0 * g0, 2 * f - k * g1 * g1])),
+        # [q0 : q1] followed by a line or a conic of RP^n
+        ("through-a-line", RatMap([q0, q1, q0 + 2 * q1, 3 * q0 - q1])),
+        ("through-a-cubic-pencil", RatMap([c0, c1, c0 + c1, c0 - c1, 2 * c0 + 3 * c1])),
+        ("through-a-conic", RatMap([q0 * q0, q0 * q1, q1 * q1, q0 * q0 + q1 * q1, q0 * q1 - q1 * q1, 2 * q0 * q0])),
+        # h * R: the lines of R span too little for its own degree
+        ("base-line", RatMap([g0 * c for c in generate_map(2, 2, 4).components])),
+        ("base-conic", RatMap([k * c for c in generate_map(3, 2, 5).components])),
+        ("base-line-linear", RatMap([g1 * c for c in generate_map(4, 1, 3).components])),
+    ]
+
+
+DEGENERATE_WEDGE_MAPS = _degenerate_wedge_maps()
+
+
+@pytest.mark.parametrize("name, F", DEGENERATE_WEDGE_MAPS, ids=[name for name, _ in DEGENERATE_WEDGE_MAPS])
+def test_a_zero_wedge_never_passes_the_jet_precheck(monkeypatch, name, F):
+    assert F.degree + 1 == F.codim
+    assert all(h.is_zero for h in dualize._wedge_forms(F))
+    with pytest.raises(EverywhereDegenerate, match=r"^no sampled point is nondegenerate$"):
+        dual_map(F, seed=2)
+    src = ExactMapSource(F)
+    for a in _precheck_points(2):
+        try:
+            assert not nondegenerate_at(src, a)
+        except OnIndeterminacy:
+            pass
+    # past the precheck, the zero wedge refuses the map by itself
+    monkeypatch.setattr(dualize, "_check_preconditions", lambda F, seed: None)
+    with pytest.raises(EverywhereDegenerate, match=rf"^no line's image spans a hyperplane of RP\^{F.codim}$"):
+        dual_map(F, seed=2)
+
+
+def test_the_pairing_cell_limit_still_guards_maps_of_degree_at_least_n(monkeypatch):
+    # the dual of a generic quadratic is a cubic into RP^3, which takes the
+    # pairing system; its first system, at degree 0, has 4 * 10 rows by 4 columns
+    Fh = dual_map(generate_map(1, 2, 3), seed=1)
+    monkeypatch.setattr(dualize, "MAX_DUAL_CELLS", 100)
+    with pytest.raises(ValueError) as info:
+        dual_map(Fh, seed=1)
+    assert str(info.value) == "the pairing system at degree 0 has 160 cells, more than MAX_DUAL_CELLS = 100"

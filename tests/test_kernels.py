@@ -1,12 +1,13 @@
 """The determinant, signed-minors and polynomial kernels against the sympy
 oracle, and the exact coefficient convention of the polynomial kernel."""
 
+import math
 import operator
 from fractions import Fraction
 
 import pytest
 
-from planarize import poly
+from planarize import dualize, poly
 from planarize.cli import generate_map
 from planarize.poly import (
     HPoly,
@@ -216,3 +217,77 @@ def test_implicitize_builds_no_product_and_no_composition(monkeypatch):
     k, rel = implicitize(F, 4)
     assert k == 4 and rel.degree == 4
     assert calls == []
+
+
+# -- the principal-lattice interpolation kernel and the wedge it reads --------------
+
+A, B = sympy.symbols("a b")
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.p), int(c.q))
+
+
+def planted_form(rng, degree):
+    """A polynomial of degree at most `degree` in (a, b), unexpanded: a
+    product of affine factors with Fraction coefficients (some zero) plus a
+    few Fraction monomials; the zero polynomial at random."""
+    if rng.random() < 0.1:
+        return sympy.Integer(0)
+    expr = sympy.Rational(rng.randint(-4, 4), rng.randint(1, 4))
+    for _ in range(rng.randint(0, degree)):
+        a, b, c = (sympy.Rational(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(3))
+        expr *= a * A + b * B + c
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(0, degree)
+        expr += sympy.Rational(rng.randint(-5, 5), rng.randint(1, 7)) * A**k * B ** rng.randint(0, degree - k)
+    return expr
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_newton_kernel_matches_sympy_expansion_of_planted_forms(degree):
+    rng = stable_rng(degree, "newton_triangle")
+    for D in (degree, degree + 1):
+        for _ in range(3):
+            expr = planted_form(rng, degree)
+            values = [[_fraction(expr.subs({A: a, B: b})) for b in range(D + 1 - a)] for a in range(D + 1)]
+            scale = math.factorial(D) ** 2
+            expect = sympy.Poly(sympy.expand(expr), A, B)
+            want = {m: _fraction(c) * scale for m, c in zip(expect.monoms(), expect.coeffs()) if c}
+            assert poly._newton_triangle(values, D) == want
+
+
+def test_newton_kernel_of_integer_values_stays_in_integers():
+    rng = stable_rng(0, "newton_triangle_ints")
+    D = 6
+    values = [[rng.randint(-50, 50) for _ in range(D + 1 - a)] for a in range(D + 1)]
+    got = poly._newton_triangle(values, D)
+    assert all(type(c) is int for c in got.values())
+    scale = math.factorial(D) ** 2
+    for a in range(D + 1):
+        for b in range(D + 1 - a):
+            assert sum(c * a**k * b**l for (k, l), c in got.items()) == scale * values[a][b]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_wedge_is_a_power_of_l2_times_the_interpolated_forms(d):
+    # W(l) = signed minors of the coefficient vectors of F(s p + t q) with
+    # p = l x e0, q = l x e1, expanded by sympy in l; the route's H is (D!)^2
+    # times W / l2^D, so W is divisible by l2^(d(d+1)/2)
+    F = generate_map(d, d, d + 1)
+    l0, l1, l2, s, t = sympy.symbols("l0:3 s t")
+    x = [-t * l2, s * l2, -s * l1 + t * l0]
+    rows = []
+    for r in range(d + 1):
+        row = []
+        for comp in F.components:
+            form = sympy.Poly(sympy.expand(to_sympy(comp).subs(dict(zip(XS, x)), simultaneous=True)), s, t)
+            row.append(form.coeff_monomial(s ** (d - r) * t**r))
+        rows.append(row)
+    W = minors_oracle(rows)
+    D = d * (d + 1) // 2
+    H = dualize._wedge_forms(F)
+    assert not all(h.is_zero for h in H)
+    for w, h in zip(W, H):
+        assert h.degree == D
+        assert sympy.expand(math.factorial(D) ** 2 * w - l2**D * to_sympy(h).subs(dict(zip(XS, (l0, l1, l2))))) == 0
