@@ -26,7 +26,7 @@ from .conicweb import (
     Unresolved,
 )
 from .dualize import CoTrivial, Rational, Trivial
-from .poly import HPoly, RatMap, implicitize, line_base_points, reduce_map, _monomials, _p_eval_int
+from .poly import HPoly, RatMap, implicitize, line_base_points, reduce_map, _forms_eval_int, _forms_plan, _monomials
 from .projcore import PLine2
 from .seeding import stable_rng
 
@@ -210,14 +210,14 @@ def _fit_residuals(source: jetplan.GridMapSource, model: RatMap) -> dict:
     (0 when the fit is exact).  It does not change when Y or M is scaled, so
     both are integers: Y the node's value with its denominators cleared, M
     the model's integer components at the node X / L taken as (L, X)."""
-    comps = [c.terms for c in model.components]
+    plan = _forms_plan([c.terms for c in model.components])
     worst = Fraction(0)
     checked = 0
     for iv, v in enumerate(source.v_axis):
         for iu, u in enumerate(source.u_axis):
             Y, _ = projcore._cleared((1, *source.node_value(iu, iv)))
             X, L = projcore._cleared((u, v))
-            M = [_p_eval_int(a, (L, *X), 1, model.degree) for a in comps]
+            M = _forms_eval_int(plan, (L, *X), 1, model.degree)
             if not any(M):
                 continue
             cross = max(

@@ -37,6 +37,7 @@ from .poly import (
     variables,
     _binomial_row,
     _canonical_scale,
+    _int_components,
     _monomials,
     _newton_triangle,
     _powers,
@@ -93,8 +94,11 @@ PlanarizationClass = Union[Trivial, CoTrivial, Rational, Indeterminate]
 
 
 def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
-    """A covector c with sum_i c_i F_i = 0, or None if components are independent."""
-    monos = _monomials(F.domain_vars, F.degree)
+    """A covector c with sum_i c_i F_i = 0, or None if components are independent.
+
+    One row per monomial that occurs in some component: the others give
+    zero rows, which leave the nullspace as it is."""
+    monos = dict.fromkeys(e for c in F.components for e in c.terms)
     matrix = [[c.terms.get(m, 0) for c in F.components] for m in monos]
     basis = projcore.nullspace(matrix)
     if not basis:
@@ -205,12 +209,10 @@ def _wedge_forms(F: RatMap) -> list[HPoly]:
     each lattice point only the power tables of a and b change."""
     n, d = F.codim, F.degree
     D = d * (d + 1) // 2
-    X, _ = projcore._cleared([c for comp in F.components for c in comp.terms.values()])
-    it = iter(X)
     signed = [_binomial_row(-1, 1, k) for k in range(d + 1)]
     terms = []  # (power of t, component, coefficient, power of a, power of b)
-    for i, comp in enumerate(F.components):
-        for e, c in zip(comp.terms, it):
+    for i, comp in enumerate(_int_components(F)):
+        for e, c in comp.items():
             c = -c if e[0] % 2 else c
             terms.extend((e[0] + m, i, c * beta, m, e[2] - m) for m, beta in enumerate(signed[e[2]]))
 

@@ -8,9 +8,13 @@ quotient of two coefficients goes through `coef_div`, because int / int
 would give a float.  On top of it sit:
 
 * HPoly / RatMap / UniTuple, the map types used everywhere else;
-* one integer evaluation kernel (`_p_eval_int`) for a node given as integer
-  coordinates over a common denominator, behind `p_eval` and the fits (the
-  denominators of nodes and coefficients are cleared in projcore);
+* one integer evaluation kernel (`_forms_eval_int`) for int-coefficient
+  forms at a node given as integer coordinates over a common denominator:
+  a plan built once lists the union of the forms' exponents and one
+  coefficient row per form, and each node takes one monomial table and
+  one dot product per form.  It is behind `p_eval` (a one-form plan), the
+  fits and `implicitize` (the denominators of nodes and coefficients are
+  cleared in projcore);
 * common-factor removal without a multivariate gcd (`reduce_map`): the
   univariate gcd of the components restricted to one fixed line bounds the
   degree of a common factor and, when it is constant, proves the map
@@ -125,6 +129,14 @@ def _int_terms(a: PolyDict) -> tuple[PolyDict, int]:
     return dict(zip(a, X)), m
 
 
+def _int_components(F: "RatMap") -> list[PolyDict]:
+    """The components of F as int-coefficient term dicts, all scaled by one
+    common positive multiplier, so the map is unchanged."""
+    X, _ = projcore._cleared([c for comp in F.components for c in comp.terms.values()])
+    it = iter(X)
+    return [dict(zip(comp.terms, it)) for comp in F.components]
+
+
 def _powers(x: int, D: int) -> list[int]:
     t = [1]
     for _ in range(D):
@@ -136,23 +148,32 @@ def _monomial_values(exps, X: Sequence[int], L: int, D: int) -> list[int]:
     """L^(D - |e|) X^e for each exponent e with |e| <= D: the monomials at
     the node X / L, homogenized to degree D, from int power tables."""
     tables = [_powers(x, D) for x in X]
-    out = []
-    for e in exps:
-        w = 1
-        for t, k in zip(tables, e):
-            if k:
-                w *= t[k]
-        out.append(w)
+    if len(tables) == 3:  # a point of the plane, the common case
+        t0, t1, t2 = tables
+        out = [t0[i] * t1[j] * t2[k] for i, j, k in exps]
+    else:
+        out = [math.prod(map(operator.getitem, tables, e)) for e in exps]
     if L != 1:
         lp = _powers(L, D)
         out = [w * lp[D - sum(e)] for w, e in zip(out, exps)]
     return out
 
 
-def _p_eval_int(a: PolyDict, X: Sequence[int], L: int, D: int) -> int:
-    """L^D a(X / L) for an int-coefficient term dict a of total degree <= D;
+def _forms_plan(forms: Sequence[PolyDict]) -> tuple[list, list[list[int]]]:
+    """The evaluation plan of int-coefficient forms: the union of their
+    exponents, and one coefficient row per form over that union.  A term
+    dict a is its own one-form plan as (a, (a.values(),))."""
+    exps = list(dict.fromkeys(e for a in forms for e in a))
+    return exps, [[a.get(e, 0) for e in exps] for a in forms]
+
+
+def _forms_eval_int(plan, X: Sequence[int], L: int, D: int) -> list[int]:
+    """L^D a(X / L) for each form a of a plan (`_forms_plan`) of total
+    degree <= D: one monomial table at the node, one dot product per form;
     no Fraction is made."""
-    return sum(map(operator.mul, a.values(), _monomial_values(a, X, L, D)))
+    exps, rows = plan
+    w = _monomial_values(exps, X, L, D)
+    return [sum(map(operator.mul, row, w)) for row in rows]
 
 
 def p_eval(a: PolyDict, xs: Sequence) -> Fraction:
@@ -160,7 +181,7 @@ def p_eval(a: PolyDict, xs: Sequence) -> Fraction:
     C, m = projcore._cleared(a.values())
     X, L = projcore._cleared(xs)
     D = max(p_total_degree(a), 0)
-    return Fraction(sum(map(operator.mul, C, _monomial_values(a, X, L, D))), m * L**D)
+    return Fraction(_forms_eval_int((a, (C,)), X, L, D)[0], m * L**D)
 
 
 def p_total_degree(a: PolyDict) -> int:
@@ -795,16 +816,13 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     n1 = len(F.components)
     d = F.degree
-    X, _ = projcore._cleared([c for comp in F.components for c in comp.terms.values()])
-    it = iter(X)
-    comps = [dict(zip(comp.terms, it)) for comp in F.components]
+    plan = _forms_plan(_int_components(F))
     for k in range(1, kmax + 1):
         target_monos = _monomials(n1, k)
         matrix = []
         for e in _monomials(F.domain_vars, k * d):
             x = (1, *e[1:])
-            values = [_p_eval_int(comp, x, 1, d) for comp in comps]
-            matrix.append(_monomial_values(target_monos, values, 1, k))
+            matrix.append(_monomial_values(target_monos, _forms_eval_int(plan, x, 1, d), 1, k))
         basis = projcore.nullspace(matrix)
         if basis:
             terms = {e: c for e, c in zip(target_monos, basis[0]) if c}

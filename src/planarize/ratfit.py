@@ -17,9 +17,14 @@ RP^1, so fit_bi is fit_map of the graph map [1 : f], read in the chart
 x0 = 1.
 
 Samples are used in integers through poly's evaluation kernel: a node is
-integer coordinates X over their common denominator L, each linear-system
-row is scaled by L^d and by the value's (positive) denominator, and the
-sample check compares p and q at X with every denominator cleared.
+integer coordinates X over their common denominator L, and every sample
+value is read as a positive multiple of itself with integer entries.  An
+exact source is read in integers from the start: its components are
+cleared once by one common multiplier m, and the node reads as
+m L^d F(X / L) from one monomial table.  Other values are cleared of their
+(positive) denominators.  The model checks evaluate all components at a
+node from one plan, and the univariate sample check compares p and q at X
+with every denominator cleared.
 
 All fitting here is exact: data either comes from a rational function of
 the stated degree or the fit is rejected (DegreeTooLow).
@@ -33,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import projcore, univar
-from .jetplan import CallableSource, ChartOverflow, GridMapSource
+from .jetplan import CallableSource, ChartOverflow, ExactMapSource, GridMapSource
 from .poly import (
     HPoly,
     PolyDict,
@@ -43,9 +48,11 @@ from .poly import (
     p_eval,
     p_total_degree,
     reduce_map,
+    _forms_eval_int,
+    _forms_plan,
+    _int_components,
     _int_terms,
     _monomial_values,
-    _p_eval_int,
     _p_from_univar,
 )
 from .seeding import stable_rng
@@ -104,10 +111,10 @@ def _check_samples(samples: Sequence, p: PolyDict, q: PolyDict) -> None:
     P, m_p = _int_terms(p)
     Q, m_q = _int_terms(q)
     D = max(p_total_degree(p), p_total_degree(q), 0)
+    plan = _forms_plan([P, Q])
     for node, val in samples:
         X, L = projcore._cleared((node,))
-        qv = _p_eval_int(Q, X, L, D)
-        pv = _p_eval_int(P, X, L, D)
+        pv, qv = _forms_eval_int(plan, X, L, D)
         if qv == 0:
             if pv != 0:
                 raise DegreeTooLow(f"pole mismatch at node {node}")
@@ -216,11 +223,14 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     held-out points: lattice draws for a grid, off-lattice rationals the
     fit never read for other sources; a draw where the model vanishes is
     skipped.  Every read of the source goes through one table, so
-    each distinct (u, v) is evaluated once per call.
+    each distinct (u, v) is evaluated once per call.  An ExactMapSource is
+    read in integers (`_exact_reader`), never through its `evaluate`; every
+    check evaluates the model's components through one plan per degree.
     """
     if d < 0:
         raise ValueError(f"degree bound must be at least 0, got {d}")
-    evaluate = functools.cache(source.evaluate)
+    reader = _exact_reader(source.ratmap) if isinstance(source, ExactMapSource) else source.evaluate
+    evaluate = functools.cache(reader)
     # only a grid is bound to its lattice; other sources are read anywhere
     lattice = (source.u_axis, source.v_axis) if isinstance(source, GridMapSource) else None
     if lattice is None:
@@ -234,15 +244,15 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     nodes = [node for row in rows for node in row]
     if not nodes:
         raise ChartOverflow("no evaluable sample found")
-    n1 = len(nodes[0][2])
+    n1 = len(nodes[0][1])
 
     for k in range(d + 1):
         G = _solve_projective(rows, k, n1)
         if G is None:
             continue
         model = reduce_map(G)
-        comps = [c.terms for c in model.components]
-        if all(_parallel(comps, model.degree, node) for node in nodes):
+        plan = _forms_plan([c.terms for c in model.components])
+        if all(_parallel(_forms_eval_int(plan, node[0], 1, model.degree), node) for node in nodes):
             break
     else:
         raise DegreeTooLow(f"no map of degree <= {d} fits the lattice samples")
@@ -263,10 +273,10 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         node = _node(evaluate, u, v)
         if node is None:
             continue
-        X, L = node[:2]
-        if not any(_p_eval_int(a, (L, *X), 1, model.degree) for a in comps):
+        G = _forms_eval_int(plan, node[0], 1, model.degree)
+        if not any(G):
             continue  # the model vanishes here
-        if not _parallel(comps, model.degree, node):
+        if not _parallel(G, node):
             raise DegreeTooLow("held-out validation failed")
         checked += 1
     if checked == 0:
@@ -274,10 +284,24 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     return model
 
 
+def _exact_reader(M: RatMap) -> Callable:
+    """Read the exact map M at (u, v) in integers: the components are
+    cleared once, by one common multiplier m, and the node u, v = X / L
+    reads as Y = m L^d M(1, X / L), a positive multiple of the value."""
+    plan = _forms_plan(_int_components(M))
+
+    def read(u, v) -> list[int]:
+        X, L = projcore._cleared((u, v))
+        return _forms_eval_int(plan, (L, *X), 1, M.degree)
+
+    return read
+
+
 def _node(evaluate: Callable, u, v) -> Optional[tuple]:
-    """The node (u, v) as (X, L, Y, c): the node X / L in integers, its
-    value cleared to the integer vector Y and its chart c, the first index
-    of largest |Y_c|; None if the value is None or all zeros."""
+    """The node (u, v) as (P, Y, c): P = (L, *X) the point (1, u, v) in
+    integers, the value cleared to the integer vector Y (any positive
+    multiple of it: an exact source reads it so) and its chart c, the
+    first index of largest |Y_c|; None if the value is None or all zeros."""
     y = evaluate(u, v)
     if y is None:
         return None
@@ -285,23 +309,23 @@ def _node(evaluate: Callable, u, v) -> Optional[tuple]:
     if not any(Y):
         return None
     X, L = projcore._cleared((u, v))
-    return X, L, Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
+    return (L, *X), Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
 
 
 def _solve_projective(rows: Sequence, k: int, n1: int) -> Optional[list]:
     """The first nullspace vector of the degree-k system on the certificate
     nodes, as n1 forms of degree k in (x0, x1, x2), or None if it has none.
-    Node X / L is the point (L, X) and a monomial x0^(k-i-j) x1^i x2^j is
-    L^(k-i-j) X^(i, j) there."""
+    A node's point P = (L, X) is X / L in integers, and a monomial
+    x0^a x1^i x2^j is P^(a, i, j) there."""
     need = 2 * k + 1
     cert = [row[:need] for row in rows if len(row) >= need][:need]
     if len(cert) < need:
         raise DegreeTooLow(f"fewer than {need} lattice rows with {need} evaluable nodes")
-    monos = [(i, j) for i in range(k + 1) for j in range(k + 1 - i)]
+    monos = [(k - i - j, i, j) for i in range(k + 1) for j in range(k + 1 - i)]
     m = len(monos)
     system = []
-    for X, L, Y, c in (node for row in cert for node in row):
-        w = _monomial_values(monos, X, L, k)
+    for P, Y, c in (node for row in cert for node in row):
+        w = _monomial_values(monos, P, 1, k)
         for i in range(n1):
             if i == c:
                 continue
@@ -313,15 +337,11 @@ def _solve_projective(rows: Sequence, k: int, n1: int) -> Optional[list]:
     if not basis:
         return None
     vec = basis[0]
-    return [
-        HPoly(3, k, {(k - i - j, i, j): vec[b * m + t] for t, (i, j) in enumerate(monos)})
-        for b in range(n1)
-    ]
+    return [HPoly(3, k, dict(zip(monos, vec[b * m : (b + 1) * m]))) for b in range(n1)]
 
 
-def _parallel(comps: Sequence[PolyDict], D: int, node) -> bool:
-    """The int-coefficient forms of degree D are parallel to the sample Y at
-    the node (or all vanish there): Y_c G_i(x) = Y_i G_c(x) for every i."""
-    X, L, Y, c = node
-    G = [_p_eval_int(a, (L, *X), 1, D) for a in comps]
+def _parallel(G: Sequence[int], node) -> bool:
+    """The values G of a map's forms at the node are parallel to the sample
+    Y there (or all vanish there): Y_c G_i = Y_i G_c for every i."""
+    _, Y, c = node
     return all(Y[c] * g == y * G[c] for g, y in zip(G, Y))

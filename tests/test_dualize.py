@@ -1,6 +1,7 @@
 """Dual planarizations and the trichotomy classifier."""
 
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,54 @@ def test_classify_non_planarization_is_indeterminate():
 
 def test_component_dependence_none_for_independent():
     assert component_dependence(SEGRE) is None
+
+
+def _full_monomial_dependence(F):
+    """component_dependence from one row per monomial of F's degree."""
+    matrix = [[c.terms.get(m, 0) for c in F.components] for m in _monomials(F.domain_vars, F.degree)]
+    basis = projcore.nullspace(matrix)
+    return projcore.normalize(basis[0]) if basis else None
+
+
+@st.composite
+def dependence_maps(draw):
+    """Maps of degree 1-4 into RP^1..RP^4 of sparse components with Fraction
+    coefficients, zero components and planted linear relations (a
+    component that is a combination of the ones before it)."""
+    degree = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["sparse", "zero", "relation"]), min_size=2, max_size=5))
+    rng = stable_rng(draw(st.integers(0, 10**6)), "dependence_maps")
+    monos = _monomials(3, degree)
+    comps = []
+    for kind in kinds:
+        if kind == "zero":
+            comps.append(HPoly.zero(3, degree))
+        elif kind == "relation" and comps:
+            comps.append(sum((Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * c for c in comps), HPoly.zero(3, degree)))
+        else:
+            chosen = rng.sample(monos, rng.randint(1, min(4, len(monos))))
+            comps.append(HPoly(3, degree, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for e in chosen}))
+    if all(c.is_zero for c in comps):
+        comps[0] = HPoly.monomial([degree, 0, 0])
+    return RatMap(comps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dependence_maps())
+def test_component_dependence_reads_only_the_monomials_that_occur(F):
+    got = component_dependence(F)
+    assert got == _full_monomial_dependence(F)
+    if got is not None:
+        assert sum((c * comp for c, comp in zip(got, F.components)), HPoly.zero(3, F.degree)).is_zero
+
+
+def test_component_dependence_of_a_sparse_map_of_degree_1000_is_fast():
+    # C(1002, 2) = 501,501 monomials of degree 1000, four of which occur
+    D = 1000
+    F = RatMap([HPoly.monomial(e) for e in [(D, 0, 0), (0, D, 0), (0, 0, D), (D - 1, 1, 0)]])
+    t0 = time.perf_counter()
+    assert component_dependence(F) is None
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_fit_then_classify_a_sampled_map():

@@ -15,6 +15,8 @@ from planarize.poly import (
     UniTuple,
     _canonical_scale,
     _common_degree_bound,
+    _forms_eval_int,
+    _forms_plan,
     _monomials,
     implicitize,
     line_base_points,
@@ -101,6 +103,27 @@ def test_p_eval_matches_a_fraction_reference(seed):
         got = p_eval(a, xs)
         assert type(got) is Fraction
         assert got == fraction_eval(a, xs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_kernel_evaluates_each_form_as_a_one_form_plan(seed):
+    # several int-coefficient forms with their own supports, some empty, at
+    # nodes X / L with L != 1: one plan gives each form's own value
+    rng = stable_rng(seed, "forms_eval")
+    for _ in range(30):
+        nvars = rng.randint(1, 3)
+        D = rng.randint(0, 5)
+        monos = [e for e in itertools.product(range(D + 1), repeat=nvars) if sum(e) <= D]
+        forms = [
+            {e: rng.randint(-9, 9) or 1 for e in rng.sample(monos, rng.randint(0, len(monos)))}
+            for _ in range(rng.randint(1, 4))
+        ]
+        L = rng.randint(2, 12)
+        X = [rng.randint(-20, 20) for _ in range(nvars)]
+        got = _forms_eval_int(_forms_plan(forms), X, L, D)
+        assert got == [_forms_eval_int(_forms_plan([a]), X, L, D)[0] for a in forms]
+        assert got == [_forms_eval_int((a, (a.values(),)), X, L, D)[0] for a in forms]
+        assert got == [L**D * fraction_eval(a, [Fraction(x, L) for x in X]) for a in forms]
 
 
 # -- restrict_to_line ---------------------------------------------------------

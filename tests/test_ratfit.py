@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from planarize import projcore, variables, reduce_map
+from planarize import projcore, ratfit, variables, reduce_map
 from planarize.cli import generate_map
 from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource
-from planarize.poly import p_eval
+from planarize.poly import HPoly, RatMap, _monomials, p_eval
 from planarize.projcore import nullspace
 from planarize.ratfit import (
     DegreeTooLow,
@@ -566,3 +567,86 @@ def test_held_out_draw_where_the_model_vanishes_is_skipped():
     model, filled_reads = reads_of(filled)
     assert model == planted
     assert (u0, v0) in filled_reads and filled_reads == clean_reads
+
+
+# -- the integer reader of exact sources --------------------------------------------
+
+
+def _fit_outcome(source, d, seed):
+    try:
+        return repr(fit_map(source, d, seed=seed))
+    except ValueError as exc:  # DegreeTooLow, ChartOverflow
+        return type(exc).__name__, str(exc)
+
+
+def _sparse_form(rng, degree):
+    monos = _monomials(3, degree)
+    chosen = rng.sample(monos, rng.randint(1, len(monos)))
+    return HPoly(3, degree, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in chosen})
+
+
+@st.composite
+def exact_fit_cases(draw):
+    """(M, d, seed): a map M of degree 1-3 with Fraction coefficients, at
+    times with a base point on the fit's lattice or an identically zero
+    component, and a bound d one below, at or one above its degree."""
+    degree = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rng = stable_rng(draw(st.integers(0, 10**6)), "exact_fit_cases")
+    if draw(st.booleans()):
+        # every component is l1 A + l2 B, so all vanish at the lattice
+        # point (u0, v0) where l1 = u0 x0 - x1 and l2 = v0 x0 - x2 do
+        u0, v0 = rng.randrange(2 * degree + 1), rng.randrange(2 * degree + 1)
+        l1, l2 = u0 * X0 - X1, v0 * X0 - X2
+        comps = [l1 * _sparse_form(rng, degree - 1) + l2 * _sparse_form(rng, degree - 1) for _ in range(n + 1)]
+    else:
+        comps = [_sparse_form(rng, degree) for _ in range(n + 1)]
+    if draw(st.booleans()):
+        comps[rng.randrange(n + 1)] = HPoly.zero(3, degree)
+    if all(c.is_zero for c in comps):
+        comps[0] = HPoly.monomial([degree, 0, 0])
+    return RatMap(comps), max(degree + draw(st.integers(-1, 1)), 0), draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(exact_fit_cases())
+def test_exact_reader_fits_as_the_map_read_as_a_black_box(case):
+    M, d, seed = case
+    black_box = CallableSource(lambda u, v: M.evaluate([1, u, v]), codim=M.codim)
+    assert _fit_outcome(ExactMapSource(M), d, seed) == _fit_outcome(black_box, d, seed)
+
+
+def test_fit_map_reads_no_value_of_an_exact_map(monkeypatch):
+    # an exact source is read in integers, never through its evaluate, and
+    # each distinct (u, v) once per fit
+    calls = []
+
+    def count(method):
+        def counted(*args):
+            calls.append(method.__name__)
+            return method(*args)
+
+        return counted
+
+    monkeypatch.setattr(ExactMapSource, "evaluate", count(ExactMapSource.evaluate))
+    monkeypatch.setattr(RatMap, "evaluate", count(RatMap.evaluate))
+    reads = []
+    real = ratfit._exact_reader
+
+    def recorded_reader(M):
+        read = real(M)
+
+        def recorded(u, v):
+            reads.append((F(u), F(v)))
+            return read(u, v)
+
+        return recorded
+
+    monkeypatch.setattr(ratfit, "_exact_reader", recorded_reader)
+    planted = generate_map(3, 2, 3)
+    for d in (2, 3):
+        reads.clear()
+        assert fit_map(ExactMapSource(planted), d) == planted
+        assert reads and len(reads) == len(set(reads))
+        assert any(u.denominator != 1 for u, _ in reads)  # the held-out draws
+    assert calls == []
