@@ -52,9 +52,9 @@ from .seeding import stable_rng
 MAX_DUAL_CELLS = 1_500_000
 #: most principal-lattice points, C(D+2, 2) with D = d(d+1)/2, on which
 #: `dual_map` may interpolate the wedge of a map with d + 1 = n: on a 2-core
-#: machine a sextic into RP^7 (253 points) classifies in about 0.8 s and a
-#: septic into RP^8 (435) in about 2 s; an octic into RP^9 (703) would take
-#: about 6 s
+#: machine `classify(generate_map(1, d, d + 1))` takes about 0.16 s for a
+#: sextic into RP^7 (253 points) and 0.5 s for a septic into RP^8 (435); an
+#: octic into RP^9 (703) would take about 1.4 s
 MAX_WEDGE_POINTS = 500
 
 
@@ -243,9 +243,11 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     2. d >= n: F is restricted to one seeded line; if that line's image
        spans rank n+1 (all of RP^n), no hyperplane contains it and
        NotPlanar names the line.
-    3. Otherwise the map must be nondegenerate at some rational point, by
-       the jets at a fixed 3x3 grid plus 16 seeded points, else
-       EverywhereDegenerate.
+    3. Otherwise the map must be nondegenerate at some rational point of
+       a fixed 3x3 grid plus 16 seeded points, else EverywhereDegenerate.
+       A point is nondegenerate when, for one of n(n-1)/2 + 1 slopes, the
+       first n coefficient vectors of F along the line through it have
+       integer rank n (`jetplan.nondegenerate_at`; no jet is built).
 
     For d+1 = n the dual is the reduced wedge of one line's image, read in
     integers at the lines (a, b, 1) of the principal lattice of degree

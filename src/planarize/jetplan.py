@@ -11,6 +11,11 @@ polynomial in the slope; its value at a slope is the hyperplane containing
 the image of the line with that slope (checked against the map restricted
 to the line for an exact map, against the Taylor curve for a grid), and its
 identical vanishing signals degeneracy.
+
+Whether a point is degenerate is decided for an exact map without jets:
+the first n coefficient vectors of the map along a line through the point
+are a triangular transform of the lifted jet rows, so one integer rank per
+slope, at n(n-1)/2 + 1 slopes, settles it (`nondegenerate_at`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from . import projcore, univar
-from .poly import RatMap, restrict_to_line, variables
+from .poly import RatMap, restrict_to_line, variables, _int_components, _line_rows
 from .projcore import Hyperplane, PLine2
 
 #: float-mode relative threshold for "this covector polynomial is zero"
@@ -418,13 +423,36 @@ def omega(jet: Jet) -> CovectorPoly:
 
 
 def nondegenerate_at(source: MapSource, a: tuple) -> bool:
-    """Whether some line through the point determines a unique hyperplane."""
+    """Whether some line through the point determines a unique hyperplane.
+
+    Exact sources build no jet: with the base point cleared to P = (L, U, V),
+    the first n coefficient vectors A_0..A_{n-1} of F(P + t (0, 1, lam)) are
+    a lower-triangular transform of omega's lifted jet rows, with diagonal
+    c0 L^(d-r) (c0 the chart value at the base), so their maximal minors
+    are a nonzero constant times omega's raw minors as polynomials in the
+    slope lam.  Those have degree at most n(n-1)/2, so the point is
+    nondegenerate exactly when the integer rows have rank n at one of
+    lam = 0, 1, ..., n(n-1)/2.  A_0 = 0 means the map is undefined there.
+    Grid sources compare omega of the float jet with DEGENERACY_RTOL.
+    """
+    if isinstance(source, ExactMapSource):
+        return _nondegenerate_exact(source.ratmap, a)
     n = source.codim
     jet = jet_of(source, a, n - 1)
-    om = omega(jet)
-    if jet.mode == "exact":
-        return not om.is_zero
-    return om.max_abs() > DEGENERACY_RTOL * jet.scale() ** n
+    return omega(jet).max_abs() > DEGENERACY_RTOL * jet.scale() ** n
+
+
+def _nondegenerate_exact(F: RatMap, a: tuple) -> bool:
+    n = F.codim
+    comps = _int_components(F)
+    (U, V), L = projcore._cleared(a)
+    for lam in range(n * (n - 1) // 2 + 1):
+        rows = _line_rows(comps, (L, U, V), (0, 1, lam), F.degree)[:n]
+        if not any(rows[0]):  # A_0 = L^d F(1, a), the same for every lam
+            raise OnIndeterminacy(f"map undefined at {a}")
+        if projcore.rank(rows) == n:
+            return True
+    return False
 
 
 def _slope_parts(slope) -> tuple:

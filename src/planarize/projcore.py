@@ -148,13 +148,25 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], 
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a matrix with rational entries."""
+    """Exact rank of a matrix with rational entries.
+
+    A matrix of at least _MODULAR_MIN_CELLS cells is first ranked modulo
+    _PRIMES[0]: the rank mod p is at most the rank over Q, so a full rank
+    mod p is the answer.  Otherwise, and for smaller matrices, Bareiss
+    answers."""
     if not rows:
         return 0
     mat = _integer_rows(rows)
     widths = {len(r) for r in mat}
     if len(widths) != 1:
         raise DimensionMismatch("rows of unequal length")
+    ncols = widths.pop()
+    full = min(len(mat), ncols)
+    if len(mat) * ncols >= _MODULAR_MIN_CELLS:
+        p = _PRIMES[0]
+        _, pivots = _rref_mod(np.array([[x % p for x in row] for row in mat], dtype=np.int64), p)
+        if len(pivots) == full:
+            return full
     _, pivots, _ = _bareiss_echelon(mat)
     return len(pivots)
 

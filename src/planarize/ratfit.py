@@ -229,8 +229,10 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     """
     if d < 0:
         raise ValueError(f"degree bound must be at least 0, got {d}")
-    reader = _exact_reader(source.ratmap) if isinstance(source, ExactMapSource) else source.evaluate
-    evaluate = functools.cache(reader)
+    if isinstance(source, ExactMapSource):
+        node_at = functools.cache(_exact_reader(source.ratmap))
+    else:
+        node_at = functools.cache(functools.partial(_node, source.evaluate))
     # only a grid is bound to its lattice; other sources are read anywhere
     lattice = (source.u_axis, source.v_axis) if isinstance(source, GridMapSource) else None
     if lattice is None:
@@ -240,7 +242,7 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     else:
         u_nodes, v_nodes = lattice
     # the evaluable nodes of each lattice row
-    rows = [[n for n in (_node(evaluate, u, v) for u in u_nodes) if n] for v in v_nodes]
+    rows = [[n for n in (node_at(u, v) for u in u_nodes) if n] for v in v_nodes]
     nodes = [node for row in rows for node in row]
     if not nodes:
         raise ChartOverflow("no evaluable sample found")
@@ -270,7 +272,7 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         else:
             u = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 3)
             v = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 7)
-        node = _node(evaluate, u, v)
+        node = node_at(u, v)
         if node is None:
             continue
         G = _forms_eval_int(plan, node[0], 1, model.degree)
@@ -285,31 +287,37 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
 
 
 def _exact_reader(M: RatMap) -> Callable:
-    """Read the exact map M at (u, v) in integers: the components are
-    cleared once, by one common multiplier m, and the node u, v = X / L
-    reads as Y = m L^d M(1, X / L), a positive multiple of the value."""
+    """Read the exact map M at (u, v) in integers, as the node `_node`
+    gives: the components are cleared once, by one common multiplier m, and
+    the point u, v = X / L, cleared once, reads as Y = m L^d M(1, X / L), a
+    positive multiple of the value."""
     plan = _forms_plan(_int_components(M))
 
-    def read(u, v) -> list[int]:
+    def read(u, v) -> Optional[tuple]:
         X, L = projcore._cleared((u, v))
-        return _forms_eval_int(plan, (L, *X), 1, M.degree)
+        P = (L, *X)
+        return _charted(P, _forms_eval_int(plan, P, 1, M.degree))
 
     return read
 
 
 def _node(evaluate: Callable, u, v) -> Optional[tuple]:
     """The node (u, v) as (P, Y, c): P = (L, *X) the point (1, u, v) in
-    integers, the value cleared to the integer vector Y (any positive
-    multiple of it: an exact source reads it so) and its chart c, the
-    first index of largest |Y_c|; None if the value is None or all zeros."""
+    integers, the value cleared to the integer vector Y and its chart c
+    (`_charted`); None if the value is None or all zeros."""
     y = evaluate(u, v)
     if y is None:
         return None
-    Y, _ = projcore._cleared(y)
+    X, L = projcore._cleared((u, v))
+    return _charted((L, *X), projcore._cleared(y)[0])
+
+
+def _charted(P: tuple, Y: list) -> Optional[tuple]:
+    """(P, Y, c) with c the first index of largest |Y_c|, or None if Y is
+    all zeros.  Y may be any positive multiple of the value at P."""
     if not any(Y):
         return None
-    X, L = projcore._cleared((u, v))
-    return (L, *X), Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
+    return P, Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
 
 
 def _solve_projective(rows: Sequence, k: int, n1: int) -> Optional[list]:

@@ -514,6 +514,16 @@ def test_the_span_bound_decides_before_any_jet(monkeypatch):
     assert calls
 
 
+def test_a_sparse_degree_1000_map_is_refused_by_one_line_span():
+    # the span check ranks the 1001 x 4 restriction, entries of thousands of
+    # bits, modulo a prime: full rank there is the answer
+    D = 1000
+    F = RatMap([X0**D, X1**D, X2**D, X0 ** (D - 1) * X1])
+    start = time.perf_counter()
+    assert classify(F) == Indeterminate("the image of line (7, 9, 2) spans RP^3, so no hyperplane contains it")
+    assert time.perf_counter() - start < 3
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_cubic_duals_pass_the_span_check_and_keep_their_verdict(seed):
     # the dual of a generic quadratic is a cubic into RP^3 (d >= n), a

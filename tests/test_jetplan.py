@@ -5,10 +5,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
+from planarize import jetplan
 from planarize.cli import generate_map
 from planarize.jetplan import (
     ChartOverflow,
@@ -219,6 +221,70 @@ def test_degenerate_affine_linear_everywhere():
 def test_degenerate_planar_image():
     flat = reduce_map([X0 * X0, X0 * X1, X0 * X2, HPoly.zero(3, 2)])  # (u, v, 0)
     assert not nondegenerate_at(ExactMapSource(flat), (F(1) / 3, F(1) / 7))
+
+
+@st.composite
+def precheck_cases(draw):
+    """(map, base point) pairs for the exact nondegeneracy test: generic
+    maps, cones (forms in x0 and x1 only), sparse maps (few monomials),
+    maps with d + 1 < n and maps whose components all vanish at the base
+    point, with int or Fraction coefficients and base points."""
+    kind = draw(st.sampled_from(["generic", "cone", "sparse", "low", "locus"]))
+    n = draw(st.integers(3 if kind == "low" else 1, 4))
+    d = draw(st.integers(1, n - 2) if kind == "low" else st.integers(0, 4))
+    if kind == "cone":
+        monos = [(d - i, i, 0) for i in range(d + 1)]
+    else:
+        monos = [(d - i - j, i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    if kind in ("cone", "sparse"):
+        monos = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=n, unique=True))
+    if draw(st.booleans()):
+        coeff = st.fractions(-3, 3, max_denominator=5)
+    else:
+        coeff = st.integers(-3, 3)
+    comps = [HPoly(3, d, {e: draw(coeff) for e in monos}) for _ in range(n + 1)]
+    point = st.fractions(-4, 4, max_denominator=7) if draw(st.booleans()) else st.integers(-4, 4)
+    a = (draw(point), draw(point))
+    if kind == "locus":
+        # subtract each component's value at [1 : a] times x0^d
+        base = [F(1), F(a[0]), F(a[1])]
+        corner = (d, 0, 0)
+        comps = [c - HPoly(3, d, {corner: c.evaluate(base)}) for c in comps]
+    assume(not all(c.is_zero for c in comps))
+    return RatMap(comps), a
+
+
+def _jet_verdict(src, a):
+    try:
+        return not omega(jet_of(src, a, src.codim - 1)).is_zero
+    except OnIndeterminacy:
+        return OnIndeterminacy
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(precheck_cases())
+def test_exact_nondegeneracy_agrees_with_the_jets(case):
+    # the integer rank on one line against the oracle: omega of the jet is
+    # not identically zero, OnIndeterminacy included
+    ratmap, a = case
+    src = ExactMapSource(ratmap)
+    expect = _jet_verdict(src, a)
+    if expect is OnIndeterminacy:
+        with pytest.raises(OnIndeterminacy):
+            nondegenerate_at(src, a)
+    else:
+        assert nondegenerate_at(src, a) is expect
+
+
+def test_exact_nondegeneracy_builds_no_jet(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an exact source built a jet")
+
+    monkeypatch.setattr(jetplan, "jet_of", refuse)
+    monkeypatch.setattr(jetplan, "omega", refuse)
+    assert nondegenerate_at(ExactMapSource(PARABOLOID), (F(1) / 3, F(-2) / 5))
+    assert not nondegenerate_at(ExactMapSource(LINEAR), (F(1) / 4, 2))
+    assert nondegenerate_at(ExactMapSource(generate_map(3, 3, 4)), (F(1) / 4, F(1) / 4))
 
 
 # -- hyperplane_for_line --------------------------------------------------------------

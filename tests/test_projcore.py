@@ -428,6 +428,67 @@ def test_modular_nullspace_skips_a_prime_the_matrix_is_singular_modulo(rows, whe
     assert fallbacks == 0
 
 
+def _rank_routes(rows):
+    """rank(rows) with the modular check at every size, the number of
+    Bareiss eliminations it fell back to, and the Bareiss-only rank."""
+    calls = []
+    real = projcore._bareiss_echelon
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projcore, "_MODULAR_MIN_CELLS", 0)
+        mp.setattr(projcore, "_bareiss_echelon", lambda m: calls.append(m) or real(m))
+        got = rank(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projcore, "_MODULAR_MIN_CELLS", math.inf)
+        return got, len(calls), rank(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(low_rank_products())
+def test_modular_rank_matches_bareiss_on_low_rank_products(rows):
+    # full rank mod p answers at once; a deficient rank falls back
+    got, fallbacks, expect = _rank_routes(rows)
+    assert got == expect
+    assert fallbacks == (expect < min(len(rows), len(rows[0])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(low_rank_products(), st.integers(0, 63), st.booleans())
+def test_modular_rank_falls_back_where_the_minors_are_divisible_by_p(rows, where, unit):
+    # p0 times a column, or p0·M plus one unit entry: every maximal minor is
+    # divisible by the first prime, so only Bareiss can tell the rank
+    p0 = projcore._PRIMES[0]
+    i, j = where % len(rows), where // len(rows) % len(rows[0])
+    if unit:
+        rows = [[p0 * x for x in row] for row in rows]
+        rows[i][j] += 1
+    else:
+        rows = [[p0 * x if c == j else x for c, x in enumerate(row)] for row in rows]
+    got, fallbacks, expect = _rank_routes(rows)
+    assert got == expect
+    # modulo p0 the rank is at most 1, or one less than the column count
+    bound = 1 if unit else len(rows[0]) - 1
+    full = min(len(rows), len(rows[0]))
+    if expect < full or full > bound:
+        assert fallbacks == 1
+
+
+def test_rank_of_a_tall_matrix_is_read_modulo_a_prime():
+    # 120 x 4 rows (1, k, k^2, k^3) at k = 0..119, 480 cells: full rank mod
+    # p0 is the answer, so no Bareiss runs; with a dependent column it must
+    rows = [[k**i for i in range(4)] for k in range(120)]
+    assert len(rows) * 4 >= projcore._MODULAR_MIN_CELLS
+
+    def refuse(m):
+        raise AssertionError("Bareiss ran on a matrix of full rank mod p")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projcore, "_bareiss_echelon", refuse)
+        assert rank(rows) == 4
+        assert rank([[2**300 * x for x in row] for row in rows]) == 4
+    dependent = [row[:3] + [row[1] - 5 * row[2]] for row in rows]
+    assert rank(dependent) == 3
+
+
 def test_modular_nullspace_skips_a_later_prime_with_a_worse_pivot_list():
     # modulo the second prime p1 the pivot moves from column 0 to column 1;
     # the kernel vector (-1/p1, 1, 0) needs two primes, so p1 is met after
