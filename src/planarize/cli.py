@@ -359,7 +359,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, MemoryError) as exc:
         print(f"planarize: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

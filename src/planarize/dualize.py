@@ -1,18 +1,17 @@
 """Dual maps of rational planarizations and the trichotomy classifier.
 
 The dual assigns to a line of RP^2 (a point of the dual plane) the
-hyperplane containing the image of that line.  For rational maps it is
-found exactly, by one of two routes:
-
-* d+1 = n: the image of a line has n coefficient vectors, and their signed
-  maximal minors (the wedge) are the hyperplane.  The wedge is evaluated
-  in integers at the lines (a, b, 1) of the principal lattice, interpolated
-  by Newton forward differences and reduced: no linear system is solved.
-* d >= n: d+1 rational sections put points on the moving line, and the
-  dual is the lowest-degree form G in the line whose pairing with F at
-  every section point vanishes identically, one exact linear system per
-  degree.  The solve is its own certificate: no minors, no gcd and no
-  second check.
+hyperplane containing the image of that line.  For a map of degree d into
+RP^n with d+1 >= n it is found exactly by one route, with no linear system
+solved.  At each line l = (a, b, 1) of the principal lattice of degree
+D = n d - n(n-1)/2 the image of the line has d+1 integer coefficient
+vectors A(l).  The n of them that have rank n at the first lattice line
+where A does (all of them when d+1 = n) have signed maximal minors, the
+wedge, which is read in integers at the lattice lines, interpolated by
+Newton forward differences and reduced.  When d+1 = n the vectors span
+the image of every line, so the reduced wedge is the dual; when d >= n it
+is the only candidate, certified by A(l) paired with it vanishing on a
+lattice that fixes that identity.
 
 The classifier then sorts a map into the trivial / co-trivial / rational
 trichotomy by two exact rank computations.
@@ -20,11 +19,11 @@ trichotomy by two exact rank computations.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import projcore
 from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
@@ -34,40 +33,35 @@ from .poly import (
     reduce_map,
     restrict_to_line,
     span_dim,
-    variables,
     _binomial_row,
-    _canonical_scale,
+    _forms_eval_int,
+    _forms_plan,
     _int_components,
-    _monomials,
     _newton_triangle,
     _powers,
 )
 from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
-#: largest pairing system, in cells (rows times columns), that `dual_map`
-#: may solve for a map of degree d >= n; it was sized when d + 1 = n maps
-#: still took this system, where a quintic into RP^6 (1,319,472 cells at
-#: degree 15) classified in about 6 s on a 2-core machine
-MAX_DUAL_CELLS = 1_500_000
-#: most principal-lattice points, C(D+2, 2) with D = d(d+1)/2, on which
-#: `dual_map` may interpolate the wedge of a map with d + 1 = n: on a 2-core
-#: machine `classify(generate_map(1, d, d + 1))` takes about 0.16 s for a
-#: sextic into RP^7 (253 points) and 0.5 s for a septic into RP^8 (435); an
-#: octic into RP^9 (703) would take about 1.4 s
-MAX_WEDGE_POINTS = 500
+#: most cells, C(D+2, 2) lattice points times the (d+1)(n+1) entries of
+#: A(l), that `dual_map` may read for a map of degree d into RP^n, with
+#: D = n d - n(n-1)/2.  On a 2-core machine `dual_map` takes 0.17 s on a
+#: sextic into RP^7 (14,168 cells), 0.5 s on a septic into RP^8 (31,320) and
+#: 0.07-0.12 s on maps into RP^3 of degree 12-14 with a linear relation
+#: (30,940-49,200); an octic into RP^9 (63,270) takes 1.6 s
+MAX_DUAL_LATTICE_CELLS = 50_000
 
 
 class EverywhereDegenerate(ValueError):
     """No point of the map determines per-line hyperplanes: its lines' images
     span too little for their degree, no sampled point is nondegenerate, or
-    the pairing system of the dual has more than one lowest solution."""
+    no lattice line's image spans a hyperplane."""
 
 
 class NotPlanar(ValueError):
     """The input is not a planarization along some line: the line's image
-    spans all of RP^n, or the pairing system of the dual has no solution up
-    to its degree bound, so no hyperplane contains the images of the lines."""
+    spans all of RP^n, or it leaves the one hyperplane the reduced wedge
+    assigns it, so no hyperplane map contains the images of the lines."""
 
 
 @dataclass(frozen=True)
@@ -121,8 +115,21 @@ def _precheck_points(seed: int):
     return pts
 
 
+def _wedge_degree(n: int, d: int) -> int:
+    """n d - n(n-1)/2, the degree in (a, b) of the minors of n rows of A (see
+    `_wedge_forms`): the lattice Lambda_D of the wedge has C(D+2, 2) points."""
+    return n * d - n * (n - 1) // 2
+
+
+def _lattice(D: int):
+    """The principal lattice Lambda_D: the points (a, b) >= 0 with a + b <= D,
+    a-major."""
+    return ((a, b) for a in range(D + 1) for b in range(D + 1 - a))
+
+
 def _check_preconditions(F: RatMap, seed: int) -> None:
-    """Raise EverywhereDegenerate or NotPlanar as `dual_map` orders them."""
+    """Raise EverywhereDegenerate or NotPlanar as `dual_map` orders them, and
+    ValueError for a lattice of more than MAX_DUAL_LATTICE_CELLS cells."""
     n, d = F.codim, F.degree
     if d + 1 < n:
         raise EverywhereDegenerate(
@@ -136,6 +143,13 @@ def _check_preconditions(F: RatMap, seed: int) -> None:
         line = PLine2.of([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3)])
         if span_dim(restrict_to_line(F, line)) == n + 1:
             raise NotPlanar(f"the image of line {line.covector} spans RP^{n}, so no hyperplane contains it")
+    points = math.comb(_wedge_degree(n, d) + 2, 2)
+    cells = points * (d + 1) * (n + 1)
+    if cells > MAX_DUAL_LATTICE_CELLS:
+        raise ValueError(
+            f"the dual of a degree-{d} map into RP^{n} needs {points} lattice points of {d + 1} x {n + 1} "
+            f"entries, {cells} cells, more than MAX_DUAL_LATTICE_CELLS = {MAX_DUAL_LATTICE_CELLS}"
+        )
     src = ExactMapSource(F)
     for a in _precheck_points(seed):
         try:
@@ -146,89 +160,93 @@ def _check_preconditions(F: RatMap, seed: int) -> None:
     raise EverywhereDegenerate("no sampled point is nondegenerate")
 
 
-def _section_directions(count: int) -> list[tuple[int, int, int]]:
-    """The coordinate points, then (1, k, k^2) for k = 1, 2, ...: `count`
-    pairwise independent directions, the sparse ones first."""
-    coordinate = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return (coordinate + [(1, k, k * k) for k in range(1, count - 2)])[:count]
+def _row_reader(F: RatMap) -> Callable[..., list[list[int]]]:
+    """rows(a, b, which=all): the rows `which` of A(l), the d+1 integer
+    coefficient vectors of F(s p + t q) = sum_r s^(d-r) t^r A_r at the line
+    l = (a, b, 1), p = l x e0 = (0, 1, -b) and q = l x e1 = (-1, 0, a), the
+    components cleared to integers by one common multiplier.  Each row is
+    built once per line and kept.
 
-
-def _section_row(F: RatMap, direction: Sequence[int]) -> list[HPoly]:
-    """F at the point l x c of the moving line l, one polynomial in l per component."""
-    section = list(projcore.cross(variables(3), direction))
-    return [comp.substitute(section) for comp in F.components]
-
-
-def _pairing_nullspace(rows: list[list[HPoly]], D: int) -> list[tuple[Fraction, ...]]:
-    """Nullspace of the pairing system at degree D: the unknowns are the
-    coefficients of n+1 forms G_i of degree D, form by form, and the
-    equations the coefficients of sum_i G_i * row_i, one per monomial and
-    row.  Each entry is set once: a column's terms reach distinct monomials.
-    A system of more than MAX_DUAL_CELLS cells (at most C(D+d+2, 2) rows
-    per section, d the degree of the map) raises ValueError unsolved."""
-    d = rows[0][0].degree
-    cells = len(rows) * math.comb(D + d + 2, 2) * len(rows[0]) * math.comb(D + 2, 2)
-    if cells > MAX_DUAL_CELLS:
-        raise ValueError(
-            f"the pairing system at degree {D} has {cells} cells, more than MAX_DUAL_CELLS = {MAX_DUAL_CELLS}"
-        )
-    monos = _monomials(3, D)
-    ncols = len(rows[0]) * len(monos)
-    matrix = []
-    for row in rows:
-        equations: dict = {}
-        for i, comp in enumerate(row):
-            for j, mu in enumerate(monos):
-                col = i * len(monos) + j
-                for e, c in comp.terms.items():
-                    key = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
-                    equations.setdefault(key, [0] * ncols)[col] = c
-        matrix.extend(equations.values())
-    return projcore.nullspace(matrix)
-
-
-def _wedge_forms(F: RatMap) -> list[HPoly]:
-    """The forms H of degree D = d(d+1)/2 whose reduction is the dual of a
-    map with d + 1 = n, from the wedge of one line's image.
-
-    For the line l = (a, b, 1), F(s p + t q) with p = l x e0 = (0, 1, -b)
-    and q = l x e1 = (-1, 0, a) has n coefficient vectors in Z^(n+1) (the
-    components first cleared to integers by one common multiplier), and
-    their signed maximal minors W(l) are the covector of the hyperplane
-    they span.  As a form in l, W = +-l_2^(d(d+1)/2) H: p x q = l_2 l, and
-    Sym^d of a change of parameter has determinant det^(d(d+1)/2).  So H has
-    degree n d - d(d+1)/2 = D and equals W where l_2 = 1: each component is
-    interpolated from its values on the principal lattice Lambda_D
-    (`poly._newton_triangle`, at the scale (D!)^2) and homogenized.  H is
-    zero exactly when no line's image spans a hyperplane.
-
-    On the line, x0 = -t and x1 = s, and x2 = a t - b s has the binomial
-    row (a t - b s)^k = sum_m B_km a^m b^(k-m) t^m s^(k-m), B_k the row of
-    (-s + t)^k.  So every entry of the coefficient vectors is a fixed
-    integer combination of the products a^m b^j, listed once per map; at
-    each lattice point only the power tables of a and b change."""
+    On the line x0 = -t and x1 = s, and x2 = a t - b s has the binomial row
+    (a t - b s)^k = sum_m B_km a^m b^(k-m) t^m s^(k-m), B_k the row of
+    (-s + t)^k.  So each entry of A is a fixed integer combination of the
+    products a^m b^j, listed once per map; at each line only the power
+    tables of a and b change."""
     n, d = F.codim, F.degree
-    D = d * (d + 1) // 2
     signed = [_binomial_row(-1, 1, k) for k in range(d + 1)]
-    terms = []  # (power of t, component, coefficient, power of a, power of b)
+    terms: list[list] = [[] for _ in range(d + 1)]  # per row: (component, coefficient, power of a, power of b)
     for i, comp in enumerate(_int_components(F)):
         for e, c in comp.items():
             c = -c if e[0] % 2 else c
-            terms.extend((e[0] + m, i, c * beta, m, e[2] - m) for m, beta in enumerate(signed[e[2]]))
+            for m, beta in enumerate(signed[e[2]]):
+                terms[e[0] + m].append((i, c * beta, m, e[2] - m))
+    kept: dict = {}
 
-    def wedge_at(a: int, b: int) -> list[int]:
-        ap, bp = _powers(a, d), _powers(b, d)
-        rows = [[0] * (n + 1) for _ in range(d + 1)]
-        for r, i, c, m, j in terms:
-            rows[r][i] += c * ap[m] * bp[j]
-        return projcore.signed_minors(rows)
+    def rows(a: int, b: int, which: Sequence[int] = range(d + 1)) -> list[list[int]]:
+        built = kept.setdefault((a, b), {})
+        missing = [r for r in which if r not in built]
+        if missing:
+            ap, bp = _powers(a, d), _powers(b, d)
+            for r in missing:
+                row = [0] * (n + 1)
+                for i, c, m, j in terms[r]:
+                    row[i] += c * ap[m] * bp[j]
+                built[r] = row
+        return [built[r] for r in which]
 
-    grid = [[wedge_at(a, b) for b in range(D + 1 - a)] for a in range(D + 1)]
+    return rows
+
+
+def _spanning_rows(rows: Callable, n: int, D: int) -> Optional[list[int]]:
+    """The first n rows of A with rank n at the first line of Lambda_D where
+    A has rank at least n (the pivots of its transpose), or None if there is
+    none.  Rank n+1 there raises NotPlanar naming the line."""
+    for a, b in _lattice(D):
+        _, pivots, _ = projcore._bareiss_echelon([list(col) for col in zip(*rows(a, b))])
+        if len(pivots) > n:
+            raise NotPlanar(f"the image of line {(a, b, 1)} spans RP^{n}, so no hyperplane contains it")
+        if len(pivots) == n:
+            return pivots
+    return None
+
+
+def _wedge_forms(rows: Callable, chosen: Sequence[int], D: int) -> list[HPoly]:
+    """Forms H of degree D whose reduction is the reduced wedge of the rows
+    `chosen` of A (`_row_reader`): their signed maximal minors W(l), the
+    covector of the hyperplane they span, read on the principal lattice
+    Lambda_D, interpolated (`poly._newton_triangle`, at the scale (D!)^2)
+    and homogenized.
+
+    As forms in l the entries of A have degree d.  With l_2 = e the line's
+    points are (-t e, s e, L), L = l_0 t - l_1 s, so F(s p + t q) =
+    sum_k e^k L^(d-k) psi_k with psi_k of degree k: the part of power e^k
+    lies in a space of dimension k + 1.  Expanding the columns of a minor
+    by powers of e, a term whose vectors are independent has its m-th
+    smallest power at least m - 1.  So W is divisible by l_2^(n(n-1)/2),
+    and where l_2 = 1 it has degree at most D = n d - n(n-1)/2, which
+    Lambda_D fixes.  For d+1 = n, W = +-l_2^D H with H of degree D."""
+    grid = [[projcore.signed_minors(rows(a, b, chosen)) for b in range(D + 1 - a)] for a in range(D + 1)]
     H = []
-    for i in range(n + 1):
+    for i in range(len(chosen) + 1):
         coeffs = _newton_triangle([[w[i] for w in row] for row in grid], D)
         H.append(HPoly(3, D, {(k, l, D - k - l): c for (k, l), c in coeffs.items()}))
     return H
+
+
+def _certify(G: RatMap, rows: Callable, d: int) -> None:
+    """Raise NotPlanar unless A(l) G(l) = 0 at every line l of
+    Lambda_(d + deg G).  Its entries have degree at most d + deg G in
+    (a, b), so then they vanish identically: G(l) contains the image of
+    every line."""
+    g = G.degree
+    plan = _forms_plan([comp.terms for comp in G.components])
+    for a, b in _lattice(d + g):
+        h = _forms_eval_int(plan, (a, b, 1), 1, g)
+        if any(sum(map(operator.mul, row, h)) for row in rows(a, b)):
+            raise NotPlanar(
+                f"the image of line {(a, b, 1)} leaves the hyperplane the reduced wedge gives it, "
+                "so no hyperplane contains the images of all lines"
+            )
 
 
 def dual_map(F: RatMap, seed: int = 0) -> RatMap:
@@ -236,76 +254,48 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
 
     Restricted to a line, a degree-d map into RP^n is n+1 binary forms of
     degree d, so the image of a line spans rank at most min(d+1, n+1).  The
-    preconditions are decided in this order, before any symbolic work:
+    preconditions are decided in this order, before the lattice is read:
 
     1. d+1 < n: no line's image picks out one hyperplane, so
        EverywhereDegenerate at once.
     2. d >= n: F is restricted to one seeded line; if that line's image
        spans rank n+1 (all of RP^n), no hyperplane contains it and
        NotPlanar names the line.
-    3. Otherwise the map must be nondegenerate at some rational point of
-       a fixed 3x3 grid plus 16 seeded points, else EverywhereDegenerate.
-       A point is nondegenerate when, for one of n(n-1)/2 + 1 slopes, the
-       first n coefficient vectors of F along the line through it have
-       integer rank n (`jetplan.nondegenerate_at`; no jet is built).
+    3. A lattice of more than MAX_DUAL_LATTICE_CELLS cells, C(D+2, 2)
+       points (D = n d - n(n-1)/2) times the (d+1)(n+1) entries of A,
+       raises ValueError.
+    4. The map must be nondegenerate at some rational point of a fixed 3x3
+       grid plus 16 seeded points, else EverywhereDegenerate.  A point is
+       nondegenerate when, for one of n(n-1)/2 + 1 slopes, the first n
+       coefficient vectors of F along the line through it have integer rank
+       n (`jetplan.nondegenerate_at`; no jet is built).
 
-    For d+1 = n the dual is the reduced wedge of one line's image, read in
-    integers at the lines (a, b, 1) of the principal lattice of degree
-    d(d+1)/2 and interpolated (`_wedge_forms`); a lattice of more than
-    MAX_WEDGE_POINTS points raises ValueError before the preconditions.
-
-    For d >= n the dual is the lowest-degree solution G of the pairing identity
-    sum_i G_i(l) * F_i(l x c) = 0 in the line l, for the d+1 directions c of
-    _section_directions.  On a line the pairing is a degree-d binary form,
-    zero at the d+1 points l x c, so G(l) contains the line's image: the
-    exact solve is the certificate.  A lowest solution has no common
-    factor, so no gcd is taken, and it is unique up to the canonical scale.
-    Every solution of degree D = deg G + k is g * G, so the nullity is
-    C(k+2, 2).  Degrees 0 and 1 are tried first, then the generic degree
-    n(n-1)/2, where the nullity gives k and one solve at D - k finishes,
-    then upward to n*d - n(n-1)/2: the degree of n rows' minors less the
-    section factors l . (c x c') they share.  No solution up to there
-    raises NotPlanar; a nullity other than C(k+2, 2), or other than 1 at
-    the lowest degree, raises EverywhereDegenerate.  A system of more than
-    MAX_DUAL_CELLS cells raises ValueError before it is solved.
+    The dual is then the reduced wedge of the n coefficient vectors of one
+    line's image that have rank n at the first line (a, b, 1) of the
+    principal lattice Lambda_D where all d+1 of them reach rank n; rank
+    n+1 there raises NotPlanar, and no such line raises
+    EverywhereDegenerate.  The wedge is read in integers at the lattice
+    lines and interpolated (`_wedge_forms`); no linear system is solved.
+    For d+1 = n the n vectors span the image of every line.  For d >= n the
+    reduced wedge G is certified by A(l) G(l) = 0 on Lambda_(d + deg G),
+    from the rows already read; a nonzero entry raises NotPlanar naming the
+    line.
     """
     if F.domain_vars != 3:
         raise ValueError("dual maps need domain RP^2")
     n, d = F.codim, F.degree
     if n < 2:
         raise ValueError("dual maps need a target of dimension at least 2")
-    points = math.comb(d * (d + 1) // 2 + 2, 2)
-    if d + 1 == n and points > MAX_WEDGE_POINTS:
-        raise ValueError(
-            f"the wedge of a degree-{d} map into RP^{n} needs {points} lattice points, "
-            f"more than MAX_WEDGE_POINTS = {MAX_WEDGE_POINTS}"
-        )
     _check_preconditions(F, seed)
-    if d + 1 == n:
-        H = _wedge_forms(F)
-        if all(h.is_zero for h in H):
-            raise EverywhereDegenerate(f"no line's image spans a hyperplane of RP^{n}")
-        return reduce_map(H)
-
-    rows = [_section_row(F, c) for c in _section_directions(d + 1)]
-    generic = n * (n - 1) // 2
-    top = n * d - generic
-    for D in itertools.chain((0, 1), range(max(generic, 2), top + 1)):
-        basis = _pairing_nullspace(rows, D)
-        if not basis:
-            continue
-        nullity = len(basis)
-        k = next((k for k in range(nullity) if math.comb(k + 2, 2) == nullity), None)
-        if k:
-            basis = _pairing_nullspace(rows, D - k)
-        if k is None or len(basis) != 1:
-            raise EverywhereDegenerate(
-                f"the pairing system has nullity {nullity} at degree {D}, so no line has one hyperplane"
-            )
-        monos = _monomials(3, D - k)
-        forms = [HPoly(3, D - k, dict(zip(monos, basis[0][i * len(monos) :]))) for i in range(n + 1)]
-        return RatMap(_canonical_scale(forms))
-    raise NotPlanar(f"no form of degree at most {top} in the line sends it to a hyperplane containing its image")
+    D = _wedge_degree(n, d)
+    rows = _row_reader(F)
+    chosen = _spanning_rows(rows, n, D)
+    if chosen is None:
+        raise EverywhereDegenerate(f"no line's image spans a hyperplane of RP^{n}")
+    G = reduce_map(_wedge_forms(rows, chosen, D))
+    if d >= n:
+        _certify(G, rows, d)
+    return G
 
 
 def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from planarize import cli, ratfit
+from planarize import cli, dualize, ratfit
 from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, MAX_IMPLICITIZE_CELLS, generate_map, main
 from planarize.conicweb import ConicSystem, circle_web
-from planarize.dualize import MAX_WEDGE_POINTS
+from planarize.dualize import MAX_DUAL_LATTICE_CELLS
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
 
@@ -106,6 +106,21 @@ def test_missing_input_exits_one(capsys):
 def test_usage_error_exits_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    # a map such as [x0^(10^6) : x1^(10^6) : x2^(10^6)] can exhaust memory
+    # inside a command; the error is stood in for here, nothing is allocated
+    def exhausted(F, seed=0):
+        raise MemoryError("cannot allocate the restriction")
+
+    monkeypatch.setattr(dualize, "classify", exhausted)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(SEGRE_JSON))
+    assert main(["classify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["planarize: MemoryError: cannot allocate the restriction"]
 
 
 def test_implicitize_cli(tmp_path, capsys):
@@ -431,20 +446,20 @@ def test_implicitize_over_the_cell_limit_exits_1_at_once(tmp_path):
     assert line.startswith("planarize: ValueError: ") and "MAX_IMPLICITIZE_CELLS" in line
 
 
-def test_classify_over_the_wedge_point_limit_exits_1_at_once(tmp_path):
-    # an octic into RP^9 (d + 1 = n) would interpolate its wedge on the
-    # principal lattice of degree 36: C(38, 2) = 703 points
+def test_classify_over_the_lattice_limit_exits_1_at_once(tmp_path):
+    # an octic into RP^9 (d + 1 = n) would read its wedge on the principal
+    # lattice of degree 36: C(38, 2) = 703 points of 9 x 10 entries
     path = _generated(tmp_path, 1, 8, 9)
     run = _planarize("classify", "--in", path, timeout=30)
     assert run.returncode == 1
     assert run.stdout == ""
     (line,) = run.stderr.splitlines()
-    assert line == ("planarize: ValueError: the wedge of a degree-8 map into RP^9 needs 703 lattice points, "
-                    f"more than MAX_WEDGE_POINTS = {MAX_WEDGE_POINTS}")
+    assert line == ("planarize: ValueError: the dual of a degree-8 map into RP^9 needs 703 lattice points of "
+                    f"9 x 10 entries, 63270 cells, more than MAX_DUAL_LATTICE_CELLS = {MAX_DUAL_LATTICE_CELLS}")
 
 
 def test_classify_of_a_sextic_into_rp7_is_rational(tmp_path):
-    # the largest map the pairing system refused now takes the wedge route
+    # 14,168 cells, well inside the lattice limit
     path = _generated(tmp_path, 1, 6, 7)
     run = _planarize("classify", "--in", path, timeout=60)
     assert run.returncode == 0, run.stderr

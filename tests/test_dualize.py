@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planarize import dualize, projcore
 from planarize.cli import generate_map
@@ -18,9 +18,6 @@ from planarize.dualize import (
     Rational,
     Trivial,
     _precheck_points,
-    _pairing_nullspace,
-    _section_directions,
-    _section_row,
     classify,
     component_dependence,
     dual_map,
@@ -267,7 +264,7 @@ def test_fit_then_classify_a_sampled_map():
 
 def test_dual_map_agrees_with_jet_hyperplanes():
     # two independent routes to the per-line hyperplane: the symbolic dual
-    # (the pairing system on section rows) and the jet construction at a
+    # (the wedge on the principal lattice) and the jet construction at a
     # point of the line with the matching slope
     from planarize.jetplan import ExactMapSource, hyperplane_for_line
     from planarize.projcore import Hyperplane, cross, normalize
@@ -541,7 +538,7 @@ def test_cubic_duals_pass_the_span_check_and_keep_their_verdict(seed):
     assert classify(Fh, seed=seed) == Rational(3)
 
 
-# -- the exact certificate on d+1 section rows ---------------------------------------
+# -- the containment identity, the lattice certificate and the lattice limit ---------
 
 
 def _sympy_pairing_along_lines(F, Fh):
@@ -587,17 +584,28 @@ def test_every_differential_dual_pairs_to_zero_along_its_lines():
         assert _sympy_pairing_along_lines(F, Fh) == 0, name
 
 
-def test_the_rows_past_the_window_carry_the_certificate_for_d_at_least_n(monkeypatch):
-    # a generic cubic into RP^3 is no planarization, yet the pairing system on
-    # its first n = 3 section rows alone has a solution (the wedge of those
-    # rows); the fourth row F(l x (1, 1, 1)) is what refuses it
-    F = generate_map(11, 3, 3)
+def test_the_lattice_refuses_a_cubic_into_rp3_for_d_at_least_n(monkeypatch):
+    # past the seeded span line, a generic cubic into RP^3 is refused on the
+    # lattice: the image of the first lattice line (0, 0, 1) spans RP^3
     monkeypatch.setattr(dualize, "_check_preconditions", lambda F, seed: None)
-    with pytest.raises(NotPlanar, match="no form of degree at most 6 in the line"):
+    F = generate_map(11, 3, 3)
+    with pytest.raises(NotPlanar, match=r"^the image of line \(0, 0, 1\) spans RP\^3"):
         dual_map(F)
-    rows = [_section_row(F, c) for c in _section_directions(4)]
-    assert any(_pairing_nullspace(rows[:3], D) for D in range(7))
-    assert not any(_pairing_nullspace(rows, D) for D in range(7))
+    # with the last component x2 q, the line x2 = 0 has its image in y3 = 0,
+    # so the wedge of its rows gives a candidate, which the certificate
+    # refuses at a lattice line whose image spans RP^3
+    q = generate_map(11, 2, 1).components[0]
+    G = reduce_map(list(F.components[:3]) + [X2 * q])
+    assert dualize._spanning_rows(dualize._row_reader(G), 3, 6) == [0, 1, 2]
+    with pytest.raises(NotPlanar, match="leaves the hyperplane the reduced wedge gives it") as info:
+        dual_map(G)
+    assert _sympy_line_rank(G, _certificate_line(info.value)) == 4
+
+
+def _certificate_line(exc) -> tuple:
+    found = re.search(r"line \(([-\d, ]+)\) leaves", str(exc))
+    assert found, str(exc)
+    return tuple(int(c) for c in found.group(1).split(","))
 
 
 def _degree_12_relation_map():
@@ -610,25 +618,50 @@ def _degree_12_relation_map():
     return RatMap(g + [g[0] + 2 * g[1] - 3 * g[2]])
 
 
-def test_a_degree_12_map_with_a_linear_relation_reaches_the_moment_rows(monkeypatch):
-    # d+1 = 13 rows: the three coordinate points, then (1, k, k^2) for
-    # k = 1..10; the dual is the constant witness hyperplane
-    F = _degree_12_relation_map()
-    seen = []
-    real = dualize._section_row
-
-    def counting(F, direction):
-        seen.append(tuple(direction))
-        return real(F, direction)
-
-    monkeypatch.setattr(dualize, "_section_row", counting)
-    Fh = dual_map(F, seed=3)
+def test_a_degree_12_map_with_a_linear_relation_has_its_witness_as_dual():
+    # d >= n: the lattice has C(35, 2) = 595 points; the dual is the
+    # constant witness hyperplane
+    Fh = dual_map(_degree_12_relation_map(), seed=3)
     assert Fh.degree == 0
     assert Fh.projectively_equal(RatMap([HPoly(3, 0, {(0, 0, 0): c}) for c in (1, 2, -3, -1)]))
-    assert seen == [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [(1, k, k * k) for k in range(1, 11)]
 
 
 # -- the pairing system against the wedge of section rows ------------------------------
+
+
+def _section_directions(count: int) -> list[tuple[int, int, int]]:
+    """The coordinate points, then (1, k, k^2) for k = 1, 2, ...: `count`
+    pairwise independent directions, the sparse ones first."""
+    coordinate = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    return (coordinate + [(1, k, k * k) for k in range(1, count - 2)])[:count]
+
+
+def _section_row(F, direction):
+    """F at the point l x c of the moving line l, one polynomial in l per component."""
+    section = list(projcore.cross(variables(3), direction))
+    return [comp.substitute(section) for comp in F.components]
+
+
+def _pairing_nullspace(rows, D):
+    """Nullspace of the pairing system at degree D: the unknowns are the
+    coefficients of n+1 forms G_i of degree D, form by form, and the
+    equations the coefficients of sum_i G_i * row_i, one per monomial and
+    row.  On a line the pairing is a degree-d binary form, zero at the d+1
+    points l x c of d+1 section rows, so a solution contains every line's
+    image."""
+    monos = _monomials(3, D)
+    ncols = len(rows[0]) * len(monos)
+    matrix = []
+    for row in rows:
+        equations: dict = {}
+        for i, comp in enumerate(row):
+            for j, mu in enumerate(monos):
+                col = i * len(monos) + j
+                for e, c in comp.terms.items():
+                    key = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
+                    equations.setdefault(key, [0] * ncols)[col] = c
+        matrix.extend(equations.values())
+    return projcore.nullspace(matrix)
 
 
 def _oracle_maps():
@@ -670,7 +703,7 @@ def test_the_pairing_dual_is_the_reduced_wedge_and_its_nullity_grows_as_the_mult
     assert nullities == ([0] if Fh.degree else []) + [1, 3]
 
 
-# -- the wedge route for d + 1 = n against the pairing system ---------------------------
+# -- the wedge route against the pairing system ------------------------------------------
 
 
 def _pairing_dual(F):
@@ -690,10 +723,17 @@ def _pairing_dual(F):
 SPHERE = RatMap([X0 * X0 + X1 * X1 + X2 * X2, 2 * X0 * X1, 2 * X0 * X2, X1 * X1 + X2 * X2 - X0 * X0])
 
 
+ORIGIN_WEB = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2, X0 * X0 + X1 * X1]
+INVERSION = RatMap([X1 * X1 + X2 * X2, X0 * X1, X0 * X2])
+
+
 def _wedge_route_map(kind, seed, fractions):
-    """A map with d + 1 = n of the given kind, its components scaled by
+    """A map with d + 1 >= n of the given kind, its components scaled by
     seeded Fractions when `fractions` is set (a diagonal collineation after
-    the map, so the kind is kept)."""
+    the map, so the kind is kept).  The kinds with d >= n are biduals
+    (cubics into RP^3), duals of cubics into RP^4 (sextics), the quartic
+    composites of the origin web with the inversion after a collineation,
+    and the degree-12 map with a linear relation."""
     rng = stable_rng(seed, "wedge_route_maps")
     if kind == "generic":
         d = rng.choice((1, 2, 3))
@@ -705,18 +745,37 @@ def _wedge_route_map(kind, seed, fractions):
         F = RatMap(G + [relation])
     elif kind == "circle-web":
         F = RatMap(circle_web().basis).after(_linear_map(_invertible(rng, 3)))
-    else:
+    elif kind == "sphere":
         F = SPHERE.after(_linear_map(_invertible(rng, 3)))
+    elif kind == "bidual":
+        F = _pairing_dual(generate_map(seed, 2, 3))
+    elif kind == "cubic-dual-rp4":
+        F = _pairing_dual(generate_map(seed, 3, 4))
+    elif kind == "web-inverse":
+        f = INVERSION.after(_linear_map(_invertible(rng, 3)))
+        F = reduce_map([q.substitute(list(f.components)) for q in ORIGIN_WEB])
+    else:
+        F = _degree_12_relation_map()
     if fractions:
         F = RatMap([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9)) * c for c in F.components])
     return F
 
 
-@settings(max_examples=24, deadline=None, derandomize=True)
-@given(st.sampled_from(["generic", "trivial", "circle-web", "sphere"]), st.integers(0, 10**6), st.booleans())
+WEDGE_ROUTE_KINDS = ["generic", "trivial", "circle-web", "sphere", "bidual", "cubic-dual-rp4", "web-inverse",
+                     "degree-12-relation"]
+
+
+@settings(max_examples=32, deadline=None, derandomize=True)
+@given(st.sampled_from(WEDGE_ROUTE_KINDS), st.integers(0, 10**6), st.booleans())
+@example("bidual", 1, False)
+@example("cubic-dual-rp4", 2, True)
+@example("web-inverse", 3, False)
+@example("degree-12-relation", 0, True)
 def test_the_wedge_route_gives_the_pairing_dual_byte_for_byte(kind, seed, fractions):
     F = _wedge_route_map(kind, seed, fractions)
-    assert F.degree + 1 == F.codim
+    assert F.degree + 1 >= F.codim
+    if kind in WEDGE_ROUTE_KINDS[4:]:
+        assert F.degree >= F.codim
     assert repr(dual_map(F, seed=seed)) == repr(_pairing_dual(F))
 
 
@@ -749,8 +808,9 @@ DEGENERATE_WEDGE_MAPS = _degenerate_wedge_maps()
 
 @pytest.mark.parametrize("name, F", DEGENERATE_WEDGE_MAPS, ids=[name for name, _ in DEGENERATE_WEDGE_MAPS])
 def test_a_zero_wedge_never_passes_the_jet_precheck(monkeypatch, name, F):
-    assert F.degree + 1 == F.codim
-    assert all(h.is_zero for h in dualize._wedge_forms(F))
+    n = F.codim
+    assert F.degree + 1 == n
+    assert dualize._spanning_rows(dualize._row_reader(F), n, n * F.degree - n * (n - 1) // 2) is None
     with pytest.raises(EverywhereDegenerate, match=r"^no sampled point is nondegenerate$"):
         dual_map(F, seed=2)
     src = ExactMapSource(F)
@@ -759,17 +819,38 @@ def test_a_zero_wedge_never_passes_the_jet_precheck(monkeypatch, name, F):
             assert not nondegenerate_at(src, a)
         except OnIndeterminacy:
             pass
-    # past the precheck, the zero wedge refuses the map by itself
+    # past the precheck, the lattice refuses the map by itself: no lattice
+    # line's image spans a hyperplane, so every n x n minor is zero
     monkeypatch.setattr(dualize, "_check_preconditions", lambda F, seed: None)
     with pytest.raises(EverywhereDegenerate, match=rf"^no line's image spans a hyperplane of RP\^{F.codim}$"):
         dual_map(F, seed=2)
 
 
-def test_the_pairing_cell_limit_still_guards_maps_of_degree_at_least_n(monkeypatch):
-    # the dual of a generic quadratic is a cubic into RP^3, which takes the
-    # pairing system; its first system, at degree 0, has 4 * 10 rows by 4 columns
+def test_the_lattice_limit_guards_maps_of_degree_at_least_n(monkeypatch):
+    # the dual of a generic quadratic is a cubic into RP^3 (d >= n): its
+    # lattice has D = 3 * 3 - 3 = 6, C(8, 2) = 28 points of 4 x 4 entries
     Fh = dual_map(generate_map(1, 2, 3), seed=1)
-    monkeypatch.setattr(dualize, "MAX_DUAL_CELLS", 100)
+    calls = []
+    monkeypatch.setattr(dualize, "nondegenerate_at", lambda source, a: calls.append(a))
+    monkeypatch.setattr(dualize, "MAX_DUAL_LATTICE_CELLS", 447)
     with pytest.raises(ValueError) as info:
         dual_map(Fh, seed=1)
-    assert str(info.value) == "the pairing system at degree 0 has 160 cells, more than MAX_DUAL_CELLS = 100"
+    assert str(info.value) == (
+        "the dual of a degree-3 map into RP^3 needs 28 lattice points of 4 x 4 entries, 448 cells, "
+        "more than MAX_DUAL_LATTICE_CELLS = 447"
+    )
+    # the limit comes after the span line and before the precheck
+    with pytest.raises(NotPlanar):
+        dual_map(generate_map(11, 3, 3), seed=1)
+    assert calls == []
+    monkeypatch.setattr(dualize, "MAX_DUAL_LATTICE_CELLS", 448)
+    monkeypatch.setattr(dualize, "nondegenerate_at", nondegenerate_at)
+    assert dual_map(Fh, seed=1).projectively_equal(generate_map(1, 2, 3))
+
+
+def test_the_lattice_limit_admits_the_septic_and_the_degree_12_map_and_refuses_the_octic():
+    # 14,168, 31,320 and 30,940 cells pass every precondition; 63,270 do not
+    for F in (generate_map(1, 6, 7), generate_map(1, 7, 8), _degree_12_relation_map()):
+        dualize._check_preconditions(F, 1)
+    with pytest.raises(ValueError, match=r"703 lattice points of 9 x 10 entries, 63270 cells"):
+        dualize._check_preconditions(generate_map(1, 8, 9), 1)

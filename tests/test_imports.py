@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and itself, and uses every name it imports."""
+"""Source checks: the package imports only the standard library, numpy and itself, uses every name it
+imports, raises every exception class and names every function, and README states every size limit."""
 
 import ast
 import builtins
@@ -129,3 +130,20 @@ def test_every_function_is_referenced():
             test_only.append(name)
     assert not unreferenced, f"functions no code names: {unreferenced}"
     assert not test_only, f"public functions only the tests name, neither in __all__ nor in README: {test_only}"
+
+
+def test_every_size_limit_is_in_readme_with_its_value():
+    # a module-level MAX_* int is a limit a user can run into, so README
+    # states it as "`NAME` = value", thousands separated as README writes them
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    limits = {
+        node.targets[0].id: node.value.value
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.startswith("MAX_") and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+    }
+    assert limits, "no MAX_* limits found"
+    missing = sorted(f"`{name}` = {value:,}" for name, value in limits.items() if f"`{name}` = {value:,}" not in readme)
+    assert not missing, f"README does not state: {missing}"

@@ -269,25 +269,32 @@ def test_newton_kernel_of_integer_values_stays_in_integers():
             assert sum(c * a**k * b**l for (k, l), c in got.items()) == scale * values[a][b]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_the_wedge_is_a_power_of_l2_times_the_interpolated_forms(d):
-    # W(l) = signed minors of the coefficient vectors of F(s p + t q) with
-    # p = l x e0, q = l x e1, expanded by sympy in l; the route's H is (D!)^2
-    # times W / l2^D, so W is divisible by l2^(d(d+1)/2)
-    F = generate_map(d, d, d + 1)
+@pytest.mark.parametrize(
+    "d, n, chosen",
+    [(1, 2, [0, 1]), (2, 3, [0, 1, 2]), (3, 4, [0, 1, 2, 3]), (2, 2, [0, 2]), (3, 3, [0, 1, 2]), (3, 3, [1, 2, 3]),
+     (4, 3, [0, 2, 4]), (4, 2, [3, 4])],
+)
+def test_the_wedge_is_a_power_of_l2_times_the_interpolated_forms(d, n, chosen):
+    # W(l) = signed minors of the rows `chosen` of the coefficient vectors of
+    # F(s p + t q) with p = l x e0, q = l x e1, expanded by sympy in l; the
+    # route's H is (D!)^2 times W / l2^(n(n-1)/2), D = n d - n(n-1)/2, so W is
+    # divisible by l2^(n(n-1)/2) for any n rows (all d+1 of them for d+1 = n)
+    F = generate_map(d, d, n)
     l0, l1, l2, s, t = sympy.symbols("l0:3 s t")
     x = [-t * l2, s * l2, -s * l1 + t * l0]
     rows = []
-    for r in range(d + 1):
+    for r in chosen:
         row = []
         for comp in F.components:
             form = sympy.Poly(sympy.expand(to_sympy(comp).subs(dict(zip(XS, x)), simultaneous=True)), s, t)
             row.append(form.coeff_monomial(s ** (d - r) * t**r))
         rows.append(row)
     W = minors_oracle(rows)
-    D = d * (d + 1) // 2
-    H = dualize._wedge_forms(F)
+    D = n * d - n * (n - 1) // 2
+    H = dualize._wedge_forms(dualize._row_reader(F), chosen, D)
     assert not all(h.is_zero for h in H)
     for w, h in zip(W, H):
         assert h.degree == D
-        assert sympy.expand(math.factorial(D) ** 2 * w - l2**D * to_sympy(h).subs(dict(zip(XS, (l0, l1, l2))))) == 0
+        assert sympy.expand(
+            math.factorial(D) ** 2 * w - l2 ** (n * d - D) * to_sympy(h).subs(dict(zip(XS, (l0, l1, l2))))
+        ) == 0
