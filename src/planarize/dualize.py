@@ -200,7 +200,8 @@ def _row_reader(F: RatMap) -> Callable[..., list[list[int]]]:
 def _spanning_rows(rows: Callable, n: int, D: int) -> Optional[list[int]]:
     """The first n rows of A with rank n at the first line of Lambda_D where
     A has rank at least n (the pivots of its transpose), or None if there is
-    none.  Rank n+1 there raises NotPlanar naming the line."""
+    none: then every n x n minor of A, of degree at most D (`_wedge_forms`),
+    is zero.  Rank n+1 there raises NotPlanar naming the line."""
     for a, b in _lattice(D):
         _, pivots, _ = projcore._bareiss_echelon([list(col) for col in zip(*rows(a, b))])
         if len(pivots) > n:
