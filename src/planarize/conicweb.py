@@ -14,6 +14,7 @@ first fitted once as a rational map of degree at most three.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -361,7 +362,9 @@ def khovanskii_classify(f_src, seed: int = 0):
     samples; otherwise a rational model of degree <= 3 is fitted and the
     planarization trichotomy maps to InCircle / CoTrivial / Quadratic.  A
     degree-3 rational verdict contradicts the classification and raises
-    DegreeAnomaly rather than being silently accepted.
+    DegreeAnomaly rather than being silently accepted.  A source that is
+    not a grid is read once per point: the plane test and the fits at
+    degree 2 and 3 share one table of its values.
     """
     if f_src.codim != 3:
         raise ValueError("expected a map into 3-space")
@@ -373,6 +376,8 @@ def khovanskii_classify(f_src, seed: int = 0):
     else:
         one = Fraction(1) if exact else 1.0
 
+        # one table for every read: the samples and both fits share it
+        @functools.cache
         def embedded(u, v):
             val = f_src.evaluate(u, v)
             return None if val is None else (one, *val)

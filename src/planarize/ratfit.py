@@ -8,9 +8,10 @@ fit_map fits a whole projective map in one piece, not component by
 component: for k = 0, 1, ..., d it solves one integer system for the map
 G of degree k with G(x) parallel to the sample at each node, on the first
 2k+1 evaluable nodes of the first 2k+1 lattice rows (enough to certify a
-degree-k answer), checks the reduced solution in integers at every
-evaluable lattice node, and validates the accepted model the same way at
-20 held-out points.
+degree-k answer), checks the reduced solution in integers on the block of
+side k+d+2 (a grid at every evaluable lattice node), and validates the
+accepted model the same way at 20 held-out points.  A source that is not
+a grid is read only as far as these blocks need.
 
 A bivariate rational function P / Q is the map [Q : P] from the plane to
 RP^1, so fit_bi is fit_map of the graph map [1 : f], read in the chart
@@ -33,6 +34,7 @@ the stated degree or the fit is rejected (DegreeTooLow).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -208,16 +210,32 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     that have that many, which certifies the answer: two degree-k maps
     that agree there have 2x2 minors of degree <= 2k vanishing on 2k+1
     points of 2k+1 rows, so the minors are 0 and the maps are equal.  The
-    first nullspace vector is reduced, and the reduced model is checked in
-    integers at every evaluable node of the lattice; if some node fails,
-    no map of degree k fits and the search goes on to k + 1.
+    first nullspace vector is reduced and the reduced model is checked in
+    integers; if some checked node fails, no map of degree k fits and the
+    search goes on to k + 1.
+
+    A source that is not a grid is checked on a block: the first k+d+2
+    evaluable nodes of the first k+d+2 lattice rows that have that many.
+    For a source of degree <= d this is a proof.  The minors
+    G_i Y_j - G_j Y_i have degree <= k+d in the chart x0 = 1.  On each row
+    v = v_r a minor that vanishes at k+d+1 nodes is a univariate
+    polynomial of degree <= k+d with k+d+1 roots, so v - v_r divides it;
+    k+d+1 rows give a divisor of degree k+d+1, so the minor is 0.  The
+    block has one row and one column more than the proof needs: they
+    guard a black box that is not of degree <= d, whose values the
+    argument does not bind.
+    A grid is looked up, not evaluated, so it keeps the check at every
+    evaluable lattice node, and so does any source whose lattice has
+    fewer than k+d+2 rows with k+d+2 evaluable nodes.  The lattice has
+    4d+3 nodes per axis, and a source that is not a grid is read on
+    demand: a row, and a node within it, only as far as a block needs.
 
     AmbiguousFit is never raised.  A nullspace of more than one dimension
     is made of h * G' for the forms h through some nodes, and it arises
     when G' fails at those nodes; its reduced first vector then fails the
-    lattice check and the search goes on, ending in DegreeTooLow.  A
-    reduced model that passes the check spans the one-dimensional
-    nullspace at its own degree, where the search stops first.
+    check and the search goes on, ending in DegreeTooLow.  A reduced model
+    that passes the check spans the one-dimensional nullspace at its own
+    degree, where the search stops first.
 
     The accepted model is validated by the same integer check at 20
     held-out points: lattice draws for a grid, off-lattice rationals the
@@ -241,19 +259,22 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         raise DegreeTooLow(f"grid too small for degree {d}: need {4 * d + 3} nodes per axis")
     else:
         u_nodes, v_nodes = lattice
-    # the evaluable nodes of each lattice row
-    rows = [[n for n in (node_at(u, v) for u in u_nodes) if n] for v in v_nodes]
-    nodes = [node for row in rows for node in row]
-    if not nodes:
+    block = functools.partial(_block, node_at, u_nodes, v_nodes)
+    if not block(1):
         raise ChartOverflow("no evaluable sample found")
-    n1 = len(nodes[0][1])
 
     for k in range(d + 1):
-        G = _solve_projective(rows, k, n1)
+        G = _solve_projective(block(2 * k + 1), k)
         if G is None:
             continue
         model = reduce_map(G)
         plan = _forms_plan([c.terms for c in model.components])
+        side = k + d + 2
+        rows = block(side) if lattice is None else []
+        if len(rows) < side:
+            # a grid, or a lattice with no such block: every lattice node
+            rows = [[node_at(u, v) for u in u_nodes] for v in v_nodes]
+        nodes = [node for row in rows for node in row if node]
         if all(_parallel(_forms_eval_int(plan, node[0], 1, model.degree), node) for node in nodes):
             break
     else:
@@ -320,15 +341,30 @@ def _charted(P: tuple, Y: list) -> Optional[tuple]:
     return P, Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
 
 
-def _solve_projective(rows: Sequence, k: int, n1: int) -> Optional[list]:
+def _block(node_at: Callable, u_nodes: Sequence, v_nodes: Sequence, m: int) -> list:
+    """The first m evaluable nodes of each of the first m lattice rows that
+    have m, read row by row and node by node only as far as that needs;
+    fewer rows if the lattice has fewer."""
+    rows = []
+    for v in v_nodes:
+        row = list(itertools.islice(filter(None, (node_at(u, v) for u in u_nodes)), m))
+        if len(row) == m:
+            rows.append(row)
+            if len(rows) == m:
+                break
+    return rows
+
+
+def _solve_projective(cert: Sequence, k: int) -> Optional[list]:
     """The first nullspace vector of the degree-k system on the certificate
-    nodes, as n1 forms of degree k in (x0, x1, x2), or None if it has none.
-    A node's point P = (L, X) is X / L in integers, and a monomial
-    x0^a x1^i x2^j is P^(a, i, j) there."""
+    block `cert` (`_block` with m = 2k+1), as one form of degree k in
+    (x0, x1, x2) per value coordinate, or None if it has none.  A node's
+    point P = (L, X) is X / L in integers, and a monomial x0^a x1^i x2^j is
+    P^(a, i, j) there."""
     need = 2 * k + 1
-    cert = [row[:need] for row in rows if len(row) >= need][:need]
     if len(cert) < need:
         raise DegreeTooLow(f"fewer than {need} lattice rows with {need} evaluable nodes")
+    n1 = len(cert[0][0][1])
     monos = [(k - i - j, i, j) for i in range(k + 1) for j in range(k + 1 - i)]
     m = len(monos)
     system = []

@@ -576,6 +576,33 @@ def test_khovanskii_fits_a_callable_once(monkeypatch):
     assert degrees == [2]
 
 
+def test_khovanskii_reads_each_point_once_across_both_fits(monkeypatch):
+    # stereographic after a generic quadratic map of the plane is a sphere
+    # map of degree 4: the fits at degree 2 and at degree 3 both reject it,
+    # and they read the sphere callable through one table
+    from planarize import ratfit
+
+    degrees = []
+    fit_map = ratfit.fit_map
+
+    def counted(source, d, seed=0):
+        degrees.append(d)
+        return fit_map(source, d, seed=seed)
+
+    reads = []
+
+    def quartic(u, v):
+        reads.append((F(u), F(v)))
+        return stereo(F(u) * F(u) - F(v), F(u) + F(v) * F(v))
+
+    monkeypatch.setattr(ratfit, "fit_map", counted)
+    with pytest.raises(DegreeTooLow) as exc:
+        khovanskii_classify(CallableSource(quartic, codim=3, mode="exact"))
+    assert str(exc.value) == "no rational model of degree <= 3 fits: no map of degree <= 3 fits the lattice samples"
+    assert degrees == [2, 3]
+    assert reads and len(reads) == len(set(reads))
+
+
 def _sphere_grid(fn, n):
     from planarize.jetplan import GridMapSource
 

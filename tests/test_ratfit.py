@@ -650,3 +650,90 @@ def test_fit_map_reads_no_value_of_an_exact_map(monkeypatch):
         assert reads and len(reads) == len(set(reads))
         assert any(u.denominator != 1 for u, _ in reads)  # the held-out draws
     assert calls == []
+
+
+# -- the fit reads only the nodes its proof needs -------------------------------------
+
+
+@st.composite
+def planted_fit_cases(draw):
+    """(M, d): a reduced map M of degree 0-3, at times with a base point on
+    the fit's lattice or an identically zero component, and a bound d from
+    its degree to 3."""
+    degree = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 3))
+    rng = stable_rng(draw(st.integers(0, 10**6)), "planted_fit_cases")
+    if degree and draw(st.booleans()):
+        # every component vanishes at the lattice point (u0, v0)
+        u0, v0 = rng.randrange(2 * degree + 3), rng.randrange(2 * degree + 3)
+        l1, l2 = u0 * X0 - X1, v0 * X0 - X2
+        comps = [l1 * _sparse_form(rng, degree - 1) + l2 * _sparse_form(rng, degree - 1) for _ in range(n + 1)]
+    else:
+        comps = [_sparse_form(rng, degree) for _ in range(n + 1)]
+    if draw(st.booleans()):
+        comps[rng.randrange(n + 1)] = HPoly.zero(3, degree)
+    if all(c.is_zero for c in comps):
+        comps[0] = HPoly.monomial([degree, 0, 0])
+    M = reduce_map(comps)
+    return M, draw(st.integers(M.degree, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(planted_fit_cases())
+def test_fit_map_reads_a_block_and_returns_the_planted_map(case):
+    M, d = case
+    reads = set()
+
+    def recorded(u, v):
+        reads.add((F(u), F(v)))
+        return M.evaluate([F_ONE, F(u), F(v)])
+
+    model = fit_map(CallableSource(recorded, codim=M.codim), d)
+    assert model == M and repr(model) == repr(M)
+    # the held-out draws are off the integer lattice; a full-lattice read
+    # would be (4d+3)^2 nodes, the check block of the last degree is
+    # (2d+2)^2 nodes where the map is defined, plus each base point passed
+    lattice = {(u, v) for u, v in reads if u.denominator == v.denominator == 1}
+    defined = {p for p in lattice if M.evaluate([F_ONE, *p]) is not None}
+    assert len(defined) <= (2 * d + 2) ** 2
+    assert len(lattice) < (4 * d + 3) ** 2
+
+
+def test_fit_map_checks_every_lattice_node_when_no_check_block_fills():
+    # a source defined on the rows v < 3 only: at k = 1 the certificate (3
+    # rows of 3 nodes) fills but the check block of side k+d+2 = 4 cannot,
+    # so the model is checked at every evaluable lattice node, and a bad
+    # value at (6, 2), outside every block, is caught
+    def three_rows(bad):
+        def sample(u, v):
+            if v >= 3:
+                return None
+            y = COLLINEATION.evaluate([F_ONE, F(u), F(v)])
+            return (y[0] + 1, *y[1:]) if (u, v) == bad else y
+
+        return CallableSource(sample, codim=2)
+
+    assert fit_map(three_rows(None), 1) == COLLINEATION
+    with pytest.raises(DegreeTooLow):
+        fit_map(three_rows((6, 2)), 1)
+
+
+def test_the_check_block_has_an_extra_row_and_column():
+    # at d = 1 the collineation is found at k = 1 from its 3x3 certificate;
+    # the proof for maps of degree <= 1 needs the block of side k+d+1 = 3,
+    # and the check reads one row and one column more, which refuse a
+    # black box poisoned there
+    side = 1 + 1 + 2
+    last = [(u, side - 1) for u in range(side)] + [(side - 1, v) for v in range(side - 1)]
+
+    def poisoned(node):
+        def sample(u, v):
+            y = COLLINEATION.evaluate([F_ONE, F(u), F(v)])
+            return (y[0] + 1, *y[1:]) if (u, v) == node else y
+
+        return CallableSource(sample, codim=2)
+
+    assert fit_map(poisoned(None), 1) == COLLINEATION
+    for node in last:
+        with pytest.raises(DegreeTooLow):
+            fit_map(poisoned(node), 1)
