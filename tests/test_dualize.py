@@ -1,5 +1,6 @@
 """Dual planarizations and the trichotomy classifier."""
 
+import json
 import re
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from planarize import dualize, projcore
-from planarize.cli import generate_map
+from planarize.cli import generate_map, main
 from planarize.conicweb import circle_web
 from planarize.dualize import (
     CoTrivial,
@@ -17,7 +18,7 @@ from planarize.dualize import (
     NotPlanar,
     Rational,
     Trivial,
-    _precheck_points,
+    _PRECHECK_POINTS,
     classify,
     component_dependence,
     dual_map,
@@ -451,7 +452,7 @@ def test_maps_whose_lines_span_too_little_are_everywhere_degenerate(seed, dn):
     with pytest.raises(EverywhereDegenerate, match=rf"at most d\+1 = {d + 1} < n = {n}"):
         dual_map(F, seed=seed)
     src = ExactMapSource(F)
-    for a in _precheck_points(seed):
+    for a in _PRECHECK_POINTS:
         try:
             assert not nondegenerate_at(src, a)
         except OnIndeterminacy:
@@ -811,10 +812,10 @@ def test_a_zero_wedge_never_passes_the_jet_precheck(monkeypatch, name, F):
     n = F.codim
     assert F.degree + 1 == n
     assert dualize._spanning_rows(dualize._row_reader(F), n, n * F.degree - n * (n - 1) // 2) is None
-    with pytest.raises(EverywhereDegenerate, match=r"^no sampled point is nondegenerate$"):
+    with pytest.raises(EverywhereDegenerate, match=rf"^no line's image spans a hyperplane of RP\^{n}$"):
         dual_map(F, seed=2)
     src = ExactMapSource(F)
-    for a in _precheck_points(2):
+    for a in _PRECHECK_POINTS:
         try:
             assert not nondegenerate_at(src, a)
         except OnIndeterminacy:
@@ -854,3 +855,43 @@ def test_the_lattice_limit_admits_the_septic_and_the_degree_12_map_and_refuses_t
         dualize._check_preconditions(F, 1)
     with pytest.raises(ValueError, match=r"703 lattice points of 9 x 10 entries, 63270 cells"):
         dualize._check_preconditions(generate_map(1, 8, 9), 1)
+
+
+def _quadratic_times_a_sextic_through_the_old_precheck():
+    """(G, h G): G a quadratic into RP^3 and h a sextic through the 25 points
+    that the nondegeneracy precheck once sampled at seed 0, a fixed 3x3 grid
+    plus 16 draws of the stream "dual_precheck", so h G is undefined at all
+    of them."""
+    pts = [(Fraction(i, 4), Fraction(j, 4)) for i in range(1, 4) for j in range(1, 4)]
+    rng = stable_rng(0, "dual_precheck")
+    for _ in range(16):
+        pts.append(tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 19)) for _ in range(2)))
+    monos = _monomials(3, 6)
+    basis = projcore.nullspace([[u ** e[1] * v ** e[2] for e in monos] for u, v in pts])
+    assert len(basis) == 3
+    h = HPoly(3, 6, {e: c for e, c in zip(monos, basis[0]) if c})
+    G = generate_map(1, 2, 3)
+    return G, RatMap([h * g for g in G.components])
+
+
+def test_a_map_undefined_at_every_old_precheck_point_is_still_rational():
+    # the precheck once called h G everywhere degenerate at seed 0; only the
+    # lattice decides that now, and it finds the dual of G
+    G, F = _quadratic_times_a_sextic_through_the_old_precheck()
+    assert F.degree == 8 and reduce_map(F.components) == G
+    Gh = dual_map(G)
+    for seed in range(4):
+        assert classify(F, seed=seed) == Rational(2)
+        assert dual_map(F, seed=seed).projectively_equal(Gh)
+
+
+def test_the_cli_classifies_and_dualizes_a_map_undefined_at_the_old_precheck_points(tmp_path, capsys):
+    G, F = _quadratic_times_a_sextic_through_the_old_precheck()
+    path = tmp_path / "hG.json"
+    path.write_text(json.dumps(F.to_json()))
+    assert main(["classify", "--in", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["class"], report["degree"]) == ("Rational", 2)
+    assert main(["dualize", "--in", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert RatMap.from_json(report["dual"]).projectively_equal(dual_map(G))

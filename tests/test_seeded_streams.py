@@ -15,7 +15,6 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "planarize").
 STREAMS = {
     "f'gen:{degree}:{target_dim}'": "cli.py",
     "emit_curves": "cli.py",
-    "dual_precheck": "dualize.py",
     "dual_span_line": "dualize.py",
     "fit_map_validate": "ratfit.py",
 }

@@ -1,10 +1,9 @@
 """The univariate gcd kernel against the sympy oracle.
 
-gcd (its GCDHEU path and its primitive-PRS fallback, each also called
-directly), exact division and the gcd cofactors, on seeded inputs up to
-degree 70: zero, constant, coprime, planted common factors, negative leads,
-rational and large coefficients.  Every gcd must be primitive with a
-positive lead.
+gcd (its primitive pseudo-remainder sequence also called directly), exact
+division and the gcd cofactors, on seeded inputs up to degree 70: zero,
+constant, coprime, planted common factors, negative leads, rational and
+large coefficients.  Every gcd must be primitive with a positive lead.
 """
 
 from fractions import Fraction
@@ -91,7 +90,7 @@ def test_gcd_matches_sympy(name, p, q):
     assert univar.gcd(q, p) == expect
 
 
-# both paths take primitive int inputs of degree >= 1
+# the PRS takes primitive int inputs of degree >= 1
 PRIMITIVE = [
     (name, univar.content_primitive(p)[1], univar.content_primitive(q)[1])
     for name, p, q in CASES
@@ -100,31 +99,20 @@ PRIMITIVE = [
 
 
 @pytest.mark.parametrize("name,a,b", PRIMITIVE, ids=[f"{i}-{c[0]}" for i, c in enumerate(PRIMITIVE)])
-def test_heuristic_and_prs_paths_each_match_sympy(name, a, b):
+def test_prs_matches_sympy(name, a, b):
     expect = canon(sympy.gcd(to_sympy(a), to_sympy(b)))
-    # seeded inputs: the first evaluation points settle every case here
-    assert univar._heu_gcd(a, b) == expect
     prs = univar._prs_gcd(a, b)
     assert prs == expect
     assert_primitive(prs)
 
 
-def test_gcd_falls_back_to_the_prs(monkeypatch):
-    monkeypatch.setattr(univar, "HEU_TRIES", 0)
-    for name, p, q in CASES:
-        assert univar.gcd(p, q) == canon(sympy.gcd(to_sympy(p), to_sympy(q))), name
-
-
-# coprime pairs whose values at the first evaluation point share a factor
-# that the base-xi digits read as a polynomial dividing neither input
+# coprime pairs whose values at a large integer share a factor, so a gcd read
+# off the digits of that integer gcd would divide neither input
 FIRST_POINT_MISSES = [([1, -1, 1], [-1, -1, 3, 1]), ([3, -3, -2, 2], [1, 0, 0, 1]), ([-1, 2, 3], [-3, 1])]
 
 
 @pytest.mark.parametrize("a,b", FIRST_POINT_MISSES)
-def test_heuristic_rejects_a_candidate_that_does_not_divide(monkeypatch, a, b):
-    assert univar._heu_gcd(a, b) in (None, [1])
-    monkeypatch.setattr(univar, "HEU_TRIES", 1)
-    assert univar._heu_gcd(a, b) is None
+def test_coprime_pairs_have_gcd_one(a, b):
     assert univar.gcd(a, b) == univar._prs_gcd(a, b) == [1]
 
 
