@@ -362,9 +362,15 @@ def khovanskii_classify(f_src, seed: int = 0):
     samples; otherwise a rational model of degree <= 3 is fitted and the
     planarization trichotomy maps to InCircle / CoTrivial / Quadratic.  A
     degree-3 rational verdict contradicts the classification and raises
-    DegreeAnomaly rather than being silently accepted.  A source that is
-    not a grid is read once per point: the plane test and the fits at
-    degree 2 and 3 share one table of its values.
+    DegreeAnomaly rather than being silently accepted.
+
+    A grid is tested for a plane at all its nodes.  A source that is not a
+    grid is tested at the integer nodes (u, v) in {0..5}^2, the check block
+    of the degree-2 fit, and read once per point: the plane test and the
+    fits at degree 2 and 3 share one table of its values.  For a plane H
+    and a sphere map f of degree <= 5, H.(1, f) is a rational function
+    whose numerator has degree <= 5, and a polynomial of degree <= 5 that
+    vanishes on a 6 x 6 tensor grid is zero, so the test is a proof.
     """
     if f_src.codim != 3:
         raise ValueError("expected a map into 3-space")
@@ -372,21 +378,20 @@ def khovanskii_classify(f_src, seed: int = 0):
     # the sphere in RP^3: a grid already evaluates to (1, x, y, z)
     if isinstance(f_src, GridMapSource):
         emb = f_src
-        pts = [(u, v) for v in f_src.v_axis for u in f_src.u_axis]
+        us, vs = f_src.u_axis, f_src.v_axis
     else:
         one = Fraction(1) if exact else 1.0
 
-        # one table for every read: the samples and both fits share it
+        # one table for every read: the plane test and both fits share it
         @functools.cache
         def embedded(u, v):
             val = f_src.evaluate(u, v)
             return None if val is None else (one, *val)
 
         emb = CallableSource(embedded, codim=3, mode=f_src.mode)
-        # the centres of the 6x6 cells of the unit square
-        ts = [Fraction(2 * i + 1, 12) if exact else (2 * i + 1) / 12.0 for i in range(6)]
-        pts = [(u, v) for u in ts for v in ts]
-    samples = [val[1:] for val in (emb.evaluate(u, v) for u, v in pts) if val is not None]
+        # the degree-2 fit checks its model on these nodes (side k+d+2 = 6)
+        us = vs = [Fraction(i) if exact else float(i) for i in range(6)]
+    samples = [val[1:] for val in (emb.evaluate(u, v) for v in vs for u in us) if val is not None]
     if len(samples) < 8:
         raise TooFewSamples("not enough sphere samples")
     for x, y, z in samples:

@@ -100,7 +100,10 @@ class GridMapSource:
     """Rectangular sample grid of an affine map (u, v) -> R^n.
 
     Values are stored per node; homogeneous coordinates prepend a 1, so the
-    chart index is always 0.  Axes must be strictly monotone.
+    chart index is always 0.  Axes must be strictly monotone.  An exact
+    grid looks a node up by hash, in one {node: index} table per axis built
+    here, so any number equal to a node (a Fraction, an int or a float)
+    finds it; a float grid scans its axes for a node within NODE_ATOL.
     """
 
     def __init__(self, u_axis: Sequence, v_axis: Sequence, values, mode: str = "float"):
@@ -109,6 +112,8 @@ class GridMapSource:
         for ax in (self.u_axis, self.v_axis):
             if any(not (b > a) for a, b in zip(ax, ax[1:])):
                 raise ValueError("grid axes must be strictly increasing")
+        self._u_index = {a: i for i, a in enumerate(self.u_axis)}
+        self._v_index = {a: i for i, a in enumerate(self.v_axis)}
         self.values = values  # values[iv][iu] = tuple of n numbers
         self.mode = mode
         self.codim = len(values[0][0])
@@ -118,9 +123,15 @@ class GridMapSource:
         return self.u_axis[1] - self.u_axis[0], self.v_axis[1] - self.v_axis[0]
 
     def node_index(self, u, v) -> tuple[int, int]:
+        if self.mode != "float":
+            try:
+                return self._u_index[u], self._v_index[v]
+            except (KeyError, TypeError):  # off the grid, or unhashable
+                raise KeyError(f"({u}, {v}) is not a grid node") from None
+
         def find(axis, x):
             for i, a in enumerate(axis):
-                if a == x or (self.mode == "float" and abs(float(a) - float(x)) < NODE_ATOL):
+                if a == x or abs(float(a) - float(x)) < NODE_ATOL:
                     return i
             raise KeyError(f"{x} is not a grid node")
 
@@ -160,8 +171,8 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
     if n < 1:
         raise ValueError("grid CSV has no value columns after u,v")
     conv = projcore.scalar_from_str if mode == "exact" else float
-    u_set: list = []
-    v_set: list = []
+    u_set: set = set()
+    v_set: set = set()
     data: dict = {}
     for number, row in enumerate(rows[1:], start=2):
         if not row:
@@ -171,10 +182,8 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
         u, v = conv(row[0]), conv(row[1])
         if (u, v) in data:
             raise ValueError(f"grid CSV has two rows for the node u={u}, v={v}")
-        if u not in u_set:
-            u_set.append(u)
-        if v not in v_set:
-            v_set.append(v)
+        u_set.add(u)
+        v_set.add(v)
         data[(u, v)] = tuple(conv(x) for x in row[2:])
     if not data:
         raise ValueError("grid CSV has no data rows")

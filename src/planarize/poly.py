@@ -811,18 +811,43 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
     is exactly the set of degree-k relations, and the solve certifies
     itself.  The components are first scaled by one common multiplier to
     integers, which scales each degree-k column by the same factor.
+
+    Each lattice point is evaluated once for the whole search: the lattice
+    of degree k d lies inside that of degree (k+1) d, so one table keyed
+    by the point holds F's integer values Y there and its rows of every
+    degree searched so far.  A degree-k row comes from the degree-(k-1)
+    row with one product per entry: Y^e = Y^(e - u_i) Y_i, i the first
+    index with e_i > 0.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     n1 = len(F.components)
     d = F.degree
     plan = _forms_plan(_int_components(F))
+    # point -> (Y, [row of degree 0, row of degree 1, ...]); nullspace copies its rows
+    table: dict = {}
+    # steps[k]: for each degree-k monomial e, (the column of e - u_i at degree k-1, i)
+    steps = [None]
+    below = _monomials(n1, 0)
     for k in range(1, kmax + 1):
         target_monos = _monomials(n1, k)
+        column = {e: c for c, e in enumerate(below)}
+        step = []
+        for e in target_monos:
+            i = next(i for i, a in enumerate(e) if a)
+            step.append((column[(*e[:i], e[i] - 1, *e[i + 1 :])], i))
+        steps.append(step)
+        below = target_monos
         matrix = []
         for e in _monomials(F.domain_vars, k * d):
             x = (1, *e[1:])
-            matrix.append(_monomial_values(target_monos, _forms_eval_int(plan, x, 1, d), 1, k))
+            if x not in table:
+                table[x] = (_forms_eval_int(plan, x, 1, d), [[1]])
+            Y, rows = table[x]
+            for j in range(len(rows), k + 1):
+                prev = rows[-1]
+                rows.append([prev[c] * Y[i] for c, i in steps[j]])
+            matrix.append(rows[k])
         basis = projcore.nullspace(matrix)
         if basis:
             terms = {e: c for e, c in zip(target_monos, basis[0]) if c}

@@ -603,6 +603,36 @@ def test_khovanskii_reads_each_point_once_across_both_fits(monkeypatch):
     assert reads and len(reads) == len(set(reads))
 
 
+INTEGER_NODES = {(F(u), F(v)) for u in range(6) for v in range(6)}
+
+
+def test_khovanskii_plane_test_reads_the_fits_nodes():
+    # the plane test reads the integer nodes 0..5, the degree-2 fit's check
+    # block, so the fit adds only its 20 held-out points
+    reads = []
+
+    def counted(u, v):
+        reads.append((F(u), F(v)))
+        return stereo(u, v)
+
+    assert isinstance(khovanskii_classify(CallableSource(counted, codim=3, mode="exact")), Quadratic)
+    assert len(reads) == len(set(reads)) == 56
+    assert INTEGER_NODES <= set(reads)
+
+
+def test_khovanskii_in_circle_reads_only_the_integer_nodes():
+    reads = []
+
+    def equator(u, v):
+        reads.append((F(u), F(v)))
+        t = F(u) + F(v) * F(v)
+        return ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t), F(0))
+
+    assert isinstance(khovanskii_classify(CallableSource(equator, codim=3, mode="exact")), InCircle)
+    assert len(reads) == len(set(reads)) == 36
+    assert set(reads) == INTEGER_NODES
+
+
 def _sphere_grid(fn, n):
     from planarize.jetplan import GridMapSource
 

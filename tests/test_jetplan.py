@@ -431,6 +431,47 @@ def test_grid_jets_reject_uneven_spacing():
         jet_of(exact, (exact_axis[2], exact_axis[2]), 2)
 
 
+def _scan(axis, x):
+    """Reference lookup: the first index whose node equals x, or None."""
+    return next((i for i, a in enumerate(axis) if a == x), None)
+
+
+# nodes k / 8 with |k| <= 160: exact binary fractions, at least 1/8 apart
+_axes = st.lists(st.integers(-160, 160), min_size=1, max_size=12, unique=True).map(
+    lambda ks: [Fraction(k, 8) for k in sorted(ks)]
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_axes, _axes, st.data())
+def test_exact_node_index_agrees_with_a_linear_scan(us, vs, data):
+    grid = GridMapSource(us, vs, [[(u, v) for u in us] for v in vs], mode="exact")
+    as_type = data.draw(st.sampled_from([Fraction, float, lambda x: int(x) if x.denominator == 1 else x]))
+    iu, iv = data.draw(st.integers(0, len(us) - 1)), data.draw(st.integers(0, len(vs) - 1))
+    u, v = as_type(us[iu]), as_type(vs[iv])
+    assert grid.node_index(u, v) == (_scan(us, u), _scan(vs, v)) == (iu, iv)
+    assert grid.evaluate(u, v) == (1, us[iu], vs[iv])
+    off = data.draw(st.fractions(-30, 30, max_denominator=24).filter(lambda x: _scan(us + vs, x) is None))
+    for u, v in ((off, vs[iv]), (us[iu], off), (float(off), vs[iv]), ([us[iu]], vs[iv]), (float("nan"), vs[iv])):
+        with pytest.raises(KeyError):
+            grid.node_index(u, v)
+        assert grid.evaluate(u, v) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_axes, st.data())
+def test_float_node_index_finds_a_node_within_its_tolerance(axis, data):
+    axis = [float(a) for a in axis]
+    grid = GridMapSource(axis, axis, [[(u, v) for u in axis] for v in axis], mode="float")
+    i = data.draw(st.integers(0, len(axis) - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    near, far = axis[i] + sign * 1e-13, axis[i] + sign * 1e-11
+    assert grid.node_index(near, axis[0]) == (i, 0)
+    with pytest.raises(KeyError):
+        grid.node_index(far, axis[0])
+    assert grid.evaluate(far, axis[0]) is None
+
+
 # -- CSV ---------------------------------------------------------------------------------
 
 

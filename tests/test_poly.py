@@ -376,6 +376,27 @@ def test_implicitize_relation_vanishes_by_sympy(F, kmax):
     assert vanishes_on(rel, F)
 
 
+@pytest.mark.parametrize("F, k, points", [
+    (generate_map(3, 2, 3), 4, 45),
+    (reduce_map([X0 * X0 + X1 * X1 + X2 * X2, X0 * X1, X0 * X2, X1 * X1 + X2 * X2 - X0 * X0]), 2, 15),
+], ids=["generic quadratic", "circle web"])
+def test_implicitize_evaluates_each_lattice_point_once(monkeypatch, F, k, points):
+    # the lattices of degree k d are nested, so the search reads F only on
+    # the largest one: C(2k+2, 2) points at d = 2
+    from planarize import poly
+
+    reads = []
+    forms_eval_int = poly._forms_eval_int
+
+    def counted(plan, X, L, D):
+        reads.append(tuple(X))
+        return forms_eval_int(plan, X, L, D)
+
+    monkeypatch.setattr(poly, "_forms_eval_int", counted)
+    assert implicitize(F, 4)[0] == k
+    assert len(reads) == len(set(reads)) == points
+
+
 # -- reduce_map against sympy's gcd ----------------------------------------------
 
 # reduce_map restricts to the line x_i = (i+1) u0 + (i+1)^3 u1, through
