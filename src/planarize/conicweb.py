@@ -200,7 +200,7 @@ def net_through(web: ConicSystem, center: PPoint) -> ConicSystem:
     center: one linear condition on the system coordinates."""
     if web.dimension != 3:
         raise ValueError("expected a web")
-    basis = projcore.nullspace([list(center.coords)])
+    basis = projcore._nullspace_int([list(center.coords)])
     psis = []
     for mu in basis:
         psi = HPoly.zero(3, 2)

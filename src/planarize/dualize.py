@@ -98,7 +98,7 @@ def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
     zero rows, which leave the nullspace as it is."""
     monos = dict.fromkeys(e for c in F.components for e in c.terms)
     matrix = [[c.terms.get(m, 0) for c in F.components] for m in monos]
-    basis = projcore.nullspace(matrix)
+    basis = projcore._nullspace_int(projcore._integer_rows(matrix))
     if not basis:
         return None
     return projcore.normalize(basis[0])

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -130,10 +131,15 @@ class GridMapSource:
                 raise KeyError(f"({u}, {v}) is not a grid node") from None
 
         def find(axis, x):
-            for i, a in enumerate(axis):
-                if a == x or abs(float(a) - float(x)) < NODE_ATOL:
-                    return i
-            raise KeyError(f"{x} is not a grid node")
+            if isinstance(x, numbers.Real):  # anything else is no node, as on an exact grid
+                try:
+                    fx = float(x)
+                except OverflowError:  # beyond every float node
+                    fx = math.inf
+                for i, a in enumerate(axis):
+                    if a == x or abs(float(a) - fx) < NODE_ATOL:
+                        return i
+            raise KeyError(f"{x!r} is not a grid node")
 
         return find(self.u_axis, u), find(self.v_axis, v)
 

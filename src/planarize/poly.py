@@ -568,8 +568,9 @@ def _common_degree_bound(forms: Sequence[HPoly]) -> int:
 def _parallel_forms(components: Sequence[HPoly], k: int) -> Optional[list[HPoly]]:
     """The first nullspace vector of F_c G_i - F_i G_c = 0 (i != c), c the
     nonzero component with the fewest terms, over n+1 forms G of degree k
-    taken component-major, or None if there is none.  Each entry is set
-    once: a column's terms reach distinct monomials."""
+    taken component-major, up to a positive factor, or None if there is
+    none.  Each entry is set once: a column's terms reach distinct
+    monomials."""
     nvars = components[0].nvars
     c = min((i for i, f in enumerate(components) if not f.is_zero), key=lambda i: len(components[i].terms))
     monos = _monomials(nvars, k)
@@ -585,7 +586,7 @@ def _parallel_forms(components: Sequence[HPoly], k: int) -> Optional[list[HPoly]
                 for e, a in form.terms.items():
                     equations.setdefault(tuple(map(operator.add, mu, e)), [0] * ncols)[col] = sign * a
         matrix.extend(equations.values())
-    basis = projcore.nullspace(matrix)
+    basis = projcore._nullspace_int(projcore._integer_rows(matrix))
     if not basis:
         return None
     return [HPoly(nvars, k, dict(zip(monos, basis[0][b * m : (b + 1) * m]))) for b in range(len(components))]
@@ -824,7 +825,7 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
     n1 = len(F.components)
     d = F.degree
     plan = _forms_plan(_int_components(F))
-    # point -> (Y, [row of degree 0, row of degree 1, ...]); nullspace copies its rows
+    # point -> (Y, [row of degree 0, row of degree 1, ...]); the kernel leaves its rows as they are
     table: dict = {}
     # steps[k]: for each degree-k monomial e, (the column of e - u_i at degree k-1, i)
     steps = [None]
@@ -848,7 +849,7 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
                 prev = rows[-1]
                 rows.append([prev[c] * Y[i] for c, i in steps[j]])
             matrix.append(rows[k])
-        basis = projcore.nullspace(matrix)
+        basis = projcore._nullspace_int(matrix)
         if basis:
             terms = {e: c for e, c in zip(target_monos, basis[0]) if c}
             return k, HPoly(n1, k, terms).canonical()

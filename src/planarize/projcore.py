@@ -4,16 +4,22 @@ Coordinates of projective points, lines and hyperplanes are kept as integer
 vectors in a canonical form (no common factor, first nonzero entry positive),
 so projective equality is plain tuple equality.  Ranks and determinants are
 computed with fraction-free Bareiss elimination on integer matrices.
-Nullspaces of systems of at least _MODULAR_MIN_CELLS cells are computed
-modulo fixed 31-bit primes in int64 arithmetic, lifted by CRT and rational
-reconstruction, and returned only once A·X = 0 holds in integers; smaller
-systems, and those the primes cannot settle, use Bareiss.  Both routes give
-the same basis, and no rounding ever happens in exact mode.  Denominators
-are cleared here, once, for the whole package: `_cleared` turns a rational
-vector into integers over the lcm of its denominators, and the polynomial
-and univariate kernels use it too.  A small float-mode rank helper (SVD with a
-relative tolerance) exists only for CSV-sampled inputs; null_direction
-picks the exact or the float route from a flag.
+One private kernel, `_nullspace_int`, solves every exact nullspace on an
+integer matrix and returns integer vectors.  Systems of at least
+_MODULAR_MIN_CELLS cells are solved modulo fixed 31-bit primes in int64
+arithmetic, lifted by CRT and rational reconstruction in integers, and
+returned only once A·X = 0 holds; smaller systems, and those the primes
+cannot settle, use Bareiss.  Both routes give positive multiples of the
+same basis, and no rounding ever happens in exact mode.  The public
+`nullspace` divides each vector by its free entry; callers in the package
+that need a kernel vector only up to scale call the kernel directly.
+Denominators are cleared here, once, for the whole package: `_cleared`
+turns a rational vector into integers over the lcm of its denominators,
+and the polynomial and univariate kernels use it too.  A small float-mode
+rank helper (SVD with a relative tolerance) exists only for CSV-sampled
+inputs; null_direction picks the exact or the float route from a flag.
+numpy is imported only inside the modular and SVD functions, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Scalar = Fraction
 
@@ -163,6 +170,8 @@ def rank(rows: Sequence[Sequence]) -> int:
     ncols = widths.pop()
     full = min(len(mat), ncols)
     if len(mat) * ncols >= _MODULAR_MIN_CELLS:
+        import numpy as np
+
         p = _PRIMES[0]
         _, pivots = _rref_mod(np.array([[x % p for x in row] for row in mat], dtype=np.int64), p)
         if len(pivots) == full:
@@ -176,16 +185,35 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
 
     Basis vectors are produced one per free column, in increasing column
     order, each with the free variable set to 1 and every other free
-    variable 0; this makes the output deterministic.  Systems of at least
-    _MODULAR_MIN_CELLS cells are solved modulo fixed primes and lifted by
-    rational reconstruction, and the basis is returned only after A·X = 0
-    is checked in integers (see _nullspace_modular); smaller systems, and
-    larger ones the primes cannot settle, go through Bareiss.  Both routes
-    return the same basis.
+    variable 0; this makes the output deterministic.  The rows are cleared
+    to integers and solved by `_nullspace_int`, whose vectors are positive
+    multiples of these, and each is divided by its free entry, its last
+    nonzero one.
     """
     if not rows:
         return []
-    mat = _integer_rows(rows)
+    basis = []
+    for X in _nullspace_int(_integer_rows(rows)):
+        free = next(c for c in reversed(X) if c)
+        basis.append(tuple(Fraction(c, free) for c in X))
+    return basis
+
+
+def _nullspace_int(mat: list[list[int]]) -> list[list[int]]:
+    """Right-nullspace basis of an integer matrix, as integer vectors.
+
+    One vector per free column, in increasing column order: a positive
+    multiple of the vector that is 1 on that free column and 0 on the
+    others, so its last nonzero entry is the free one, and it is positive.
+    Systems of at least _MODULAR_MIN_CELLS cells are solved modulo fixed
+    primes and lifted by rational reconstruction, and the basis is returned
+    only after A·X = 0 is checked in integers (see _nullspace_modular);
+    smaller systems, and larger ones the primes cannot settle, go through
+    Bareiss.  For callers that need the vectors only up to scale; the rows
+    are not modified.
+    """
+    if not mat:
+        return []
     widths = {len(r) for r in mat}
     if len(widths) != 1:
         raise DimensionMismatch("rows of unequal length")
@@ -196,14 +224,14 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
             return basis
     ech, pivots, _ = _bareiss_echelon(mat)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        # x = y / den with integer y; back-substitute pivot variables
-        # bottom-up, scaling y and den so that each new entry is integral
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        # y is the solution times y[fc] > 0; back-substitute pivot variables
+        # bottom-up, scaling y so that each new entry is integral
         y = [0] * ncols
         y[fc] = 1
-        den = 1
         solved = [fc]
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
@@ -213,13 +241,12 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
                 s += row[c] * y[c]
             piv = row[pc]
             g = math.gcd(s, piv)
-            k = piv // g
+            k = abs(piv) // g
             if k != 1:
                 y = [c * k for c in y]
-                den *= k
-            y[pc] = -s // g
+            y[pc] = -s // g if piv > 0 else s // g
             solved.append(pc)
-        basis.append(tuple(Fraction(c, den) for c in y))
+        basis.append(y)
     return basis
 
 
@@ -238,7 +265,12 @@ _PRIMES = (
 
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p) of an int64 matrix with entries
-    in [0, p): (its nonzero rows, their pivot columns)."""
+    in [0, p): (its nonzero rows, their pivot columns).  Each pivot clears
+    its column in every other row with one broadcast update of the columns
+    from it on (all earlier ones are settled); rows whose entry there is 0
+    take a zero update, which is cheaper than picking them out."""
+    import numpy as np
+
     m = a.copy()
     nrows, ncols = m.shape
     pivots: list[int] = []
@@ -250,14 +282,15 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv = int(m[i, c])
         if not piv:
             continue
+        row = m[i, c:] * pow(piv, -1, p) % p
         if i != r:  # rows r.. are zero left of c
-            m[[r, i], c:] = m[[i, r], c:]
-        m[r, c:] = m[r, c:] * pow(piv, -1, p) % p
+            m[i, c:] = m[r, c:]
+        m[r, c:] = row
         f = m[:, c].copy()
         f[r] = 0
-        hit = np.flatnonzero(f)
-        if hit.size:
-            m[hit, c:] = (m[hit, c:] - f[hit, None] * m[r, c:]) % p
+        sub = m[:, c:]
+        sub -= np.multiply.outer(f, row)  # > -p², so inside int64
+        sub %= p
         pivots.append(c)
         r += 1
     return m[:r], pivots
@@ -283,19 +316,22 @@ def _ratrecon(u: int, m: int) -> tuple[int, int] | None:
     return (-n, -d) if d < 0 else (n, d)
 
 
-def _nullspace_modular(mat: list[list[int]], ncols: int) -> list[tuple[Fraction, ...]] | None:
-    """nullspace() of an integer matrix from its RREFs modulo _PRIMES, or
-    None when the primes run out first.
+def _nullspace_modular(mat: list[list[int]], ncols: int) -> list[list[int]] | None:
+    """_nullspace_int() of an integer matrix from its RREFs modulo _PRIMES,
+    or None when the primes run out first.
 
     Only primes with the best pivot list seen are combined by CRT: highest
     rank first, then the lexicographically smallest list, which bounds the
     rational one from below (rank_p ≤ rank_Q on every leading block of
     columns).  A basis is returned only when every reconstructed vector X
-    satisfies A·X = 0 in integers.  Each vector is 1 on its free column, 0 on
-    the other free columns and 0 on the pivot columns after its own, so n −
-    rank_p independent vectors of ker_Q give rank_p = rank_Q, every mod-p
-    free column is free over Q, and the basis is the one Bareiss gives.
+    satisfies A·X = 0 in integers.  Each vector is positive on its free
+    column, 0 on the other free columns and 0 on the pivot columns after its
+    own, so n − rank_p independent vectors of ker_Q give rank_p = rank_Q,
+    every mod-p free column is free over Q, and each vector is a positive
+    multiple of the one Bareiss gives.
     """
+    import numpy as np
+
     lim = 1 << 62
     big = any(max(r, default=0) >= lim or min(r, default=0) <= -lim for r in mat)
     base = None if big else np.array(mat, dtype=np.int64)
@@ -326,33 +362,34 @@ def _nullspace_modular(mat: list[list[int]], ncols: int) -> list[tuple[Fraction,
     return None
 
 
-def _lift(crt: list[list[int]], pivots: list[int], free: list[int], m: int) -> list[tuple[Fraction, ...]] | None:
-    """Rational basis vectors from the CRT images mod m of each free
+def _lift(crt: list[list[int]], pivots: list[int], free: list[int], m: int) -> list[list[int]] | None:
+    """Integer basis vectors from the CRT images mod m of each free
     column's RREF entries, or None when one entry does not reconstruct.
-    Each entry is reconstructed times the denominator of the entries before
-    it, so that once the vector's common denominator is found the rest are
-    integers, which reconstruct up to about m / T in size."""
+    A vector's free entry is the common denominator of the entries found so
+    far, and each entry is reconstructed times it, so that once the common
+    denominator is found the rest are integers, which reconstruct up to
+    about m / T in size; a new denominator scales the whole vector."""
     ncols = len(pivots) + len(free)
     basis = []
     for fc, col in zip(free, crt):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        den = 1
+        x = [0] * ncols
+        x[fc] = 1
         for pc, u in zip(pivots, col):
             if not u:
                 continue
-            nd = _ratrecon(-u * den % m, m)
+            nd = _ratrecon(-u * x[fc] % m, m)
             if nd is None:
                 return None
-            den *= nd[1]
-            x[pc] = Fraction(nd[0], den)
-        basis.append(tuple(x))
+            n, q = nd
+            if q != 1:
+                x = [c * q for c in x]
+            x[pc] = n
+        basis.append(x)
     return basis
 
 
-def _annihilates(mat: list[list[int]], v: Sequence[Fraction]) -> bool:
-    """A·v = 0 in integers, with v cleared of its denominators."""
-    X, _ = _cleared(v)
+def _annihilates(mat: list[list[int]], X: Sequence[int]) -> bool:
+    """A·X = 0 for an integer vector X."""
     support = [(j, x) for j, x in enumerate(X) if x]
     return not any(sum(row[j] * x for j, x in support) for row in mat)
 
@@ -530,7 +567,7 @@ def hyperplane_through(ps: Sequence[PPoint]) -> Hyperplane | SpanVerdict:
     """
     if not ps:
         raise ZeroVector("need at least one point")
-    basis = nullspace([list(p.coords) for p in ps])
+    basis = _nullspace_int([list(p.coords) for p in ps])
     if not basis:
         return NONE_EXISTS
     if len(basis) > 1:
@@ -540,6 +577,8 @@ def hyperplane_through(ps: Sequence[PPoint]) -> Hyperplane | SpanVerdict:
 
 def float_rank(rows: Sequence[Sequence[float]]) -> int:
     """Rank with the relative singular-value cutoff FLOAT_RANK_RTOL (float mode only)."""
+    import numpy as np
+
     a = np.asarray(rows, dtype=float)
     if a.size == 0:
         return 0
@@ -576,8 +615,10 @@ def null_direction(rows: Sequence[Sequence], exact: bool) -> tuple[int, ...] | N
     singular direction of the smallest singular value.  One full SVD gives
     both the rank and that direction."""
     if exact:
-        basis = nullspace(rows)
+        basis = _nullspace_int(_integer_rows(rows))
         return normalize(basis[0]) if basis else None
+    import numpy as np
+
     a = np.array([[float(x) for x in r] for r in rows])
     _, s, vh = np.linalg.svd(a)
     r = int(np.sum(s > FLOAT_RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0

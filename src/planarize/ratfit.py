@@ -357,10 +357,10 @@ def _block(node_at: Callable, u_nodes: Sequence, v_nodes: Sequence, m: int) -> l
 
 def _solve_projective(cert: Sequence, k: int) -> Optional[list]:
     """The first nullspace vector of the degree-k system on the certificate
-    block `cert` (`_block` with m = 2k+1), as one form of degree k in
-    (x0, x1, x2) per value coordinate, or None if it has none.  A node's
-    point P = (L, X) is X / L in integers, and a monomial x0^a x1^i x2^j is
-    P^(a, i, j) there."""
+    block `cert` (`_block` with m = 2k+1), up to a positive factor, as one
+    form of degree k in (x0, x1, x2) per value coordinate, or None if it
+    has none.  A node's point P = (L, X) is X / L in integers, and a
+    monomial x0^a x1^i x2^j is P^(a, i, j) there."""
     need = 2 * k + 1
     if len(cert) < need:
         raise DegreeTooLow(f"fewer than {need} lattice rows with {need} evaluable nodes")
@@ -377,7 +377,7 @@ def _solve_projective(cert: Sequence, k: int) -> Optional[list]:
             eq[i * m : (i + 1) * m] = [Y[c] * x for x in w]
             eq[c * m : (c + 1) * m] = [-Y[i] * x for x in w]
             system.append(eq)
-    basis = projcore.nullspace(system)
+    basis = projcore._nullspace_int(system)
     if not basis:
         return None
     vec = basis[0]

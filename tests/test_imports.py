@@ -3,7 +3,9 @@ imports, raises every exception class and names every function, and README state
 
 import ast
 import builtins
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,16 @@ def test_runtime_imports_are_stdlib_numpy_or_relative(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     assert found <= allowed, f"{path.name} imports {sorted(found - allowed)}"
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy is imported inside the modular and SVD functions only, so a
+    # command that reaches neither never loads it
+    src = str(SOURCES[0].parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, planarize, planarize.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -472,6 +472,17 @@ def test_float_node_index_finds_a_node_within_its_tolerance(axis, data):
     assert grid.evaluate(far, axis[0]) is None
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("key", [[0.0], None, "x", "0.0", 10**400], ids=["list", "none", "text", "numeric-text", "huge"])
+def test_a_non_numeric_or_huge_key_is_no_node_in_either_mode(mode, key):
+    axis = [0.0, 1.0] if mode == "float" else [Fraction(0), Fraction(1)]
+    grid = GridMapSource(axis, axis, [[(u, v) for u in axis] for v in axis], mode=mode)
+    with pytest.raises(KeyError):
+        grid.node_index(key, axis[0])
+    assert grid.evaluate(key, axis[0]) is None
+    assert grid.evaluate(axis[0], key) is None
+
+
 # -- CSV ---------------------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planarize import projcore
 from planarize.projcore import (
@@ -546,3 +546,108 @@ def test_nullspace_routes_by_cell_count(monkeypatch):
     assert nullspace(wide) == _bareiss_only(wide)
     assert nullspace([[1] * 199]) == _bareiss_only([[1] * 199])
     assert seen == [200]
+
+
+# -- the integer kernel and the GF(p) elimination ------------------------------
+
+
+def _product(left, right, scales):
+    """Row i of left·right times scales[i]: every vector of ker(right) is in
+    the kernel, and positive row scales leave the kernel as it is."""
+    return [[s * sum(a * right[k][j] for k, a in enumerate(lr)) for j in range(len(right[0]))]
+            for s, lr in zip(scales, left)]
+
+
+def _planted_example(seed, n, m, r, bits, scale):
+    rng = stable_rng(seed, "planted_kernel")
+    left = [[rng.randint(-(2**bits), 2**bits) for _ in range(r)] for _ in range(n)]
+    right = [[rng.randint(-(2**bits), 2**bits) for _ in range(m)] for _ in range(r)]
+    return _product(left, right, [scale + i for i in range(n)])
+
+
+# 14 x 18 = 252 cells, rank 10: kernel entries are ratios of 10 x 10 minors
+# of 12-bit entries, which need several primes; and 3-bit factors with every
+# row scaled past 2^62, which only the big-entry path can reduce
+SEVERAL_PRIMES = _planted_example(1, 14, 18, 10, 12, 1)
+ABOVE_INT64 = _planted_example(2, 14, 18, 10, 3, 2**62)
+
+
+@st.composite
+def planted_dependences(draw):
+    """left·right with row scales, at most 180 or at least 200 cells, so on
+    both sides of _MODULAR_MIN_CELLS: rank at most m - 1, so the kernel is
+    never zero."""
+    assert projcore._MODULAR_MIN_CELLS == 200
+    above = draw(st.booleans())
+    n = draw(st.integers(10, 20) if above else st.integers(1, 9))
+    m = draw(st.integers(20, 24) if above else st.integers(2, 20))
+    r = draw(st.integers(0, min(n, m - 1)))
+    bits = draw(st.sampled_from([3, 12]))
+    entries = st.integers(-(2**bits), 2**bits)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r))
+    scales = draw(st.lists(st.sampled_from([1, 7, 2**62, 2**90 + 1]), min_size=n, max_size=n))
+    if r == 0:
+        return [[0] * m for _ in range(n)]
+    return _product(left, right, scales)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(planted_dependences())
+@example(SEVERAL_PRIMES)
+@example(ABOVE_INT64)
+def test_integer_kernel_is_a_positive_multiple_of_the_bareiss_basis(rows):
+    got = projcore._nullspace_int(rows)
+    want = _bareiss_only(rows)
+    assert len(got) == len(want) > 0
+    for X, v in zip(got, want):
+        free = max(j for j, y in enumerate(v) if y)  # v is 1 there
+        assert X[free] > 0
+        assert list(X) == [X[free] * y for y in v]
+
+
+def test_planted_examples_take_the_modular_route_with_several_primes():
+    # the explicit examples above reach what they are there for
+    for rows, big in ((SEVERAL_PRIMES, False), (ABOVE_INT64, True)):
+        assert len(rows) * len(rows[0]) >= projcore._MODULAR_MIN_CELLS
+        assert (max(abs(x) for row in rows for x in row) >= 2**62) == big
+        primes = []
+        real = projcore._rref_mod
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projcore, "_rref_mod", lambda a, p: primes.append(p) or real(a, p))
+            mp.setattr(projcore, "_bareiss_echelon", None)  # no fallback
+            projcore._nullspace_int(rows)
+        assert len(primes) > (1 if big else 3)
+
+
+def _rref_mod_reference(rows, p):
+    """Textbook Gauss-Jordan elimination mod p on Python ints: the first
+    nonzero entry pivots, where _rref_mod takes the largest."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for j in range(len(m)):
+            if j != r and m[j][c]:
+                f = m[j][c]
+                m[j] = [(x - f * y) % p for x, y in zip(m[j], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(planted_dependences(), st.sampled_from([2, 3, 7, projcore._PRIMES[0], projcore._PRIMES[-1]]))
+@example([[0, 1, 2], [3, 4, 5], [6, 0, 1]], projcore._PRIMES[0])  # row 0 has no pivot in column 0
+@example([[0, 0, 1], [0, 2, 0], [1, 0, 0]], 3)  # every pivot swaps
+def test_rref_mod_matches_textbook_elimination(rows, p):
+    # the reduced echelon form is unique, so the pivot choice cannot show
+    np = pytest.importorskip("numpy")
+    ech, pivots = projcore._rref_mod(np.array([[x % p for x in row] for row in rows], dtype=np.int64), p)
+    assert (ech.tolist(), pivots) == _rref_mod_reference(rows, p)

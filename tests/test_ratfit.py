@@ -336,13 +336,13 @@ def test_fit_map_reads_each_node_once():
 def test_fit_map_solves_each_line_once(monkeypatch, seed, degree, d, most):
     # one nullspace per degree k <= d (d + 1 in all), well inside the bound
     calls = []
-    real = projcore.nullspace
+    real = projcore._nullspace_int
 
     def counted(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(projcore, "nullspace", counted)
+    monkeypatch.setattr(projcore, "_nullspace_int", counted)
     planted = generate_map(seed, degree, 3)
     assert fit_map(ExactMapSource(planted), d).projectively_equal(planted)
     assert len(calls) <= most
@@ -395,13 +395,13 @@ def _planted(n, degree):
 
 def _counted_nullspace(monkeypatch):
     calls = []
-    real = projcore.nullspace
+    real = projcore._nullspace_int
 
     def counted(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(projcore, "nullspace", counted)
+    monkeypatch.setattr(projcore, "_nullspace_int", counted)
     return calls
 
 
