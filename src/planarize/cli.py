@@ -197,7 +197,7 @@ def _cmd_fit(args) -> int:
     source = jetplan.read_csv_grid(args.infile, mode="exact")
     try:
         model = ratfit.fit_map(source, args.degree, seed=args.seed)
-    except (ratfit.DegreeTooLow, ratfit.AmbiguousFit, ratfit.ChartOverflow) as exc:
+    except (ratfit.DegreeTooLow, ratfit.ChartOverflow) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 2
     residuals = _fit_residuals(source, model)
@@ -275,8 +275,7 @@ def _cmd_khovanskii(args) -> int:
     source = jetplan.read_csv_grid(args.infile, mode=args.mode)
     try:
         verdict = conicweb.khovanskii_classify(source, seed=args.seed)
-    except (conicweb.NotOnSphere, conicweb.DegreeAnomaly, conicweb.TooFewSamples,
-            ratfit.DegreeTooLow, ratfit.AmbiguousFit) as exc:
+    except (conicweb.NotOnSphere, conicweb.DegreeAnomaly, conicweb.TooFewSamples, ratfit.DegreeTooLow) as exc:
         verdict = exc
     report, code = _case_report(verdict)
     _emit(report, args.out)
@@ -362,7 +361,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, MemoryError) as exc:
-        print(f"planarize: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # a bare MemoryError has no text, so the line names the command that ran out
+        detail = str(exc) or (f"out of memory in {args.command}" if isinstance(exc, MemoryError) else "")
+        print(f"planarize: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 1
 
 

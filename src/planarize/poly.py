@@ -122,13 +122,6 @@ def p_mul(a: PolyDict, b: PolyDict) -> PolyDict:
     return out
 
 
-def _int_terms(a: PolyDict) -> tuple[PolyDict, int]:
-    """(A, m) with A int-coefficient and a = A / m, m the positive lcm of
-    the denominators of a's coefficients."""
-    X, m = projcore._cleared(a.values())
-    return dict(zip(a, X)), m
-
-
 def _int_components(F: "RatMap") -> list[PolyDict]:
     """The components of F as int-coefficient term dicts, all scaled by one
     common positive multiplier, so the map is unchanged."""
@@ -199,16 +192,6 @@ def p_canonical(a: PolyDict) -> PolyDict:
     if a[max(a)] < 0:
         g = -g
     return {e: c // g for e, c in zip(a, X)}
-
-
-def _p_from_univar(p: Sequence, var: int, nvars: int) -> PolyDict:
-    out: PolyDict = {}
-    for k, c in enumerate(p):
-        if c:
-            e = [0] * nvars
-            e[var] = k
-            out[tuple(e)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
 """Rational interpolation from exact samples.
 
-fit_uni recovers a bounded-degree univariate rational function from 2d+1
-nodes by solving the linearized homogeneous system p(u) - f(u) q(u) = 0 and
-validating on every spare node.
-
 fit_map fits a whole projective map in one piece, not component by
 component: for k = 0, 1, ..., d it solves one integer system for the map
 G of degree k with G(x) parallel to the sample at each node, on the first
 2k+1 evaluable nodes of the first 2k+1 lattice rows (enough to certify a
-degree-k answer), checks the reduced solution in integers on the block of
-side k+d+2 (a grid at every evaluable lattice node), and validates the
-accepted model the same way at 20 held-out points.  A source that is not
-a grid is read only as far as these blocks need.
+degree-k answer), and checks the reduced solution in integers on the block
+of side k+d+2 (a grid at every evaluable lattice node).  A source that is
+not a grid is read only as far as these blocks need, and the accepted
+model is validated the same way at 20 held-out points.
 
-A bivariate rational function P / Q is the map [Q : P] from the plane to
-RP^1, so fit_bi is fit_map of the graph map [1 : f], read in the chart
-x0 = 1.
+A univariate rational function p / q is the map [q : p] from RP^1 to
+RP^1, so fit_uni solves the same system on its first 2k+1 nodes and
+checks the reduced solution at every node.  A bivariate rational function
+P / Q is the map [Q : P] from the plane to RP^1, so fit_bi is fit_map of
+the graph map [1 : f], read in the chart x0 = 1.
 
 Samples are used in integers through poly's evaluation kernel: a node is
 integer coordinates X over their common denominator L, and every sample
@@ -24,8 +22,7 @@ exact source is read in integers from the start: its components are
 cleared once by one common multiplier m, and the node reads as
 m L^d F(X / L) from one monomial table.  Other values are cleared of their
 (positive) denominators.  The model checks evaluate all components at a
-node from one plan, and the univariate sample check compares p and q at X
-with every denominator cleared.
+node from one plan.
 
 All fitting here is exact: data either comes from a rational function of
 the stated degree or the fit is rejected (DegreeTooLow).
@@ -43,29 +40,21 @@ from . import projcore, univar
 from .jetplan import CallableSource, ChartOverflow, ExactMapSource, GridMapSource
 from .poly import (
     HPoly,
-    PolyDict,
     RatMap,
     coef_div,
     p_canonical,
     p_eval,
-    p_total_degree,
     reduce_map,
     _forms_eval_int,
     _forms_plan,
     _int_components,
-    _int_terms,
     _monomial_values,
-    _p_from_univar,
 )
 from .seeding import stable_rng
 
 
 class DegreeTooLow(ValueError):
     """The samples are inconsistent with a rational function of this degree."""
-
-
-class AmbiguousFit(ValueError):
-    """The fit system left genuinely inequivalent candidates (add nodes)."""
 
 
 @dataclass(frozen=True)
@@ -85,72 +74,39 @@ class UniRat:
         return f"UniRat(num={list(self.num)}, den={list(self.den)})"
 
 
-def _solve_linearized(pairs: Sequence, d: int) -> tuple[list, list]:
-    """First nullspace element of p(u_i) - f_i q(u_i) = 0 on 2d+1 nodes,
-    as (raw numerator, raw denominator).  Row i is the equation times
-    L_i^d f_i.den for the node u_i = U_i / L_i, so it is integer; the
-    factor is positive and leaves the nullspace unchanged."""
-    exps = [(k,) for k in range(d + 1)]
-    rows = []
-    for u, f in pairs[: 2 * d + 1]:
-        w = _monomial_values(exps, [u.numerator], u.denominator, d)
-        rows.append([f.denominator * x for x in w] + [-f.numerator * x for x in w])
-    basis = projcore.nullspace(rows)
-    if not basis:
-        raise DegreeTooLow("linearized system has no nonzero solution")
-    praw = univar.trim(list(basis[0][: d + 1]))
-    qraw = univar.trim(list(basis[0][d + 1 :]))
-    return praw, qraw
-
-
-def _check_samples(samples: Sequence, p: PolyDict, q: PolyDict) -> None:
-    """Every (node u, value) sample equals p/q at u, and where q vanishes p
-    vanishes too.
-
-    The test runs in integers: with p = P / m_p, q = Q / m_q, the node
-    u = X / L and D = max(deg p, deg q), write P_L = L^D P(X / L) and
-    likewise Q_L; then p = val q reads P_L m_q val.den = val.num Q_L m_p."""
-    P, m_p = _int_terms(p)
-    Q, m_q = _int_terms(q)
-    D = max(p_total_degree(p), p_total_degree(q), 0)
-    plan = _forms_plan([P, Q])
-    for node, val in samples:
-        X, L = projcore._cleared((node,))
-        pv, qv = _forms_eval_int(plan, X, L, D)
-        if qv == 0:
-            if pv != 0:
-                raise DegreeTooLow(f"pole mismatch at node {node}")
-        elif pv * m_q * val.denominator != val.numerator * qv * m_p:
-            raise DegreeTooLow(f"residual at node {node}")
-
-
 def fit_uni(samples, d: int) -> UniRat:
     """Fit a degree-<=d rational function through exact samples.
 
-    Needs at least 2d+1 distinct nodes; the first 2d+1 build the linear
-    system, every remaining node validates the raw solution.  The reduced
-    (coprime, monic-denominator) function is returned.
+    Needs at least 2d+1 distinct nodes.  p / q is the map [q : p] from RP^1,
+    fitted on fit_map's kernel: for k = 0, 1, ..., d the degree-k system on
+    the first 2k+1 nodes is solved (2k+1 equations in 2k+2 unknowns, so it
+    always has a solution), its solution reduced, and the reduced model
+    checked at every node.  Two functions of degree <= d that agree at 2d+1
+    nodes are equal, so a model that passes is the sampled function.  If
+    the model of degree d fails too, its first failing node is named: a
+    pole mismatch where its denominator vanishes, a residual elsewhere.
+    The reduced (coprime, monic-denominator) function is returned.
     """
     pairs = [(Fraction(u), Fraction(f)) for u, f in samples]
     if len({u for u, _ in pairs}) != len(pairs):
         raise ValueError("sample nodes must be distinct")
     if len(pairs) < 2 * d + 1:
         raise ValueError(f"need at least {2 * d + 1} nodes for degree {d}")
-    praw, qraw = _solve_linearized(pairs, d)
-    if not qraw:
-        # q == 0 forces p == 0 on 2d+1 > d nodes, impossible for a nonzero vector
-        raise AmbiguousFit("denominator vanished identically")
-    # before the gcd, a common root of the raw solution makes both vanish
-    _check_samples(pairs, _p_from_univar(praw, 0, 1), _p_from_univar(qraw, 0, 1))
-    g = univar.gcd(praw, qraw)
-    if univar.degree(g) > 0:
-        praw = univar.divexact(praw, g)
-        qraw = univar.divexact(qraw, g)
-    # the gcd kernel returns ints, and int / int would be a float
-    lead = qraw[-1]
-    praw = [Fraction(c) / lead for c in praw]
-    qraw = [Fraction(c) / lead for c in qraw]
-    return UniRat(tuple(praw), tuple(qraw))
+    # the node u is the point (1, u), and its value f the point (1, f)
+    nodes = [_charted((u.denominator, u.numerator), [f.denominator, f.numerator]) for u, f in pairs]
+    for k in range(d + 1):
+        model = reduce_map(_solve_projective(nodes[: 2 * k + 1], k))
+        plan = _forms_plan([c.terms for c in model.components])
+        failed = next((node for node in nodes if not _parallel(_forms_eval_int(plan, node[0], 1, model.degree), node)), None)
+        if failed is None:
+            break
+    else:
+        (L, X), _, _ = failed
+        what = "pole mismatch" if _forms_eval_int(plan, (L, X), 1, model.degree)[0] == 0 else "residual"
+        raise DegreeTooLow(f"{what} at node {Fraction(X, L)}")
+    q, p = (univar.trim([c.terms.get((model.degree - j, j), 0) for j in range(model.degree + 1)])
+            for c in model.components)
+    return UniRat(tuple(Fraction(c, q[-1]) for c in p), tuple(Fraction(c, q[-1]) for c in q))
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +186,16 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     4d+3 nodes per axis, and a source that is not a grid is read on
     demand: a row, and a node within it, only as far as a block needs.
 
-    AmbiguousFit is never raised.  A nullspace of more than one dimension
-    is made of h * G' for the forms h through some nodes, and it arises
-    when G' fails at those nodes; its reduced first vector then fails the
-    check and the search goes on, ending in DegreeTooLow.  A reduced model
-    that passes the check spans the one-dimensional nullspace at its own
-    degree, where the search stops first.
+    A nullspace of more than one dimension is made of h * G' for the forms
+    h through some nodes, and it arises when G' fails at those nodes; its
+    reduced first vector then fails the check and the search goes on.  A
+    reduced model that passes the check spans the one-dimensional
+    nullspace at its own degree, where the search stops first.
 
-    The accepted model is validated by the same integer check at 20
-    held-out points: lattice draws for a grid, off-lattice rationals the
-    fit never read for other sources; a draw where the model vanishes is
+    A grid's model has passed at every sample the grid holds, so it is
+    returned.  A source read on demand has samples the fit never read, so
+    its model is validated by the same integer check at 20 held-out
+    points, off-lattice rationals; a draw where the model vanishes is
     skipped.  Every read of the source goes through one table, so
     each distinct (u, v) is evaluated once per call.  An ExactMapSource is
     read in integers (`_exact_reader`), never through its `evaluate`; every
@@ -264,7 +220,11 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         raise ChartOverflow("no evaluable sample found")
 
     for k in range(d + 1):
-        G = _solve_projective(block(2 * k + 1), k)
+        need = 2 * k + 1
+        cert = block(need)
+        if len(cert) < need:
+            raise DegreeTooLow(f"fewer than {need} lattice rows with {need} evaluable nodes")
+        G = _solve_projective([node for row in cert for node in row], k)
         if G is None:
             continue
         model = reduce_map(G)
@@ -280,19 +240,16 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     else:
         raise DegreeTooLow(f"no map of degree <= {d} fits the lattice samples")
 
-    # held-out validation: a grid draws from its lattice, other sources get
-    # off-lattice rationals never seen by the fit
+    if lattice is not None:
+        return model  # the check read every sample the grid holds
+    # held-out validation at off-lattice rationals the fit never read
     rng = stable_rng(seed, "fit_map_validate")
     checked = 0
     attempts = 0
     while checked < 20 and attempts < 400:
         attempts += 1
-        if lattice is not None:
-            u = lattice[0][rng.randrange(len(lattice[0]))]
-            v = lattice[1][rng.randrange(len(lattice[1]))]
-        else:
-            u = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 3)
-            v = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 7)
+        u = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 3)
+        v = Fraction(rng.randint(0, 8 * d + 4), 2) + Fraction(1, 7)
         node = node_at(u, v)
         if node is None:
             continue
@@ -355,20 +312,19 @@ def _block(node_at: Callable, u_nodes: Sequence, v_nodes: Sequence, m: int) -> l
     return rows
 
 
-def _solve_projective(cert: Sequence, k: int) -> Optional[list]:
-    """The first nullspace vector of the degree-k system on the certificate
-    block `cert` (`_block` with m = 2k+1), up to a positive factor, as one
-    form of degree k in (x0, x1, x2) per value coordinate, or None if it
-    has none.  A node's point P = (L, X) is X / L in integers, and a
-    monomial x0^a x1^i x2^j is P^(a, i, j) there."""
-    need = 2 * k + 1
-    if len(cert) < need:
-        raise DegreeTooLow(f"fewer than {need} lattice rows with {need} evaluable nodes")
-    n1 = len(cert[0][0][1])
-    monos = [(k - i - j, i, j) for i in range(k + 1) for j in range(k + 1 - i)]
+def _solve_projective(nodes: Sequence, k: int) -> Optional[list]:
+    """The first nullspace vector of the degree-k system on the nodes
+    (`_charted`), up to a positive factor, as one form of degree k in the
+    node's point coordinates per value coordinate, or None if it has none.
+    A node's point P = (L, X) is X / L in integers, and a monomial x^e is
+    P^e there; the monomials run over the exponents of x1, x2, ... with the
+    first outermost, x0 taking the rest of the degree."""
+    P0, Y0, _ = nodes[0]
+    n1 = len(Y0)
+    monos = [(k - sum(e), *e) for e in itertools.product(range(k + 1), repeat=len(P0) - 1) if sum(e) <= k]
     m = len(monos)
     system = []
-    for P, Y, c in (node for row in cert for node in row):
+    for P, Y, c in nodes:
         w = _monomial_values(monos, P, 1, k)
         for i in range(n1):
             if i == c:
@@ -381,7 +337,7 @@ def _solve_projective(cert: Sequence, k: int) -> Optional[list]:
     if not basis:
         return None
     vec = basis[0]
-    return [HPoly(3, k, dict(zip(monos, vec[b * m : (b + 1) * m]))) for b in range(n1)]
+    return [HPoly(len(P0), k, dict(zip(monos, vec[b * m : (b + 1) * m]))) for b in range(n1)]
 
 
 def _parallel(G: Sequence[int], node) -> bool:

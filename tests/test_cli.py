@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from planarize import cli, dualize, ratfit
+from planarize import cli, conicweb, dualize
 from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, MAX_IMPLICITIZE_CELLS, generate_map, main
 from planarize.conicweb import ConicSystem, circle_web
-from planarize.dualize import MAX_DUAL_LATTICE_CELLS
+from planarize.dualize import MAX_DUAL_LATTICE_CELLS, CoTrivial
 from planarize.jetplan import GridMapSource, write_csv_grid
 from planarize.poly import RatMap, reduce_map, variables
+from planarize.projcore import PPoint
 
 X0, X1, X2 = variables(3)
 
@@ -108,11 +109,16 @@ def test_usage_error_exits_one(capsys):
     assert main([]) == 1
 
 
-def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("cannot allocate the restriction"), "planarize: MemoryError: cannot allocate the restriction"),
+    (MemoryError(), "planarize: MemoryError: out of memory in classify"),
+], ids=["with text", "bare"])
+def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc, line):
     # a map such as [x0^(10^6) : x1^(10^6) : x2^(10^6)] can exhaust memory
-    # inside a command; the error is stood in for here, nothing is allocated
+    # inside a command; the error is stood in for here, nothing is allocated.
+    # Python raises a bare MemoryError, so the line then names the command
     def exhausted(F, seed=0):
-        raise MemoryError("cannot allocate the restriction")
+        raise exc
 
     monkeypatch.setattr(dualize, "classify", exhausted)
     path = tmp_path / "map.json"
@@ -120,7 +126,7 @@ def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["classify", "--in", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["planarize: MemoryError: cannot allocate the restriction"]
+    assert captured.err.splitlines() == [line]
 
 
 def test_implicitize_cli(tmp_path, capsys):
@@ -253,6 +259,16 @@ def _stereo_grid(tmp_path):
     return str(path)
 
 
+def test_khovanskii_cotrivial_report(tmp_path, capsys, monkeypatch):
+    # khovanskii_classify answers CoTrivial only for a model of degree 3,
+    # which no test grid gives, so the verdict is planted; the report's
+    # witness is the centre
+    monkeypatch.setattr(conicweb, "khovanskii_classify", lambda source, seed=0: CoTrivial(PPoint.of(0, 0, 0, 1)))
+    code, out = run(capsys, "khovanskii", "--in", _stereo_grid(tmp_path))
+    assert code == 0
+    assert out == '{"case":"CoTrivial","diagnostics":null,"witness":[0,0,0,1]}\n'
+
+
 def _json_file(tmp_path, data, name="bad"):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
@@ -305,111 +321,94 @@ def _web_with_dimension(tmp_path, dimension):
     return _json_file(tmp_path, data, "web")
 
 
-def _failing_fit(exc):
-    def fit_map(*args, **kwargs):
-        raise exc("planted fit failure")
-
-    return fit_map
-
-
-# name, argv (given tmp_path), fit_map stand-in, exit code, start of the last
-# stderr line (exit 1; only usage errors print more than that line) or the
-# report's case (exit 2)
+# name, argv (given tmp_path), start of the last stderr line (only usage
+# errors print more than that line)
 MALFORMED = [
-    ("negative degree", lambda t: ["gen", "--degree", "-1"], None, 1,
+    ("negative degree", lambda t: ["gen", "--degree", "-1"],
      "planarize: ValueError: degree must be at least 0"),
-    ("target dim zero", lambda t: ["gen", "--target-dim", "0"], None, 1,
+    ("target dim zero", lambda t: ["gen", "--target-dim", "0"],
      "planarize: ValueError: target dimension must be at least 1"),
-    ("degree over the limit", lambda t: ["gen", "--degree", str(MAX_GEN_DEGREE + 1)], None, 1,
+    ("degree over the limit", lambda t: ["gen", "--degree", str(MAX_GEN_DEGREE + 1)],
      f"planarize: ValueError: degree must be at least 0 and at most {MAX_GEN_DEGREE}, got {MAX_GEN_DEGREE + 1}"),
-    ("target dim over the limit", lambda t: ["gen", "--target-dim", str(MAX_GEN_TARGET_DIM + 1)], None, 1,
+    ("target dim over the limit", lambda t: ["gen", "--target-dim", str(MAX_GEN_TARGET_DIM + 1)],
      "planarize: ValueError: target dimension must be at least 1 and at most "
      f"{MAX_GEN_TARGET_DIM}, got {MAX_GEN_TARGET_DIM + 1}"),
-    ("zero denominator", lambda t: ["classify", "--in", _map_with_coefficient(t, "1/0")], None, 1,
+    ("zero denominator", lambda t: ["classify", "--in", _map_with_coefficient(t, "1/0")],
      "planarize: ValueError: scalar '1/0' has a zero denominator"),
-    ("map is a list", lambda t: ["classify", "--in", _json_file(t, SEGRE_JSON["components"])], None, 1,
+    ("map is a list", lambda t: ["classify", "--in", _json_file(t, SEGRE_JSON["components"])],
      "planarize: ValueError: a map is a JSON object with a list of components"),
-    ("null coefficient", lambda t: ["classify", "--in", _map_with_coefficient(t, None)], None, 1,
+    ("null coefficient", lambda t: ["classify", "--in", _map_with_coefficient(t, None)],
      "planarize: ValueError: scalar None is not a rational number"),
-    ("components a string", lambda t: ["classify", "--in", _json_file(t, {"components": "abc"})], None, 1,
+    ("components a string", lambda t: ["classify", "--in", _json_file(t, {"components": "abc"})],
      "planarize: ValueError: a map is a JSON object with a list of components"),
-    ("nvars null", lambda t: ["classify", "--in", _json_file(t, NULL_NVARS)], None, 1,
+    ("nvars null", lambda t: ["classify", "--in", _json_file(t, NULL_NVARS)],
      "planarize: ValueError: a polynomial is a JSON object with integer nvars and degree"),
     ("fractional exponent",
      lambda t: ["dualize", "--in", _segre_with_first_component(t, terms=[{"exp": [2.5, 0, 0], "coef": "1"}])],
-     None, 1, "planarize: ValueError: exponent must be an integer, got 2.5"),
-    ("fractional degree", lambda t: ["dualize", "--in", _segre_with_first_component(t, degree=2.9)], None, 1,
+     "planarize: ValueError: exponent must be an integer, got 2.5"),
+    ("fractional degree", lambda t: ["dualize", "--in", _segre_with_first_component(t, degree=2.9)],
      "planarize: ValueError: degree must be an integer, got 2.9"),
     ("repeated exponent",
      lambda t: ["dualize", "--in", _segre_with_first_component(
          t, terms=[{"exp": [2, 0, 0], "coef": "1"}, {"exp": [2, 0, 0], "coef": "3"}])],
-     None, 1, "planarize: ValueError: two terms have the exponent [2, 0, 0]"),
+     "planarize: ValueError: two terms have the exponent [2, 0, 0]"),
     ("web is a list",
      lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _json_file(t, [])],
-     None, 1, "planarize: ValueError: a conic system is a JSON object with a list of basis forms"),
-    ("sparse grid", lambda t: ["fit", "--in", _sparse_grid(t)], None, 1,
+     "planarize: ValueError: a conic system is a JSON object with a list of basis forms"),
+    ("sparse grid", lambda t: ["fit", "--in", _sparse_grid(t)],
      "planarize: ValueError: grid CSV has no row for the node u=1, v=1"),
-    ("empty grid", lambda t: ["fit", "--in", _empty_grid(t)], None, 1,
+    ("empty grid", lambda t: ["fit", "--in", _empty_grid(t)],
      "planarize: ValueError: grid CSV must start with columns u,v"),
-    ("header-only grid", lambda t: ["fit", "--in", _grid_file(t, "u,v,F1\n")], None, 1,
+    ("header-only grid", lambda t: ["fit", "--in", _grid_file(t, "u,v,F1\n")],
      "planarize: ValueError: grid CSV has no data rows"),
-    ("khovanskii header-only grid", lambda t: ["khovanskii", "--in", _grid_file(t, "u,v,F1,F2,F3\n")], None, 1,
+    ("khovanskii header-only grid", lambda t: ["khovanskii", "--in", _grid_file(t, "u,v,F1,F2,F3\n")],
      "planarize: ValueError: grid CSV has no data rows"),
     ("grid without value columns", lambda t: ["fit", "--in", _grid_file(t, "u,v\n0,0\n1,0\n0,1\n1,1\n")],
-     None, 1, "planarize: ValueError: grid CSV has no value columns after u,v"),
+     "planarize: ValueError: grid CSV has no value columns after u,v"),
     ("khovanskii grid without value columns",
      lambda t: ["khovanskii", "--in", _grid_file(t, "u,v\n0,0\n1,0\n0,1\n1,1\n")],
-     None, 1, "planarize: ValueError: grid CSV has no value columns after u,v"),
-    ("short grid row", lambda t: ["fit", "--in", _grid_file(t, "u,v,F1\n0,0,1\n1\n")], None, 1,
+     "planarize: ValueError: grid CSV has no value columns after u,v"),
+    ("short grid row", lambda t: ["fit", "--in", _grid_file(t, "u,v,F1\n0,0,1\n1\n")],
      "planarize: ValueError: grid CSV row 3 has fewer than two cells"),
     ("khovanskii short grid row",
      lambda t: ["khovanskii", "--in", _grid_file(t, "u,v,F1,F2,F3\n0,0,1,0,0\n1\n"), "--mode", "float"],
-     None, 1, "planarize: ValueError: grid CSV row 3 has fewer than two cells"),
+     "planarize: ValueError: grid CSV row 3 has fewer than two cells"),
     ("web dimension null",
      lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _web_with_dimension(t, None)],
-     None, 1, "planarize: ValueError: dimension must be an integer, got None"),
+     "planarize: ValueError: dimension must be an integer, got None"),
     ("web dimension a list",
      lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _web_with_dimension(t, [3])],
-     None, 1, "planarize: ValueError: dimension must be an integer, got [3]"),
+     "planarize: ValueError: dimension must be an integer, got [3]"),
     ("web dimension fractional",
      lambda t: ["web-classify", "--in", _json_file(t, SEGRE_JSON, "map"), "--web", _web_with_dimension(t, 3.7)],
-     None, 1, "planarize: ValueError: dimension must be an integer, got 3.7"),
+     "planarize: ValueError: dimension must be an integer, got 3.7"),
     ("web map into RP^3",
      lambda t: ["web-classify", "--in", _generated(t, 3, 2, 3), "--web", _web_with_dimension(t, 3)],
-     None, 1, "planarize: ValueError: a map taking lines to conics must go into RP^2, got RP^3"),
+     "planarize: ValueError: a map taking lines to conics must go into RP^2, got RP^3"),
     ("one-component web map",
      lambda t: ["web-classify", "--in", _json_file(t, {"components": SEGRE_JSON["components"][:1]}, "map"),
                 "--web", _web_with_dimension(t, 3)],
-     None, 1, "planarize: ValueError: a map taking lines to conics must go into RP^2, got RP^0"),
-    ("fit negative degree", lambda t: ["fit", "--in", _square_grid(t), "--degree", "-1"], None, 1,
+     "planarize: ValueError: a map taking lines to conics must go into RP^2, got RP^0"),
+    ("fit negative degree", lambda t: ["fit", "--in", _square_grid(t), "--degree", "-1"],
      "planarize: ValueError: degree bound must be at least 0, got -1"),
-    ("kmax zero", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "0"], None, 1,
+    ("kmax zero", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "0"],
      "planarize: ValueError: kmax must be at least 1, got 0"),
-    ("kmax negative", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "-1"], None, 1,
+    ("kmax negative", lambda t: ["implicitize", "--in", _json_file(t, SEGRE_JSON), "--kmax", "-1"],
      "planarize: ValueError: kmax must be at least 1, got -1"),
-    ("kmax over the cell limit", lambda t: ["implicitize", "--in", _generated(t, 1, 3, 3), "--kmax", "12"], None, 1,
+    ("kmax over the cell limit", lambda t: ["implicitize", "--in", _generated(t, 1, 3, 3), "--kmax", "12"],
      "planarize: ValueError: kmax 12 needs a system of 319865 cells, more than "
      f"MAX_IMPLICITIZE_CELLS = {MAX_IMPLICITIZE_CELLS}"),
-    ("mode off khovanskii", lambda t: ["classify", "--in", "m.json", "--mode", "exact"], None, 1,
+    ("mode off khovanskii", lambda t: ["classify", "--in", "m.json", "--mode", "exact"],
      "planarize: error: unrecognized arguments: --mode exact"),
-    ("khovanskii ambiguous fit", lambda t: ["khovanskii", "--in", _stereo_grid(t)],
-     ratfit.AmbiguousFit, 2, "AmbiguousFit"),
 ]
 
 
-@pytest.mark.parametrize("name,argv,fit_failure,code,expect", MALFORMED, ids=[m[0] for m in MALFORMED])
-def test_malformed_input_exit_codes(tmp_path, capsys, monkeypatch, name, argv, fit_failure, code, expect):
-    if fit_failure:
-        monkeypatch.setattr(ratfit, "fit_map", _failing_fit(fit_failure))
-    assert main(argv(tmp_path)) == code
-    captured = capsys.readouterr()
-    if code == 1:
-        lines = captured.err.splitlines()
-        assert lines[-1].startswith(expect)
-        assert len(lines) == 1 or lines[0].startswith("usage: planarize")
-    else:
-        assert captured.err == ""
-        assert json.loads(captured.out) == {"case": expect, "witness": None, "diagnostics": "planted fit failure"}
+@pytest.mark.parametrize("name,argv,expect", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_input_exit_codes(tmp_path, capsys, name, argv, expect):
+    assert main(argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith(expect)
+    assert len(lines) == 1 or lines[0].startswith("usage: planarize")
 
 
 def _planarize(*argv, timeout):

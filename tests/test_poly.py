@@ -540,8 +540,9 @@ def _random_dict(rng, nvars, nterms):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_int_terms_and_p_canonical_match_sympy(seed):
-    from planarize.poly import _int_terms, p_canonical
+def test_cleared_terms_and_p_canonical_match_sympy(seed):
+    from planarize.poly import p_canonical
+    from planarize.projcore import _cleared
 
     sympy = pytest.importorskip("sympy")
     gens = sympy.symbols("x0:3")
@@ -555,7 +556,8 @@ def test_int_terms_and_p_canonical_match_sympy(seed):
             gens, domain="QQ",
         )
         den, ints = P.clear_denoms(convert=True)
-        A, m = _int_terms(a)
+        X, m = _cleared(a.values())
+        A = dict(zip(a, X))
         assert m == int(den) and all(type(c) is int for c in A.values())
         assert A == {e: int(c) for e, c in ints.as_dict().items()}
         g, prim = ints.primitive()

@@ -1,5 +1,6 @@
 """Rational interpolation: planted recovery, sharpness, and rejection."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from planarize.projcore import nullspace
 from planarize.ratfit import (
     DegreeTooLow,
     UniRat,
-    _check_samples,
     fit_bi,
     fit_map,
     fit_uni,
@@ -126,6 +126,53 @@ def test_fit_uni_at_rational_nodes():
 def test_fit_uni_rejects_duplicate_nodes():
     with pytest.raises(ValueError, match="sample nodes must be distinct"):
         fit_uni([(0, 1), (1, 2), (Fraction(2, 2), 3)], 1)
+
+
+# (u + 1) / (1 + u^2) and u / (1 + u^2) at the nodes 2/5 and 1/3, and
+# (u + 1) / (5u - 2) and u / ((3u - 1) / 2), with poles at those nodes
+AT_NODE = [
+    (lambda u: (u + 1) / (1 + u * u), UniRat((F(1), F(1)), (F(1), F(0), F(1))), Fraction(2, 5)),
+    (lambda u: u / (1 + u * u), UniRat((F(0), F(1)), (F(1), F(0), F(1))), Fraction(1, 3)),
+]
+
+
+@pytest.mark.parametrize("f,planted,node", AT_NODE, ids=["integer", "fraction"])
+def test_fit_uni_accepts_the_value_at_a_rational_node(f, planted, node):
+    samples = [(u, f(F(u))) for u in range(5)] + [(node, f(node))]
+    assert unirat_equal(fit_uni(samples, 2), planted)
+
+
+@pytest.mark.parametrize("f,d,node,value,message", [
+    (AT_NODE[0][0], 2, Fraction(2, 5), Fraction(7, 5) / Fraction(29, 25) + Fraction(1, 10**12), "residual at node 2/5"),
+    (lambda u: (u + 1) / (5 * u - 2), 1, Fraction(2, 5), F(7), "pole mismatch at node 2/5"),
+    (AT_NODE[1][0], 2, Fraction(1, 3), Fraction(1, 3) / Fraction(10, 9) + Fraction(1, 10**12), "residual at node 1/3"),
+    (lambda u: u / ((3 * u - 1) / 2), 1, Fraction(1, 3), F(7), "pole mismatch at node 1/3"),
+], ids=["int residual", "int pole mismatch", "fraction residual", "fraction pole mismatch"])
+def test_fit_uni_rejects_at_a_rational_node(f, d, node, value, message):
+    samples = [(u, f(F(u))) for u in range(2 * d + 1)] + [(node, value)]
+    with pytest.raises(DegreeTooLow, match=f"^{re.escape(message)}$"):
+        fit_uni(samples, d)
+
+
+def test_fit_uni_refuses_a_function_that_misses_its_own_node():
+    # the degree-1 system on the nodes 0, 1, 2 is solved by p = -2(u - 2),
+    # q = u - 2, which both vanish at 2; their quotient -2 misses the sample
+    # -1 there, so no function of degree <= 1 fits
+    with pytest.raises(DegreeTooLow, match="^residual at node 2$"):
+        fit_uni([(0, -2), (1, -2), (2, -1), (3, -2)], 1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fit_uni_agrees_with_every_sample_or_refuses(d):
+    # every table of the values -2..2 at the nodes 0..2d+1
+    nodes = range(2 * d + 2)
+    for values in itertools.product(range(-2, 3), repeat=len(nodes)):
+        samples = list(zip(nodes, values))
+        try:
+            got = fit_uni(samples, d)
+        except DegreeTooLow:
+            continue
+        assert all(got.evaluate(u) == v for u, v in samples), samples
 
 
 # -- fit_bi ----------------------------------------------------------------------
@@ -254,30 +301,6 @@ def test_fit_map_on_an_exact_grid_with_rational_nodes():
         values.append(row)
     grid = GridMapSource(RATIONAL_AXIS, RATIONAL_AXIS, values, mode="exact")
     assert fit_map(grid, 2).projectively_equal(planted)
-
-
-# p = u + 1, q = 1 + u^2 at the node 2/5, and q = 5u - 2, which vanishes
-# at u = 2/5 while p does not; all with int coefficients
-CHECK_P = {(0,): 1, (1,): 1}
-CHECK_Q = {(0,): 1, (2,): 1}
-CHECK_NODE = Fraction(2, 5)
-CHECK_VALUE = Fraction(7, 5) / Fraction(29, 25)
-
-
-def test_check_samples_accepts_the_value_at_a_rational_node():
-    _check_samples([(CHECK_NODE, CHECK_VALUE)], CHECK_P, CHECK_Q)
-    _check_samples([(Fraction(1, 3), Fraction(1, 3) / Fraction(10, 9))], {(1,): F(1)}, {(0,): 1, (2,): 1})
-
-
-@pytest.mark.parametrize("samples,p,q,message", [
-    ([(CHECK_NODE, CHECK_VALUE + Fraction(1, 10**12))], CHECK_P, CHECK_Q, "residual at node 2/5"),
-    ([(CHECK_NODE, F(7))], CHECK_P, {(1,): 5, (0,): -2}, "pole mismatch at node 2/5"),
-    ([(Fraction(1, 3), Fraction(1, 3) / Fraction(10, 9) + Fraction(1, 10**12))], {(1,): F(1)}, {(0,): 1, (2,): 1}, "residual at node 1/3"),
-    ([(Fraction(1, 3), F(7))], {(1,): F(1)}, {(1,): Fraction(3, 2), (0,): Fraction(-1, 2)}, "pole mismatch at node 1/3"),
-], ids=["int residual", "int pole mismatch", "fraction residual", "fraction pole mismatch"])
-def test_check_samples_rejects_at_a_rational_node(samples, p, q, message):
-    with pytest.raises(DegreeTooLow, match=re.escape(message)):
-        _check_samples(samples, p, q)
 
 
 # -- fit_map ----------------------------------------------------------------------
@@ -511,6 +534,19 @@ def test_poisoned_node_off_the_x0_chart_fails():
     assert fit_map(_callable_source(planted), 1) == planted
     with pytest.raises(DegreeTooLow):
         fit_map(CallableSource(poisoned, codim=2), 1)
+
+
+def test_a_grid_fit_makes_no_held_out_draws(monkeypatch):
+    # the check has read every sample a grid holds, so a draw could only
+    # re-read a node that has already passed
+    grid = _grid_source(_planted(3, 2))
+    model = fit_map(grid, 2)
+
+    def no_draws(*args):
+        raise AssertionError("a grid fit drew held-out points")
+
+    monkeypatch.setattr(ratfit, "stable_rng", no_draws)
+    assert fit_map(grid, 2) == model
 
 
 def test_held_out_validation_catches_one_bad_point():
