@@ -5,9 +5,7 @@ from .projcore import (
     PLine2,
     PPoint,
     Scalar,
-    hyperplane_through,
     normalize,
-    wedge_complement,
 )
 from .poly import (
     HPoly,
@@ -26,8 +24,6 @@ __all__ = [
     "Hyperplane",
     "PLine2",
     "normalize",
-    "wedge_complement",
-    "hyperplane_through",
     "HPoly",
     "RatMap",
     "UniTuple",

@@ -24,7 +24,6 @@ from .conicweb import (
     InConic,
     InverseQuadratic,
     Quadratic,
-    Unresolved,
 )
 from .dualize import CoTrivial, Rational, Trivial
 from .poly import HPoly, RatMap, implicitize, line_base_points, reduce_map, _forms_eval_int, _forms_plan, _monomials
@@ -106,12 +105,11 @@ def _classify_report(verdict) -> tuple[dict, int]:
 
 def _case_report(verdict) -> tuple[dict, int]:
     """The report of a web or sphere verdict, named by its class: a witness
-    (exit 0), or for Unresolved and for an exception that left the map
-    unclassified, the reason as diagnostics (exit 2)."""
+    (exit 0), or for an exception that left the map unclassified, its
+    message as diagnostics (exit 2)."""
     case = type(verdict).__name__
-    if isinstance(verdict, (Unresolved, Exception)):
-        reason = verdict.reason if isinstance(verdict, Unresolved) else str(verdict)
-        return {"case": case, "witness": None, "diagnostics": reason}, 2
+    if isinstance(verdict, Exception):
+        return {"case": case, "witness": None, "diagnostics": str(verdict)}, 2
     if isinstance(verdict, InConic):
         witness = list(verdict.member.coords)
     elif isinstance(verdict, InCircle):

@@ -15,12 +15,13 @@ first fitted once as a rational map of degree at most three.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import dualize, projcore, ratfit
-from .dualize import CoTrivial, Indeterminate, Rational, Trivial
+from .dualize import CoTrivial, Indeterminate, Trivial
 from .jetplan import CallableSource, ExactMapSource, GridMapSource
 from .poly import (
     HPoly,
@@ -187,12 +188,7 @@ class QuadricFactor:
     composite: RatMap
 
 
-@dataclass(frozen=True)
-class Unresolved:
-    reason: str
-
-
-WebCase = Union[InConic, InverseQuadratic, Quadratic, QuadricFactor, Unresolved]
+WebCase = Union[InConic, InverseQuadratic, Quadratic, QuadricFactor]
 
 
 def net_through(web: ConicSystem, center: PPoint) -> ConicSystem:
@@ -219,11 +215,37 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     takes it into a plane, so F's dual decides whether f takes lines to web
     conics at all: F is composed and its dual certified, and a dual that
     shows F is no planarization raises NotALinesToCurvesMap.  The
-    trichotomy of F then routes to: image inside one conic; f itself of
-    degree one (reported as the degree-<=2 rational case with the map);
-    both maps onto a common quadric; a local inverse of a quadratic map
-    through the induced net; or the degree-<=2 rational case, where the
-    system map is birational by its image degree.
+    trichotomy of F then routes to: image inside one conic (Trivial); f
+    itself of degree one (reported as the degree-<=2 rational case with the
+    map); both maps onto a common quadric; a local inverse of a quadratic
+    map through the induced net (co-trivial); or the degree-<=2 rational
+    case.  Every other outcome is ruled out:
+
+    - F is never Indeterminate.  That needs every line's image inside a
+      projective line, and then for non-collinear generic points a, b, c
+      and generic x, with y where the line ax meets bc, F(x) lies on the
+      line through F(a) and F(y), in the plane of F(a), F(b), F(c): the
+      components are dependent, which is the Trivial case.
+    - Past Trivial, F's image is a surface and f is dominant: an image
+      curve would be the image of a generic line, which lies in a plane.
+      So both have finite generic fibres, and a map G of that kind which
+      takes each line into a conic (or a line) is one-to-one on a generic
+      line: otherwise each line through a generic x would hold another
+      point of x's fibre, infinitely many in all.  G restricted to a
+      generic line, where a reduced map has no base point, then
+      parametrizes a conic (or a line) once, so G has degree <= 2.
+    - With f: f(l) lies in the web conic that pulls back F(l)'s plane, so
+      f has degree <= 2 and the rational case is always Quadratic(f).
+    - With F on a quadric S: F(l) lies in a plane section of S, a conic,
+      so F has degree <= 2, and the quadric vanishes on F because
+      implicitize proves that it vanishes on the system map.
+    - With the net composite P of a co-trivial F, which is F projected from
+      its center c: P takes lines into lines.  A net whose map is not onto
+      the plane is spanned by m^2, m n, n^2 for two linear forms m, n, and
+      a web containing it has a quadric image; so past the quadric case P
+      is dominant, and the argument above makes it a collineation.
+      invert_via_net's degree and singularity checks therefore pass, and
+      its identity check fails only on a fault of its own.
     """
     if web.dimension != 3:
         raise ValueError("classification needs a web (dimension 3)")
@@ -240,8 +262,6 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
         raise NotALinesToCurvesMap(str(exc)) from exc
     if isinstance(verdict, Trivial):
         return InConic(PPoint(verdict.hyperplane.covector))
-    if isinstance(verdict, Indeterminate):
-        return Unresolved(verdict.reason)
 
     # the degree tests below read the map's degree, not its components'
     f = reduce_map(f.components)
@@ -254,29 +274,11 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     # quadric; implicitize's solve proves that it vanishes on Phi
     imp = implicitize(Phi, 2)
     if imp is not None:
-        Q = imp[1]
-        if Q.substitute(list(F.components)).is_zero and F.degree <= 2:
-            return QuadricFactor(Q, Phi, F)
-        return Unresolved("image surface is a quadric but the composite fails its checks")
+        return QuadricFactor(imp[1], Phi, F)
 
     if isinstance(verdict, CoTrivial):
-        net = net_through(web, verdict.center)
-        try:
-            W = invert_via_net(f, net, seed=seed)
-        except (NotCollinear, ProjectiveFitFailed) as exc:
-            return Unresolved(str(exc))
-        return InverseQuadratic(W)
-
-    # rational branch.  The system map is birational onto its image S, by
-    # degree: the conics containing a line make up a 3-dimensional space, so
-    # four independent conics share no common line; S is then a surface (a
-    # map onto a curve spans at most three conics) that lies in no plane.
-    # Two members of the web meet in 4 points, so
-    # deg(Phi) * deg(S) <= 4.  S has no quadric relation, so deg(S) >= 3,
-    # leaving deg(S) = 3 or 4 and hence deg(Phi) = 1.
-    if f.degree <= 2:
-        return Quadratic(f)
-    return Unresolved(f"recovered map has degree {f.degree} > 2")
+        return InverseQuadratic(invert_via_net(f, net_through(web, verdict.center), seed=seed))
+    return Quadratic(f)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,8 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
     if P.degree != 1:
         raise NotCollinear(f"the net composite has degree {P.degree}, not 1")
     mat = _matrix_of_linear_map(P)
-    if projcore.det(mat) == 0:
+    # the triple product of the rows is the determinant
+    if sum(map(operator.mul, mat[0], projcore.cross(mat[1], mat[2]))) == 0:
         raise ProjectiveFitFailed("the collineation is singular")
     adj = _adjugate3(mat)
     comps = []
@@ -358,11 +361,31 @@ def khovanskii_classify(f_src, seed: int = 0):
     """Classify a sphere-valued map that takes lines to circles.
 
     The sphere embeds in RP^3 by prepending 1; circles are plane sections.
-    The trivial case (image inside one plane) is decided directly on exact
-    samples; otherwise a rational model of degree <= 3 is fitted and the
-    planarization trichotomy maps to InCircle / CoTrivial / Quadratic.  A
-    degree-3 rational verdict contradicts the classification and raises
-    DegreeAnomaly rather than being silently accepted.
+    The trivial case (image inside one plane) is decided directly on the
+    samples; otherwise a rational model of degree <= 3 is fitted, and the
+    planarization trichotomy of the model decides:
+
+    - Trivial: InCircle with the model's plane.  The plane test missed it
+      only through samples at base points of the model, which a fit does
+      not check (a grid holding another sphere point at one).
+    - co-trivial or rational at degree <= 2: Quadratic with the model.
+    - co-trivial at degree 3: the CoTrivial verdict.
+    - rational at degree 3, which contradicts the classification, and
+      Indeterminate (the model takes some line to no plane): DegreeAnomaly,
+      rather than a verdict silently accepted.
+
+    An exact grid gets only InCircle or Quadratic, as Khovanskii's theorem
+    says.  A form of degree 2k <= 2d that vanishes at every node of the
+    (4d+3)-node axes but the model's at most k^2 base points vanishes on
+    more than 2k rows, hence is zero; so the model maps into the sphere.
+    The sphere's two rulings are complex conjugate, so they pull back to
+    pencils of one degree a, and the model has degree 2a = 2.  Unless it
+    is trivial, the two pencils have distinct (conjugate) centers, the line
+    through them goes to one point, and every line's image passes through
+    it: the model is co-trivial.  The other outcomes need samples that do
+    not bind the model to the sphere: a float grid within SPHERE_RTOL of
+    it, or a source that is not a grid, whose reads off the integer nodes
+    {0..5}^2 are not tested for the sphere.
 
     A grid is tested for a plane at all its nodes.  A source that is not a
     grid is tested at the integer nodes (u, v) in {0..5}^2, the check block
@@ -420,17 +443,13 @@ def khovanskii_classify(f_src, seed: int = 0):
     verdict = dualize.classify(model, seed=seed)
     if isinstance(verdict, Trivial):
         return InCircle(verdict.hyperplane)
+    if isinstance(verdict, Indeterminate):
+        raise DegreeAnomaly(f"unclassifiable sphere map: {verdict.reason}")
+    # the cases overlap: a quadratic rational sphere map can also be
+    # co-trivial (stereographic images all pass through the pole); the
+    # recovered quadratic map is the stronger verdict
+    if model.degree <= 2:
+        return Quadratic(model)
     if isinstance(verdict, CoTrivial):
-        # the cases overlap: a quadratic rational sphere map can also be
-        # co-trivial (stereographic images all pass through the pole);
-        # the recovered quadratic map is the stronger verdict
-        if model.degree <= 2:
-            return Quadratic(model)
         return verdict
-    if isinstance(verdict, Rational):
-        if model.degree <= 2:
-            return Quadratic(model)
-        raise DegreeAnomaly(
-            "rational verdict at degree 3 violates the lines-to-circles classification"
-        )
-    raise DegreeAnomaly(f"unclassifiable sphere map: {verdict.reason}")
+    raise DegreeAnomaly("rational verdict at degree 3 violates the lines-to-circles classification")

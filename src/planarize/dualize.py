@@ -30,9 +30,8 @@ from .jetplan import ExactMapSource, OnIndeterminacy, nondegenerate_at
 from .poly import (
     HPoly,
     RatMap,
+    line_base_points,
     reduce_map,
-    restrict_to_line,
-    span_dim,
     _binomial_row,
     _forms_eval_int,
     _forms_plan,
@@ -116,11 +115,35 @@ def _lattice(D: int):
     return ((a, b) for a in range(D + 1) for b in range(D + 1 - a))
 
 
+def _spans_modulo_prime(F: RatMap, line: PLine2) -> bool:
+    """Whether the images of the n+1 points p0 + t p1, t = 0..n, of the line
+    (`line_base_points`) have rank n+1 modulo projcore._PRIMES[0].  A rank
+    mod p is at most the rank over Q, so True proves that the image of the
+    line spans RP^n; False proves nothing.  F is cleared to integers once
+    and each monomial is one pow(x, e, p) per point, so the work does not
+    grow with the degree."""
+    import numpy as np
+
+    p = projcore._PRIMES[0]
+    p0, p1 = line_base_points(line)
+    comps = [[(c % p, e) for e, c in comp.items()] for comp in _int_components(F)]
+    rows = []
+    for t in range(F.codim + 1):
+        x0, x1, x2 = ((a + t * b) % p for a, b in zip(p0, p1))
+        rows.append([
+            sum(c * pow(x0, e0, p) * pow(x1, e1, p) * pow(x2, e2, p) for c, (e0, e1, e2) in comp) % p
+            for comp in comps
+        ])
+    _, pivots = projcore._rref_mod(np.array(rows, dtype=np.int64), p)
+    return len(pivots) == F.codim + 1
+
+
 def _check_preconditions(F: RatMap, seed: int) -> None:
     """Raise EverywhereDegenerate for d+1 < n, NotPlanar for a seeded line
-    whose image spans RP^n when d >= n, and ValueError for a lattice of more
-    than MAX_DUAL_LATTICE_CELLS cells, in `dual_map`'s order.  Every other
-    map goes on to the lattice, which alone decides the rest."""
+    whose image is shown to span RP^n modulo a prime when d >= n
+    (`_spans_modulo_prime`), and ValueError for a lattice of more than
+    MAX_DUAL_LATTICE_CELLS cells, in `dual_map`'s order.  Every other map
+    goes on to the lattice, which alone decides the rest."""
     n, d = F.codim, F.degree
     if d + 1 < n:
         raise EverywhereDegenerate(
@@ -132,7 +155,7 @@ def _check_preconditions(F: RatMap, seed: int) -> None:
         # maps such as [x0^d : x1^d : x2^d : ...] to proportional forms
         rng = stable_rng(seed, "dual_span_line")
         line = PLine2.of([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3)])
-        if span_dim(restrict_to_line(F, line)) == n + 1:
+        if _spans_modulo_prime(F, line):
             raise NotPlanar(f"the image of line {line.covector} spans RP^{n}, so no hyperplane contains it")
     points = math.comb(_wedge_degree(n, d) + 2, 2)
     cells = points * (d + 1) * (n + 1)
@@ -194,7 +217,7 @@ def _spanning_rows(rows: Callable, n: int, D: int) -> Optional[list[int]]:
     none: then every n x n minor of A, of degree at most D (`_wedge_forms`),
     is zero.  Rank n+1 there raises NotPlanar naming the line."""
     for a, b in _lattice(D):
-        _, pivots, _ = projcore._bareiss_echelon([list(col) for col in zip(*rows(a, b))])
+        _, pivots = projcore._bareiss_echelon([list(col) for col in zip(*rows(a, b))])
         if len(pivots) > n:
             raise NotPlanar(f"the image of line {(a, b, 1)} spans RP^{n}, so no hyperplane contains it")
         if len(pivots) == n:
@@ -250,9 +273,10 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
 
     1. d+1 < n: no line's image picks out one hyperplane, so
        EverywhereDegenerate at once.
-    2. d >= n: F is restricted to one seeded line; if that line's image
-       spans rank n+1 (all of RP^n), no hyperplane contains it and
-       NotPlanar names the line.
+    2. d >= n: F is read modulo a prime at n+1 points of one seeded line;
+       if those images have rank n+1 there, the line's image spans all of
+       RP^n, no hyperplane contains it and NotPlanar names the line.  A
+       lower rank there decides nothing.
     3. A lattice of more than MAX_DUAL_LATTICE_CELLS cells, C(D+2, 2)
        points (D = n d - n(n-1)/2) times the (d+1)(n+1) entries of A,
        raises ValueError.

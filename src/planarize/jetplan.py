@@ -315,10 +315,11 @@ def _jet_grid(source: GridMapSource, a: tuple, m: int) -> Jet:
     if m > 3:
         raise OrderMismatch("grid jets support order <= 3")
     iu, iv = source.node_index(a[0], a[1])
-    hu, hv = source.pitch
     margin = 2 if m >= 3 else 1
+    # before the pitch, which an axis of one node does not have
     if not (margin <= iu < len(source.u_axis) - margin and margin <= iv < len(source.v_axis) - margin):
         raise ChartOverflow("base point too close to the grid edge for the stencil")
+    hu, hv = source.pitch
     # the difference weights assume evenly spaced nodes at the pitch
     for axis, i, h in ((source.u_axis, iu, hu), (source.v_axis, iv, hv)):
         for lo, hi in zip(axis[i - margin : i + margin], axis[i - margin + 1 : i + margin + 1]):

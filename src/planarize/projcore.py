@@ -2,8 +2,8 @@
 
 Coordinates of projective points, lines and hyperplanes are kept as integer
 vectors in a canonical form (no common factor, first nonzero entry positive),
-so projective equality is plain tuple equality.  Ranks and determinants are
-computed with fraction-free Bareiss elimination on integer matrices.
+so projective equality is plain tuple equality.  Ranks are computed with
+fraction-free Bareiss elimination on integer matrices.
 One private kernel, `_nullspace_int`, solves every exact nullspace on an
 integer matrix and returns integer vectors.  Systems of at least
 _MODULAR_MIN_CELLS cells are solved modulo fixed 31-bit primes in int64
@@ -15,9 +15,9 @@ same basis, and no rounding ever happens in exact mode.  The public
 that need a kernel vector only up to scale call the kernel directly.
 Denominators are cleared here, once, for the whole package: `_cleared`
 turns a rational vector into integers over the lcm of its denominators,
-and the polynomial and univariate kernels use it too.  A small float-mode
-rank helper (SVD with a relative tolerance) exists only for CSV-sampled
-inputs; null_direction picks the exact or the float route from a flag.
+and the polynomial and univariate kernels use it too.  null_direction
+picks the exact route or, for float CSV-sampled inputs, one SVD with a
+relative tolerance, from a flag.
 numpy is imported only inside the modular and SVD functions, so importing
 the package does not load it.
 """
@@ -29,7 +29,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -107,28 +106,21 @@ def normalize(v: Sequence) -> tuple[int, ...]:
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Row-wise denominator clearing with positive multipliers.
-
-    Positive scaling preserves the sign of every maximal minor, which the
-    wedge complement relies on.
-    """
+    """Row-wise denominator clearing with positive multipliers: each row
+    becomes a positive multiple of itself, so ranks and nullspaces keep."""
     return [_cleared(r)[0] for r in rows]
 
 
-def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free row echelon form.
+def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form: (echelon matrix, pivot cols).
 
-    Returns (echelon matrix, pivot cols, sign), where sign is -1 when an odd
-    number of row swaps was made.  Partial pivoting picks the
-    largest-magnitude integer pivot in the current column.  The divisions
-    are exact (Bareiss), so on a square matrix of full rank the last entry
-    is sign times the determinant.
+    Partial pivoting picks the largest-magnitude integer pivot in the
+    current column.  The divisions are exact (Bareiss).
     """
     m = [row[:] for row in mat]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -142,7 +134,6 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], 
             continue
         if best != r:
             m[r], m[best] = m[best], m[r]
-            sign = -sign
         piv = m[r][c]
         for i in range(r + 1, nrows):
             mic = m[i][c]
@@ -151,7 +142,7 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], 
         prev = piv
         pivots.append(c)
         r += 1
-    return m, pivots, sign
+    return m, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -176,7 +167,7 @@ def rank(rows: Sequence[Sequence]) -> int:
         _, pivots = _rref_mod(np.array([[x % p for x in row] for row in mat], dtype=np.int64), p)
         if len(pivots) == full:
             return full
-    _, pivots, _ = _bareiss_echelon(mat)
+    _, pivots = _bareiss_echelon(mat)
     return len(pivots)
 
 
@@ -222,7 +213,7 @@ def _nullspace_int(mat: list[list[int]]) -> list[list[int]]:
         basis = _nullspace_modular(mat, ncols)
         if basis is not None:
             return basis
-    ech, pivots, _ = _bareiss_echelon(mat)
+    ech, pivots = _bareiss_echelon(mat)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -394,25 +385,6 @@ def _annihilates(mat: list[list[int]], X: Sequence[int]) -> bool:
     return not any(sum(row[j] * x for j, x in support) for row in mat)
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("determinant needs a square matrix")
-    mat = []
-    scale = 1
-    for r in rows:
-        X, L = _cleared(r)
-        mat.append(X)
-        scale *= L
-    ech, pivots, sign = _bareiss_echelon(mat)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * ech[n - 1][n - 1], scale)
-
-
 def signed_minors(
     rows: Sequence[Sequence], mul=operator.mul, add=operator.add, neg=operator.neg
 ) -> list:
@@ -464,34 +436,6 @@ def _minor_plan(n: int) -> tuple:
         ))
         previous = {cols: i for i, cols in enumerate(sets)}
     return tuple(plan)
-
-
-def wedge_complement(vs: Sequence[Sequence]) -> tuple[int, ...]:
-    """Covector annihilating k vectors in (k+1)-space.
-
-    Entry j is (-1)^j times the maximal minor omitting column j, computed on
-    row-wise integer-cleared inputs and divided by the (positive) integer
-    content, so the result keeps the alternating sign behaviour: swapping two
-    inputs flips every entry's sign, a repeated input gives the zero covector.
-    Linearly dependent inputs give the zero covector (a meaningful value: it
-    signals degeneracy downstream).
-    """
-    out = signed_minors(_integer_rows(vs))
-    g = math.gcd(*out)
-    if g > 1:
-        out = [c // g for c in out]
-    return tuple(out)
-
-
-class SpanVerdict(Enum):
-    """Non-hyperplane outcomes of hyperplane_through."""
-
-    NOT_UNIQUE = "NotUnique"
-    NONE_EXISTS = "NoneExists"
-
-
-NOT_UNIQUE = SpanVerdict.NOT_UNIQUE
-NONE_EXISTS = SpanVerdict.NONE_EXISTS
 
 
 @dataclass(frozen=True)
@@ -559,35 +503,6 @@ def cross(u: Sequence, v: Sequence) -> tuple:
     )
 
 
-def hyperplane_through(ps: Sequence[PPoint]) -> Hyperplane | SpanVerdict:
-    """The unique hyperplane through points of RP^k, if it exists.
-
-    Returns NOT_UNIQUE when the points span less than a hyperplane and
-    NONE_EXISTS when they span everything.
-    """
-    if not ps:
-        raise ZeroVector("need at least one point")
-    basis = _nullspace_int([list(p.coords) for p in ps])
-    if not basis:
-        return NONE_EXISTS
-    if len(basis) > 1:
-        return NOT_UNIQUE
-    return Hyperplane.of(basis[0])
-
-
-def float_rank(rows: Sequence[Sequence[float]]) -> int:
-    """Rank with the relative singular-value cutoff FLOAT_RANK_RTOL (float mode only)."""
-    import numpy as np
-
-    a = np.asarray(rows, dtype=float)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
-
-
 def rationalize_direction(vec: Sequence[float], max_den: int = 10**6) -> tuple[int, ...]:
     """Canonical rational representative of a float direction vector.
 
@@ -610,10 +525,11 @@ def rationalize_direction(vec: Sequence[float], max_den: int = 10**6) -> tuple[i
 
 def null_direction(rows: Sequence[Sequence], exact: bool) -> tuple[int, ...] | None:
     """Canonical first right-null direction of a matrix, or None when its
-    columns are independent.  Float rows have one when their float_rank at
-    FLOAT_RANK_RTOL is below the column count; it is the rationalized
-    singular direction of the smallest singular value.  One full SVD gives
-    both the rank and that direction."""
+    columns are independent.  Float rows have one when their rank, the
+    number of singular values above FLOAT_RANK_RTOL times the largest, is
+    below the column count; it is the rationalized singular direction of
+    the smallest singular value.  One full SVD gives both the rank and that
+    direction."""
     if exact:
         basis = _nullspace_int(_integer_rows(rows))
         return normalize(basis[0]) if basis else None

@@ -14,7 +14,7 @@ from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, MAX_IMPLICITIZE_CE
 from planarize.conicweb import ConicSystem, circle_web
 from planarize.dualize import MAX_DUAL_LATTICE_CELLS, CoTrivial
 from planarize.jetplan import GridMapSource, write_csv_grid
-from planarize.poly import RatMap, reduce_map, variables
+from planarize.poly import HPoly, RatMap, reduce_map, variables
 from planarize.projcore import PPoint
 
 X0, X1, X2 = variables(3)
@@ -260,9 +260,10 @@ def _stereo_grid(tmp_path):
 
 
 def test_khovanskii_cotrivial_report(tmp_path, capsys, monkeypatch):
-    # khovanskii_classify answers CoTrivial only for a model of degree 3,
-    # which no test grid gives, so the verdict is planted; the report's
-    # witness is the centre
+    # khovanskii_classify answers CoTrivial only for a model of degree 3
+    # (test_conicweb reaches it with a float grid near the pole); here the
+    # verdict is planted on a stereographic grid, and the report's witness
+    # is the centre
     monkeypatch.setattr(conicweb, "khovanskii_classify", lambda source, seed=0: CoTrivial(PPoint.of(0, 0, 0, 1)))
     code, out = run(capsys, "khovanskii", "--in", _stereo_grid(tmp_path))
     assert code == 0
@@ -411,13 +412,26 @@ def test_malformed_input_exit_codes(tmp_path, capsys, name, argv, expect):
     assert len(lines) == 1 or lines[0].startswith("usage: planarize")
 
 
+#: address-space cap of a `_planarize` child: a run that needs more fails
+#: with MemoryError instead of pressing on the machine
+CHILD_MEMORY_BYTES = 2 * 2**30
+
+
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
+
+
 def _planarize(*argv, timeout):
-    """`python -m planarize` in its own interpreter, killed after `timeout` s."""
+    """`python -m planarize` in its own interpreter, its address space capped
+    at CHILD_MEMORY_BYTES (in the child only) and killed after `timeout` s."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "planarize", *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-m", "planarize", *argv], env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_cap_memory,
     )
 
 
@@ -455,6 +469,28 @@ def test_classify_over_the_lattice_limit_exits_1_at_once(tmp_path):
     (line,) = run.stderr.splitlines()
     assert line == ("planarize: ValueError: the dual of a degree-8 map into RP^9 needs 703 lattice points of "
                     f"9 x 10 entries, 63270 cells, more than MAX_DUAL_LATTICE_CELLS = {MAX_DUAL_LATTICE_CELLS}")
+
+
+def _sparse_map_file(tmp_path, D, n):
+    """[x0^D : x1^D : x2^D], with x0^(D-1) x1 appended into RP^3: a line with
+    no zero entry has an image that spans RP^n."""
+    exps = [(D, 0, 0), (0, D, 0), (0, 0, D), (D - 1, 1, 0)][: n + 1]
+    return _json_file(tmp_path, RatMap([HPoly.monomial(e) for e in exps]).to_json(), "map")
+
+
+@pytest.mark.parametrize("D,n", [(10**4, 3), (10**5, 3), (10**6, 2)], ids=["1e4-rp3", "1e5-rp3", "1e6-rp2"])
+@pytest.mark.parametrize("command", ["classify", "dualize"])
+def test_a_sparse_map_of_huge_degree_is_refused_by_the_span_line_at_once(tmp_path, command, D, n):
+    # the seeded line is read modulo a prime, one pow per monomial, so the
+    # degree costs nothing; the child runs under the memory cap
+    run = _planarize(command, "--in", _sparse_map_file(tmp_path, D, n), timeout=10)
+    assert run.returncode == 2, run.stderr
+    reason = f"the image of line (7, 9, 2) spans RP^{n}, so no hyperplane contains it"
+    expect = ({"class": "Indeterminate", "degree": None, "reason": reason, "witness": None} if command == "classify"
+              else {"error": "NotPlanar", "detail": reason})
+    (line,) = run.stdout.splitlines()
+    assert json.loads(line) == expect
+    assert run.stderr == ""
 
 
 def test_classify_of_a_sextic_into_rp7_is_rational(tmp_path):

@@ -1,12 +1,15 @@
 """Conic systems, the web classifier, net inversion, sphere maps."""
 
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
+from planarize import ratfit
 from planarize.conicweb import (
     ConicSystem,
+    DegreeAnomaly,
     DependentBasis,
     InCircle,
     InConic,
@@ -26,10 +29,10 @@ from planarize.conicweb import (
     net_through,
     phi_map,
 )
-from planarize.dualize import CoTrivial, classify
+from planarize.dualize import CoTrivial, Rational, classify
 from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource, read_csv_grid, write_csv_grid
 from planarize.poly import RatMap, implicitize, line_base_points, reduce_map, variables
-from planarize.projcore import PLine2, PPoint, det, normalize, nullspace
+from planarize.projcore import Hyperplane, PLine2, PPoint, cross, normalize, nullspace
 from planarize.ratfit import DegreeTooLow
 from planarize.seeding import stable_rng
 
@@ -118,10 +121,14 @@ ORIGIN_NET = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2]
 IN_CONIC = reduce_map([X0 * X0 + X1 * X1, X0 * X0 - X1 * X1, 2 * X0 * X1])
 
 
+def _det3(A):
+    return sum(a * c for a, c in zip(A[0], cross(A[1], A[2])))
+
+
 def _collineation(rng):
     while True:
         A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if det(A) != 0:
+        if _det3(A) != 0:
             return reduce_map([a * X0 + b * X1 + c * X2 for a, b, c in A])
 
 
@@ -351,7 +358,7 @@ def test_invert_via_net_sampled_matches_symbolic(seed):
     rng = stable_rng(seed, "net-sampled")
     while True:
         A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if det(A) != 0:
+        if _det3(A) != 0:
             break
     f = INVERSION.after(reduce_map([a * X0 + b * X1 + c * X2 for a, b, c in A]))
     net = ConicSystem(list(INVERSION.components))
@@ -656,6 +663,127 @@ def test_khovanskii_small_grids_keep_their_verdicts():
         with pytest.raises(DegreeTooLow) as exc:
             khovanskii_classify(_sphere_grid(quartic, n))
         assert str(exc.value) == too_small
+
+
+# -- each verdict of the fitted sphere model, and its CLI report -----------------------
+
+
+def _khovanskii_cli(tmp_path, capsys, grid):
+    from planarize.cli import main
+
+    path = tmp_path / "sphere.csv"
+    path.write_text(write_csv_grid(grid))
+    code = main(["khovanskii", "--in", str(path), "--mode", grid.mode])
+    return code, capsys.readouterr().out
+
+
+def test_khovanskii_in_circle_from_the_model_when_a_base_point_node_is_off_its_circle(tmp_path, capsys):
+    # the circle map (a^2 - b^2, 2ab, 0) / (a^2 + b^2), a = u - 1, b = v - 1,
+    # except at its base point (1, 1), where the grid holds the pole: the
+    # samples span RP^3, but the fitted model vanishes at that node, so the
+    # fit passes and the model's own plane is the verdict
+    def value(u, v):
+        a, b = u - 1, v - 1
+        if a == b == 0:
+            return (F(0), F(0), F(1))
+        return (Fraction(a * a - b * b, a * a + b * b), Fraction(2 * a * b, a * a + b * b), F(0))
+
+    axis = [F(k) for k in range(11)]
+    grid = GridMapSource(axis, axis, [[value(u, v) for u in axis] for v in axis], mode="exact")
+    rows = [[1, *value(u, v)] for v in axis for u in axis]
+    assert nullspace(rows) == []  # the plane test finds no plane
+    assert khovanskii_classify(grid) == InCircle(Hyperplane.of(0, 0, 0, 1))
+    assert _khovanskii_cli(tmp_path, capsys, grid) == (0, '{"case":"InCircle","diagnostics":null,"witness":[0,0,0,1]}\n')
+
+
+def _near_pole_grid(x, z=lambda u, v: 0):
+    """Float samples (x, v d, 1 - d^2 (u^2 + v^2) / 2 + z) on the nodes
+    0..14, d = 2^-12: within SPHERE_RTOL of the sphere, and exact binary
+    fractions, so a fit reads them as the rational map they are."""
+    d = Fraction(1, 2**12)
+    axis = list(range(15))
+    values = []
+    for v in axis:
+        row = []
+        for u in axis:
+            exact = (d * x(F(u), F(v)), d * v, 1 - d * d * (u * u + v * v) / 2 + z(F(u), F(v)))
+            assert all(F(float(c)) == c for c in exact)
+            assert abs(sum(c * c for c in exact) - 1) < Fraction(1, 10**9)
+            row.append(tuple(float(c) for c in exact))
+        values.append(row)
+    return GridMapSource([float(k) for k in axis], [float(k) for k in axis], values, mode="float")
+
+
+def test_khovanskii_float_grid_of_a_cubic_graph_is_co_trivial(tmp_path, capsys):
+    # a graph over the (x, y) plane, cubic in u: every line goes into a
+    # vertical plane, all through the point at infinity (0, 0, 0, 1)
+    grid = _near_pole_grid(lambda u, v: u, z=lambda u, v: Fraction(u**3, 2**44))
+    assert ratfit.fit_map(grid, 3).degree == 3
+    assert khovanskii_classify(grid) == CoTrivial(PPoint.of(0, 0, 0, 1))
+    assert _khovanskii_cli(tmp_path, capsys, grid) == (0, '{"case":"CoTrivial","diagnostics":null,"witness":[0,0,0,1]}\n')
+
+
+def test_khovanskii_float_grid_of_a_rational_quadratic_is_quadratic(tmp_path, capsys):
+    # a paraboloid bent by u^2 / 2^20 in x: a quadratic map, no longer
+    # co-trivial, so the rational verdict at degree 2 gives the model
+    grid = _near_pole_grid(lambda u, v: u + u * u / 2**20)
+    model = ratfit.fit_map(grid, 2)
+    assert classify(model) == Rational(2)
+    assert khovanskii_classify(grid) == Quadratic(model)
+    code, out = _khovanskii_cli(tmp_path, capsys, grid)
+    assert code == 0
+    assert json.loads(out) == {"case": "Quadratic", "witness": model.to_json(), "diagnostics": None}
+
+
+def test_khovanskii_float_grid_of_no_planarization_is_a_degree_anomaly(tmp_path, capsys):
+    # the bend u^2 v / 2^24 in x makes a cubic whose line images span RP^3
+    grid = _near_pole_grid(lambda u, v: u + u * u * v / 2**24)
+    message = "unclassifiable sphere map: the image of line (7, 9, 2) spans RP^3, so no hyperplane contains it"
+    with pytest.raises(DegreeAnomaly) as info:
+        khovanskii_classify(grid)
+    assert str(info.value) == message
+    code, out = _khovanskii_cli(tmp_path, capsys, grid)
+    assert code == 2
+    assert json.loads(out) == {"case": "DegreeAnomaly", "witness": None, "diagnostics": message}
+
+
+def test_khovanskii_callable_sphere_valued_only_where_tested_is_a_degree_anomaly():
+    # stereographic at the integer nodes {0..5}^2, the only reads tested for
+    # the sphere, and no value at the other integer nodes of those rows;
+    # elsewhere the dual of a quadratic map, a rational planarization of
+    # degree 3.  The degree-2 fit finds the stereographic map on those rows
+    # and fails its held-out draws; the degree-3 fit, whose blocks need 7
+    # values a row, reads the later rows and finds the dual
+    from planarize.cli import _case_report, generate_map
+    from planarize.dualize import dual_map
+
+    G = dual_map(generate_map(1, 2, 3))
+    assert G.degree == 3 and classify(G) == Rational(3)
+
+    def fn(u, v):
+        if F(u).denominator == F(v).denominator == 1 and v <= 5:
+            return stereo(u, v) if u <= 5 else None
+        g = G.evaluate([F(1), F(u), F(v)])
+        return None if g is None or g[0] == 0 else tuple(c / g[0] for c in g[1:])
+
+    message = "rational verdict at degree 3 violates the lines-to-circles classification"
+    with pytest.raises(DegreeAnomaly) as info:
+        khovanskii_classify(CallableSource(fn, codim=3, mode="exact"))
+    assert str(info.value) == message
+    # the CLI reads grids only; this is the report it gives the exception
+    assert _case_report(info.value) == ({"case": "DegreeAnomaly", "witness": None, "diagnostics": message}, 2)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: classify_web(INVERSION, ConicSystem(ORIGIN_NET)), ValueError, "classification needs a web (dimension 3)"),
+    (lambda: invert_via_net(INVERSION, circle_web()), ValueError, "inversion needs a net (dimension 2)"),
+    (lambda: khovanskii_classify(_chart_source(INVERSION)), ValueError, "expected a map into 3-space"),
+    (lambda: khovanskii_classify(CallableSource(lambda u, v: None, codim=3)), TooFewSamples, "not enough sphere samples"),
+], ids=["web-needs-a-web", "inversion-needs-a-net", "sphere-needs-rp3", "sphere-needs-samples"])
+def test_calls_outside_the_contract_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- exact maps are certified, not screened or sampled ---------------------------------

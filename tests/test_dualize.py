@@ -1,12 +1,13 @@
 """Dual planarizations and the trichotomy classifier."""
 
+import functools
 import json
 import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from planarize import dualize, projcore
 from planarize.cli import generate_map, main
@@ -513,13 +514,71 @@ def test_the_span_bound_decides_before_any_jet(monkeypatch):
 
 
 def test_a_sparse_degree_1000_map_is_refused_by_one_line_span():
-    # the span check ranks the 1001 x 4 restriction, entries of thousands of
-    # bits, modulo a prime: full rank there is the answer
+    # the span witness reads the map modulo a prime at 4 points of the line,
+    # one pow per monomial: full rank there is the answer
     D = 1000
     F = RatMap([X0**D, X1**D, X2**D, X0 ** (D - 1) * X1])
     start = time.perf_counter()
     assert classify(F) == Indeterminate("the image of line (7, 9, 2) spans RP^3, so no hyperplane contains it")
     assert time.perf_counter() - start < 3
+
+
+@st.composite
+def small_maps(draw):
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 4))
+    monos = _monomials(3, d)
+    comps = []
+    for _ in range(n + 1):
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        comps.append(HPoly(3, d, {e: draw(st.integers(-3, 3)) for e in chosen}))
+    assume(any(not c.is_zero for c in comps))
+    return RatMap(comps)
+
+
+nonzero_lines = st.tuples(*[st.integers(-9, 9)] * 3).filter(lambda c: c != (0, 0, 0)).map(PLine2.of)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_maps(), nonzero_lines)
+def test_the_span_witness_modulo_a_prime_is_a_proof(F, line):
+    if dualize._spans_modulo_prime(F, line):
+        assert span_dim(restrict_to_line(F, line)) == F.codim + 1
+
+
+@functools.cache
+def _planarizations_of_degree_at_least_3(seed):
+    """A dual of a quadratic (a cubic), its bidual, and the quartic
+    composite of the circles-through-origin web with inversion after a
+    collineation: planarizations into RP^3 with d >= n."""
+    dual = dual_map(generate_map(seed, 2, 3))
+    A = _linear_map(_invertible(stable_rng(seed, "span-witness-composite"), 3))
+    f = reduce_map([X1 * X1 + X2 * X2, X0 * X1, X0 * X2]).after(A)
+    web = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2, X0 * X0 + X1 * X1]
+    composite = reduce_map([q.substitute(list(f.components)) for q in web])
+    return dual, dual_map(dual_map(dual)), composite
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4), nonzero_lines)
+def test_the_span_witness_never_fires_on_a_planarization(seed, line):
+    maps = _planarizations_of_degree_at_least_3(seed)
+    assert [(m.degree, m.codim) for m in maps] == [(3, 3), (3, 3), (4, 3)]
+    for F in maps:
+        assert not dualize._spans_modulo_prime(F, line)
+
+
+def test_a_span_the_prime_cannot_see_is_left_to_the_lattice():
+    # the last component vanishes modulo the prime, so the seeded line's
+    # images have rank 3 there; over Q they span RP^3, and the lattice
+    # refuses the map at a line (a, b, 1) of its own
+    p = projcore._PRIMES[0]
+    F = RatMap([X0**3, X1**3, X2**3, p * X0 * X0 * X1])
+    line = PLine2.of(7, 9, 2)
+    assert not dualize._spans_modulo_prime(F, line)
+    assert span_dim(restrict_to_line(F, line)) == 4
+    with pytest.raises(NotPlanar, match=r"the image of line \(\d+, \d+, 1\) "):
+        dual_map(F)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

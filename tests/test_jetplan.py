@@ -28,7 +28,7 @@ from planarize.jetplan import (
     write_csv_grid,
 )
 from planarize.poly import HPoly, RatMap, reduce_map, variables
-from planarize.projcore import PPoint, hyperplane_through
+from planarize.projcore import PPoint
 from planarize.seeding import stable_rng
 
 X0, X1, X2 = variables(3)
@@ -165,13 +165,18 @@ def curve_points_on_line(ratmap, slope, ts):
 
 
 def test_omega_paraboloid_matches_hyperplane_through_oracle():
+    # the oracle is sympy's nullspace of the image points: the one hyperplane
+    # through them
+    import sympy
+
     om = omega(jet_of(ExactMapSource(PARABOLOID), (0, 0), 2))
     assert om.degree == 1
     for slope in (1, 2):
         value = om.evaluate(slope)
-        oracle = hyperplane_through(curve_points_on_line(PARABOLOID, slope, [1, 2, 3]))
+        points = [list(p.coords) for p in curve_points_on_line(PARABOLOID, slope, [1, 2, 3])]
+        (oracle,) = sympy.Matrix(points).nullspace()
         got = PPoint.of(value)
-        assert got == PPoint.of(oracle.covector)
+        assert got == PPoint.of([Fraction(int(x.p), int(x.q)) for x in oracle])
 
 
 def test_omega_of_affine_linear_is_identically_zero():
@@ -429,6 +434,17 @@ def test_grid_jets_reject_uneven_spacing():
     exact = GridMapSource(exact_axis, exact_axis, exact_values, mode="exact")
     with pytest.raises(ChartOverflow, match="not the pitch"):
         jet_of(exact, (exact_axis[2], exact_axis[2]), 2)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_grid_jets_on_an_axis_of_one_node_hit_the_edge_not_the_pitch(mode):
+    # one u node has no pitch, and every point of it is at the grid edge
+    one = [Fraction(1, 2) if mode == "exact" else 0.5]
+    axis = [Fraction(k, 8) for k in range(5)] if mode == "exact" else [k / 8 for k in range(5)]
+    grid = GridMapSource(one, axis, [[(one[0], v, v * v)] for v in axis], mode=mode)
+    for call in (lambda: jet_of(grid, (one[0], axis[2]), 2), lambda: nondegenerate_at(grid, (one[0], axis[2]))):
+        with pytest.raises(ChartOverflow, match="too close to the grid edge"):
+            call()
 
 
 def _scan(axis, x):

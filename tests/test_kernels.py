@@ -1,5 +1,5 @@
-"""The determinant, signed-minors and polynomial kernels against the sympy
-oracle, and the exact coefficient convention of the polynomial kernel."""
+"""The signed-minors and polynomial kernels against the sympy oracle, and
+the exact coefficient convention of the polynomial kernel."""
 
 import math
 import operator
@@ -16,7 +16,7 @@ from planarize.poly import (
     p_mul,
     reduce_map,
 )
-from planarize.projcore import DimensionMismatch, det, signed_minors
+from planarize.projcore import DimensionMismatch, signed_minors
 from planarize.seeding import stable_rng
 
 sympy = pytest.importorskip("sympy")
@@ -75,10 +75,7 @@ def test_signed_minors_of_integers_match_numeric_minors():
     for n in range(1, 7):
         for _ in range(4):
             rows = [[rng.randint(-6, 6) for _ in range(n + 1)] for _ in range(n)]
-            expect = [
-                (-1) ** j * det([[r[c] for c in range(n + 1) if c != j] for r in rows])
-                for j in range(n + 1)
-            ]
+            expect = [int(m) for m in minors_oracle(rows)]
             assert signed_minors(rows) == expect
             # the covector pairs to zero with every row
             assert all(sum(map(operator.mul, r, expect)) == 0 for r in rows)
@@ -89,46 +86,6 @@ def test_signed_minors_shape_errors():
         signed_minors([])
     with pytest.raises(DimensionMismatch):
         signed_minors([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-
-
-def _random_rational_matrix(rng, n):
-    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-
-
-def test_det_matches_sympy_on_seeded_rationals():
-    rng = stable_rng(0, "det_oracle")
-    cases = []
-    for n in range(1, 7):
-        for _ in range(3):
-            cases.append(_random_rational_matrix(rng, n))
-        if n >= 2:
-            # singular: the last row is a combination of the first two
-            m = _random_rational_matrix(rng, n)
-            a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 3), 2)
-            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
-            cases.append(m)
-            # a zero first pivot and a small leading column force row swaps
-            m = _random_rational_matrix(rng, n)
-            m[0][0] = Fraction(0)
-            m[-1][0] = Fraction(50)
-            cases.append(m)
-            # a zero column
-            m = _random_rational_matrix(rng, n)
-            for row in m:
-                row[n - 1] = Fraction(0)
-            cases.append(m)
-    for m in cases:
-        oracle = sympy_det([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in m])
-        assert det(m) == Fraction(int(oracle.p), int(oracle.q))
-
-
-def test_det_sign_follows_row_swaps():
-    assert det([[0, 1], [1, 0]]) == -1
-    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
-    assert det([]) == 1
-    with pytest.raises(DimensionMismatch):
-        det([[1, 2, 3], [4, 5, 6]])
 
 
 # ---------------------------------------------------------------------------

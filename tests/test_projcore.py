@@ -10,22 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from planarize import projcore
 from planarize.projcore import (
-    NONE_EXISTS,
     DimensionMismatch,
-    NOT_UNIQUE,
     Hyperplane,
     PLine2,
     PPoint,
     ZeroVector,
     cross,
-    det,
-    hyperplane_through,
     normalize,
     nullspace,
     rank,
     scalar_from_str,
     scalar_to_str,
-    wedge_complement,
+    signed_minors,
 )
 from planarize.seeding import stable_rng
 
@@ -61,15 +57,6 @@ def gauss_nullspace(rows):
     return basis
 
 
-def is_parallel(u, v):
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if Fraction(u[i]) * Fraction(v[j]) != Fraction(u[j]) * Fraction(v[i]):
-                return False
-    return True
-
-
 # -- normalize ---------------------------------------------------------------
 
 
@@ -101,78 +88,6 @@ def test_normalize_idempotent_and_scale_invariant(vec, c):
     base = normalize(vec)
     assert normalize(base) == base
     assert normalize([c * x for x in vec]) == base
-
-
-# -- wedge_complement --------------------------------------------------------
-
-
-def test_wedge_standard_basis():
-    assert normalize(wedge_complement([(1, 0, 0), (0, 1, 0)])) == (0, 0, 1)
-
-
-def test_wedge_four_space_matches_elimination_oracle():
-    vs = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 0, 1, 1)]
-    got = wedge_complement(vs)
-    oracle = gauss_nullspace(vs)
-    assert len(oracle) == 1
-    assert is_parallel(got, oracle[0])
-    assert normalize(got) == normalize(oracle[0]) == (0, 1, 0, 0)
-
-
-def test_wedge_dependent_inputs_give_zero():
-    assert wedge_complement([(1, 2, 3), (2, 4, 6)]) == (0, 0, 0)
-
-
-def test_wedge_orthogonality_exact():
-    vs = [(3, -1, 2, 7), (0, 5, 1, -2), (1, 1, 1, 1)]
-    w = wedge_complement(vs)
-    for v in vs:
-        assert sum(a * b for a, b in zip(w, v)) == 0
-
-
-def test_wedge_alternating_swap_flips_sign():
-    vs = [(3, -1, 2, 7), (0, 5, 1, -2), (1, 1, 1, 1)]
-    w1 = wedge_complement(vs)
-    w2 = wedge_complement([vs[1], vs[0], vs[2]])
-    assert tuple(-x for x in w1) == w2
-
-
-def test_wedge_repeated_input_is_zero():
-    assert wedge_complement([(1, 2, 3), (1, 2, 3)]) == (0, 0, 0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=3, max_size=3))
-def test_wedge_annihilates_inputs(rows):
-    w = wedge_complement(rows)
-    for v in rows:
-        assert sum(a * b for a, b in zip(w, v)) == 0
-
-
-# -- hyperplane_through ------------------------------------------------------
-
-
-def test_hyperplane_through_two_points_rp2():
-    h = hyperplane_through([PPoint.of(1, 0, 0), PPoint.of(0, 1, 0)])
-    assert isinstance(h, Hyperplane)
-    assert h.covector == (0, 0, 1)
-
-
-def test_hyperplane_through_collinear_rp3_not_unique():
-    pts = [PPoint.of(1, 0, 0, 0), PPoint.of(0, 1, 0, 0), PPoint.of(1, 1, 0, 0)]
-    assert hyperplane_through(pts) is NOT_UNIQUE
-
-
-def test_hyperplane_through_full_span_none_exists():
-    pts = [PPoint.of(1, 0, 0, 0), PPoint.of(0, 1, 0, 0), PPoint.of(0, 0, 1, 0), PPoint.of(0, 0, 0, 1)]
-    assert hyperplane_through(pts) is NONE_EXISTS
-
-
-def test_hyperplane_through_agrees_with_wedge():
-    pts = [PPoint.of(1, 2, 3, 1), PPoint.of(0, 1, -1, 2), PPoint.of(5, 0, 1, 1)]
-    h = hyperplane_through(pts)
-    w = wedge_complement([p.coords for p in pts])
-    assert normalize(w) == h.covector
 
 
 # -- rank / nullspace / misc -------------------------------------------------
@@ -212,11 +127,6 @@ def test_nullspace_vectors_match_sympy(seed):
         assert all(type(x) is Fraction for v in ours for x in v)
 
 
-def test_det_exact():
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
-
-
 def test_cross_product_join_meet():
     # the line through [1:0:0] and [0:1:0] is {x2 = 0}
     assert normalize(cross((1, 0, 0), (0, 1, 0))) == (0, 0, 1)
@@ -237,7 +147,7 @@ def test_scalar_serialization():
 
 def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatch):
-        wedge_complement([(1, 0, 0), (0, 1, 0), (0, 0, 1)])  # 3 vectors need length 4
+        signed_minors([(1, 0, 0), (0, 1, 0), (0, 0, 1)])  # 3 rows need length 4
     with pytest.raises(DimensionMismatch):
         Hyperplane.of(1, 0, 0).contains(PPoint.of(1, 0, 0, 0))
     with pytest.raises(DimensionMismatch):
@@ -253,12 +163,12 @@ def test_rationalize_direction_snaps_clean_ratios():
 
 
 def test_null_direction_and_rank_agree_across_modes():
-    from planarize.projcore import float_rank, null_direction, rank
+    from planarize.projcore import null_direction, rank
 
     rows = [[1, 0, -2], [0, 1, -3], [2, 1, -7]]
     floats = [[float(x) for x in r] for r in rows]
     assert null_direction(rows, True) == null_direction(floats, False) == (2, 3, 1)
-    assert rank(rows) == float_rank(floats) == 2
+    assert rank(rows) == 2
     assert null_direction([[1, 0], [0, 1]], True) is None
     assert null_direction([[1.0, 0.0], [0.0, 1.0]], False) is None
 
@@ -293,30 +203,6 @@ def test_cleared_returns_an_int_vector_unchanged(vec):
 
     assert _cleared(vec) == (vec, 1)
     assert _cleared(tuple(vec)) == (vec, 1)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_det_matches_sympy(seed):
-    sympy = pytest.importorskip("sympy")
-    rng = stable_rng(seed, "det_sympy")
-
-    def entry():
-        kind = rng.randrange(3)
-        if kind == 0:
-            return rng.randint(-9, 9)
-        if kind == 1:
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-        return rng.randint(-40, 40) / 8  # a float with an exact binary value
-
-    for n in range(1, 6):
-        rows = [[entry() for _ in range(n)] for _ in range(n)]
-        singular = rows[:-1] + [[2 * Fraction(a) for a in rows[0]]] if n > 1 else [[0]]
-        for m in (rows, singular):
-            oracle = sympy.Matrix([[sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in r] for r in m]).det()
-            got = det(m)
-            assert type(got) is Fraction
-            assert got == Fraction(int(sympy.numer(oracle)), int(sympy.denom(oracle)))
-    assert det([[1, 2], [3, 4]]) == -2
 
 
 def _null_direction_reference(rows):

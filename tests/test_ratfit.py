@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from planarize import projcore, ratfit, variables, reduce_map
 from planarize.cli import generate_map
-from planarize.jetplan import CallableSource, ExactMapSource, GridMapSource
+from planarize.jetplan import CallableSource, ChartOverflow, ExactMapSource, GridMapSource
 from planarize.poly import HPoly, RatMap, _monomials, p_eval
 from planarize.projcore import nullspace
 from planarize.ratfit import (
@@ -547,6 +547,30 @@ def test_a_grid_fit_makes_no_held_out_draws(monkeypatch):
 
     monkeypatch.setattr(ratfit, "stable_rng", no_draws)
     assert fit_map(grid, 2) == model
+
+
+def _on_the_line_v_0(u, v):
+    return (1, F(u), F(u) * F(u)) if v == 0 else None
+
+
+def _at_integer_nodes(u, v):
+    return (1, F(u), F(v)) if F(u).denominator == F(v).denominator == 1 else None
+
+
+@pytest.mark.parametrize(
+    "fn,error,message",
+    [(lambda u, v: None, ChartOverflow, "no evaluable sample found"),
+     (_on_the_line_v_0, DegreeTooLow, "fewer than 3 lattice rows with 3 evaluable nodes"),
+     (_at_integer_nodes, ChartOverflow, "validation found no evaluable points")],
+    ids=["nowhere", "one-row", "lattice-only"],
+)
+def test_fit_map_refuses_a_source_with_too_few_evaluable_points(fn, error, message):
+    # no sample at all; samples on one lattice row only, one row short of
+    # the degree-1 certificate; and samples at the lattice nodes only, so no
+    # held-out draw has a value
+    with pytest.raises(error) as info:
+        fit_map(CallableSource(fn, codim=2), 1)
+    assert str(info.value) == message
 
 
 def test_held_out_validation_catches_one_bad_point():
