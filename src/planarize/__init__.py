@@ -10,11 +10,8 @@ from .projcore import (
 from .poly import (
     HPoly,
     RatMap,
-    UniTuple,
     implicitize,
     reduce_map,
-    restrict_to_line,
-    span_dim,
     variables,
 )
 
@@ -26,10 +23,7 @@ __all__ = [
     "normalize",
     "HPoly",
     "RatMap",
-    "UniTuple",
     "variables",
     "reduce_map",
-    "restrict_to_line",
-    "span_dim",
     "implicitize",
 ]

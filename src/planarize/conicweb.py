@@ -3,13 +3,13 @@
 A linear system is spanned by independent quadratic forms; its map sends a
 point to the tuple of basis values, turning conic membership of image
 curves into hyperplane membership after composition.  On top of that sit
-the per-line conic finder (an exact map restricted to the line), the web
-classifier (which routes through the planarization trichotomy, whose
-certified dual also decides whether the map takes lines to web conics at
-all), inversion through a net (checked as an identity of maps), and the
-classification of sphere-valued maps taking lines to circles.  The web
-classifier and net inversion work on exact maps only: a sampled source is
-first fitted once as a rational map of degree at most three.
+the per-line conic finder (an exact map's coefficient rows on the line),
+the web classifier (which routes through the planarization trichotomy,
+whose certified dual also decides whether the map takes lines to web
+conics at all), inversion through a net (checked as an identity of maps),
+and the classification of sphere-valued maps taking lines to circles.  The
+web classifier and net inversion work on exact maps only: a sampled source
+is first fitted once as a rational map of degree at most three.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .jetplan import CallableSource, ExactMapSource, GridMapSource
 from .poly import (
     HPoly,
     RatMap,
-    UniTuple,
+    _line_rows,
     implicitize,
+    line_base_points,
     reduce_map,
-    restrict_to_line,
     variables,
 )
 from .projcore import Hyperplane, PLine2, PPoint
@@ -135,20 +135,27 @@ def phi_map(sys: ConicSystem) -> RatMap:
 def lines_to_curves(f_src, sys: ConicSystem, lines: Sequence[PLine2]) -> list[Optional[PPoint]]:
     """Per-line containing conic (system coordinates), or None.
 
-    The exact map is restricted to the line and the basis forms composed
-    with the restriction; the conic is the null direction of their
-    coefficient vectors, exact at any degree.  Only an exact source has a
-    restriction: any other source raises TypeError.
+    On each line the exact map of degree d is its d+1 coefficient rows
+    (`poly._line_rows`), read as d+1 binary forms; the basis quadrics are
+    composed with those forms, and the conic is the null direction of the
+    2d+1 coefficient rows of the composites, exact at any degree.  A line
+    in the indeterminacy locus has only zero rows and raises TooFewSamples.
+    Only an exact source has rows: any other source raises TypeError.
     """
     if not isinstance(f_src, ExactMapSource):
         raise TypeError("lines_to_curves needs an exact rational map")
+    F = f_src.ratmap
+    d = F.degree
+    comps = [c.terms for c in F.components]
     out: list[Optional[PPoint]] = []
     for line in lines:
-        restricted = restrict_to_line(f_src.ratmap, line)
-        if restricted.is_zero:  # the line lies in the indeterminacy locus
+        rows = _line_rows(comps, *line_base_points(line), d)
+        if not any(map(any, rows)):
             raise TooFewSamples(f"line {line.covector} yielded 0 samples")
-        composed = [q.substitute(list(restricted.components)) for q in sys.basis]
-        direction = projcore.null_direction(UniTuple(composed).coefficient_vectors(), True)
+        forms = [HPoly(2, d, {(d - r, r): row[i] for r, row in enumerate(rows)}) for i in range(len(comps))]
+        composed = [q.substitute(forms) for q in sys.basis]
+        coefficients = [[c.terms.get((2 * d - j, j), 0) for c in composed] for j in range(2 * d + 1)]
+        direction = projcore.null_direction(coefficients, True)
         out.append(None if direction is None else PPoint(direction))
     return out
 

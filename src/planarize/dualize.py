@@ -121,9 +121,9 @@ def _spans_modulo_prime(F: RatMap, line: PLine2) -> bool:
     mod p is at most the rank over Q, so True proves that the image of the
     line spans RP^n; False proves nothing.  F is cleared to integers once
     and each monomial is one pow(x, e, p) per point, so the work does not
-    grow with the degree."""
-    import numpy as np
-
+    grow with the degree.  The residue matrix is square: its last Bareiss
+    pivot is +-det over Z, which is det modulo p, so rank n+1 mod p is n+1
+    pivots with a last pivot p does not divide."""
     p = projcore._PRIMES[0]
     p0, p1 = line_base_points(line)
     comps = [[(c % p, e) for e, c in comp.items()] for comp in _int_components(F)]
@@ -134,8 +134,8 @@ def _spans_modulo_prime(F: RatMap, line: PLine2) -> bool:
             sum(c * pow(x0, e0, p) * pow(x1, e1, p) * pow(x2, e2, p) for c, (e0, e1, e2) in comp) % p
             for comp in comps
         ])
-    _, pivots = projcore._rref_mod(np.array(rows, dtype=np.int64), p)
-    return len(pivots) == F.codim + 1
+    ech, pivots = projcore._bareiss_echelon(rows)
+    return len(pivots) == F.codim + 1 and ech[-1][-1] % p != 0
 
 
 def _check_preconditions(F: RatMap, seed: int) -> None:

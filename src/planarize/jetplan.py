@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from . import projcore, univar
-from .poly import RatMap, restrict_to_line, variables, _int_components, _line_rows
+from .poly import RatMap, line_base_points, variables, _int_components, _line_rows
 from .projcore import Hyperplane, PLine2
 
 #: float-mode relative threshold for "this covector polynomial is zero"
@@ -511,7 +511,9 @@ def hyperplane_for_line(source: MapSource, a: tuple, slope) -> Hyperplane:
         plane = Hyperplane.of(value)
         # the line through [1 : a] in the direction [0 : du : dv]
         line = PLine2.of(projcore.cross((1, *jet.base), (0, den, num)))
-        if not all(map(plane.contains, restrict_to_line(source.ratmap, line).coefficient_vectors())):
+        F = source.ratmap
+        rows = _line_rows([c.terms for c in F.components], *line_base_points(line), F.degree)
+        if not all(map(plane.contains, rows)):
             raise DegenerateSlope(f"image of the line with slope {slope} leaves the hyperplane")
         return plane
     _validate_containment(jet, (num, den), value, n)

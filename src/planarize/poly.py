@@ -7,7 +7,7 @@ relations that dominate the work never pay for Fraction arithmetic.  Every
 quotient of two coefficients goes through `coef_div`, because int / int
 would give a float.  On top of it sit:
 
-* HPoly / RatMap / UniTuple, the map types used everywhere else;
+* HPoly / RatMap, the map types used everywhere else;
 * one integer evaluation kernel (`_forms_eval_int`) for int-coefficient
   forms at a node given as integer coordinates over a common denominator:
   a plan built once lists the union of the forms' exponents and one
@@ -20,8 +20,10 @@ would give a float.  On top of it sit:
   degree of a common factor and, when it is constant, proves the map
   reduced; otherwise the reduced map is the lowest-degree solution G of
   F_c G_i = F_i G_c, one exact nullspace per degree;
-* restriction of maps to lines by the binomial theorem, with no product
-  of polynomials, and image-span dimension;
+* a map on a line as its coefficient rows (`_line_rows`): the vectors A_r
+  of F(s p + t q) = sum_r s^(d-r) t^r A_r, read off the binomial theorem
+  with no product of polynomials; their rank is the span of the line's
+  image and their null direction its hyperplane;
 * the principal lattice of degree D, the points (a, b) >= 0 with
   a + b <= D, on which a polynomial of degree D is fixed by its values:
   Newton interpolation there in integers (`_newton_triangle`), and
@@ -576,59 +578,8 @@ def _parallel_forms(components: Sequence[HPoly], k: int) -> Optional[list[HPoly]
 
 
 # ---------------------------------------------------------------------------
-# restriction to lines and span dimension
+# a map on a line: base points and coefficient rows
 # ---------------------------------------------------------------------------
-
-
-class UniTuple:
-    """Tuple of binary forms in [u_0:u_1] of a common degree.
-
-    The lift is u_0^d A_0 + u_0^{d-1} u_1 A_1 + ... + u_1^d A_d with constant
-    vectors A_j; coefficient_vectors() returns those rows.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence[HPoly]):
-        components = tuple(components)
-        if not components:
-            raise ValueError("empty tuple")
-        if any(c.nvars != 2 for c in components):
-            raise ValueError("components must be binary forms")
-        if len({c.degree for c in components}) != 1:
-            raise ValueError("components must share degree")
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniTuple is immutable")
-
-    @property
-    def degree(self) -> int:
-        return self.components[0].degree
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-    def __eq__(self, other):
-        return isinstance(other, UniTuple) and self.components == other.components
-
-    def __repr__(self):
-        return f"UniTuple(degree={self.degree}, components={list(self.components)})"
-
-    def coefficient_vectors(self) -> list[tuple[Fraction, ...]]:
-        d = self.degree
-        rows = []
-        for j in range(d + 1):
-            exp = (d - j, j)
-            rows.append(tuple(c.terms.get(exp, 0) for c in self.components))
-        return rows
-
-    def evaluate(self, u0, u1) -> Optional[tuple[Fraction, ...]]:
-        vals = tuple(c.evaluate([u0, u1]) for c in self.components)
-        if all(v == 0 for v in vals):
-            return None
-        return vals
 
 
 def line_base_points(line: PLine2) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -677,7 +628,8 @@ def _line_rows(comps: Sequence[PolyDict], p: Sequence[int], q: Sequence[int], d:
     (`_binomial_row`), and a monomial's row is the product of its
     variables' rows, formed once for all the forms that share it; no
     polynomial product is formed, so the cost grows as the degree times the
-    terms, not as the square of the degree."""
+    terms, not as the square of the degree.  A line in the base locus of
+    the forms gives zero rows; no common factor is removed."""
     monomial_rows: dict = {}
     out = [[0] * len(comps) for _ in range(d + 1)]
     for col, terms in enumerate(comps):
@@ -693,28 +645,6 @@ def _line_rows(comps: Sequence[PolyDict], p: Sequence[int], q: Sequence[int], d:
                 if x:
                     out[r][col] += c * x
     return out
-
-
-def restrict_to_line(F: RatMap, line: PLine2) -> UniTuple:
-    """Compose F with the canonical degree-1 parameterization of a line.
-
-    A line inside the indeterminacy locus yields the zero tuple (callers
-    check .is_zero).  The raw restriction is returned without common-factor
-    removal.
-    """
-    if F.domain_vars != 3:
-        raise ValueError("restriction needs a map with domain RP^2")
-    p0, p1 = line_base_points(line)
-    d = F.degree
-    rows = _line_rows([c.terms for c in F.components], p0, p1, d)
-    return UniTuple([HPoly(2, d, {(d - r, r): row[i] for r, row in enumerate(rows)}) for i in range(len(F.components))])
-
-
-def span_dim(t: UniTuple) -> int:
-    """Rank of the coefficient-vector matrix: 1 + dim of the projective span."""
-    if t.is_zero:
-        return 0
-    return projcore.rank(t.coefficient_vectors())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import sympy
 
-from planarize import univar
+from planarize import projcore, univar
 from planarize.cli import generate_map
 from planarize.conicweb import (
     InCircle,
@@ -27,10 +27,8 @@ from planarize.jetplan import CallableSource, ExactMapSource, jet_of, omega
 from planarize.poly import (
     HPoly,
     RatMap,
-    UniTuple,
     implicitize,
     reduce_map,
-    span_dim,
     variables,
     p_mul,
     p_sub,
@@ -156,8 +154,7 @@ def test_criterion_4_span_bound():
             comps.append(HPoly(2, d, {e: c for e, c in terms.items() if c}))
         if all(c.is_zero for c in comps):
             continue
-        t = UniTuple(comps)
-        s = span_dim(t)
+        s = projcore.rank([[c.terms.get((d - j, j), 0) for c in comps] for j in range(d + 1)])
         assert s <= d + 1
         if s == d + 1:
             equal += 1

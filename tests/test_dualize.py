@@ -29,11 +29,11 @@ from planarize.poly import (
     HPoly,
     RatMap,
     _canonical_scale,
+    _line_rows,
     _monomials,
     implicitize,
+    line_base_points,
     reduce_map,
-    restrict_to_line,
-    span_dim,
     variables,
 )
 from planarize.projcore import Hyperplane, PLine2, PPoint
@@ -465,7 +465,8 @@ def test_maps_whose_lines_span_too_little_are_everywhere_degenerate(seed, dn):
             continue
         rank = _sympy_line_rank(F, cov)
         assert rank <= d + 1
-        assert rank == span_dim(restrict_to_line(F, PLine2.of(cov)))
+        rows = _line_rows([c.terms for c in F.components], *line_base_points(PLine2.of(cov)), d)
+        assert rank == projcore.rank(rows)
 
 
 def _witness_line(exc) -> tuple:
@@ -543,7 +544,29 @@ nonzero_lines = st.tuples(*[st.integers(-9, 9)] * 3).filter(lambda c: c != (0, 0
 @given(small_maps(), nonzero_lines)
 def test_the_span_witness_modulo_a_prime_is_a_proof(F, line):
     if dualize._spans_modulo_prime(F, line):
-        assert span_dim(restrict_to_line(F, line)) == F.codim + 1
+        assert _sympy_line_rank(F, line.covector) == F.codim + 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-projcore._PRIMES[0], projcore._PRIMES[0]), min_size=n + 1, max_size=n + 1),
+    min_size=n + 1, max_size=n + 1)), st.booleans())
+def test_the_span_witness_decides_rank_modulo_the_prime_as_rref_mod_does(C, singular_mod_p):
+    # F_i = sum_k C[i][k] x0^(n-k) x1^k on the line x2 = 0, whose base points
+    # are (1, 0, 0) and (0, 1, 0): the residue matrix at t = 0..n is V C^T, V
+    # a Vandermonde matrix invertible modulo p.  A last row C[0] + p C[1] is
+    # dependent modulo p only.
+    np = pytest.importorskip("numpy")
+    p, n = projcore._PRIMES[0], len(C) - 1
+    if singular_mod_p:
+        C[n] = [a + p * b for a, b in zip(C[0], C[1])]
+    assume(any(map(any, C)))
+    F = RatMap([HPoly(3, n, {(n - k, k, 0): c for k, c in enumerate(row)}) for row in C])
+    residues = [[sum(c * t**k for k, c in enumerate(row)) % p for row in C] for t in range(n + 1)]
+    full = len(projcore._rref_mod(np.array(residues, dtype=np.int64), p)[1]) == n + 1
+    assert dualize._spans_modulo_prime(F, PLine2.of(0, 0, 1)) == full
+    if singular_mod_p:
+        assert not full
 
 
 @functools.cache
@@ -576,7 +599,7 @@ def test_a_span_the_prime_cannot_see_is_left_to_the_lattice():
     F = RatMap([X0**3, X1**3, X2**3, p * X0 * X0 * X1])
     line = PLine2.of(7, 9, 2)
     assert not dualize._spans_modulo_prime(F, line)
-    assert span_dim(restrict_to_line(F, line)) == 4
+    assert _sympy_line_rank(F, line.covector) == 4
     with pytest.raises(NotPlanar, match=r"the image of line \(\d+, \d+, 1\) "):
         dual_map(F)
 

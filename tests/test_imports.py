@@ -37,6 +37,43 @@ def test_importing_the_package_leaves_numpy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_span_witness_leaves_numpy_unloaded(tmp_path):
+    # a cubic into RP^3 (d >= n) is refused by the span witness, which ranks
+    # its residue matrix by Bareiss, so classify and dualize never load numpy
+    src = str(SOURCES[0].parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = tmp_path / "cubic.json"
+    gen = ["gen", "--kind", "cubic-rp3", "--seed", "1", "--out", str(path)]
+    subprocess.run([sys.executable, "-m", "planarize", *gen], env=env, timeout=60, check=True)
+    code = (
+        "import sys; from planarize.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    for command in ("classify", "dualize"):
+        argv = [command, "--in", str(path), "--out", str(tmp_path / f"{command}.json")]
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert out.stdout.strip() == "2 []", (command, out.stdout, out.stderr)
+
+
+def test_all_is_exactly_what_the_package_binds():
+    # every public name __init__.py imports or assigns is exported, every
+    # export is bound there, and each resolves on the package
+    import planarize
+
+    init = ast.parse((SOURCES[0].parent / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert set(planarize.__all__) == {name for name in bound if not name.startswith("_")}
+    assert len(planarize.__all__) == len(set(planarize.__all__))
+    for name in planarize.__all__:
+        assert getattr(planarize, name) is not None
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
                          ids=[p.name for p in SOURCES if p.name != "__init__.py"])
 def test_every_imported_name_is_used(path):

@@ -12,29 +12,27 @@ from planarize.poly import (
     AllZero,
     HPoly,
     RatMap,
-    UniTuple,
     _canonical_scale,
     _common_degree_bound,
     _forms_eval_int,
     _forms_plan,
+    _line_rows,
     _monomials,
     implicitize,
     line_base_points,
     p_eval,
     reduce_map,
-    restrict_to_line,
-    span_dim,
     variables,
 )
 from planarize.cli import generate_map
-from planarize.projcore import PLine2, PPoint, nullspace
+from planarize.projcore import PLine2, PPoint, nullspace, rank
 from planarize.seeding import stable_rng
 
 X0, X1, X2 = variables(3)
 
 
 def gauss_rank(rows):
-    """Independent rational elimination rank, oracle for span_dim."""
+    """Independent rational elimination rank, oracle for projcore.rank."""
     m = [[Fraction(c) for c in r] for r in rows]
     if not m:
         return 0
@@ -126,33 +124,58 @@ def test_shared_kernel_evaluates_each_form_as_a_one_form_plan(seed):
         assert got == [L**D * fraction_eval(a, [Fraction(x, L) for x in X]) for a in forms]
 
 
-# -- restrict_to_line ---------------------------------------------------------
+# -- _line_rows: a map on a line ----------------------------------------------
 
 
-def test_restrict_identity_to_coordinate_line():
+def line_rows(F, line):
+    """The coefficient rows A_0..A_d of F(s p0 + t p1) on the line's base points."""
+    return _line_rows([c.terms for c in F.components], *line_base_points(line), F.degree)
+
+
+def sympy_line_rows(F, line):
+    """The same rows read off sympy's expansion of F(s p0 + t p1): an oracle
+    that forms every product of polynomials."""
+    s, t = sympy.symbols("s t")
+    x = [a * s + b * t for a, b in zip(*line_base_points(line))]
+    cols = []
+    for comp in F.components:
+        expr = sum(sympy.Rational(str(c)) * sympy.prod([xi**k for xi, k in zip(x, e)]) for e, c in comp.terms.items())
+        form = sympy.Poly(sympy.expand(expr), s, t)
+        coeffs = (form.coeff_monomial(s ** (F.degree - r) * t**r) for r in range(F.degree + 1))
+        cols.append([Fraction(int(v.p), int(v.q)) for v in coeffs])
+    return [list(row) for row in zip(*cols)]
+
+
+def test_line_rows_of_identity_on_coordinate_line():
     F = reduce_map([X0, X1, X2])
-    t = restrict_to_line(F, PLine2.of(0, 0, 1))
-    u0, u1 = variables(2)
-    assert t.components == (u0, u1, HPoly.zero(2, 1))
+    assert line_rows(F, PLine2.of(0, 0, 1)) == [[1, 0, 0], [0, 1, 0]]
 
 
-def test_restrict_segre_to_x0_line_raw():
+def test_line_rows_of_segre_on_x0_line_raw():
     F = reduce_map([X0 * X0, X0 * X1, X0 * X2, X1 * X2])
-    t = restrict_to_line(F, PLine2.of(1, 0, 0))
-    u0, u1 = variables(2)
-    zero2 = HPoly.zero(2, 2)
-    assert t.components == (zero2, zero2, zero2, u0 * u1)
+    assert line_rows(F, PLine2.of(1, 0, 0)) == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
-def test_restrict_generic_line_keeps_degree():
+def test_line_rows_on_generic_line_keep_degree():
     F = reduce_map([X0 * X0, X0 * X1, X0 * X2, X1 * X2])
-    t = restrict_to_line(F, PLine2.of(1, 2, 3))
-    assert t.degree == 2 and not t.is_zero
+    rows = line_rows(F, PLine2.of(1, 2, 3))
+    assert len(rows) == F.degree + 1 and any(map(any, rows))
 
 
-def test_restriction_commutes_with_evaluation():
-    # evaluating the restriction at a parameter equals evaluating the map at
-    # the parameterized point, projectively, for 20 seeded (F, L, t) draws
+def test_line_rows_match_sympy_expansion():
+    rng = stable_rng(11, "line_rows_sympy")
+    for _ in range(20):
+        F = random_map(rng, rng.choice([1, 2, 3]), 3)
+        cov = tuple(rng.randint(-6, 6) for _ in range(3))
+        if cov == (0, 0, 0):
+            continue
+        line = PLine2.of(cov)
+        assert line_rows(F, line) == sympy_line_rows(F, line)
+
+
+def test_line_rows_commute_with_evaluation():
+    # sum_r t^r A_r equals F at the parameterized point, projectively, for
+    # 20 seeded (F, L, t) draws
     rng = stable_rng(11, "restrict_eval")
     for _ in range(20):
         F = random_map(rng, rng.choice([1, 2]), 3)
@@ -160,14 +183,14 @@ def test_restriction_commutes_with_evaluation():
         if cov == (0, 0, 0):
             continue
         line = PLine2.of(cov)
-        tup = restrict_to_line(F, line)
+        rows = line_rows(F, line)
         p0, p1 = line_base_points(line)
         t = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
         point = [a + t * b for a, b in zip(p0, p1)]
         direct = F.evaluate(point)
-        via = tup.evaluate(Fraction(1), t)
-        if direct is None or via is None:
-            assert direct is None and via is None
+        via = [sum(t**r * row[i] for r, row in enumerate(rows)) for i in range(len(F.components))]
+        if direct is None or not any(via):
+            assert direct is None and not any(via)
             continue
         n1 = len(direct)
         for i in range(n1):
@@ -175,11 +198,10 @@ def test_restriction_commutes_with_evaluation():
                 assert direct[i] * via[j] == direct[j] * via[i]
 
 
-def test_line_inside_indeterminacy_gives_zero_tuple():
+def test_line_inside_indeterminacy_gives_zero_rows():
     # all components vanish on {x0 = 0}
     F = RatMap([X0 * X0, X0 * X1, X0 * X2])
-    t = restrict_to_line(F, PLine2.of(1, 0, 0))
-    assert t.is_zero
+    assert not any(map(any, line_rows(F, PLine2.of(1, 0, 0))))
 
 
 # -- reduce_map ---------------------------------------------------------------
@@ -221,26 +243,26 @@ def test_reduce_all_zero_rejected():
         reduce_map([HPoly.zero(3, 2), HPoly.zero(3, 2)])
 
 
-# -- span_dim -----------------------------------------------------------------
+# -- span of a line's image: the rank of its rows ------------------------------
 
 
 def test_span_veronese():
-    u0, u1 = variables(2)
-    t = UniTuple([u0 * u0, u0 * u1, u1 * u1])
-    assert span_dim(t) == 3
+    F = RatMap([X0 * X0, X0 * X1, X1 * X1])
+    assert rank(line_rows(F, PLine2.of(0, 0, 1))) == 3
 
 
-def test_span_constant_tuple():
-    u0, u1 = variables(2)
-    t = UniTuple([HPoly(2, 0, {(0, 0): Fraction(3)}), HPoly(2, 0, {(0, 0): Fraction(-1)})])
-    assert span_dim(t) == 1
+def test_span_constant_map():
+    one = (0, 0, 0)
+    F = RatMap([HPoly(3, 0, {one: Fraction(3)}), HPoly(3, 0, {one: Fraction(-1)})])
+    assert line_rows(F, PLine2.of(1, 2, 3)) == [[3, -1]]
+    assert rank(line_rows(F, PLine2.of(1, 2, 3))) == 1
 
 
 def test_span_dependent_component_matches_rank_oracle():
-    u0, u1 = variables(2)
-    t = UniTuple([u0 * u0, u0 * u1, u1 * u1, u0 * u0 + u1 * u1])
-    assert span_dim(t) == 3
-    assert gauss_rank(t.coefficient_vectors()) == 3
+    F = RatMap([X0 * X0, X0 * X1, X1 * X1, X0 * X0 + X1 * X1])
+    rows = line_rows(F, PLine2.of(0, 0, 1))
+    assert rank(rows) == 3
+    assert gauss_rank(rows) == 3
 
 
 def test_span_bound_for_restrictions():
@@ -251,8 +273,8 @@ def test_span_bound_for_restrictions():
         cov = tuple(rng.randint(-5, 5) for _ in range(3))
         if cov == (0, 0, 0):
             continue
-        t = restrict_to_line(F, PLine2.of(cov))
-        assert span_dim(t) <= F.degree + 1
+        rows = line_rows(F, PLine2.of(cov))
+        assert rank(rows) == gauss_rank(rows) <= F.degree + 1
 
 
 # -- implicitize ---------------------------------------------------------------
