@@ -271,7 +271,7 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
         return InConic(PPoint(verdict.hyperplane.covector))
 
     # the degree tests below read the map's degree, not its components'
-    f = reduce_map(f.components)
+    f = reduce_map(f)
     # a collineation input degenerates every other case; report the
     # degree-1 map under the rational-case variant
     if f.degree == 1:

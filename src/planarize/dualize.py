@@ -126,7 +126,7 @@ def _spans_modulo_prime(F: RatMap, line: PLine2) -> bool:
     pivots with a last pivot p does not divide."""
     p = projcore._PRIMES[0]
     p0, p1 = line_base_points(line)
-    comps = [[(c % p, e) for e, c in comp.items()] for comp in _int_components(F)]
+    comps = [[(c % p, e) for e, c in comp.items()] for comp in _int_components(F.components)]
     rows = []
     for t in range(F.codim + 1):
         x0, x1, x2 = ((a + t * b) % p for a, b in zip(p0, p1))
@@ -189,7 +189,7 @@ def _row_reader(F: RatMap) -> Callable[..., list[list[int]]]:
     n, d = F.codim, F.degree
     signed = [_binomial_row(-1, 1, k) for k in range(d + 1)]
     terms: list[list] = [[] for _ in range(d + 1)]  # per row: (component, coefficient, power of a, power of b)
-    for i, comp in enumerate(_int_components(F)):
+    for i, comp in enumerate(_int_components(F.components)):
         for e, c in comp.items():
             c = -c if e[0] % 2 else c
             for m, beta in enumerate(signed[e[2]]):
@@ -244,7 +244,7 @@ def _wedge_forms(rows: Callable, chosen: Sequence[int], D: int) -> list[HPoly]:
     H = []
     for i in range(len(chosen) + 1):
         coeffs = _newton_triangle([[w[i] for w in row] for row in grid], D)
-        H.append(HPoly(3, D, {(k, l, D - k - l): c for (k, l), c in coeffs.items()}))
+        H.append(HPoly._trusted(3, D, {(k, l, D - k - l): c for (k, l), c in coeffs.items()}))
     return H
 
 
@@ -345,5 +345,5 @@ def _classify(F: RatMap, seed: int) -> PlanarizationClass:
         return CoTrivial(PPoint(dep2))
     # the degree of the map, not of its components: [x0^2 : x0x1 : x0x2] is
     # the identity
-    return Rational(reduce_map(F.components).degree)
+    return Rational(reduce_map(F).degree)
 

@@ -460,7 +460,7 @@ def nondegenerate_at(source: MapSource, a: tuple) -> bool:
 
 def _nondegenerate_exact(F: RatMap, a: tuple) -> bool:
     n = F.codim
-    comps = _int_components(F)
+    comps = _int_components(F.components)
     (U, V), L = projcore._cleared(a)
     for lam in range(n * (n - 1) // 2 + 1):
         rows = _line_rows(comps, (L, U, V), (0, 1, lam), F.degree)[:n]

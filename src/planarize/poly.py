@@ -7,7 +7,9 @@ relations that dominate the work never pay for Fraction arithmetic.  Every
 quotient of two coefficients goes through `coef_div`, because int / int
 would give a float.  On top of it sit:
 
-* HPoly / RatMap, the map types used everywhere else;
+* HPoly / RatMap, the map types used everywhere else; the constructor
+  checks every term, and the package's own nonzero int terms of the right
+  shape skip the checks (`HPoly._trusted`);
 * one integer evaluation kernel (`_forms_eval_int`) for int-coefficient
   forms at a node given as integer coordinates over a common denominator:
   a plan built once lists the union of the forms' exponents and one
@@ -15,11 +17,12 @@ would give a float.  On top of it sit:
   one dot product per form.  It is behind `p_eval` (a one-form plan), the
   fits and `implicitize` (the denominators of nodes and coefficients are
   cleared in projcore);
-* common-factor removal without a multivariate gcd (`reduce_map`): the
+* common-factor removal without a multivariate gcd (`reduce_map`, which
+  takes components or a RatMap, and passes a map it returned through): the
   univariate gcd of the components restricted to one fixed line bounds the
   degree of a common factor and, when it is constant, proves the map
   reduced; otherwise the reduced map is the lowest-degree solution G of
-  F_c G_i = F_i G_c, one exact nullspace per degree;
+  F_c G_i = F_i G_c, one exact nullspace of integer rows per degree;
 * a map on a line as its coefficient rows (`_line_rows`): the vectors A_r
   of F(s p + t q) = sum_r s^(d-r) t^r A_r, read off the binomial theorem
   with no product of polynomials; their rank is the span of the line's
@@ -124,12 +127,12 @@ def p_mul(a: PolyDict, b: PolyDict) -> PolyDict:
     return out
 
 
-def _int_components(F: "RatMap") -> list[PolyDict]:
-    """The components of F as int-coefficient term dicts, all scaled by one
-    common positive multiplier, so the map is unchanged."""
-    X, _ = projcore._cleared([c for comp in F.components for c in comp.terms.values()])
+def _int_components(components: Sequence["HPoly"]) -> list[PolyDict]:
+    """The components of a map as int-coefficient term dicts, all scaled by
+    one common positive multiplier, so the map is unchanged."""
+    X, _ = projcore._cleared([c for comp in components for c in comp.terms.values()])
     it = iter(X)
-    return [dict(zip(comp.terms, it)) for comp in F.components]
+    return [dict(zip(comp.terms, it)) for comp in components]
 
 
 def _powers(x: int, D: int) -> list[int]:
@@ -220,7 +223,7 @@ class HPoly:
                 c = coef(c)
             if c == 0:
                 continue
-            e = tuple(map(int, e))
+            e = _exponent(e)
             if len(e) != nvars or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent {e} for {nvars} variables")
             if sum(e) != degree:
@@ -236,12 +239,23 @@ class HPoly:
     # -- constructors
 
     @classmethod
+    def _trusted(cls, nvars: int, degree: int, terms: PolyDict) -> "HPoly":
+        """An HPoly built with no check, for terms the package made itself:
+        nonzero int coefficients keyed by int exponent tuples of length
+        nvars that sum to degree.  The dict is kept, not copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def zero(cls, nvars: int, degree: int) -> "HPoly":
         return cls(nvars, degree, {})
 
     @classmethod
     def monomial(cls, exp: Sequence[int], coef=1) -> "HPoly":
-        exp = tuple(int(k) for k in exp)
+        exp = _exponent(exp)
         return cls(len(exp), sum(exp), {exp: coef})
 
     # -- basic queries
@@ -346,7 +360,7 @@ class HPoly:
         return HPoly(nvars_out, self.degree * inner_deg, acc)
 
     def canonical(self) -> "HPoly":
-        return HPoly(self.nvars, self.degree, p_canonical(self.terms))
+        return HPoly._trusted(self.nvars, self.degree, p_canonical(self.terms))
 
     # -- serialization (scalars as "p/q" strings, terms sorted lexicographically)
 
@@ -375,6 +389,15 @@ class HPoly:
         except TypeError:
             raise ValueError("a polynomial is a JSON object with integer nvars and degree and a "
                              "list of terms, each an exponent list with a coefficient") from None
+
+
+def _exponent(e) -> tuple[int, ...]:
+    """An exponent as a tuple of ints; an entry that is not integral is a
+    ValueError that names the exponent (int() would truncate it)."""
+    out = tuple(map(int, e))
+    if any(map(operator.ne, out, e)):
+        raise ValueError(f"exponent {tuple(e)} is not integral")
+    return out
 
 
 def _json_int(value, what: str) -> int:
@@ -409,9 +432,11 @@ class RatMap:
     Build through reduce_map, which removes the full common polynomial
     factor; the constructor only checks shape.  Indeterminacy points (all
     components vanish) are allowed and surface as None on evaluation.
+    A map that reduce_map returned says so in its private `_reduced` slot,
+    which nothing else sets, and reduce_map passes it through.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_reduced")
 
     def __init__(self, components: Sequence[HPoly]):
         components = tuple(components)
@@ -424,6 +449,7 @@ class RatMap:
         if all(c.is_zero for c in components):
             raise AllZero("all components are zero")
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_reduced", False)
 
     def __setattr__(self, *a):
         raise AttributeError("RatMap is immutable")
@@ -492,13 +518,18 @@ def _canonical_scale(components: Sequence[HPoly]) -> tuple[HPoly, ...]:
         {(-i, e): c for i, comp in enumerate(components) for e, c in comp.terms.items()}
     )
     return tuple(
-        HPoly(comp.nvars, comp.degree, {e: scaled[(-i, e)] for e in comp.terms})
+        HPoly._trusted(comp.nvars, comp.degree, {e: scaled[(-i, e)] for e in comp.terms})
         for i, comp in enumerate(components)
     )
 
 
-def reduce_map(components: Sequence[HPoly]) -> RatMap:
+def reduce_map(components: Sequence[HPoly] | RatMap) -> RatMap:
     """Divide out the full common polynomial factor and rescale canonically.
+
+    Takes the components, or a RatMap: a map that reduce_map returned is
+    returned as it is, and any other map has its components reduced.  The
+    nonzero components must share nvars and degree, and a zero component
+    must share nvars; it is taken at the common degree.
 
     No multivariate gcd is taken.  `_common_degree_bound` bounds the degree
     of a common factor from one line; a bound of 0 proves the map reduced.
@@ -509,6 +540,10 @@ def reduce_map(components: Sequence[HPoly]) -> RatMap:
     solution below deg F leaves F as it is.  A lone component has no
     equations and reduces to the constant map.
     """
+    if isinstance(components, RatMap):
+        if components._reduced:
+            return components
+        components = components.components
     components = list(components)
     if not components:
         raise AllZero("no components")
@@ -516,15 +551,20 @@ def reduce_map(components: Sequence[HPoly]) -> RatMap:
     if not nonzero:
         raise AllZero("all components are zero")
     nvars, d = nonzero[0].nvars, nonzero[0].degree
+    if any(c.nvars != nvars for c in components) or any(c.degree != d for c in nonzero):
+        raise ValueError("components must share nvars and degree")
     if len(components) == 1:
-        components = [HPoly(nvars, 0, {(0,) * nvars: 1})]
+        components = [HPoly._trusted(nvars, 0, {(0,) * nvars: 1})]
     else:
+        components = [c if c.terms else HPoly._trusted(nvars, d, {}) for c in components]
         for k in range(d - _common_degree_bound(nonzero), d):
             G = _parallel_forms(components, k)
             if G is not None:
                 components = G
                 break
-    return RatMap(_canonical_scale(components))
+    out = RatMap(_canonical_scale(components))
+    object.__setattr__(out, "_reduced", True)
+    return out
 
 
 def _common_degree_bound(forms: Sequence[HPoly]) -> int:
@@ -554,27 +594,34 @@ def _parallel_forms(components: Sequence[HPoly], k: int) -> Optional[list[HPoly]
     """The first nullspace vector of F_c G_i - F_i G_c = 0 (i != c), c the
     nonzero component with the fewest terms, over n+1 forms G of degree k
     taken component-major, up to a positive factor, or None if there is
-    none.  Each entry is set once: a column's terms reach distinct
-    monomials."""
+    none.  The components are cleared to integers by one common multiplier
+    (`_int_components`), which leaves the equations as they are, so the
+    rows reach the kernel as integers.  Each entry is set once: a column's
+    terms reach distinct monomials."""
     nvars = components[0].nvars
-    c = min((i for i, f in enumerate(components) if not f.is_zero), key=lambda i: len(components[i].terms))
+    forms = _int_components(components)
+    c = min((i for i, f in enumerate(forms) if f), key=lambda i: len(forms[i]))
     monos = _monomials(nvars, k)
     m = len(monos)
-    ncols = len(components) * m
+    ncols = len(forms) * m
     matrix = []
-    for i, f in enumerate(components):
+    for i, f in enumerate(forms):
         if i == c:
             continue
         equations: dict = {}
         for j, mu in enumerate(monos):
-            for col, form, sign in ((i * m + j, components[c], 1), (c * m + j, f, -1)):
-                for e, a in form.terms.items():
+            for col, form, sign in ((i * m + j, forms[c], 1), (c * m + j, f, -1)):
+                for e, a in form.items():
                     equations.setdefault(tuple(map(operator.add, mu, e)), [0] * ncols)[col] = sign * a
         matrix.extend(equations.values())
-    basis = projcore._nullspace_int(projcore._integer_rows(matrix))
+    basis = projcore._nullspace_int(matrix)
     if not basis:
         return None
-    return [HPoly(nvars, k, dict(zip(monos, basis[0][b * m : (b + 1) * m]))) for b in range(len(components))]
+    v = basis[0]
+    return [
+        HPoly._trusted(nvars, k, {mu: x for mu, x in zip(monos, v[b * m : (b + 1) * m]) if x})
+        for b in range(len(forms))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +784,7 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     n1 = len(F.components)
     d = F.degree
-    plan = _forms_plan(_int_components(F))
+    plan = _forms_plan(_int_components(F.components))
     # point -> (Y, [row of degree 0, row of degree 1, ...]); the kernel leaves its rows as they are
     table: dict = {}
     # steps[k]: for each degree-k monomial e, (the column of e - u_i at degree k-1, i)
@@ -765,5 +812,5 @@ def implicitize(F: RatMap, kmax: int = 4) -> Optional[tuple[int, HPoly]]:
         basis = projcore._nullspace_int(matrix)
         if basis:
             terms = {e: c for e, c in zip(target_monos, basis[0]) if c}
-            return k, HPoly(n1, k, terms).canonical()
+            return k, HPoly._trusted(n1, k, terms).canonical()
     return None

@@ -323,12 +323,13 @@ def _nullspace_modular(mat: list[list[int]], ncols: int) -> list[list[int]] | No
     """
     import numpy as np
 
-    lim = 1 << 62
-    big = any(max(r, default=0) >= lim or min(r, default=0) <= -lim for r in mat)
-    base = None if big else np.array(mat, dtype=np.int64)
+    try:
+        base = np.array(mat, dtype=np.int64)
+    except OverflowError:  # an entry outside int64: reduce it in Python
+        base = None
     best = None
     for p in _PRIMES:
-        a = np.array([[x % p for x in row] for row in mat], dtype=np.int64) if big else base % p
+        a = np.array([[x % p for x in row] for row in mat], dtype=np.int64) if base is None else base % p
         ech, pivots = _rref_mod(a, p)
         if len(pivots) == ncols:
             return []  # full rank mod p, so full rank over Q
@@ -381,8 +382,7 @@ def _lift(crt: list[list[int]], pivots: list[int], free: list[int], m: int) -> l
 
 def _annihilates(mat: list[list[int]], X: Sequence[int]) -> bool:
     """A·X = 0 for an integer vector X."""
-    support = [(j, x) for j, x in enumerate(X) if x]
-    return not any(sum(row[j] * x for j, x in support) for row in mat)
+    return not any(sum(map(operator.mul, row, X)) for row in mat)
 
 
 def signed_minors(

@@ -269,7 +269,7 @@ def _exact_reader(M: RatMap) -> Callable:
     gives: the components are cleared once, by one common multiplier m, and
     the point u, v = X / L, cleared once, reads as Y = m L^d M(1, X / L), a
     positive multiple of the value."""
-    plan = _forms_plan(_int_components(M))
+    plan = _forms_plan(_int_components(M.components))
 
     def read(u, v) -> Optional[tuple]:
         X, L = projcore._cleared((u, v))

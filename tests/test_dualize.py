@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from planarize import dualize, projcore
+from planarize import dualize, poly, projcore
 from planarize.cli import generate_map, main
 from planarize.conicweb import circle_web
 from planarize.dualize import (
@@ -176,6 +176,20 @@ def test_classify_reads_the_degree_of_the_reduced_map():
     assert classify(RatMap([X0 * X0, X0 * X1, X0 * X2])) == Rational(1)
     F = generate_map(1, 2, 3)
     assert classify(RatMap([X0 * c for c in F.components]), seed=1) == Rational(2)
+
+
+def test_classify_closing_reduction_skips_a_map_reduce_map_returned(monkeypatch):
+    # the closing reduction bounds the common factor of a constructor-built
+    # map and passes a map that reduce_map returned through
+    G = generate_map(1, 2, 3)
+    bounds = []
+    real = poly._common_degree_bound
+    monkeypatch.setattr(poly, "_common_degree_bound", lambda forms: bounds.append(tuple(forms)) or real(forms))
+    assert dualize._classify(G, 1) == Rational(2)
+    assert G.components not in bounds
+    bounds.clear()
+    assert dualize._classify(RatMap(G.components), 1) == Rational(2)
+    assert bounds.count(G.components) == 1
 
 
 def test_classify_soundness_matches_implicitize_at_one():

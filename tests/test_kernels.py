@@ -6,16 +6,21 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarize import dualize, poly
 from planarize.cli import generate_map
+from planarize.dualize import dual_map
+from planarize.jetplan import ExactMapSource
 from planarize.poly import (
     HPoly,
+    RatMap,
     coef_div,
     implicitize,
     p_mul,
     reduce_map,
 )
+from planarize.ratfit import fit_map
 from planarize.projcore import DimensionMismatch, signed_minors
 from planarize.seeding import stable_rng
 
@@ -142,6 +147,28 @@ def test_coefficient_convention_and_sympy(seed):
     again = HPoly.from_json(f.to_json())
     assert again == f
     assert_convention(again)
+
+
+def assert_passes_the_checks(p: HPoly):
+    """A polynomial the package built without the constructor's checks is
+    the one the checks build, and its coefficients are nonzero ints."""
+    assert p == HPoly(p.nvars, p.degree, dict(p.terms))
+    assert all(type(c) is int and c for c in p.terms.values())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([2, 1, 3]))
+def test_package_built_polynomials_pass_the_constructor_checks(seed, degree):
+    rng = stable_rng(seed, "trusted_construction")
+    F = generate_map(seed, 2, 3)  # a generic quadratic into RP^3
+    # a common factor with Fraction coefficients, for reduce_map's solve
+    h = mixed_form(rng, 1)
+    unreduced = RatMap([c * h for c in F.components])
+    maps = [reduce_map(unreduced), dual_map(F), dual_map(unreduced), fit_map(ExactMapSource(F), 2)]
+    polys = [c for m in maps for c in m.components]
+    polys += [implicitize(F, 4)[1], mixed_form(rng, degree).canonical()]
+    for p in polys:
+        assert_passes_the_checks(p)
 
 
 def test_coefficient_edges_keep_fractions():

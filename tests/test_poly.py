@@ -530,7 +530,41 @@ def test_reduce_single_component_is_the_constant_map():
     assert m.components == (HPoly.zero(3, 0), HPoly(3, 0, {(0, 0, 0): 1}), HPoly.zero(3, 0))
 
 
+@pytest.mark.parametrize("components", [
+    [X0, X1 * X1],
+    [X0, variables(4)[1]],
+    [HPoly.zero(4, 1), X0, X1],
+])
+def test_reduce_checks_the_shapes_before_any_work(components):
+    with pytest.raises(ValueError, match="components must share nvars and degree"):
+        reduce_map(components)
+
+
+def test_reduce_takes_a_zero_component_at_the_common_degree():
+    # a zero component needs only the same nvars
+    assert reduce_map([HPoly.zero(3, 2), X0]).components == (HPoly.zero(3, 0), HPoly(3, 0, {(0, 0, 0): 1}))
+    m = reduce_map([HPoly.zero(3, 1), X0 * X0, X1 * X1])
+    assert m.components == (HPoly.zero(3, 2), X0 * X0, X1 * X1)
+
+
+def test_a_map_reduce_map_returned_passes_through():
+    G = reduce_map([X0 * X0, X0 * X1, X0 * X2])
+    assert reduce_map(G) is G
+    # the constructor and from_json never mark a map reduced
+    for F in (RatMap([X0 * X0, X0 * X1, X0 * X2]), RatMap.from_json(G.to_json())):
+        assert reduce_map(F) is not F
+        assert reduce_map(F) == G
+
+
 # -- serialization ----------------------------------------------------------------
+
+
+def test_hpoly_rejects_a_non_integral_exponent():
+    with pytest.raises(ValueError, match=r"exponent \(1\.5, 1\.5, 0\) is not integral"):
+        HPoly(3, 2, {(1.5, 1.5, 0): 1})
+    with pytest.raises(ValueError, match=r"exponent \(0\.5, 1\.5, 0\) is not integral"):
+        HPoly.monomial((0.5, 1.5, 0))
+    assert HPoly(3, 2, {(1.0, 1, 0): 1}) == X0 * X1  # an integral float is still an exponent
 
 
 def test_hpoly_json_round_trip():

@@ -496,7 +496,7 @@ def test_planted_examples_take_the_modular_route_with_several_primes():
     # the explicit examples above reach what they are there for
     for rows, big in ((SEVERAL_PRIMES, False), (ABOVE_INT64, True)):
         assert len(rows) * len(rows[0]) >= projcore._MODULAR_MIN_CELLS
-        assert (max(abs(x) for row in rows for x in row) >= 2**62) == big
+        assert (max(abs(x) for row in rows for x in row) >= 2**63) == big
         primes = []
         real = projcore._rref_mod
         with pytest.MonkeyPatch.context() as mp:
@@ -504,6 +504,23 @@ def test_planted_examples_take_the_modular_route_with_several_primes():
             mp.setattr(projcore, "_bareiss_echelon", None)  # no fallback
             projcore._nullspace_int(rows)
         assert len(primes) > (1 if big else 3)
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
+def test_integer_kernel_at_the_edges_of_int64(value):
+    # [I | C] with columns shuffled, 10 x 20 cells, C holding the value: the
+    # first two fit numpy's int64, the last two are reduced in Python
+    rng = stable_rng(5, "int64_edges")
+    C = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
+    C[0][0] = C[3][5] = value
+    order = rng.sample(range(20), 20)
+    rows = [[([int(i == j) for j in range(10)] + C[i])[c] for c in order] for i in range(10)]
+    want = _bareiss_only(rows)
+    for got in (projcore._nullspace_modular(rows, 20), projcore._nullspace_int(rows)):
+        assert got is not None and len(got) == len(want) == 10
+        for X, v in zip(got, want):
+            free = max(j for j, y in enumerate(v) if y)
+            assert X[free] > 0 and list(X) == [X[free] * y for y in v]
 
 
 def _rref_mod_reference(rows, p):
