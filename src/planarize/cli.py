@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import conicweb, dualize, jetplan, projcore, ratfit
+from . import conicweb, dualize, jetplan, ratfit
 from .conicweb import (
     ConicSystem,
     InCircle,
@@ -207,24 +207,27 @@ def _fit_residuals(source: jetplan.GridMapSource, model: RatMap) -> dict:
     """Worst scaled cross-product residual |Y_i M_j - Y_j M_i| / (max|Y| max|M|)
     between the exact grid samples Y and the model values M, computed exactly
     (0 when the fit is exact).  It does not change when Y or M is scaled, so
-    both are integers: Y the node's value with its denominators cleared, M
-    the model's integer components at the node X / L taken as (L, X)."""
+    both are integers, read by index from the grid's node table: Y the
+    node's value with its denominators cleared, M the model's integer
+    components at the node X / L taken as (L, X).  The worst ratio is kept
+    as an integer pair and compared by cross-multiplication."""
     plan = _forms_plan([c.terms for c in model.components])
-    worst = Fraction(0)
+    worst, scale = 0, 1
     checked = 0
-    for iv, v in enumerate(source.v_axis):
-        for iu, u in enumerate(source.u_axis):
-            Y, _ = projcore._cleared((1, *source.node_value(iu, iv)))
-            X, L = projcore._cleared((u, v))
-            M = _forms_eval_int(plan, (L, *X), 1, model.degree)
+    for row in source._node_table():
+        for P, Y, c in row:
+            M = _forms_eval_int(plan, P, 1, model.degree)
             if not any(M):
                 continue
             cross = max(
                 abs(Y[i] * M[j] - Y[j] * M[i]) for i in range(len(Y)) for j in range(i + 1, len(Y))
             )
-            worst = max(worst, Fraction(cross, max(map(abs, Y)) * max(map(abs, M))))
+            # max|Y| is |Y_c|, the chart's entry
+            den = abs(Y[c]) * max(map(abs, M))
+            if cross * scale > worst * den:
+                worst, scale = cross, den
             checked += 1
-    return {"max_cross_residual": float(worst), "nodes_checked": checked}
+    return {"max_cross_residual": float(Fraction(worst, scale)), "nodes_checked": checked}
 
 
 def _cmd_web_classify(args) -> int:

@@ -401,6 +401,11 @@ def khovanskii_classify(f_src, seed: int = 0):
     and a sphere map f of degree <= 5, H.(1, f) is a rational function
     whose numerator has degree <= 5, and a polynomial of degree <= 5 that
     vanishes on a 6 x 6 tensor grid is zero, so the test is a proof.
+
+    In exact mode each value (1, x, y, z) is cleared to integers Y, an
+    exact grid's in its node table, and the sphere test is
+    Y1^2 + Y2^2 + Y3^2 = Y0^2; the plane test takes those integer rows.  A
+    float grid reads its `values` directly.
     """
     if f_src.codim != 3:
         raise ValueError("expected a map into 3-space")
@@ -408,7 +413,10 @@ def khovanskii_classify(f_src, seed: int = 0):
     # the sphere in RP^3: a grid already evaluates to (1, x, y, z)
     if isinstance(f_src, GridMapSource):
         emb = f_src
-        us, vs = f_src.u_axis, f_src.v_axis
+        if exact:
+            nodes = [node for row in f_src._node_table() for node in row]
+        else:
+            samples = [val for row in f_src.values for val in row]
     else:
         one = Fraction(1) if exact else 1.0
 
@@ -421,18 +429,30 @@ def khovanskii_classify(f_src, seed: int = 0):
         emb = CallableSource(embedded, codim=3, mode=f_src.mode)
         # the degree-2 fit checks its model on these nodes (side k+d+2 = 6)
         us = vs = [Fraction(i) if exact else float(i) for i in range(6)]
-    samples = [val[1:] for val in (emb.evaluate(u, v) for v in vs for u in us) if val is not None]
-    if len(samples) < 8:
-        raise TooFewSamples("not enough sphere samples")
-    for x, y, z in samples:
-        norm = x * x + y * y + z * z
         if exact:
-            if norm != 1:
-                raise NotOnSphere(f"sample at distance^2 {norm} from 1")
-        elif not abs(float(norm) - 1.0) <= SPHERE_RTOL:  # NaN fails too
-            raise NotOnSphere(f"sample off the sphere by {abs(float(norm)-1.0):.2e}")
+            nodes = [ratfit._node(embedded, u, v) for v in vs for u in us]
+        else:
+            samples = [val[1:] for val in (embedded(u, v) for v in vs for u in us) if val is not None]
+    if exact:
+        # each value (1, x, y, z) cleared to integers Y: on the sphere
+        # exactly when Y1^2 + Y2^2 + Y3^2 = Y0^2
+        rows = [Y for _, Y, _ in filter(None, nodes)]
+        if len(rows) < 8:
+            raise TooFewSamples("not enough sphere samples")
+        for y0, y1, y2, y3 in rows:
+            norm = y1 * y1 + y2 * y2 + y3 * y3
+            if norm != y0 * y0:
+                raise NotOnSphere(f"sample at distance^2 {Fraction(norm, y0 * y0)} from 1")
+    else:
+        if len(samples) < 8:
+            raise TooFewSamples("not enough sphere samples")
+        for x, y, z in samples:
+            norm = x * x + y * y + z * z
+            if not abs(float(norm) - 1.0) <= SPHERE_RTOL:  # NaN fails too
+                raise NotOnSphere(f"sample off the sphere by {abs(float(norm)-1.0):.2e}")
+        rows = [[1, x, y, z] for x, y, z in samples]
 
-    plane = projcore.null_direction([[1, x, y, z] for x, y, z in samples], exact)
+    plane = projcore.null_direction(rows, exact)
     if plane is not None:
         return InCircle(Hyperplane(plane))
 

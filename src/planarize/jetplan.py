@@ -101,10 +101,13 @@ class GridMapSource:
     """Rectangular sample grid of an affine map (u, v) -> R^n.
 
     Values are stored per node; homogeneous coordinates prepend a 1, so the
-    chart index is always 0.  Axes must be strictly monotone.  An exact
-    grid looks a node up by hash, in one {node: index} table per axis built
-    here, so any number equal to a node (a Fraction, an int or a float)
-    finds it; a float grid scans its axes for a node within NODE_ATOL.
+    chart index is always 0.  Axes must be strictly monotone.  Lookups by
+    value (`evaluate`, `node_index`) serve jets and external callers: an
+    exact grid looks a node up by hash, in one {node: index} table per axis
+    built here, so any number equal to a node (a Fraction, an int or a
+    float) finds it; a float grid scans its axes for a node within
+    NODE_ATOL.  A pass over the grid's own nodes reads them by index from
+    one integer node table (`_node_table`), built on first use.
     """
 
     def __init__(self, u_axis: Sequence, v_axis: Sequence, values, mode: str = "float"):
@@ -118,6 +121,7 @@ class GridMapSource:
         self.values = values  # values[iv][iu] = tuple of n numbers
         self.mode = mode
         self.codim = len(values[0][0])
+        self._table = None
 
     @property
     def pitch(self) -> tuple:
@@ -158,18 +162,49 @@ class GridMapSource:
         one = Fraction(1) if self.mode == "exact" else 1.0
         return (one, *val)
 
+    def _node_table(self) -> list:
+        """table[iv][iu] = (P, Y, c) for every node: P = (L, *X) the point
+        (1, u, v) in integers, Y the value (1, *val) cleared to integers and
+        c its chart (`_charted`), as `ratfit._node` reads the node through
+        `evaluate`.  Each axis is cleared once; built on first use."""
+        if self._table is None:
+            us = [(a.numerator, a.denominator) for a in map(Fraction, self.u_axis)]
+            vs = [(a.numerator, a.denominator) for a in map(Fraction, self.v_axis)]
+            table = []
+            for (nv, dv), row in zip(vs, self.values):
+                line = []
+                for (nu, du), val in zip(us, row):
+                    L = math.lcm(du, dv)
+                    line.append(_charted((L, nu * (L // du), nv * (L // dv)), projcore._cleared((1, *val))[0]))
+                table.append(line)
+            self._table = table
+        return self._table
+
+
+def _charted(P: tuple, Y: list) -> Optional[tuple]:
+    """(P, Y, c) with c the first index of largest |Y_c|, or None if Y is
+    all zeros.  Y may be any positive multiple of the value at P."""
+    if not any(Y):
+        return None
+    return P, Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
+
 
 MapSource = Union[ExactMapSource, GridMapSource, CallableSource]
 
 
 def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
-    """Parse the grid CSV format: header u,v,F1..Fn, rows v-major then u."""
+    """Parse the grid CSV format: header u,v,F1..Fn, rows v-major then u.
+
+    A leading UTF-8 byte order mark is dropped.  Each distinct axis string
+    is converted once, and a row is keyed by the node's place on each axis
+    in order of first appearance, so two spellings of one node ("1/2" and
+    "0.5") are one node."""
     if "\n" not in text_or_path:
         with open(text_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = text_or_path
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
     header = rows[0] if rows else []
     if header[:2] != ["u", "v"]:
         raise ValueError("grid CSV must start with columns u,v")
@@ -177,31 +212,46 @@ def read_csv_grid(text_or_path: str, mode: str = "float") -> GridMapSource:
     if n < 1:
         raise ValueError("grid CSV has no value columns after u,v")
     conv = projcore.scalar_from_str if mode == "exact" else float
-    u_set: set = set()
-    v_set: set = set()
+    # per axis: the distinct values in order of first appearance, the place
+    # of each value and of each string already seen
+    axes = ([], {}, {}), ([], {}, {})
+
+    def place(axis, s):
+        seen, by_value, by_str = axis
+        i = by_str.get(s)
+        if i is None:
+            x = conv(s)
+            i = by_value.get(x)
+            if i is None:
+                i = by_value[x] = len(seen)
+                seen.append(x)
+            if x == x:  # a NaN is a new node at every read
+                by_str[s] = i
+        return i
+
     data: dict = {}
     for number, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) < 2:
             raise ValueError(f"grid CSV row {number} has fewer than two cells")
-        u, v = conv(row[0]), conv(row[1])
-        if (u, v) in data:
-            raise ValueError(f"grid CSV has two rows for the node u={u}, v={v}")
-        u_set.add(u)
-        v_set.add(v)
-        data[(u, v)] = tuple(conv(x) for x in row[2:])
+        key = place(axes[0], row[0]), place(axes[1], row[1])
+        if key in data:
+            raise ValueError(f"grid CSV has two rows for the node u={conv(row[0])}, v={conv(row[1])}")
+        data[key] = tuple(conv(x) for x in row[2:])
     if not data:
         raise ValueError("grid CSV has no data rows")
-    u_axis = sorted(u_set)
-    v_axis = sorted(v_set)
-    missing = next(((u, v) for v in v_axis for u in u_axis if (u, v) not in data), None)
+    # the axes in increasing order, with the place of each node there
+    (u_seen, _, _), (v_seen, _, _) = axes
+    u_order = sorted(range(len(u_seen)), key=u_seen.__getitem__)
+    v_order = sorted(range(len(v_seen)), key=v_seen.__getitem__)
+    missing = next(((iu, iv) for iv in v_order for iu in u_order if (iu, iv) not in data), None)
     if missing is not None:
-        raise ValueError(f"grid CSV has no row for the node u={missing[0]}, v={missing[1]}")
-    values = [[data[(u, v)] for u in u_axis] for v in v_axis]
+        raise ValueError(f"grid CSV has no row for the node u={u_seen[missing[0]]}, v={v_seen[missing[1]]}")
+    values = [[data[(iu, iv)] for iu in u_order] for iv in v_order]
     if any(len(val) != n for line in values for val in line):
         raise ValueError("ragged grid CSV")
-    return GridMapSource(u_axis, v_axis, values, mode=mode)
+    return GridMapSource([u_seen[i] for i in u_order], [v_seen[i] for i in v_order], values, mode=mode)
 
 
 def write_csv_grid(source: GridMapSource) -> str:
@@ -210,10 +260,9 @@ def write_csv_grid(source: GridMapSource) -> str:
     w = csv.writer(out)
     w.writerow(["u", "v"] + [f"F{i+1}" for i in range(n)])
     fmt = projcore.scalar_to_str if source.mode == "exact" else repr
-    for v in source.v_axis:
-        for u in source.u_axis:
-            iu, iv = source.node_index(u, v)
-            w.writerow([fmt(u), fmt(v)] + [fmt(x) for x in source.node_value(iu, iv)])
+    for v, row in zip(source.v_axis, source.values):
+        for u, val in zip(source.u_axis, row):
+            w.writerow([fmt(u), fmt(v)] + [fmt(x) for x in val])
     return out.getvalue()
 
 

@@ -236,6 +236,10 @@ class HPoly:
     def __setattr__(self, *a):
         raise AttributeError("HPoly is immutable")
 
+    def __reduce__(self):
+        # copies and pickles go through the constructor, not __setattr__
+        return HPoly, (self.nvars, self.degree, dict(self.terms))
+
     # -- constructors
 
     @classmethod
@@ -453,6 +457,10 @@ class RatMap:
 
     def __setattr__(self, *a):
         raise AttributeError("RatMap is immutable")
+
+    def __reduce__(self):
+        # through the constructor, so a copy is not marked reduced
+        return RatMap, (self.components,)
 
     @property
     def domain_vars(self) -> int:

@@ -21,8 +21,8 @@ value is read as a positive multiple of itself with integer entries.  An
 exact source is read in integers from the start: its components are
 cleared once by one common multiplier m, and the node reads as
 m L^d F(X / L) from one monomial table.  Other values are cleared of their
-(positive) denominators.  The model checks evaluate all components at a
-node from one plan.
+(positive) denominators, a grid's once per node in its own node table.
+The model checks evaluate all components at a node from one plan.
 
 All fitting here is exact: data either comes from a rational function of
 the stated degree or the fit is rejected (DegreeTooLow).
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import projcore, univar
-from .jetplan import CallableSource, ChartOverflow, ExactMapSource, GridMapSource
+from .jetplan import CallableSource, ChartOverflow, ExactMapSource, GridMapSource, _charted
 from .poly import (
     HPoly,
     RatMap,
@@ -180,11 +180,12 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     block has one row and one column more than the proof needs: they
     guard a black box that is not of degree <= d, whose values the
     argument does not bind.
-    A grid is looked up, not evaluated, so it keeps the check at every
-    evaluable lattice node, and so does any source whose lattice has
-    fewer than k+d+2 rows with k+d+2 evaluable nodes.  The lattice has
-    4d+3 nodes per axis, and a source that is not a grid is read on
-    demand: a row, and a node within it, only as far as a block needs.
+    A grid is not evaluated: the certificate blocks and the check walk its
+    integer node table (`GridMapSource._node_table`) by index.  A grid
+    keeps the check at every node, and so does any source whose lattice
+    has fewer than k+d+2 rows with k+d+2 evaluable nodes.  The lattice of
+    any other source has 4d+3 nodes per axis, and it is read on demand: a
+    row, and a node within it, only as far as a block needs.
 
     A nullspace of more than one dimension is made of h * G' for the forms
     h through some nodes, and it arises when G' fails at those nodes; its
@@ -196,25 +197,31 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     returned.  A source read on demand has samples the fit never read, so
     its model is validated by the same integer check at 20 held-out
     points, off-lattice rationals; a draw where the model vanishes is
-    skipped.  Every read of the source goes through one table, so
+    skipped.  Every read of such a source goes through one table, so
     each distinct (u, v) is evaluated once per call.  An ExactMapSource is
     read in integers (`_exact_reader`), never through its `evaluate`; every
     check evaluates the model's components through one plan per degree.
     """
     if d < 0:
         raise ValueError(f"degree bound must be at least 0, got {d}")
-    if isinstance(source, ExactMapSource):
-        node_at = functools.cache(_exact_reader(source.ratmap))
+    # only a grid is bound to its lattice, which it walks by index; other
+    # sources are read anywhere
+    grid = isinstance(source, GridMapSource)
+    if grid:
+        if min(len(source.u_axis), len(source.v_axis)) < 4 * d + 3:
+            raise DegreeTooLow(f"grid too small for degree {d}: need {4 * d + 3} nodes per axis")
+        table = source._node_table()
+        u_nodes, v_nodes = range(len(source.u_axis)), range(len(source.v_axis))
+
+        def node_at(iu, iv):
+            return table[iv][iu]
+
     else:
-        node_at = functools.cache(functools.partial(_node, source.evaluate))
-    # only a grid is bound to its lattice; other sources are read anywhere
-    lattice = (source.u_axis, source.v_axis) if isinstance(source, GridMapSource) else None
-    if lattice is None:
         u_nodes = v_nodes = [Fraction(k) for k in range(4 * d + 3)]
-    elif min(len(lattice[0]), len(lattice[1])) < 4 * d + 3:
-        raise DegreeTooLow(f"grid too small for degree {d}: need {4 * d + 3} nodes per axis")
-    else:
-        u_nodes, v_nodes = lattice
+        if isinstance(source, ExactMapSource):
+            node_at = functools.cache(_exact_reader(source.ratmap))
+        else:
+            node_at = functools.cache(functools.partial(_node, source.evaluate))
     block = functools.partial(_block, node_at, u_nodes, v_nodes)
     if not block(1):
         raise ChartOverflow("no evaluable sample found")
@@ -230,9 +237,9 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
         model = reduce_map(G)
         plan = _forms_plan([c.terms for c in model.components])
         side = k + d + 2
-        rows = block(side) if lattice is None else []
+        rows = table if grid else block(side)
         if len(rows) < side:
-            # a grid, or a lattice with no such block: every lattice node
+            # a lattice with no such block: every lattice node
             rows = [[node_at(u, v) for u in u_nodes] for v in v_nodes]
         nodes = [node for row in rows for node in row if node]
         if all(_parallel(_forms_eval_int(plan, node[0], 1, model.degree), node) for node in nodes):
@@ -240,7 +247,7 @@ def fit_map(source, d: int, seed: int = 0) -> RatMap:
     else:
         raise DegreeTooLow(f"no map of degree <= {d} fits the lattice samples")
 
-    if lattice is not None:
+    if grid:
         return model  # the check read every sample the grid holds
     # held-out validation at off-lattice rationals the fit never read
     rng = stable_rng(seed, "fit_map_validate")
@@ -288,14 +295,6 @@ def _node(evaluate: Callable, u, v) -> Optional[tuple]:
         return None
     X, L = projcore._cleared((u, v))
     return _charted((L, *X), projcore._cleared(y)[0])
-
-
-def _charted(P: tuple, Y: list) -> Optional[tuple]:
-    """(P, Y, c) with c the first index of largest |Y_c|, or None if Y is
-    all zeros.  Y may be any positive multiple of the value at P."""
-    if not any(Y):
-        return None
-    return P, Y, max(range(len(Y)), key=lambda i: (abs(Y[i]), -i))
 
 
 def _block(node_at: Callable, u_nodes: Sequence, v_nodes: Sequence, m: int) -> list:

@@ -1,13 +1,17 @@
 """Command-line pipeline: determinism, round trips, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarize import cli, conicweb, dualize
 from planarize.cli import MAX_GEN_DEGREE, MAX_GEN_TARGET_DIM, MAX_IMPLICITIZE_CELLS, generate_map, main
@@ -518,6 +522,177 @@ def test_gen_at_the_limits_finishes():
         assert run.returncode == 0, run.stderr
         m = RatMap.from_json(json.loads(run.stdout))
         assert (m.degree, m.codim) == (degree, target_dim)
+
+
+def _stereo_grid_text(axis, fmt):
+    """Inverse stereographic projection on axis x axis, as grid CSV text."""
+    lines = ["u,v,F1,F2,F3"]
+    for v in axis:
+        for u in axis:
+            s = u * u + v * v + 1
+            lines.append(",".join(fmt(x) for x in (u, v, 2 * u / s, 2 * v / s, (u * u + v * v - 1) / s)))
+    return "\n".join(lines) + "\n"
+
+
+def _circle_grid_text(axis, fmt):
+    """The equator at t = u + v, rationally parameterized, on axis x axis,
+    as grid CSV text."""
+    lines = ["u,v,F1,F2,F3"]
+    for v in axis:
+        for u in axis:
+            t = u + v
+            lines.append(",".join(fmt(x) for x in (u, v, (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t), 0 * t)))
+    return "\n".join(lines) + "\n"
+
+
+def _segre_grid_text(axis):
+    F = RatMap.from_json(SEGRE_JSON)
+    values = []
+    for v in axis:
+        row = []
+        for u in axis:
+            y = F.evaluate([Fraction(1), u, v])
+            row.append(tuple(c / y[0] for c in y[1:]))
+        values.append(row)
+    return write_csv_grid(GridMapSource(axis, axis, values, mode="exact"))
+
+
+@pytest.mark.parametrize("argv", [["fit", "--degree", "2"], ["khovanskii"]], ids=["fit", "khovanskii"])
+def test_grid_with_a_byte_order_mark(tmp_path, capsys, argv):
+    axis = [Fraction(k, 3) + Fraction(1, 5) for k in range(12)]
+    text = _segre_grid_text(axis) if argv[0] == "fit" else _stereo_grid_text(axis, str)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, out = run(capsys, argv[0], "--in", str(plain), *argv[1:])
+    assert code == 0
+    assert run(capsys, argv[0], "--in", str(marked), *argv[1:]) == (code, out)
+
+
+def test_fit_residuals_of_a_model_that_does_not_fit():
+    # the worst ratio, kept as an integer pair, is the largest of the
+    # per-node ratios computed here in Fractions; the model vanishes at the
+    # node (1/5, 1/5), which is not counted
+    F = RatMap.from_json(SEGRE_JSON)
+    axis = [Fraction(k, 3) + Fraction(1, 5) for k in range(5)]
+    values = [[tuple(c / y[0] for c in y[1:]) for y in (F.evaluate([1, u, v]) for u in axis)] for v in axis]
+    grid = GridMapSource(axis, axis, values, mode="exact")
+    a, b = 5 * X1 - X0, 5 * X2 - X0
+    model = RatMap([a * X0, b * X1, a * X2, b * X0 + a * X1])
+    worst, checked = Fraction(0), 0
+    for v, row in zip(axis, values):
+        for u, val in zip(axis, row):
+            M = model.evaluate([1, u, v])
+            if M is None:
+                continue
+            Y = (1, *val)
+            cross = max(abs(Y[i] * M[j] - Y[j] * M[i]) for i in range(4) for j in range(i + 1, 4))
+            worst = max(worst, cross / (max(map(abs, Y)) * max(map(abs, M))))
+            checked += 1
+    assert worst > 0 and checked == 24
+    assert cli._fit_residuals(grid, model) == {"max_cross_residual": float(worst), "nodes_checked": checked}
+
+
+def test_grid_commands_read_the_grid_by_index(tmp_path, capsys, monkeypatch):
+    # fit and khovanskii walk a grid's node table (or a float grid's values),
+    # never looking a node up by value
+    calls = []
+    for name in ("evaluate", "node_index"):
+
+        def counted(self, *args, _orig=getattr(GridMapSource, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(GridMapSource, name, counted)
+    thirds = [Fraction(k, 3) + Fraction(1, 5) for k in range(12)]
+    floats = [k / 4 for k in range(12)]
+    grids = {
+        "sphere.csv": (_stereo_grid_text(thirds, str), "exact", "Quadratic"),
+        "circle.csv": (_circle_grid_text(thirds, str), "exact", "InCircle"),
+        "float-circle.csv": (_circle_grid_text(floats, repr), "float", "InCircle"),
+        # rounded values: the fits read the float grid's node table and fail
+        "float-sphere.csv": (_stereo_grid_text(floats, repr), "float", "DegreeTooLow"),
+    }
+    path = tmp_path / "fit.csv"
+    path.write_text(_segre_grid_text(thirds))
+    code, out = run(capsys, "fit", "--in", str(path), "--degree", "2")
+    assert code == 0 and json.loads(out)["residuals"]["nodes_checked"] == 144
+    for name, (text, mode, case) in grids.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out = run(capsys, "khovanskii", "--in", str(path), "--mode", mode)
+        assert json.loads(out)["case"] == case, (name, out)
+    assert calls == []
+
+
+def _degree_one_grid_text():
+    """The map [x0 + x1 : 2 x0 - x2 : x1 + 3 x2 + x0] on the 7x7 lattice 0..6."""
+    lines = ["u,v,F1,F2"]
+    for v in range(7):
+        for u in range(7):
+            y0 = 1 + u
+            lines.append(",".join(map(str, (u, v, Fraction(2 - v, y0), Fraction(u + 3 * v + 1, y0)))))
+    return "\n".join(lines) + "\n"
+
+
+# (argv, valid grid CSV text): each exits 0 as it stands
+_FUZZ_BASES = [
+    (["fit", "--degree", "1"], _degree_one_grid_text()),
+    (["khovanskii"], _stereo_grid_text([Fraction(k, 2) for k in range(11)], str)),
+    (["khovanskii", "--mode", "float"], _circle_grid_text([k / 2 for k in range(4)], repr)),
+]
+_JUNK = ["", "abc", "nan", "inf", "-inf", "1/0", "1e999", "0x10", "1/2/3", "--1", "\ufeff0"]
+_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99), st.integers(0, 9)),
+    st.tuples(st.just("repeat"), st.integers(0, 99)),
+    st.tuples(st.just("junk"), st.integers(0, 99), st.integers(0, 9), st.sampled_from(_JUNK)),
+)
+
+
+def _mutated(text, mutations, bom, crlf):
+    rows = [line.split(",") for line in text.splitlines()]
+    for kind, i, *rest in mutations:
+        i %= len(rows)
+        if kind == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif rows[i]:
+            j = rest[0] % len(rows[i])
+            if kind == "drop":
+                del rows[i][j]
+            else:
+                rows[i][j] = rest[1]
+    eol = "\r\n" if crlf else "\n"
+    return ("\ufeff" if bom else "") + eol.join(",".join(r) for r in rows) + eol
+
+
+def test_fuzz_bases_are_valid(tmp_path, capsys):
+    for argv, text in _FUZZ_BASES:
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        assert run(capsys, argv[0], "--in", str(path), *argv[1:])[0] == 0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_FUZZ_BASES),
+    st.lists(_MUTATION, max_size=3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_mutated_grid_csv_ends_with_a_documented_exit_code(base, mutations, bom, crlf):
+    # dropped cells, repeated rows, junk cells, a byte order mark and CRLF
+    # line ends: every run ends with exit 0, 1 or 2, and a bad input with
+    # one planarize: line
+    argv, text = base
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "grid.csv"
+        path.write_bytes(_mutated(text, mutations, bom, crlf).encode())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([argv[0], "--in", str(path), "--out", str(Path(folder) / "report.json"), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("planarize: ") and err.getvalue().count("\n") == 1
 
 
 def test_khovanskii_float_grid_with_a_nan_cell_is_off_the_sphere(tmp_path, capsys):

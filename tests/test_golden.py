@@ -38,9 +38,9 @@ def _map_file(tmp_path, name, F):
     return str(path)
 
 
-def _exact_grid_file(tmp_path, F):
-    """F on the 12x12 lattice 0..11 in the affine chart x0 = 1, as exact CSV."""
-    us = [Fraction(k) for k in range(12)]
+def _exact_grid_file(tmp_path, F, us=tuple(Fraction(k) for k in range(12))):
+    """F on the grid us x us (by default the 12x12 lattice 0..11) in the
+    affine chart x0 = 1, as exact CSV."""
     values = []
     for v in us:
         row = []
@@ -53,15 +53,17 @@ def _exact_grid_file(tmp_path, F):
     return str(path)
 
 
-def _exact_sphere_file(tmp_path):
-    """Inverse stereographic projection on the 12x12 lattice 0..11, as exact CSV."""
-    us = [Fraction(k) for k in range(12)]
+def _exact_sphere_file(tmp_path, us=tuple(Fraction(k) for k in range(12)), off=None):
+    """Inverse stereographic projection on the grid us x us (by default the
+    12x12 lattice 0..11), as exact CSV; at the node `off`, a pair of
+    indices, the first coordinate is moved by 1/7, off the sphere."""
     values = []
-    for v in us:
+    for iv, v in enumerate(us):
         row = []
-        for u in us:
+        for iu, u in enumerate(us):
             s = u * u + v * v + 1
-            row.append((2 * u / s, 2 * v / s, (u * u + v * v - 1) / s))
+            shift = Fraction(1, 7) if (iu, iv) == off else 0
+            row.append((2 * u / s + shift, 2 * v / s, (u * u + v * v - 1) / s))
         values.append(row)
     path = tmp_path / "sphere.csv"
     path.write_text(write_csv_grid(GridMapSource(us, us, values, mode="exact")))
@@ -124,6 +126,10 @@ def _argv(case, tmp_path):
         return ["implicitize", "--in", _map_file(tmp_path, "q3", generate_map(3, 2, 3))]
     if case == "fit-exact-grid":
         return ["fit", "--in", _exact_grid_file(tmp_path, generate_map(5, 2, 3)), "--degree", "2"]
+    if case == "fit-exact-grid-thirds":
+        # the nodes k/3 + 1/5: every node's point and value need clearing
+        us = [Fraction(k, 3) + Fraction(1, 5) for k in range(12)]
+        return ["fit", "--in", _exact_grid_file(tmp_path, generate_map(5, 2, 3), us), "--degree", "2"]
     if case == "web-classify-circle-web":
         inv = reduce_map([X1 * X1 + X2 * X2, X0 * X1, X0 * X2])
         web = tmp_path / "web.json"
@@ -133,6 +139,13 @@ def _argv(case, tmp_path):
         return ["khovanskii", "--in", _float_circle_file(tmp_path), "--mode", "float"]
     if case == "khovanskii-exact-grid":
         return ["khovanskii", "--in", _exact_sphere_file(tmp_path)]
+    if case == "khovanskii-exact-grid-fractional":
+        # the nodes (2k - 11) / 4, negative and fractional
+        return ["khovanskii", "--in", _exact_sphere_file(tmp_path, [Fraction(2 * k - 11, 4) for k in range(12)])]
+    if case == "khovanskii-exact-grid-off-sphere":
+        # one node off the sphere: the report names its distance^2 as a fraction
+        axis = [Fraction(2 * k - 11, 4) for k in range(12)]
+        return ["khovanskii", "--in", _exact_sphere_file(tmp_path, axis, off=(5, 7))]
     raise KeyError(case)
 
 
@@ -153,9 +166,13 @@ GOLDEN = {
     "implicitize-quadratic-rp3": "308f5d7d939c1ff2247dc5fb648c383906988978ac8b6249ce321aa201a7f79e",
     "implicitize-origin-web": "0b81242189c6eb682853fde7cb5496bfdce9999d257f2ce9fba217acaeee0e48",
     "fit-exact-grid": "572e8d74fa5835b2cc87e35d9d665842ea29e50d6347ee22e1086f9ac08f5736",
+    # the same map on other nodes: the same report
+    "fit-exact-grid-thirds": "572e8d74fa5835b2cc87e35d9d665842ea29e50d6347ee22e1086f9ac08f5736",
     "web-classify-circle-web": "0dcb0d3a2648c732fda0c304703ec103fb4d91d25ceb7d434038de112c13571c",
     "khovanskii-float": "89356a581c86ef16977ffc5449cfd1d54ccf8c4d343547b4f406adfb6cfaa7b6",
     "khovanskii-exact-grid": "132f6c37f13571ab7a021b3f3e2ba82088634f098bc18aa84355a1b597821465",
+    "khovanskii-exact-grid-fractional": "132f6c37f13571ab7a021b3f3e2ba82088634f098bc18aa84355a1b597821465",
+    "khovanskii-exact-grid-off-sphere": "3685dbb36540293d86950f434c363c86e08223cca08410371f82fa4222a34e35",
 }
 
 

@@ -10,7 +10,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
-from planarize import jetplan
+from planarize import jetplan, ratfit
 from planarize.cli import generate_map
 from planarize.jetplan import (
     ChartOverflow,
@@ -530,6 +530,100 @@ def test_csv_repeated_node_is_rejected(mode):
         read_csv_grid("u,v,F1\n" + rows, mode=mode)
     with pytest.raises(ValueError, match="two rows for the node u=1(\\.0)?, v=0(\\.0)?$"):
         read_csv_grid("u,v,F1\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n1,0,5\n", mode=mode)
+
+
+# every error of the parser, word for word
+CSV_ERRORS = [
+    ("exact", "\n", "grid CSV must start with columns u,v"),
+    ("exact", "x,v,F1\n0,0,1\n", "grid CSV must start with columns u,v"),
+    ("exact", "u,v\n0,0\n", "grid CSV has no value columns after u,v"),
+    ("exact", "u,v,F1\n0,0,1\n5\n", "grid CSV row 3 has fewer than two cells"),
+    ("exact", "u,v,F1\n1/2,0,1\n0.5,0,2\n", "grid CSV has two rows for the node u=1/2, v=0"),
+    ("float", "u,v,F1\n0.5,0,1\n5e-1,0.0,2\n", "grid CSV has two rows for the node u=0.5, v=0.0"),
+    # the repeated row names its own spelling of the node
+    ("float", "u,v,F1\n0.0,0,1\n-0.0,0,2\n", "grid CSV has two rows for the node u=-0.0, v=0.0"),
+    ("exact", "u,v,F1\n\n\n", "grid CSV has no data rows"),
+    ("exact", "u,v,F1\n0,0,1\n1/2,0,2\n0,3/4,3\n", "grid CSV has no row for the node u=1/2, v=3/4"),
+    ("float", "u,v,F1\n0,0,1\n0.5,0,2\n0,0.75,3\n", "grid CSV has no row for the node u=0.5, v=0.75"),
+    # a NaN node is a new node in every row
+    ("float", "u,v,F1\nnan,0,1\nnan,1,1\n0,0,1\n0,1,1\n", "grid CSV has no row for the node u=nan, v=0.0"),
+    ("exact", "u,v,F1,F2\n0,0,1,2\n1,0,3\n", "ragged grid CSV"),
+    ("exact", "u,v,F1\n0,0,abc\n", "Invalid literal for Fraction: 'abc'"),
+    ("exact", "u,v,F1\nx,0,1\n", "Invalid literal for Fraction: 'x'"),
+    ("exact", "u,v,F1\n0,0,1/0\n", "scalar '1/0' has a zero denominator"),
+    ("float", "u,v,F1\n0,0,abc\n", "could not convert string to float: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("mode, text, message", CSV_ERRORS)
+def test_csv_error_messages(mode, text, message):
+    with pytest.raises(ValueError) as err:
+        read_csv_grid(text, mode=mode)
+    assert str(err.value) == message
+
+
+def test_csv_spellings_of_one_node_are_one_node():
+    grid = read_csv_grid("u,v,F1\n1/2,0,1\n2,0.0,2\n0.5,1,3\n2,1,4\n", mode="exact")
+    assert grid.u_axis == [Fraction(1, 2), 2] and grid.v_axis == [0, 1]
+    assert grid.values == [[(1,), (2,)], [(3,), (4,)]]
+
+
+def test_csv_with_a_byte_order_mark(tmp_path):
+    text = "u,v,F1\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n"
+    plain = read_csv_grid(text, mode="exact")
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    for grid in (read_csv_grid("\ufeff" + text, mode="exact"), read_csv_grid(str(path), mode="exact")):
+        assert (grid.u_axis, grid.v_axis, grid.values) == (plain.u_axis, plain.v_axis, plain.values)
+
+
+def _decimal(m: int, k: int) -> str:
+    """m / 10^k written as a decimal."""
+    sign, digits = ("-" if m < 0 else ""), str(abs(m)).rjust(k + 1, "0")
+    return f"{sign}{digits[:len(digits) - k]}.{digits[len(digits) - k:]}" if k else f"{sign}{digits}"
+
+
+# one axis node, spelled as an int, as p/q (not always reduced) or as a decimal
+_SPELLED = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.tuples(st.integers(-30, 30), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.tuples(st.integers(-999, 999), st.integers(0, 3)).map(lambda mk: _decimal(*mk)),
+)
+_EXACT_AXIS = st.lists(_SPELLED, min_size=1, max_size=4, unique_by=Fraction)
+_FLOAT_AXIS = st.builds(
+    lambda ks, div: [repr(k / div) for k in sorted(ks)],
+    st.lists(st.integers(-40, 40), min_size=1, max_size=4, unique=True),
+    st.sampled_from([8, 10, 3]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["exact", "float"]), st.data())
+def test_node_table_is_the_node_read_through_evaluate(mode, data):
+    us = data.draw(_EXACT_AXIS if mode == "exact" else _FLOAT_AXIS)
+    vs = data.draw(_EXACT_AXIS if mode == "exact" else _FLOAT_AXIS)
+    n = data.draw(st.integers(1, 3))
+    if mode == "exact":
+        cell = st.fractions(min_value=-50, max_value=50, max_denominator=40).map(str)
+    else:
+        cell = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    rows = [[u, v, *data.draw(st.lists(cell, min_size=n, max_size=n))] for v in vs for u in us]
+    rows = data.draw(st.permutations(rows))
+    grid = read_csv_grid("\n".join(",".join(r) for r in [["u", "v", *(f"F{i}" for i in range(n))], *rows]) + "\n", mode)
+    conv = Fraction if mode == "exact" else float
+    assert grid.u_axis == sorted(map(conv, us)) and grid.v_axis == sorted(map(conv, vs))
+    table = grid._node_table()
+    assert [len(row) for row in table] == [len(us)] * len(vs)
+    for iv, v in enumerate(grid.v_axis):
+        for iu, u in enumerate(grid.u_axis):
+            assert table[iv][iu] == ratfit._node(grid.evaluate, u, v)
+
+
+def test_node_table_is_built_once():
+    grid = GridMapSource([0, 1], [0, 1], [[(1, 2), (3, 4)], [(5, 6), (7, 8)]], mode="exact")
+    assert grid._node_table() is grid._node_table()
+    assert grid._node_table()[1][0] == ((1, 0, 1), [1, 5, 6], 2)
 
 
 def test_csv_path_with_a_comma_is_read_as_a_file(tmp_path):

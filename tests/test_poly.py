@@ -1,7 +1,9 @@
 """Polynomial/rational-map layer: contract examples with independent oracles."""
 
+import copy
 import functools
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -554,6 +556,27 @@ def test_a_map_reduce_map_returned_passes_through():
     for F in (RatMap([X0 * X0, X0 * X1, X0 * X2]), RatMap.from_json(G.to_json())):
         assert reduce_map(F) is not F
         assert reduce_map(F) == G
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_polynomials_and_maps_copy_and_pickle(copier):
+    for p in (X0, Fraction(1, 2) * X0 * X1 - 3 * X2 * X2):
+        q = copier(p)
+        assert type(q) is HPoly and q == p and q.terms == p.terms
+        with pytest.raises(AttributeError, match="HPoly is immutable"):
+            q.degree = 0
+    G = reduce_map([X0 * X0, X0 * X1, X1 * X2])
+    H = copier(G)
+    assert type(H) is RatMap and H == G
+    # a copy is built by the constructor, which never marks a map reduced
+    assert G._reduced and not H._reduced
+    assert reduce_map(H) is not H and reduce_map(H) == G
+    with pytest.raises(AttributeError, match="RatMap is immutable"):
+        H.components = ()
 
 
 # -- serialization ----------------------------------------------------------------
