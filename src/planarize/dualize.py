@@ -2,16 +2,20 @@
 
 The dual assigns to a line of RP^2 (a point of the dual plane) the
 hyperplane containing the image of that line.  For a map of degree d into
-RP^n with d+1 >= n it is found exactly by one route, with no linear system
-solved.  At each line l = (a, b, 1) of the principal lattice of degree
-D = n d - n(n-1)/2 the image of the line has d+1 integer coefficient
-vectors A(l).  The n of them that have rank n at the first lattice line
-where A does (all of them when d+1 = n) have signed maximal minors, the
-wedge, which is read in integers at the lattice lines, interpolated by
-Newton forward differences and reduced.  When d+1 = n the vectors span
-the image of every line, so the reduced wedge is the dual; when d >= n it
-is the only candidate, certified by A(l) paired with it vanishing on a
-lattice that fixes that identity.
+RP^n with d+1 >= n it is found exactly by one route.  At each line
+l = (a, b, 1) of the principal lattice of degree D = n d - n(n-1)/2 the
+image of the line has d+1 integer coefficient vectors A(l).  The n of
+them that have rank n at the first lattice line where A does (all of them
+when d+1 = n) have signed maximal minors, the wedge, forms H of degree D
+whose reduction is the dual.  The wedge is first read on one edge of the
+lattice, where the gcd of its restrictions bounds the degree b of the
+common factor of H.  With b = 0, H is the reduced dual: it is
+interpolated by Newton forward differences on the whole lattice, and
+when d >= n certified by A(l) paired with it vanishing on a lattice that
+fixes that identity.  With b > 0 the dual is the lowest-degree solution
+G of A(l) G(l) = 0 on the lattice of degree d + deg G, solved from degree
+D - b up; that solve is its own certificate, and the wedge is not
+interpolated.
 
 The classifier then sorts a map into the trivial / co-trivial / rational
 trichotomy by two exact rank computations.
@@ -32,22 +36,29 @@ from .poly import (
     RatMap,
     line_base_points,
     reduce_map,
+    _binary_gcd_degree,
     _binomial_row,
+    _block_forms,
     _forms_eval_int,
     _forms_plan,
     _int_components,
+    _monomial_values,
+    _monomials,
+    _newton_line,
     _newton_triangle,
     _powers,
+    _reduced_map,
 )
 from .projcore import Hyperplane, PLine2, PPoint
 from .seeding import stable_rng
 
 #: most cells, C(D+2, 2) lattice points times the (d+1)(n+1) entries of
 #: A(l), that `dual_map` may read for a map of degree d into RP^n, with
-#: D = n d - n(n-1)/2.  On a 2-core machine `dual_map` takes 0.17 s on a
-#: sextic into RP^7 (14,168 cells), 0.5 s on a septic into RP^8 (31,320) and
-#: 0.07-0.12 s on maps into RP^3 of degree 12-14 with a linear relation
-#: (30,940-49,200); an octic into RP^9 (63,270) takes 1.6 s
+#: D = n d - n(n-1)/2.  On a 2-core machine `dual_map` takes 0.10 s on a
+#: sextic into RP^7 (14,168 cells), 0.3 s on a septic into RP^8 (31,320) and
+#: 0.02-0.04 s on maps into RP^3 of degree 12-14 with a linear relation
+#: (30,940-49,200); an octic into RP^9 (63,270) takes 1.0 s (process time,
+#: best of five)
 MAX_DUAL_LATTICE_CELLS = 50_000
 
 #: the fixed 3x3 grid (i/4, j/4), i, j = 1..3, at which `_check_preconditions`
@@ -225,12 +236,33 @@ def _spanning_rows(rows: Callable, n: int, D: int) -> Optional[list[int]]:
     return None
 
 
-def _wedge_forms(rows: Callable, chosen: Sequence[int], D: int) -> list[HPoly]:
+def _pencil_minors(rows: Callable, chosen: Sequence[int], D: int) -> list[list[int]]:
+    """The wedge W(l) of the rows `chosen` of A (`_wedge_forms`) at the
+    lines (a, D - a, 1), a = 0..D: the edge a + b = D of the principal
+    lattice Lambda_D, on the pencil l_0 + l_1 = D l_2.  That pencil holds
+    none of the coordinate lines l = e_i, where sparse maps put the base
+    points and monomial factors of their wedge."""
+    return [projcore.signed_minors(rows(a, D - a, chosen)) for a in range(D + 1)]
+
+
+def _pencil_bound(pencil: Sequence[Sequence[int]], D: int) -> int:
+    """An upper bound on the degree of the common factor h of the wedge's
+    forms H (`_wedge_forms`), from their values on the pencil
+    (`_pencil_minors`): H_i(a, D - a, 1) is a polynomial of degree at most
+    D in a, the form restricted to the pencil at u_0 = 1, which one Newton
+    row interpolates (`poly._newton_line`).  h restricted divides every
+    restriction, so the degree of their gcd bounds deg h
+    (`poly._binary_gcd_degree`); 0 proves H reduced."""
+    return _binary_gcd_degree([_newton_line(values) for values in zip(*pencil)], D)
+
+
+def _wedge_forms(rows: Callable, chosen: Sequence[int], D: int, pencil: Sequence[Sequence[int]]) -> list[HPoly]:
     """Forms H of degree D whose reduction is the reduced wedge of the rows
     `chosen` of A (`_row_reader`): their signed maximal minors W(l), the
     covector of the hyperplane they span, read on the principal lattice
     Lambda_D, interpolated (`poly._newton_triangle`, at the scale (D!)^2)
-    and homogenized.
+    and homogenized.  The minors at the lines (a, D - a, 1) are `pencil`
+    (`_pencil_minors`), already read.
 
     As forms in l the entries of A have degree d.  With l_2 = e the line's
     points are (-t e, s e, L), L = l_0 t - l_1 s, so F(s p + t q) =
@@ -240,12 +272,32 @@ def _wedge_forms(rows: Callable, chosen: Sequence[int], D: int) -> list[HPoly]:
     smallest power at least m - 1.  So W is divisible by l_2^(n(n-1)/2),
     and where l_2 = 1 it has degree at most D = n d - n(n-1)/2, which
     Lambda_D fixes.  For d+1 = n, W = +-l_2^D H with H of degree D."""
-    grid = [[projcore.signed_minors(rows(a, b, chosen)) for b in range(D + 1 - a)] for a in range(D + 1)]
+    grid = [
+        [projcore.signed_minors(rows(a, b, chosen)) for b in range(D - a)] + [pencil[a]] for a in range(D + 1)
+    ]
     H = []
     for i in range(len(chosen) + 1):
         coeffs = _newton_triangle([[w[i] for w in row] for row in grid], D)
         H.append(HPoly._trusted(3, D, {(k, l, D - k - l): c for (k, l), c in coeffs.items()}))
     return H
+
+
+def _pairing_kernel(rows: Callable, d: int, k: int) -> Optional[list[HPoly]]:
+    """The first nullspace vector of A(l) G(l) = 0 at every line l of
+    Lambda_(d+k), over n+1 forms G of degree k taken component-major (the
+    columns of `poly._parallel_forms` at k), as n+1 forms, or None if only
+    G = 0 solves it.  Each row of A(l) (`_row_reader`) is one equation:
+    the row times the monomials of degree k at (a, b, 1).  The entries of
+    A(l) G(l) have degree at most d + k in (a, b), so a solution makes
+    them vanish identically: G(l) contains the image of every line, and
+    the solve is its own certificate."""
+    monos = _monomials(3, k)
+    matrix = []
+    for a, b in _lattice(d + k):
+        w = _monomial_values(monos, (a, b, 1), 1, k)
+        matrix.extend([x * y for x in row for y in w] for row in rows(a, b))
+    basis = projcore._nullspace_int(matrix)
+    return _block_forms(basis[0], 3, k) if basis else None
 
 
 def _certify(G: RatMap, rows: Callable, d: int) -> None:
@@ -288,12 +340,22 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     line's image that have rank n at the first line (a, b, 1) of the
     principal lattice Lambda_D where all d+1 of them reach rank n; rank
     n+1 there raises NotPlanar, and no such line raises
-    EverywhereDegenerate.  The wedge is read in integers at the lattice
-    lines and interpolated (`_wedge_forms`); no linear system is solved.
-    For d+1 = n the n vectors span the image of every line.  For d >= n the
-    reduced wedge G is certified by A(l) G(l) = 0 on Lambda_(d + deg G),
-    from the rows already read; a nonzero entry raises NotPlanar naming the
-    line.
+    EverywhereDegenerate.  For d+1 = n the n vectors span the image of
+    every line.  The wedge is read in integers on the lattice edge
+    (a, D - a, 1), a = 0..D, and the gcd of its restrictions there bounds
+    the degree b of its common factor (`_pencil_bound`):
+
+    - b = 0: the wedge is reduced.  It is read on the rest of Lambda_D and
+      interpolated (`_wedge_forms`); for d >= n it is certified by
+      A(l) G(l) = 0 on Lambda_(d + deg G), from the rows already read, and
+      a nonzero entry raises NotPlanar naming the line.
+    - b > 0: for k = D - b, ..., D - 1 the system A(l) G(l) = 0 on
+      Lambda_(d+k) is solved for n+1 forms G of degree k
+      (`_pairing_kernel`).  The first nonzero kernel is one-dimensional
+      and is the dual, since every solution is a multiple of it; the
+      solve certifies it.  When no kernel below D is found, the wedge is
+      interpolated, reduced by `reduce_map` and, for d >= n, certified as
+      above.
     """
     if F.domain_vars != 3:
         raise ValueError("dual maps need domain RP^2")
@@ -306,7 +368,16 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     chosen = _spanning_rows(rows, n, D)
     if chosen is None:
         raise EverywhereDegenerate(f"no line's image spans a hyperplane of RP^{n}")
-    G = reduce_map(_wedge_forms(rows, chosen, D))
+    pencil = _pencil_minors(rows, chosen, D)
+    b = _pencil_bound(pencil, D)
+    if b == 0:
+        G = _reduced_map(_wedge_forms(rows, chosen, D, pencil))
+    else:
+        for k in range(D - b, D):
+            forms = _pairing_kernel(rows, d, k)
+            if forms is not None:
+                return _reduced_map(forms)
+        G = reduce_map(_wedge_forms(rows, chosen, D, pencil))
     if d >= n:
         _certify(G, rows, d)
     return G

@@ -101,7 +101,9 @@ class GridMapSource:
     """Rectangular sample grid of an affine map (u, v) -> R^n.
 
     Values are stored per node; homogeneous coordinates prepend a 1, so the
-    chart index is always 0.  Axes must be strictly monotone.  Lookups by
+    chart index is always 0.  Axes must be strictly increasing, with no
+    infinite or NaN float node, and on a float grid no two nodes closer
+    than NODE_ATOL, within which a lookup takes them for one.  Lookups by
     value (`evaluate`, `node_index`) serve jets and external callers: an
     exact grid looks a node up by hash, in one {node: index} table per axis
     built here, so any number equal to a node (a Fraction, an int or a
@@ -113,9 +115,19 @@ class GridMapSource:
     def __init__(self, u_axis: Sequence, v_axis: Sequence, values, mode: str = "float"):
         self.u_axis = list(u_axis)
         self.v_axis = list(v_axis)
-        for ax in (self.u_axis, self.v_axis):
+        for name, ax in (("u", self.u_axis), ("v", self.v_axis)):
+            bad = next((a for a in ax if isinstance(a, float) and not math.isfinite(a)), None)
+            if bad is not None:
+                raise ValueError(f"grid axis node {name}={bad} is not finite")
             if any(not (b > a) for a, b in zip(ax, ax[1:])):
                 raise ValueError("grid axes must be strictly increasing")
+            if mode == "float":  # node_index finds a node within NODE_ATOL: closer nodes would be one
+                close = next(((a, b) for a, b in zip(ax, ax[1:]) if float(b) - float(a) < NODE_ATOL), None)
+                if close is not None:
+                    raise ValueError(
+                        f"grid axis nodes {name}={close[0]} and {name}={close[1]} are closer than "
+                        f"NODE_ATOL = {NODE_ATOL}"
+                    )
         self._u_index = {a: i for i, a in enumerate(self.u_axis)}
         self._v_index = {a: i for i, a in enumerate(self.v_axis)}
         self.values = values  # values[iv][iu] = tuple of n numbers

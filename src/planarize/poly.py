@@ -22,14 +22,17 @@ would give a float.  On top of it sit:
   univariate gcd of the components restricted to one fixed line bounds the
   degree of a common factor and, when it is constant, proves the map
   reduced; otherwise the reduced map is the lowest-degree solution G of
-  F_c G_i = F_i G_c, one exact nullspace of integer rows per degree;
+  F_c G_i = F_i G_c, one exact nullspace of integer rows per degree.  The
+  gcd degree of binary forms (`_binary_gcd_degree`) and the canonical,
+  marked result (`_reduced_map`) also serve the dual's reduction;
 * a map on a line as its coefficient rows (`_line_rows`): the vectors A_r
   of F(s p + t q) = sum_r s^(d-r) t^r A_r, read off the binomial theorem
   with no product of polynomials; their rank is the span of the line's
   image and their null direction its hyperplane;
 * the principal lattice of degree D, the points (a, b) >= 0 with
   a + b <= D, on which a polynomial of degree D is fixed by its values:
-  Newton interpolation there in integers (`_newton_triangle`), and
+  Newton interpolation there in integers (`_newton_triangle`, and
+  `_newton_line` on one edge), and
   implicitization by evaluation: the degree-k relations of F are the
   kernel of one integer matrix of the values F(x)^e at the points x of the
   principal lattice of degree k deg F, which decides an identity of forms
@@ -40,6 +43,7 @@ Everything here is pure and exact; callers may parallelize freely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -437,7 +441,8 @@ class RatMap:
     factor; the constructor only checks shape.  Indeterminacy points (all
     components vanish) are allowed and surface as None on evaluation.
     A map that reduce_map returned says so in its private `_reduced` slot,
-    which nothing else sets, and reduce_map passes it through.
+    which only `_reduced_map` sets (for reduce_map and the dual, whose
+    results are proved reduced), and reduce_map passes it through.
     """
 
     __slots__ = ("components", "_reduced")
@@ -534,10 +539,10 @@ def _canonical_scale(components: Sequence[HPoly]) -> tuple[HPoly, ...]:
 def reduce_map(components: Sequence[HPoly] | RatMap) -> RatMap:
     """Divide out the full common polynomial factor and rescale canonically.
 
-    Takes the components, or a RatMap: a map that reduce_map returned is
-    returned as it is, and any other map has its components reduced.  The
-    nonzero components must share nvars and degree, and a zero component
-    must share nvars; it is taken at the common degree.
+    Takes the components, or a RatMap: a map that reduce_map or dual_map
+    returned is returned as it is, and any other map has its components
+    reduced.  The nonzero components must share nvars and degree, and a
+    zero component must share nvars; it is taken at the common degree.
 
     No multivariate gcd is taken.  `_common_degree_bound` bounds the degree
     of a common factor from one line; a bound of 0 proves the map reduced.
@@ -570,6 +575,13 @@ def reduce_map(components: Sequence[HPoly] | RatMap) -> RatMap:
             if G is not None:
                 components = G
                 break
+    return _reduced_map(components)
+
+
+def _reduced_map(components: Sequence[HPoly]) -> RatMap:
+    """The map of components known to share no factor, scaled canonically
+    (`_canonical_scale`) and marked reduced, so `reduce_map` passes it
+    through."""
     out = RatMap(_canonical_scale(components))
     object.__setattr__(out, "_reduced", True)
     return out
@@ -579,16 +591,22 @@ def _common_degree_bound(forms: Sequence[HPoly]) -> int:
     """An upper bound on the degree of a common factor h of nonzero forms
     of degree d, from their restrictions to the line x_i = (i+1) u0 +
     (i+1)^3 u1.  h restricted to the line divides every restriction, so
-    the degree of their gcd (its power of u0 included) bounds deg h;
-    if the line lies in h = 0 every restriction is zero and the bound is
-    d.  A base point on the line can only raise the bound.  The scan stops
-    at the first restriction that leaves a constant gcd."""
+    the degree of their gcd bounds deg h (`_binary_gcd_degree`).  A base
+    point on the line can only raise the bound."""
     nvars, d = forms[0].nvars, forms[0].degree
     rows = _line_rows([f.terms for f in forms], range(1, nvars + 1), [(i + 1) ** 3 for i in range(nvars)], d)
+    return _binary_gcd_degree([[row[col] for row in rows] for col in range(len(forms))], d)
+
+
+def _binary_gcd_degree(forms: Sequence[Sequence[int]], d: int) -> int:
+    """The degree of the gcd of binary forms of degree d, each given by its
+    int coefficients of u1^0..u1^d at u0 = 1: the degree of the univariate
+    gcd plus the common power of u0, or d if every form is zero.  The scan
+    stops at the first form that leaves a constant gcd."""
     g: list = []  # the gcd with u0 = 1, a polynomial in u1
     u0_power = d
-    for col in range(len(forms)):
-        p = univar.trim([row[col] for row in rows])
+    for form in forms:
+        p = univar.trim(form)
         if not p:
             continue
         g = univar.gcd(g, p)
@@ -623,12 +641,16 @@ def _parallel_forms(components: Sequence[HPoly], k: int) -> Optional[list[HPoly]
                     equations.setdefault(tuple(map(operator.add, mu, e)), [0] * ncols)[col] = sign * a
         matrix.extend(equations.values())
     basis = projcore._nullspace_int(matrix)
-    if not basis:
-        return None
-    v = basis[0]
+    return _block_forms(basis[0], nvars, k) if basis else None
+
+
+def _block_forms(v: Sequence[int], nvars: int, k: int) -> list[HPoly]:
+    """The forms of degree k whose coefficients over `_monomials(nvars, k)`
+    are the consecutive blocks of the int vector v."""
+    monos = _monomials(nvars, k)
+    m = len(monos)
     return [
-        HPoly._trusted(nvars, k, {mu: x for mu, x in zip(monos, v[b * m : (b + 1) * m]) if x})
-        for b in range(len(forms))
+        HPoly._trusted(nvars, k, {mu: x for mu, x in zip(monos, v[b : b + m]) if x}) for b in range(0, len(v), m)
     ]
 
 
@@ -721,7 +743,8 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _stirling_scaled(D: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=None)
+def _stirling_scaled(D: int) -> tuple[tuple[int, ...], ...]:
     """T[i][k] = (D!/i!) s(i, k) for 0 <= k <= i <= D, s the signed Stirling
     numbers of the first kind, so that D! C(a, i) = sum_k T[i][k] a^k."""
     s = [[1]]
@@ -729,7 +752,22 @@ def _stirling_scaled(D: int) -> list[list[int]]:
         prev = s[-1] + [0]
         s.append([(prev[k - 1] if k else 0) - i * prev[k] for k in range(i + 2)])
     f = math.factorial(D)
-    return [[f // math.factorial(i) * x for x in row] for i, row in enumerate(s)]
+    return tuple(tuple(f // math.factorial(i) * x for x in row) for i, row in enumerate(s))
+
+
+def _newton_line(values: Sequence[int]) -> list[int]:
+    """D! f as its coefficients of a^0..a^D, for the polynomial f of degree
+    <= D whose values at a = 0..D are given: the forward differences of f
+    at 0 are the coefficients of the binomials C(a, i), and D! C(a, i) =
+    sum_k T[i][k] a^k (`_stirling_scaled`), so integer values stay
+    integers."""
+    c = list(values)
+    D = len(c) - 1
+    for k in range(1, D + 1):
+        for a in range(D, k - 1, -1):
+            c[a] -= c[a - 1]
+    T = _stirling_scaled(D)
+    return [sum(T[i][k] * c[i] for i in range(k, D + 1)) for k in range(D + 1)]
 
 
 def _newton_triangle(values: Sequence[Sequence[int]], D: int) -> dict:

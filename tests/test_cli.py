@@ -695,6 +695,35 @@ def test_mutated_grid_csv_ends_with_a_documented_exit_code(base, mutations, bom,
         assert err.getvalue().startswith("planarize: ") and err.getvalue().count("\n") == 1
 
 
+def test_khovanskii_float_grid_with_an_infinite_axis_node_exits_1(tmp_path, capsys):
+    # the row v = inf holds the north pole of the stereographic map: a node
+    # with no exact point is refused when the grid is built, not by an
+    # OverflowError in the fit
+    axis = [k / 2 for k in range(11)]
+    lines = ["u,v,F1,F2,F3"]
+    for v in axis[:-1]:
+        for u in axis:
+            s = u * u + v * v + 1
+            lines.append(",".join(map(repr, (u, v, 2 * u / s, 2 * v / s, (u * u + v * v - 1) / s))))
+    lines += [",".join(map(repr, (u, float("inf"), 0.0, 0.0, 1.0))) for u in axis]
+    path = tmp_path / "sphere.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["khovanskii", "--in", str(path), "--mode", "float"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "planarize: ValueError: grid axis node v=inf is not finite\n")
+
+
+def test_a_float_grid_with_nodes_closer_than_node_atol_exits_1(tmp_path, capsys):
+    lines = _circle_grid_text([0.0, 1e-13, 0.5, 1.0], repr)
+    path = tmp_path / "circle.csv"
+    path.write_text(lines)
+    assert main(["khovanskii", "--in", str(path), "--mode", "float"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "planarize: ValueError: grid axis nodes u=0.0 and u=1e-13 are closer than NODE_ATOL = 1e-12\n"
+    )
+
+
 def test_khovanskii_float_grid_with_a_nan_cell_is_off_the_sphere(tmp_path, capsys):
     # NaN compares false with everything, so it must fail the sphere check
     # rather than reach the SVD of the plane test

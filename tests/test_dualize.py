@@ -681,6 +681,11 @@ def test_every_differential_dual_pairs_to_zero_along_its_lines():
         assert _sympy_pairing_along_lines(F, Fh) == 0, name
 
 
+def _logged(log, fn, *args):
+    log.append(args)
+    return fn(*args)
+
+
 def test_the_lattice_refuses_a_cubic_into_rp3_for_d_at_least_n(monkeypatch):
     # past the seeded span line, a generic cubic into RP^3 is refused on the
     # lattice: the image of the first lattice line (0, 0, 1) spans RP^3
@@ -697,6 +702,18 @@ def test_the_lattice_refuses_a_cubic_into_rp3_for_d_at_least_n(monkeypatch):
     with pytest.raises(NotPlanar, match="leaves the hyperplane the reduced wedge gives it") as info:
         dual_map(G)
     assert _sympy_line_rank(G, _certificate_line(info.value)) == 4
+    # x0 G: x0 is -t on every line, so its wedge is l2^3 times that of G.
+    # The pencil bound is positive, no kernel below D = 9 exists, and the
+    # wedge, reduce_map and the certificate refuse the map in the same words
+    xG = RatMap([X0 * c for c in G.components])
+    rows = dualize._row_reader(xG)
+    assert dualize._pencil_bound(dualize._pencil_minors(rows, [1, 2, 3], 9), 9) >= 3
+    wedges, kernels = [], []
+    for name, log in (("_wedge_forms", wedges), ("_pairing_kernel", kernels)):
+        monkeypatch.setattr(dualize, name, functools.partial(_logged, log, getattr(dualize, name)))
+    with pytest.raises(NotPlanar, match=r"^the image of line \(0, 1, 1\) leaves the hyperplane the reduced wedge"):
+        dual_map(xG)
+    assert len(wedges) == 1 and kernels and all(k < 9 for _, _, k in kernels)
 
 
 def _certificate_line(exc) -> tuple:
@@ -874,6 +891,89 @@ def test_the_wedge_route_gives_the_pairing_dual_byte_for_byte(kind, seed, fracti
     if kind in WEDGE_ROUTE_KINDS[4:]:
         assert F.degree >= F.codim
     assert repr(dual_map(F, seed=seed)) == repr(_pairing_dual(F))
+
+
+# -- the pencil bound and the pairing kernel against the wedge route ---------------------
+
+
+def _wedge_reduce_certify(F):
+    """(G, H, b): the dual G by the wedge route alone, the wedge H of the
+    chosen rows interpolated on the whole lattice, then `reduce_map` and,
+    for d >= n, the lattice certificate; and the pencil bound b."""
+    n, d = F.codim, F.degree
+    D = n * d - n * (n - 1) // 2
+    rows = dualize._row_reader(F)
+    chosen = dualize._spanning_rows(rows, n, D)
+    pencil = dualize._pencil_minors(rows, chosen, D)
+    H = dualize._wedge_forms(rows, chosen, D, pencil)
+    G = reduce_map(H)
+    if d >= n:
+        dualize._certify(G, rows, d)
+    return G, H, dualize._pencil_bound(pencil, D)
+
+
+def _sympy_gcd_degree(forms):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:3")
+    exprs = [sum(c * sympy.prod([x**k for x, k in zip(xs, e)]) for e, c in h.terms.items()) for h in forms if h.terms]
+    return sympy.Poly(functools.reduce(sympy.gcd, exprs), *xs).total_degree()
+
+
+def _kernel_route_map(kind, seed):
+    """A map whose wedge has a common factor: a bidual (the dual of a
+    quadratic into RP^3, a cubic), a circle-web composite, a web composite
+    with the inversion after a collineation, x0 times a map with d+1 = n,
+    or a map with a linear relation, whose dual is constant."""
+    if kind == "bidual":
+        return dual_map(generate_map(seed, 2, 3), seed=seed)
+    if kind == "x0-times":
+        d = stable_rng(seed, "kernel_route_maps").choice((1, 2))
+        return RatMap([X0 * c for c in generate_map(seed, d, d + 1).components])
+    return _wedge_route_map(kind, seed, False)
+
+
+KERNEL_ROUTE_KINDS = ["bidual", "circle-web", "web-inverse", "x0-times", "trivial"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(KERNEL_ROUTE_KINDS), st.integers(0, 10**6))
+@example("bidual", 1)
+@example("circle-web", 2)
+@example("web-inverse", 3)
+@example("x0-times", 4)
+@example("trivial", 5)
+def test_the_pairing_kernel_gives_the_wedge_route_dual(kind, seed):
+    F = _kernel_route_map(kind, seed)
+    G, H, b = _wedge_reduce_certify(F)
+    # the kernel route runs: the wedge has a factor, and the pencil sees it
+    assert b >= _sympy_gcd_degree(H) > 0
+    Fh = dual_map(F, seed=seed)
+    assert repr(Fh) == repr(G)
+    assert _sympy_pairing_along_lines(F, Fh) == 0
+    if kind == "trivial":
+        assert Fh.degree == 0
+
+
+def test_the_kernel_route_reads_no_wedge_and_reduces_nothing(monkeypatch):
+    maps = [_kernel_route_map(kind, 1) for kind in ("bidual", "circle-web", "web-inverse")]
+    calls: list = []
+    for module, name in ((poly, "_parallel_forms"), (poly, "_common_degree_bound"), (dualize, "_wedge_forms")):
+        monkeypatch.setattr(module, name, functools.partial(_logged, calls, getattr(module, name)))
+    for F in maps:
+        dual_map(F, seed=1)
+    assert calls == []
+
+
+def test_a_reduced_wedge_is_interpolated_and_not_reduced_again(monkeypatch):
+    # the pencil bound of a generic quadratic's wedge is 0, which proves it
+    # reduced: the wedge is interpolated once and reduce_map bounds nothing
+    F = generate_map(1, 2, 3)
+    wedges, bounds = [], []
+    monkeypatch.setattr(dualize, "_wedge_forms", functools.partial(_logged, wedges, dualize._wedge_forms))
+    monkeypatch.setattr(poly, "_common_degree_bound", functools.partial(_logged, bounds, poly._common_degree_bound))
+    Fh = dual_map(F, seed=1)
+    assert len(wedges) == 1 and bounds == [] and Fh.degree == 3 and Fh._reduced
+    assert reduce_map(Fh) is Fh
 
 
 def _degenerate_wedge_maps():

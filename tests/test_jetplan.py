@@ -552,6 +552,11 @@ CSV_ERRORS = [
     ("exact", "u,v,F1\nx,0,1\n", "Invalid literal for Fraction: 'x'"),
     ("exact", "u,v,F1\n0,0,1/0\n", "scalar '1/0' has a zero denominator"),
     ("float", "u,v,F1\n0,0,abc\n", "could not convert string to float: 'abc'"),
+    # a non-finite float node has no exact point
+    ("float", "u,v,F1\n0,0,1\n0,inf,2\n", "grid axis node v=inf is not finite"),
+    ("float", "u,v,F1\n-inf,0,1\n0,0,2\n", "grid axis node u=-inf is not finite"),
+    # a lookup within NODE_ATOL would take two such nodes for one
+    ("float", "u,v,F1\n0.0,0,1\n1e-13,0,2\n1.0,0,3\n", "grid axis nodes u=0.0 and u=1e-13 are closer than NODE_ATOL = 1e-12"),
 ]
 
 
@@ -560,6 +565,19 @@ def test_csv_error_messages(mode, text, message):
     with pytest.raises(ValueError) as err:
         read_csv_grid(text, mode=mode)
     assert str(err.value) == message
+
+
+def test_grid_axis_checks_refuse_what_a_lookup_or_the_node_table_cannot_read():
+    with pytest.raises(ValueError, match=r"^grid axis nodes v=0.5 and v=0.5000000000001 are closer than NODE_ATOL"):
+        GridMapSource([0.0], [0.5, 0.5 + 1e-13], [[(1.0,)], [(2.0,)]])
+    with pytest.raises(ValueError, match=r"^grid axis node u=nan is not finite$"):
+        GridMapSource([float("nan")], [0.0], [[(1.0,)]])
+    # on an exact grid a lookup is by hash, so any two distinct nodes are apart
+    grid = GridMapSource([Fraction(0), Fraction(1, 10**13)], [0], [[(1,), (2,)]], mode="exact")
+    assert grid.evaluate(Fraction(1, 10**13), 0) == (1, 2)
+    # nodes NODE_ATOL apart are two nodes
+    grid = GridMapSource([0.0, 1e-12], [0.0], [[(1.0,), (2.0,)]])
+    assert grid.evaluate(1e-12, 0.0) == (1.0, 2.0)
 
 
 def test_csv_spellings_of_one_node_are_one_node():

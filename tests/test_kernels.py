@@ -241,6 +241,14 @@ def test_newton_kernel_matches_sympy_expansion_of_planted_forms(degree):
             assert poly._newton_triangle(values, D) == want
 
 
+@pytest.mark.parametrize("D", range(8))
+def test_newton_line_is_d_factorial_times_the_interpolant(D):
+    rng = stable_rng(D, "newton_line")
+    coeffs = [rng.randint(-50, 50) for _ in range(D + 1)]
+    values = [sum(c * a**k for k, c in enumerate(coeffs)) for a in range(D + 1)]
+    assert poly._newton_line(values) == [math.factorial(D) * c for c in coeffs]
+
+
 def test_newton_kernel_of_integer_values_stays_in_integers():
     rng = stable_rng(0, "newton_triangle_ints")
     D = 6
@@ -275,7 +283,8 @@ def test_the_wedge_is_a_power_of_l2_times_the_interpolated_forms(d, n, chosen):
         rows.append(row)
     W = minors_oracle(rows)
     D = n * d - n * (n - 1) // 2
-    H = dualize._wedge_forms(dualize._row_reader(F), chosen, D)
+    reader = dualize._row_reader(F)
+    H = dualize._wedge_forms(reader, chosen, D, dualize._pencil_minors(reader, chosen, D))
     assert not all(h.is_zero for h in H)
     for w, h in zip(W, H):
         assert h.degree == D
