@@ -1,30 +1,16 @@
 """Dual maps of rational planarizations and the trichotomy classifier.
 
 The dual assigns to a line of RP^2 (a point of the dual plane) the
-hyperplane containing the image of that line.  For a map of degree d into
-RP^n with d+1 >= n it is found exactly by one route.  At each line
-l = (a, b, 1) of the principal lattice of degree D = n d - n(n-1)/2 the
-image of the line has d+1 integer coefficient vectors A(l).  The n of
-them that have rank n at the first lattice line where A does (all of them
-when d+1 = n) have signed maximal minors, the wedge, forms H of degree D
-whose reduction is the dual.  The wedge is first read on one edge of the
-lattice, where the gcd of its restrictions bounds the degree b of the
-common factor of H.  With b = 0, H is the reduced dual: it is
-interpolated by Newton forward differences on the whole lattice, and
-when d >= n certified by A(l) paired with it vanishing on a lattice that
-fixes that identity.  With b > 0 the dual is the lowest-degree solution
-G of A(l) G(l) = 0 on the lattice of degree d + deg G, solved from degree
-D - b up; that solve is its own certificate, and the wedge is not
-interpolated.
-
-The classifier then sorts a map into the trivial / co-trivial / rational
-trichotomy by two exact rank computations.
+hyperplane containing the image of that line.  `dual_map` finds it exactly
+for a map of degree d into RP^n with d+1 >= n, by one route on a principal
+lattice of lines, and every NotPlanar it raises names a line whose image
+spans RP^n.  The classifier then sorts a map into the trivial / co-trivial
+/ rational trichotomy by two exact rank computations.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -39,8 +25,6 @@ from .poly import (
     _binary_gcd_degree,
     _binomial_row,
     _block_forms,
-    _forms_eval_int,
-    _forms_plan,
     _int_components,
     _monomial_values,
     _monomials,
@@ -73,9 +57,8 @@ class EverywhereDegenerate(ValueError):
 
 
 class NotPlanar(ValueError):
-    """The input is not a planarization along some line: the line's image
-    spans all of RP^n, or it leaves the one hyperplane the reduced wedge
-    assigns it, so no hyperplane map contains the images of the lines."""
+    """The input is not a planarization: the image of the line it names
+    spans all of RP^n, so no hyperplane contains it."""
 
 
 @dataclass(frozen=True)
@@ -222,18 +205,29 @@ def _row_reader(F: RatMap) -> Callable[..., list[list[int]]]:
     return rows
 
 
-def _spanning_rows(rows: Callable, n: int, D: int) -> Optional[list[int]]:
-    """The first n rows of A with rank n at the first line of Lambda_D where
-    A has rank at least n (the pivots of its transpose), or None if there is
-    none: then every n x n minor of A, of degree at most D (`_wedge_forms`),
-    is zero.  Rank n+1 there raises NotPlanar naming the line."""
+def _pivots(rows: Callable, n: int, D: int):
+    """At each line of Lambda_D in turn, the rows of A that have full rank
+    there (the pivots of its transpose); rank n+1 raises NotPlanar."""
     for a, b in _lattice(D):
         _, pivots = projcore._bareiss_echelon([list(col) for col in zip(*rows(a, b))])
         if len(pivots) > n:
             raise NotPlanar(f"the image of line {(a, b, 1)} spans RP^{n}, so no hyperplane contains it")
-        if len(pivots) == n:
-            return pivots
-    return None
+        yield pivots
+
+
+def _spanning_rows(rows: Callable, n: int, D: int) -> Optional[list[int]]:
+    """The first n rows of A with rank n at the first line of Lambda_D where
+    A has rank at least n (`_pivots`), or None if there is none: then every
+    n x n minor of A, of degree at most D (`_wedge_forms`), is zero."""
+    return next((pivots for pivots in _pivots(rows, n, D) if len(pivots) == n), None)
+
+
+def _refuse_spanning_lines(rows: Callable, n: int, d: int, D: int) -> None:
+    """For d >= n, raise NotPlanar at the first line of Lambda_(D+d-n) whose
+    image spans RP^n (`_pivots`); if none does, no line does (`dual_map`)."""
+    if d >= n:
+        for _ in _pivots(rows, n, D + d - n):
+            pass
 
 
 def _pencil_minors(rows: Callable, chosen: Sequence[int], D: int) -> list[list[int]]:
@@ -300,22 +294,6 @@ def _pairing_kernel(rows: Callable, d: int, k: int) -> Optional[list[HPoly]]:
     return _block_forms(basis[0], 3, k) if basis else None
 
 
-def _certify(G: RatMap, rows: Callable, d: int) -> None:
-    """Raise NotPlanar unless A(l) G(l) = 0 at every line l of
-    Lambda_(d + deg G).  Its entries have degree at most d + deg G in
-    (a, b), so then they vanish identically: G(l) contains the image of
-    every line."""
-    g = G.degree
-    plan = _forms_plan([comp.terms for comp in G.components])
-    for a, b in _lattice(d + g):
-        h = _forms_eval_int(plan, (a, b, 1), 1, g)
-        if any(sum(map(operator.mul, row, h)) for row in rows(a, b)):
-            raise NotPlanar(
-                f"the image of line {(a, b, 1)} leaves the hyperplane the reduced wedge gives it, "
-                "so no hyperplane contains the images of all lines"
-            )
-
-
 def dual_map(F: RatMap, seed: int = 0) -> RatMap:
     """The rational map sending a line to the hyperplane containing its image.
 
@@ -336,26 +314,35 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
        grid until one is nondegenerate.  The answer decides nothing: a map
        degenerate at all nine goes on to the lattice like any other.
 
-    The dual is then the reduced wedge of the n coefficient vectors of one
-    line's image that have rank n at the first line (a, b, 1) of the
-    principal lattice Lambda_D where all d+1 of them reach rank n; rank
-    n+1 there raises NotPlanar, and no such line raises
-    EverywhereDegenerate.  For d+1 = n the n vectors span the image of
-    every line.  The wedge is read in integers on the lattice edge
-    (a, D - a, 1), a = 0..D, and the gcd of its restrictions there bounds
-    the degree b of its common factor (`_pencil_bound`):
+    The wedge H, forms of degree D, is the signed maximal minors of the n
+    coefficient vectors of a line's image that have rank n at the first
+    line (a, b, 1) of the principal lattice Lambda_D where A reaches rank n
+    (`_spanning_rows`): rank n+1 on the way raises NotPlanar, and no such
+    line EverywhereDegenerate.  H is read on the edge (a, D - a, 1), where
+    the gcd of its restrictions bounds the degree b of its common factor h,
+    H = h G (`_pencil_bound`).  For k = D - b, ..., D - 1 the system
+    A(l) G(l) = 0 on Lambda_(d+k) is solved (`_pairing_kernel`): the first
+    nonzero kernel is the dual and certifies itself.  For d >= n the first
+    empty kernel, or b = 0, sends Lambda_(D+d-n) once to
+    `_refuse_spanning_lines`, before any larger kernel.  With no kernel
+    below D, H interpolated on Lambda_D (`_wedge_forms`) is the dual.
 
-    - b = 0: the wedge is reduced.  It is read on the rest of Lambda_D and
-      interpolated (`_wedge_forms`); for d >= n it is certified by
-      A(l) G(l) = 0 on Lambda_(d + deg G), from the rows already read, and
-      a nonzero entry raises NotPlanar naming the line.
-    - b > 0: for k = D - b, ..., D - 1 the system A(l) G(l) = 0 on
-      Lambda_(d+k) is solved for n+1 forms G of degree k
-      (`_pairing_kernel`).  The first nonzero kernel is one-dimensional
-      and is the dual, since every solution is a multiple of it; the
-      solve certifies it.  When no kernel below D is found, the wedge is
-      interpolated, reduced by `reduce_map` and, for d >= n, certified as
-      above.
+    Why the tail needs no reduction and no certificate:
+
+    - A planarization's dual G solves the pairing system at its own degree
+      g = D - deg h >= D - b.  So with no kernel below D, g = D, h is a
+      constant and H is reduced: `_reduced_map(H)` gives the bytes
+      `reduce_map(H)` would.
+    - The maximal minors of any n+1 rows of A have degree at most
+      (n+1) d - n(n+1)/2 = D + d - n where l_2 = 1 (`_wedge_forms`'
+      argument with n+1 rows).  So if no line of Lambda_(D+d-n) spans
+      RP^n, none does and F is a planarization; for d < n, A has d+1 <= n
+      rows.  Every NotPlanar therefore names a line whose image spans RP^n.
+    - (Not needed by the code.)  For d >= n a planarization's dual has
+      degree below D: by Plucker's formula each line's image has
+      n(d-n+1) > 0 ramification points, and the first n rows of A are
+      dependent on the curve of lines that meet x0 = 0 at one of them.  So
+      only maps that are not planarizations reach the tail with d >= n.
     """
     if F.domain_vars != 3:
         raise ValueError("dual maps need domain RP^2")
@@ -370,17 +357,15 @@ def dual_map(F: RatMap, seed: int = 0) -> RatMap:
         raise EverywhereDegenerate(f"no line's image spans a hyperplane of RP^{n}")
     pencil = _pencil_minors(rows, chosen, D)
     b = _pencil_bound(pencil, D)
+    for k in range(D - b, D):
+        forms = _pairing_kernel(rows, d, k)
+        if forms is not None:
+            return _reduced_map(forms)
+        if k == D - b:  # a map that is not a planarization stops before the larger kernels
+            _refuse_spanning_lines(rows, n, d, D)
     if b == 0:
-        G = _reduced_map(_wedge_forms(rows, chosen, D, pencil))
-    else:
-        for k in range(D - b, D):
-            forms = _pairing_kernel(rows, d, k)
-            if forms is not None:
-                return _reduced_map(forms)
-        G = reduce_map(_wedge_forms(rows, chosen, D, pencil))
-    if d >= n:
-        _certify(G, rows, d)
-    return G
+        _refuse_spanning_lines(rows, n, d, D)
+    return _reduced_map(_wedge_forms(rows, chosen, D, pencil))
 
 
 def classify(F: RatMap, seed: int = 0) -> PlanarizationClass:

@@ -146,29 +146,13 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a matrix with rational entries.
-
-    A matrix of at least _MODULAR_MIN_CELLS cells is first ranked modulo
-    _PRIMES[0]: the rank mod p is at most the rank over Q, so a full rank
-    mod p is the answer.  Otherwise, and for smaller matrices, Bareiss
-    answers."""
+    """Exact rank of a matrix with rational entries, by Bareiss elimination."""
     if not rows:
         return 0
     mat = _integer_rows(rows)
-    widths = {len(r) for r in mat}
-    if len(widths) != 1:
+    if len({len(r) for r in mat}) != 1:
         raise DimensionMismatch("rows of unequal length")
-    ncols = widths.pop()
-    full = min(len(mat), ncols)
-    if len(mat) * ncols >= _MODULAR_MIN_CELLS:
-        import numpy as np
-
-        p = _PRIMES[0]
-        _, pivots = _rref_mod(np.array([[x % p for x in row] for row in mat], dtype=np.int64), p)
-        if len(pivots) == full:
-            return full
-    _, pivots = _bareiss_echelon(mat)
-    return len(pivots)
+    return len(_bareiss_echelon(mat)[1])
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:

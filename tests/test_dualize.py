@@ -686,40 +686,67 @@ def _logged(log, fn, *args):
     return fn(*args)
 
 
+@functools.cache
+def _cubics_refused_on_the_lattice():
+    """(F, G, x0 G): F a generic cubic into RP^3, and G the cubic F with its
+    last component replaced by x2 q, q linear."""
+    F = generate_map(11, 3, 3)
+    q = generate_map(11, 2, 1).components[0]
+    G = reduce_map(list(F.components[:3]) + [X2 * q])
+    return F, G, RatMap([X0 * c for c in G.components])
+
+
 def test_the_lattice_refuses_a_cubic_into_rp3_for_d_at_least_n(monkeypatch):
     # past the seeded span line, a generic cubic into RP^3 is refused on the
     # lattice: the image of the first lattice line (0, 0, 1) spans RP^3
     monkeypatch.setattr(dualize, "_check_preconditions", lambda F, seed: None)
-    F = generate_map(11, 3, 3)
+    F, G, xG = _cubics_refused_on_the_lattice()
     with pytest.raises(NotPlanar, match=r"^the image of line \(0, 0, 1\) spans RP\^3"):
         dual_map(F)
-    # with the last component x2 q, the line x2 = 0 has its image in y3 = 0,
-    # so the wedge of its rows gives a candidate, which the certificate
-    # refuses at a lattice line whose image spans RP^3
-    q = generate_map(11, 2, 1).components[0]
-    G = reduce_map(list(F.components[:3]) + [X2 * q])
+    # in G the line x2 = 0 has its image in y3 = 0, so rows of A have rank 3
+    # there and give a wedge; its pencil bound is 0, and the scan of
+    # Lambda_(D+d-n) refuses the map at a line whose image spans RP^3
     assert dualize._spanning_rows(dualize._row_reader(G), 3, 6) == [0, 1, 2]
-    with pytest.raises(NotPlanar, match="leaves the hyperplane the reduced wedge gives it") as info:
+    with pytest.raises(NotPlanar, match=r"^the image of line \(0, 1, 1\) spans RP\^3") as info:
         dual_map(G)
-    assert _sympy_line_rank(G, _certificate_line(info.value)) == 4
+    assert _sympy_line_rank(G, _witness_line(info.value)) == 4
     # x0 G: x0 is -t on every line, so its wedge is l2^3 times that of G.
-    # The pencil bound is positive, no kernel below D = 9 exists, and the
-    # wedge, reduce_map and the certificate refuse the map in the same words
-    xG = RatMap([X0 * c for c in G.components])
+    # The pencil bound is positive; the first kernel, at k = D - b = 6, is
+    # empty, and the scan refuses the map in the same words before any
+    # larger kernel or the wedge
     rows = dualize._row_reader(xG)
-    assert dualize._pencil_bound(dualize._pencil_minors(rows, [1, 2, 3], 9), 9) >= 3
+    assert dualize._pencil_bound(dualize._pencil_minors(rows, [1, 2, 3], 9), 9) == 3
     wedges, kernels = [], []
     for name, log in (("_wedge_forms", wedges), ("_pairing_kernel", kernels)):
         monkeypatch.setattr(dualize, name, functools.partial(_logged, log, getattr(dualize, name)))
-    with pytest.raises(NotPlanar, match=r"^the image of line \(0, 1, 1\) leaves the hyperplane the reduced wedge"):
+    with pytest.raises(NotPlanar, match=r"^the image of line \(0, 1, 1\) spans RP\^3") as info:
         dual_map(xG)
-    assert len(wedges) == 1 and kernels and all(k < 9 for _, _, k in kernels)
+    assert _sympy_line_rank(xG, _witness_line(info.value)) == 4
+    assert wedges == [] and [k for _, _, k in kernels] == [6]
 
 
-def _certificate_line(exc) -> tuple:
-    found = re.search(r"line \(([-\d, ]+)\) leaves", str(exc))
-    assert found, str(exc)
-    return tuple(int(c) for c in found.group(1).split(","))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_maps(), st.booleans())
+@example(_cubics_refused_on_the_lattice()[0], False)
+@example(_cubics_refused_on_the_lattice()[0], True)
+@example(_cubics_refused_on_the_lattice()[1], True)
+@example(_cubics_refused_on_the_lattice()[2], True)
+def test_every_not_planar_names_a_line_whose_image_spans_rp_n(F, lattice_only):
+    # the seeded span line, `_spanning_rows` and the scan after the kernels
+    # (the examples reach each); with lattice_only the seeded line proves
+    # nothing, so the lattice decides every map
+    with pytest.MonkeyPatch.context() as mp:
+        if lattice_only:
+            mp.setattr(dualize, "_spans_modulo_prime", lambda F, line: False)
+        try:
+            dual_map(F)
+        except NotPlanar as exc:
+            assert _sympy_line_rank(F, _witness_line(exc)) == F.codim + 1
+        except EverywhereDegenerate:
+            pass
+        verdict = classify(F)
+    if isinstance(verdict, Indeterminate) and "spans RP^" in verdict.reason:
+        assert _sympy_line_rank(F, _witness_line(verdict.reason)) == F.codim + 1
 
 
 def _degree_12_relation_map():
@@ -896,20 +923,17 @@ def test_the_wedge_route_gives_the_pairing_dual_byte_for_byte(kind, seed, fracti
 # -- the pencil bound and the pairing kernel against the wedge route ---------------------
 
 
-def _wedge_reduce_certify(F):
-    """(G, H, b): the dual G by the wedge route alone, the wedge H of the
-    chosen rows interpolated on the whole lattice, then `reduce_map` and,
-    for d >= n, the lattice certificate; and the pencil bound b."""
+def _wedge_reduce(F):
+    """(G, H, b): the dual G by the wedge alone, the wedge H of the chosen
+    rows interpolated on the whole lattice and then `reduce_map`; and the
+    pencil bound b."""
     n, d = F.codim, F.degree
     D = n * d - n * (n - 1) // 2
     rows = dualize._row_reader(F)
     chosen = dualize._spanning_rows(rows, n, D)
     pencil = dualize._pencil_minors(rows, chosen, D)
     H = dualize._wedge_forms(rows, chosen, D, pencil)
-    G = reduce_map(H)
-    if d >= n:
-        dualize._certify(G, rows, d)
-    return G, H, dualize._pencil_bound(pencil, D)
+    return reduce_map(H), H, dualize._pencil_bound(pencil, D)
 
 
 def _sympy_gcd_degree(forms):
@@ -944,7 +968,7 @@ KERNEL_ROUTE_KINDS = ["bidual", "circle-web", "web-inverse", "x0-times", "trivia
 @example("trivial", 5)
 def test_the_pairing_kernel_gives_the_wedge_route_dual(kind, seed):
     F = _kernel_route_map(kind, seed)
-    G, H, b = _wedge_reduce_certify(F)
+    G, H, b = _wedge_reduce(F)
     # the kernel route runs: the wedge has a factor, and the pencil sees it
     assert b >= _sympy_gcd_degree(H) > 0
     Fh = dual_map(F, seed=seed)
@@ -962,6 +986,41 @@ def test_the_kernel_route_reads_no_wedge_and_reduces_nothing(monkeypatch):
     for F in maps:
         dual_map(F, seed=1)
     assert calls == []
+
+
+def test_planarizations_with_d_at_least_n_never_read_the_wedge(monkeypatch):
+    # their dual has degree below D, so a kernel below D is always found:
+    # biduals, x0 times maps with d+1 = n, duals of cubics into RP^4, a web
+    # composite, maps with a linear relation and a cone over a web composite
+    maps = [_kernel_route_map(kind, seed) for kind in ("bidual", "x0-times") for seed in (1, 2, 3, 4)]
+    maps += [dual_map(generate_map(seed, 3, 4), seed=seed) for seed in (1, 2)]
+    maps += [_wedge_route_map("web-inverse", 3, False), _wedge_route_map("degree-12-relation", 0, False)]
+    for seed in (1, 2):
+        G = generate_map(seed, 3, 2).components
+        maps.append(RatMap(list(G) + [G[0] + 2 * G[1] - 3 * G[2]]))
+        W = _wedge_route_map("web-inverse", seed, False)
+        maps.append(RatMap(list(W.components) + [generate_map(seed, 4, 1).components[0]]))
+    assert all(F.degree >= F.codim for F in maps)
+    wedges: list = []
+    monkeypatch.setattr(dualize, "_wedge_forms", functools.partial(_logged, wedges, dualize._wedge_forms))
+    for F in maps:
+        dual_map(F)
+    assert wedges == []
+
+
+def test_with_no_kernel_below_d_the_wedge_is_the_dual_as_it_is(monkeypatch):
+    # a quadratic into RP^3 has a reduced cubic wedge, D = 3: with the pencil
+    # bound forced to D the kernels at k = 0, 1, 2 are empty, and the wedge
+    # interpolated on Lambda_D is the dual byte for byte, with nothing reduced
+    maps = [generate_map(seed, 2, 3) for seed in range(1, 6)]
+    expect = [repr(dual_map(F, seed=1)) for F in maps]
+    kernels, calls = [], []
+    monkeypatch.setattr(dualize, "_pencil_bound", lambda pencil, D: D)
+    monkeypatch.setattr(dualize, "_pairing_kernel", functools.partial(_logged, kernels, dualize._pairing_kernel))
+    for name in ("_common_degree_bound", "_parallel_forms"):
+        monkeypatch.setattr(poly, name, functools.partial(_logged, calls, getattr(poly, name)))
+    assert [repr(dual_map(F, seed=1)) for F in maps] == expect
+    assert [k for _, _, k in kernels] == [0, 1, 2] * 5 and calls == []
 
 
 def test_a_reduced_wedge_is_interpolated_and_not_reduced_again(monkeypatch):

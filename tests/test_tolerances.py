@@ -9,7 +9,8 @@ up as a change to this file.
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "planarize").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "planarize").glob("*.py"))
 
 #: tolerance name -> module that defines it
 TOLERANCES = {
@@ -48,3 +49,18 @@ def test_every_float_tolerance_is_pinned():
             )
             found[name] = path.name
     assert found == TOLERANCES
+
+
+def test_every_float_tolerance_is_in_readme_with_its_value():
+    # as README states each size limit: "`NAME` = value", the value written
+    # as the source writes it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        for name, node in _module_level_names(ast.parse(text)):
+            if name.endswith(("_RTOL", "_ATOL")):
+                stated.append(f"`{name}` = {ast.get_source_segment(text, node.value)}")
+    assert len(stated) == len(TOLERANCES)
+    missing = [s for s in stated if s not in readme]
+    assert not missing, f"README does not state: {missing}"
