@@ -980,6 +980,20 @@ def test_the_pairing_kernel_gives_the_wedge_route_dual(kind, seed):
 
 def test_the_kernel_route_reads_no_wedge_and_reduces_nothing(monkeypatch):
     maps = [_kernel_route_map(kind, 1) for kind in ("bidual", "circle-web", "web-inverse")]
+    # planarizations with d >= n have a dual of degree below D, so a kernel
+    # below D is always found: biduals, x0 times maps with d+1 = n, duals of
+    # cubics into RP^4, maps with a linear relation and cones over a web
+    # composite
+    wide = [_kernel_route_map(kind, seed) for kind in ("bidual", "x0-times") for seed in (2, 3, 4)]
+    wide += [dual_map(generate_map(seed, 3, 4), seed=seed) for seed in (1, 2)]
+    wide.append(_wedge_route_map("degree-12-relation", 0, False))
+    for seed in (1, 2):
+        G = generate_map(seed, 3, 2).components
+        wide.append(RatMap(list(G) + [G[0] + 2 * G[1] - 3 * G[2]]))
+        W = _wedge_route_map("web-inverse", seed, False)
+        wide.append(RatMap(list(W.components) + [generate_map(seed, 4, 1).components[0]]))
+    assert all(F.degree >= F.codim for F in wide)
+    maps += wide
     calls: list = []
     for module, name in ((poly, "_parallel_forms"), (poly, "_common_degree_bound"), (dualize, "_wedge_forms")):
         monkeypatch.setattr(module, name, functools.partial(_logged, calls, getattr(module, name)))
@@ -988,32 +1002,13 @@ def test_the_kernel_route_reads_no_wedge_and_reduces_nothing(monkeypatch):
     assert calls == []
 
 
-def test_planarizations_with_d_at_least_n_never_read_the_wedge(monkeypatch):
-    # their dual has degree below D, so a kernel below D is always found:
-    # biduals, x0 times maps with d+1 = n, duals of cubics into RP^4, a web
-    # composite, maps with a linear relation and a cone over a web composite
-    maps = [_kernel_route_map(kind, seed) for kind in ("bidual", "x0-times") for seed in (1, 2, 3, 4)]
-    maps += [dual_map(generate_map(seed, 3, 4), seed=seed) for seed in (1, 2)]
-    maps += [_wedge_route_map("web-inverse", 3, False), _wedge_route_map("degree-12-relation", 0, False)]
-    for seed in (1, 2):
-        G = generate_map(seed, 3, 2).components
-        maps.append(RatMap(list(G) + [G[0] + 2 * G[1] - 3 * G[2]]))
-        W = _wedge_route_map("web-inverse", seed, False)
-        maps.append(RatMap(list(W.components) + [generate_map(seed, 4, 1).components[0]]))
-    assert all(F.degree >= F.codim for F in maps)
-    wedges: list = []
-    monkeypatch.setattr(dualize, "_wedge_forms", functools.partial(_logged, wedges, dualize._wedge_forms))
-    for F in maps:
-        dual_map(F)
-    assert wedges == []
-
-
 def test_with_no_kernel_below_d_the_wedge_is_the_dual_as_it_is(monkeypatch):
     # a quadratic into RP^3 has a reduced cubic wedge, D = 3: with the pencil
     # bound forced to D the kernels at k = 0, 1, 2 are empty, and the wedge
-    # interpolated on Lambda_D is the dual byte for byte, with nothing reduced
+    # interpolated on Lambda_D is the dual byte for byte, with nothing
+    # reduced: the bytes of the wedge after `reduce_map`
     maps = [generate_map(seed, 2, 3) for seed in range(1, 6)]
-    expect = [repr(dual_map(F, seed=1)) for F in maps]
+    expect = [repr(_wedge_reduce(F)[0]) for F in maps]
     kernels, calls = [], []
     monkeypatch.setattr(dualize, "_pencil_bound", lambda pencil, D: D)
     monkeypatch.setattr(dualize, "_pairing_kernel", functools.partial(_logged, kernels, dualize._pairing_kernel))
