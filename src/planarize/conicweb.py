@@ -135,27 +135,25 @@ def phi_map(sys: ConicSystem) -> RatMap:
 def lines_to_curves(f_src, sys: ConicSystem, lines: Sequence[PLine2]) -> list[Optional[PPoint]]:
     """Per-line containing conic (system coordinates), or None.
 
-    On each line the exact map of degree d is its d+1 coefficient rows
-    (`poly._line_rows`), read as d+1 binary forms; the basis quadrics are
-    composed with those forms, and the conic is the null direction of the
-    2d+1 coefficient rows of the composites, exact at any degree.  A line
-    in the indeterminacy locus has only zero rows and raises TooFewSamples.
-    Only an exact source has rows: any other source raises TypeError.
+    The basis quadrics are composed with the exact map of degree d once;
+    on each line the composites are their 2d+1 coefficient rows
+    (`poly._line_rows`), and the conic is the null direction of those rows,
+    exact at any degree.  A line on which the map's own d+1 rows are all
+    zero lies in the indeterminacy locus and raises TooFewSamples.  Only an
+    exact source has rows: any other source raises TypeError.
     """
     if not isinstance(f_src, ExactMapSource):
         raise TypeError("lines_to_curves needs an exact rational map")
     F = f_src.ratmap
     d = F.degree
     comps = [c.terms for c in F.components]
+    composed = [q.substitute(F.components).terms for q in sys.basis]
     out: list[Optional[PPoint]] = []
     for line in lines:
-        rows = _line_rows(comps, *line_base_points(line), d)
-        if not any(map(any, rows)):
+        p, q = line_base_points(line)
+        if not any(map(any, _line_rows(comps, p, q, d))):
             raise TooFewSamples(f"line {line.covector} yielded 0 samples")
-        forms = [HPoly(2, d, {(d - r, r): row[i] for r, row in enumerate(rows)}) for i in range(len(comps))]
-        composed = [q.substitute(forms) for q in sys.basis]
-        coefficients = [[c.terms.get((2 * d - j, j), 0) for c in composed] for j in range(2 * d + 1)]
-        direction = projcore.null_direction(coefficients, True)
+        direction = projcore.null_direction(_line_rows(composed, p, q, 2 * d), True)
         out.append(None if direction is None else PPoint(direction))
     return out
 
@@ -203,14 +201,7 @@ def net_through(web: ConicSystem, center: PPoint) -> ConicSystem:
     center: one linear condition on the system coordinates."""
     if web.dimension != 3:
         raise ValueError("expected a web")
-    basis = projcore._nullspace_int([list(center.coords)])
-    psis = []
-    for mu in basis:
-        psi = HPoly.zero(3, 2)
-        for c, q in zip(mu, web.basis):
-            psi = psi + c * q
-        psis.append(psi.canonical())
-    return ConicSystem(psis)
+    return ConicSystem([web.conic(mu).canonical() for mu in projcore._nullspace_int([list(center.coords)])])
 
 
 def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
@@ -293,18 +284,6 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_of_linear_map(P: RatMap) -> list[list[Fraction]]:
-    mat = []
-    for comp in P.components:
-        row = []
-        for j in range(3):
-            e = [0, 0, 0]
-            e[j] = 1
-            row.append(comp.terms.get(tuple(e), 0))
-        mat.append(row)
-    return mat
-
-
 def _adjugate3(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     # the cofactor rows of a 3x3 matrix are cross products of its other rows
     cof = [projcore.cross(m[1], m[2]), projcore.cross(m[2], m[0]), projcore.cross(m[0], m[1])]
@@ -316,9 +295,11 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
 
     A sampled f is first fitted as a rational map of degree at most three;
     a fit failure (DegreeTooLow, ChartOverflow) propagates.  Precondition
-    (validated): the net map composed with f reduces to a collineation P.
-    W is the net map precomposed with the inverse of P, and W∘f must be the
-    identity as a map.
+    (validated): the net map composed with f reduces to a collineation P,
+    with matrix M.  W is the net map precomposed with the inverse of P: the
+    net's members with the rows of adj(M) as system coordinates
+    (`ConicSystem.conic`), reduced, which also removes any factor the net's
+    forms share.  W∘f must be the identity as a map.
     """
     if net.dimension != 2:
         raise ValueError("inversion needs a net (dimension 2)")
@@ -326,26 +307,18 @@ def invert_via_net(f, net: ConicSystem, seed: int = 0) -> RatMap:
         raise ValueError(f"a map inverted through a net must go into RP^2, got RP^{f.codim}")
     if not isinstance(f, RatMap):
         f = ratfit.fit_map(f, 3, seed=seed)
-    Phin = phi_map(net)
-    P = Phin.after(f)
+    P = phi_map(net).after(f)
     if P.degree != 1:
         raise NotCollinear(f"the net composite has degree {P.degree}, not 1")
-    mat = _matrix_of_linear_map(P)
+    mat = [[comp.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for comp in P.components]
     # the triple product of the rows is the determinant
     if sum(map(operator.mul, mat[0], projcore.cross(mat[1], mat[2]))) == 0:
         raise ProjectiveFitFailed("the collineation is singular")
-    adj = _adjugate3(mat)
-    comps = []
-    for i in range(3):
-        acc = HPoly.zero(3, Phin.degree)
-        for j in range(3):
-            acc = acc + adj[i][j] * Phin.components[j]
-        comps.append(acc)
-    W = reduce_map(comps)
+    W = reduce_map([net.conic(row) for row in _adjugate3(mat)])
 
-    # P = Phin∘f / h with matrix M, so W∘f = h·det(M)·id identically; only a
-    # fault in the construction above can fail this.  The composite is
-    # compared unreduced: proportionality needs no gcd
+    # P = phi_map(net)∘f / h with matrix M, so W∘f = h·det(M)·id
+    # identically; only a fault in the construction above can fail this.
+    # The composite is compared unreduced: proportionality needs no gcd
     composite = RatMap([w.substitute(f.components) for w in W.components])
     if not composite.projectively_equal(RatMap(variables(3))):
         raise ProjectiveFitFailed("W∘f is not the identity")
@@ -364,13 +337,28 @@ class InCircle:
     plane: Hyperplane
 
 
+def _on_sphere(Y: Sequence, exact: bool) -> None:
+    """Raise NotOnSphere unless the value Y = (Y0, Y1, Y2, Y3) lies on the
+    sphere Y1^2 + Y2^2 + Y3^2 = Y0^2: exactly, or in float mode, where
+    Y0 = 1, within SPHERE_RTOL."""
+    y0, y1, y2, y3 = Y
+    norm = y1 * y1 + y2 * y2 + y3 * y3
+    if exact:
+        if norm != y0 * y0:
+            # Y0 = 0 is a point at infinity, and no sphere point is one
+            raise NotOnSphere(f"sample at distance^2 {Fraction(norm, y0 * y0)} from 1" if y0 else "sample at infinity")
+    elif not abs(float(norm) - 1.0) <= SPHERE_RTOL:  # NaN fails too
+        raise NotOnSphere(f"sample off the sphere by {abs(float(norm) - 1.0):.2e}")
+
+
 def khovanskii_classify(f_src, seed: int = 0):
     """Classify a sphere-valued map that takes lines to circles.
 
-    The sphere embeds in RP^3 by prepending 1; circles are plane sections.
-    The trivial case (image inside one plane) is decided directly on the
-    samples; otherwise a rational model of degree <= 3 is fitted, and the
-    planarization trichotomy of the model decides:
+    The sphere embeds in RP^3 by prepending 1 to a value (x, y, z); an
+    exact map source's value (Y0, Y1, Y2, Y3) is read as it is.  Circles
+    are plane sections.  The trivial case (image inside one plane) is
+    decided directly on the samples; otherwise a rational model of degree
+    <= 3 is fitted, and the planarization trichotomy of the model decides:
 
     - Trivial: InCircle with the model's plane.  The plane test missed it
       only through samples at base points of the model, which a fit does
@@ -390,67 +378,58 @@ def khovanskii_classify(f_src, seed: int = 0):
     is trivial, the two pencils have distinct (conjugate) centers, the line
     through them goes to one point, and every line's image passes through
     it: the model is co-trivial.  The other outcomes need samples that do
-    not bind the model to the sphere: a float grid within SPHERE_RTOL of
-    it, or a source that is not a grid, whose reads off the integer nodes
-    {0..5}^2 are not tested for the sphere.
+    not bind the model to the sphere, such as a float grid within
+    SPHERE_RTOL of it.
 
-    A grid is tested for a plane at all its nodes.  A source that is not a
-    grid is tested at the integer nodes (u, v) in {0..5}^2, the check block
-    of the degree-2 fit, and read once per point: the plane test and the
-    fits at degree 2 and 3 share one table of its values.  For a plane H
-    and a sphere map f of degree <= 5, H.(1, f) is a rational function
-    whose numerator has degree <= 5, and a polynomial of degree <= 5 that
+    A grid is tested for the sphere and for a plane at all its nodes.  A
+    source that is not a grid is read once per point, through one table
+    that the plane test and the fits at degree 2 and 3 share, and every
+    value read is tested for the sphere: the fits' blocks and held-out
+    draws as well.  Its plane test takes the integer nodes (u, v) in
+    {0..5}^2, the check block of the degree-2 fit.  For a plane H and a
+    sphere map f of degree <= 5, H.(1, f) is a rational function whose
+    numerator has degree <= 5, and a polynomial of degree <= 5 that
     vanishes on a 6 x 6 tensor grid is zero, so the test is a proof.
 
-    In exact mode each value (1, x, y, z) is cleared to integers Y, an
-    exact grid's in its node table, and the sphere test is
-    Y1^2 + Y2^2 + Y3^2 = Y0^2; the plane test takes those integer rows.  A
-    float grid reads its `values` directly.
+    In exact mode each value is cleared to integers Y, an exact grid's in
+    its node table and any other source's as it is read, and the sphere
+    test is Y1^2 + Y2^2 + Y3^2 = Y0^2 (`_on_sphere`); the plane test takes
+    those integer rows.  A float grid reads its `values` directly.
     """
     if f_src.codim != 3:
         raise ValueError("expected a map into 3-space")
     exact = f_src.mode == "exact"
-    # the sphere in RP^3: a grid already evaluates to (1, x, y, z)
     if isinstance(f_src, GridMapSource):
-        emb = f_src
+        emb = f_src  # a grid already evaluates to (1, x, y, z)
         if exact:
-            nodes = [node for row in f_src._node_table() for node in row]
+            rows = [Y for _, Y, _ in filter(None, (node for row in f_src._node_table() for node in row))]
         else:
-            samples = [val for row in f_src.values for val in row]
+            rows = [(1.0, *val) for row in f_src.values for val in row]
     else:
         one = Fraction(1) if exact else 1.0
+        homogeneous = isinstance(f_src, ExactMapSource)
 
         # one table for every read: the plane test and both fits share it
         @functools.cache
         def embedded(u, v):
             val = f_src.evaluate(u, v)
-            return None if val is None else (one, *val)
+            if val is None:
+                return None
+            Y = val if homogeneous else (one, *val)
+            if exact:  # cleared once here, the fits read the integers as they are
+                Y = tuple(projcore._cleared(Y)[0])
+            _on_sphere(Y, exact)
+            return Y
 
         emb = CallableSource(embedded, codim=3, mode=f_src.mode)
         # the degree-2 fit checks its model on these nodes (side k+d+2 = 6)
         us = vs = [Fraction(i) if exact else float(i) for i in range(6)]
-        if exact:
-            nodes = [ratfit._node(embedded, u, v) for v in vs for u in us]
-        else:
-            samples = [val[1:] for val in (embedded(u, v) for v in vs for u in us) if val is not None]
-    if exact:
-        # each value (1, x, y, z) cleared to integers Y: on the sphere
-        # exactly when Y1^2 + Y2^2 + Y3^2 = Y0^2
-        rows = [Y for _, Y, _ in filter(None, nodes)]
-        if len(rows) < 8:
-            raise TooFewSamples("not enough sphere samples")
-        for y0, y1, y2, y3 in rows:
-            norm = y1 * y1 + y2 * y2 + y3 * y3
-            if norm != y0 * y0:
-                raise NotOnSphere(f"sample at distance^2 {Fraction(norm, y0 * y0)} from 1")
-    else:
-        if len(samples) < 8:
-            raise TooFewSamples("not enough sphere samples")
-        for x, y, z in samples:
-            norm = x * x + y * y + z * z
-            if not abs(float(norm) - 1.0) <= SPHERE_RTOL:  # NaN fails too
-                raise NotOnSphere(f"sample off the sphere by {abs(float(norm)-1.0):.2e}")
-        rows = [[1, x, y, z] for x, y, z in samples]
+        rows = list(filter(None, (embedded(u, v) for v in vs for u in us)))
+    if len(rows) < 8:
+        raise TooFewSamples("not enough sphere samples")
+    if isinstance(f_src, GridMapSource):  # any other source tests each value as it reads it
+        for Y in rows:
+            _on_sphere(Y, exact)
 
     plane = projcore.null_direction(rows, exact)
     if plane is not None:

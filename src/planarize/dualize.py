@@ -90,11 +90,7 @@ def component_dependence(F: RatMap) -> Optional[tuple[int, ...]]:
     One row per monomial that occurs in some component: the others give
     zero rows, which leave the nullspace as it is."""
     monos = dict.fromkeys(e for c in F.components for e in c.terms)
-    matrix = [[c.terms.get(m, 0) for c in F.components] for m in monos]
-    basis = projcore._nullspace_int(projcore._integer_rows(matrix))
-    if not basis:
-        return None
-    return projcore.normalize(basis[0])
+    return projcore.null_direction([[c.terms.get(m, 0) for c in F.components] for m in monos], True)
 
 
 def _wedge_degree(n: int, d: int) -> int:

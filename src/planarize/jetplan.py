@@ -104,12 +104,12 @@ class GridMapSource:
     chart index is always 0.  Axes must be strictly increasing, with no
     infinite or NaN float node, and on a float grid no two nodes closer
     than NODE_ATOL, within which a lookup takes them for one.  Lookups by
-    value (`evaluate`, `node_index`) serve jets and external callers: an
-    exact grid looks a node up by hash, in one {node: index} table per axis
-    built here, so any number equal to a node (a Fraction, an int or a
-    float) finds it; a float grid scans its axes for a node within
-    NODE_ATOL.  A pass over the grid's own nodes reads them by index from
-    one integer node table (`_node_table`), built on first use.
+    value (`evaluate`, `node_index`) serve jets and external callers: one
+    scan of each axis takes the node equal to the coordinate, so any number
+    equal to a node (a Fraction, an int or a float) finds it, and on a
+    float grid also a node within NODE_ATOL of it.  A pass over the grid's
+    own nodes reads them by index from one integer node table
+    (`_node_table`), built on first use.
     """
 
     def __init__(self, u_axis: Sequence, v_axis: Sequence, values, mode: str = "float"):
@@ -128,8 +128,6 @@ class GridMapSource:
                         f"grid axis nodes {name}={close[0]} and {name}={close[1]} are closer than "
                         f"NODE_ATOL = {NODE_ATOL}"
                     )
-        self._u_index = {a: i for i, a in enumerate(self.u_axis)}
-        self._v_index = {a: i for i, a in enumerate(self.v_axis)}
         self.values = values  # values[iv][iu] = tuple of n numbers
         self.mode = mode
         self.codim = len(values[0][0])
@@ -140,20 +138,16 @@ class GridMapSource:
         return self.u_axis[1] - self.u_axis[0], self.v_axis[1] - self.v_axis[0]
 
     def node_index(self, u, v) -> tuple[int, int]:
-        if self.mode != "float":
-            try:
-                return self._u_index[u], self._v_index[v]
-            except (KeyError, TypeError):  # off the grid, or unhashable
-                raise KeyError(f"({u}, {v}) is not a grid node") from None
+        near = self.mode == "float"
 
         def find(axis, x):
-            if isinstance(x, numbers.Real):  # anything else is no node, as on an exact grid
+            if isinstance(x, numbers.Real):  # anything else is no node
                 try:
                     fx = float(x)
                 except OverflowError:  # beyond every float node
                     fx = math.inf
                 for i, a in enumerate(axis):
-                    if a == x or abs(float(a) - fx) < NODE_ATOL:
+                    if a == x or near and abs(float(a) - fx) < NODE_ATOL:
                         return i
             raise KeyError(f"{x!r} is not a grid node")
 

@@ -679,17 +679,6 @@ def line_base_points(line: PLine2) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return pts[0], pts[1]
 
 
-def _convolve(a: list, b: list) -> list:
-    """The coefficient list of the product of two univariate coefficient
-    lists; zero entries of `a` are skipped, so pass the sparser one first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _binomial_row(u, v, k: int) -> list:
     """(u s + v t)^k as its coefficients of s^(k-r) t^r, r = 0..k, read off
     the binomial theorem from power tables of u and v."""
@@ -716,7 +705,7 @@ def _line_rows(comps: Sequence[PolyDict], p: Sequence[int], q: Sequence[int], d:
                 row = [1]
                 for u, v, k in zip(p, q, e):
                     if k:
-                        row = _convolve(row, _binomial_row(u, v, k))
+                        row = univar.mul(row, _binomial_row(u, v, k))
                 monomial_rows[e] = row
             for r, x in enumerate(row):
                 if x:

@@ -1,9 +1,10 @@
 """Dense univariate polynomials with exact coefficients, and their gcd.
 
 Coefficient lists are low-to-high degree; the zero polynomial is [].  A
-coefficient is an int or a Fraction.  The arithmetic helpers (add, sub,
-mul, evaluate) work in Fractions, as the rational fitting and the jet
-wedges that call them expect.
+coefficient is an int or a Fraction.  add, sub and mul accumulate from
+the int 0, so int lists give int lists (as `poly._line_rows` forms its
+binomial rows) and Fraction lists give Fractions (as the jet wedges
+expect); evaluate works in Fractions.
 
 The gcd kernel works on integers with the content kept apart:
 `content_primitive` splits a polynomial once into its rational content and
@@ -38,7 +39,7 @@ def degree(p: Sequence) -> int:
 
 def add(p: Sequence, q: Sequence) -> Poly:
     n = max(len(p), len(q))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -53,7 +54,7 @@ def sub(p: Sequence, q: Sequence) -> Poly:
 def mul(p: Sequence, q: Sequence) -> Poly:
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue

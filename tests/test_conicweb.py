@@ -117,6 +117,14 @@ def test_generic_cubic_has_no_containing_conic():
     assert lam is None
 
 
+def test_inversion_lines_pin_their_circle_web_members():
+    # x0 = 0 goes to the point (1, 0, 0) and x1 = 0 into the line x1 = 0,
+    # both in the member x0 x1; a line off the origin goes to a circle
+    lines = [PLine2.of(1, 0, 0), PLine2.of(0, 1, 0), PLine2.of(1, 2, 3)]
+    found = lines_to_curves(ExactMapSource(INVERSION), circle_web(), lines)
+    assert found == [PPoint.of(0, 1, 0, 0), PPoint.of(0, 1, 0, 0), PPoint.of(0, 2, 3, 1)]
+
+
 ORIGIN_NET = [X1 * X1 + X2 * X2, X0 * X1, X0 * X2]
 IN_CONIC = reduce_map([X0 * X0 + X1 * X1, X0 * X0 - X1 * X1, 2 * X0 * X1])
 
@@ -379,6 +387,15 @@ def test_invert_via_net_identity_with_degenerate_net():
     assert W.projectively_equal(ident)
 
 
+def test_invert_via_net_removes_the_factor_the_net_shares():
+    # the net's forms share the factor x0, so its map reduces to the
+    # identity, and its members at the adjugate's rows carry x0 too
+    net = ConicSystem([X0 * X0, X0 * X1, X0 * X2])
+    f = reduce_map([X0 + X1, X1 - X2, X0 + 2 * X2])
+    # f's matrix has determinant 1, so its inverse is the adjugate
+    assert invert_via_net(f, net) == reduce_map([2 * X0 - 2 * X1 - X2, -X0 + 2 * X1 + X2, -X0 + X1 + X2])
+
+
 def test_invert_via_net_rejects_non_collineation():
     net = ConicSystem([X0 * X0, X0 * X1, X0 * X2])  # net map reduces to identity
     q = reduce_map([X0 * X0 + X1 * X2, X1 * X1 - X0 * X2, X2 * X2 + X0 * X1])
@@ -472,6 +489,19 @@ def test_khovanskii_off_sphere_rejected():
 
     with pytest.raises(NotOnSphere):
         khovanskii_classify(CallableSource(off, codim=3, mode="exact"))
+
+
+def test_khovanskii_reads_an_exact_map_as_it_is():
+    # an exact source's value (Y0, Y1, Y2, Y3) is already homogeneous
+    sphere = [X0 * X0 + X1 * X1 + X2 * X2, 2 * X0 * X1, 2 * X0 * X2, X1 * X1 + X2 * X2 - X0 * X0]
+    assert khovanskii_classify(ExactMapSource(RatMap(sphere))) == Quadratic(reduce_map(sphere))
+    for off, message in [
+        (sphere[:3] + [X1 * X1 - X0 * X0], "sample at distance^2 5/4 from 1"),
+        ([X1 * X2, X0 * X0, X0 * X1, X0 * X2], "sample at infinity"),  # Y0 = 0 at the node (0, 0)
+    ]:
+        with pytest.raises(NotOnSphere) as info:
+            khovanskii_classify(ExactMapSource(RatMap(off)))
+        assert str(info.value) == message
 
 
 def test_classify_web_sampled_inversion():
@@ -747,30 +777,48 @@ def test_khovanskii_float_grid_of_no_planarization_is_a_degree_anomaly(tmp_path,
     assert json.loads(out) == {"case": "DegreeAnomaly", "witness": None, "diagnostics": message}
 
 
-def test_khovanskii_callable_sphere_valued_only_where_tested_is_a_degree_anomaly():
-    # stereographic at the integer nodes {0..5}^2, the only reads tested for
-    # the sphere, and no value at the other integer nodes of those rows;
+def test_khovanskii_callable_sphere_valued_only_at_the_plane_test_nodes_is_off_the_sphere():
+    # stereographic at the integer nodes {0..5}^2, which the plane test
+    # reads, and no value at the other integer nodes of those rows;
     # elsewhere the dual of a quadratic map, a rational planarization of
-    # degree 3.  The degree-2 fit finds the stereographic map on those rows
-    # and fails its held-out draws; the degree-3 fit, whose blocks need 7
-    # values a row, reads the later rows and finds the dual
+    # degree 3 that leaves the sphere.  Every value read is tested for the
+    # sphere, so the degree-2 fit's first held-out draw is refused
     from planarize.cli import _case_report, generate_map
     from planarize.dualize import dual_map
 
     G = dual_map(generate_map(1, 2, 3))
     assert G.degree == 3 and classify(G) == Rational(3)
+    reads = []
 
     def fn(u, v):
+        reads.append((F(u), F(v)))
         if F(u).denominator == F(v).denominator == 1 and v <= 5:
             return stereo(u, v) if u <= 5 else None
         g = G.evaluate([F(1), F(u), F(v)])
         return None if g is None or g[0] == 0 else tuple(c / g[0] for c in g[1:])
 
-    message = "rational verdict at degree 3 violates the lines-to-circles classification"
-    with pytest.raises(DegreeAnomaly) as info:
+    message = "sample at distance^2 4826344910669673892373/922992068319956644 from 1"
+    with pytest.raises(NotOnSphere) as info:
         khovanskii_classify(CallableSource(fn, codim=3, mode="exact"))
     assert str(info.value) == message
+    assert set(reads[:-1]) == INTEGER_NODES and reads[-1] not in INTEGER_NODES
     # the CLI reads grids only; this is the report it gives the exception
+    assert _case_report(info.value) == ({"case": "NotOnSphere", "witness": None, "diagnostics": message}, 2)
+
+
+def test_khovanskii_rational_verdict_at_degree_3_is_a_degree_anomaly(monkeypatch):
+    # a model that maps into the sphere has degree 2, so the fit is
+    # planted: a rational planarization of degree 3
+    from planarize.cli import _case_report, generate_map
+    from planarize.dualize import dual_map
+
+    G = dual_map(generate_map(1, 2, 3))
+    assert G.degree == 3 and classify(G) == Rational(3)
+    monkeypatch.setattr(ratfit, "fit_map", lambda source, d, seed=0: G)
+    message = "rational verdict at degree 3 violates the lines-to-circles classification"
+    with pytest.raises(DegreeAnomaly) as info:
+        khovanskii_classify(CallableSource(stereo, codim=3, mode="exact"))
+    assert str(info.value) == message
     assert _case_report(info.value) == ({"case": "DegreeAnomaly", "witness": None, "diagnostics": message}, 2)
 
 

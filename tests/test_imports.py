@@ -118,25 +118,103 @@ def test_every_exception_class_is_raised():
     assert not exceptions - raised, f"never raised: {sorted(exceptions - raised)}"
 
 
+PACKAGE = "planarize"
+MODULES = {path.stem for path in SOURCES}
+
+
+def _exports():
+    """{name: (module, name)} for every name __init__.py imports from a module."""
+    init = ast.parse((SOURCES[0].parent / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def _definitions():
+    """Every function the package defines, as a key: (module, name), or
+    (None, name) for a method, which is named as an attribute of anything."""
+    keys = set()
+
+    def visit(node, module, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    keys.add((None if in_class else module, child.name))
+            visit(child, module, isinstance(child, ast.ClassDef))
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    return keys
+
+
 def _references(paths):
-    """Every name a file reads, as a variable, an attribute or an import,
-    each with the functions it is read inside, innermost last."""
+    """Every function a file names, as the key of `_definitions`, each with
+    the functions it is named inside, innermost last.  An import names what
+    it imports.  A bare name means what the file imports under it, or else
+    the function of that name in the file's own module; an attribute of a
+    package module (`univar.sub`, `planarize.reduce_map`) means that
+    module's function, and any other attribute a method.  So a local
+    variable can hide no function of another module."""
+    exports = _exports()
     refs = []
 
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inside = inside + (node.name,)
+    def member(module, name):
+        # what `from <module> import name` binds: a package module or a function key
+        if module == PACKAGE:
+            return name if name in MODULES else exports.get(name)
+        return (module, name)
+
+    def module_of(node, bound):
         if isinstance(node, ast.Name):
-            refs.append((node.id, inside))
-        elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, inside))
-        elif isinstance(node, ast.alias):
-            refs.append((node.name, inside))
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            target = bound.get(node.id)
+            return target if isinstance(target, str) else None
+        if isinstance(node, ast.Attribute) and module_of(node.value, bound) == PACKAGE and node.attr in MODULES:
+            return node.attr
+        return None
 
     for path in paths:
-        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = path.stem if path in SOURCES else None
+        bound = {}  # name -> PACKAGE, a module stem, or a function key
+        imported = {}  # id of an import alias -> what it imports
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == PACKAGE:
+                        bound[alias.asname or PACKAGE] = parts[-1] if alias.asname and len(parts) > 1 else PACKAGE
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 1:
+                    module = node.module or PACKAGE
+                elif node.level == 0 and (node.module or "").split(".")[0] == PACKAGE:
+                    module = node.module.split(".")[-1] if "." in node.module else PACKAGE
+                else:
+                    continue
+                for alias in node.names:
+                    target = member(module, alias.name)
+                    if target is not None:
+                        bound[alias.asname or alias.name] = imported[id(alias)] = target
+
+        def visit(node, inside):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = inside + (node.name,)
+            key = None
+            if isinstance(node, ast.Name):
+                key = bound.get(node.id, (own, node.id) if own else None)
+            elif isinstance(node, ast.Attribute):
+                module = module_of(node.value, bound)
+                key = (None, node.attr) if module is None else member(module, node.attr)
+            elif isinstance(node, ast.alias):
+                key = imported.get(id(node))
+            if isinstance(key, tuple):
+                refs.append((key, inside))
+            for child in ast.iter_child_nodes(node):
+                visit(child, inside)
+
+        visit(tree, ())
     return refs
 
 
@@ -145,18 +223,12 @@ def test_every_function_is_referenced():
     # behind; a private one must be named in the package, a public one may
     # be named by the tests or the demos too, and one that only the tests
     # name must be API: listed in planarize.__all__ or named in README.  A
-    # function naming itself (recursion) does not count.
+    # function naming itself (recursion) does not count, and names resolve
+    # through imports and module attributes (`_references`).
     root = Path(__file__).resolve().parent.parent
     package = _references(SOURCES)
     demos = _references(sorted((root / "demos").glob("*.py")))
     tests = _references(sorted((root / "tests").glob("*.py")))
-    defined = {
-        node.name
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-    }
     init = ast.parse((root / "src" / "planarize" / "__init__.py").read_text(encoding="utf-8"))
     exported = {
         elt.value
@@ -166,17 +238,19 @@ def test_every_function_is_referenced():
     }
     readme = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
 
-    def named(name, refs):
-        return any(ref == name and name not in inside for ref, inside in refs)
+    def named(key, refs):
+        return any(ref == key and key[1] not in inside for ref, inside in refs)
 
     unreferenced, test_only = [], []
-    for name in sorted(defined):
-        if named(name, package) or (not name.startswith("_") and named(name, demos)):
+    for key in sorted(_definitions(), key=lambda k: (k[1], k[0] or "")):
+        name = key[1]
+        label = name if key[0] is None else f"{key[0]}.{name}"
+        if named(key, package) or (not name.startswith("_") and named(key, demos)):
             continue
-        if name.startswith("_") or not named(name, tests):
-            unreferenced.append(name)
+        if name.startswith("_") or not named(key, tests):
+            unreferenced.append(label)
         elif name not in exported and name not in readme:
-            test_only.append(name)
+            test_only.append(label)
     assert not unreferenced, f"functions no code names: {unreferenced}"
     assert not test_only, f"public functions only the tests name, neither in __all__ nor in README: {test_only}"
 

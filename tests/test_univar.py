@@ -155,6 +155,15 @@ def test_divexact_keeps_ints_for_integral_quotients():
     assert half == [Fraction(1, 2)] and type(half[0]) is Fraction
 
 
+def test_add_and_mul_keep_ints_as_ints_and_fractions_as_fractions():
+    # they accumulate from the int 0, so the coefficient type is the input's
+    assert univar.add([1, 2], [3]) == [4, 2] and univar.mul([1, 2], [3, 4]) == [3, 10, 8]
+    assert all(type(c) is int for c in univar.add([1, 2], [3]) + univar.mul([1, 2], [3, 4]))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    out = univar.add([half], [third, Fraction(1)]) + univar.mul([half, Fraction(1)], [Fraction(2)])
+    assert out == [Fraction(5, 6), 1, 1, 2] and all(type(c) is Fraction for c in out)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_content_primitive_matches_sympy(seed):
     rng = stable_rng(seed, "univar-content")
