@@ -4,12 +4,13 @@ A linear system is spanned by independent quadratic forms; its map sends a
 point to the tuple of basis values, turning conic membership of image
 curves into hyperplane membership after composition.  On top of that sit
 the per-line conic finder (an exact map's coefficient rows on the line),
-the web classifier (which routes through the planarization trichotomy,
-whose certified dual also decides whether the map takes lines to web
-conics at all), inversion through a net (checked as an identity of maps),
-and the classification of sphere-valued maps taking lines to circles.  The
-web classifier and net inversion work on exact maps only: a sampled source
-is first fitted once as a rational map of degree at most three.
+the web classifier (which reads each verdict from the cheapest object that
+decides it: the unreduced composite's linear relations, the map's own
+degree, and only then the composite's certified dual), inversion through
+a net (checked as an identity of maps), and the classification of
+sphere-valued maps taking lines to circles.  The web classifier and net
+inversion work on exact maps only: a sampled source is first fitted once
+as a rational map of degree at most three.
 """
 
 from __future__ import annotations
@@ -70,9 +71,16 @@ class DegreeAnomaly(ValueError):
 
 
 class ConicSystem:
-    """Linear system of conics spanned by independent quadratic forms."""
+    """Linear system of conics spanned by independent quadratic forms.
 
-    __slots__ = ("basis",)
+    Immutable: the basis is fixed at construction, so the system map
+    (`phi_map`) and a web's quadric (`_web_quadric`) are each computed once,
+    on first use, and kept in the private `_cache`.  A copy or a pickle goes
+    through the constructor: it re-validates the basis and starts with an
+    empty cache.
+    """
+
+    __slots__ = ("basis", "_cache")
 
     def __init__(self, basis: Sequence[HPoly]):
         basis = tuple(basis)
@@ -86,9 +94,14 @@ class ConicSystem:
         if projcore.rank(matrix) != len(basis):
             raise DependentBasis("basis forms are linearly dependent")
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):
         raise AttributeError("ConicSystem is immutable")
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, not __setattr__
+        return ConicSystem, (self.basis,)
 
     @property
     def dimension(self) -> int:
@@ -128,8 +141,19 @@ def circle_web() -> ConicSystem:
 
 
 def phi_map(sys: ConicSystem) -> RatMap:
-    """The rational map whose components are the system's basis forms."""
-    return reduce_map(list(sys.basis))
+    """The rational map whose components are the system's basis forms,
+    reduced on the system's first call and kept in its cache."""
+    if "map" not in sys._cache:
+        sys._cache["map"] = reduce_map(list(sys.basis))
+    return sys._cache["map"]
+
+
+def _web_quadric(web: ConicSystem) -> Optional[tuple[int, HPoly]]:
+    """`implicitize(phi_map(web), 2)`, computed on the web's first call and
+    kept in its cache."""
+    if "quadric" not in web._cache:
+        web._cache["quadric"] = implicitize(phi_map(web), 2)
+    return web._cache["quadric"]
 
 
 def lines_to_curves(f_src, sys: ConicSystem, lines: Sequence[PLine2]) -> list[Optional[PPoint]]:
@@ -210,21 +234,35 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     A sampled f is first fitted as a rational map of degree at most three;
     a fit failure (DegreeTooLow, ChartOverflow) propagates.  f takes a line
     into a web conic exactly when the composite F of the system map with f
-    takes it into a plane, so F's dual decides whether f takes lines to web
-    conics at all: F is composed and its dual certified, and a dual that
-    shows F is no planarization raises NotALinesToCurvesMap.  The
-    trichotomy of F then routes to: image inside one conic (Trivial); f
-    itself of degree one (reported as the degree-<=2 rational case with the
-    map); both maps onto a common quadric; a local inverse of a quadratic
-    map through the induced net (co-trivial); or the degree-<=2 rational
-    case.  Every other outcome is ruled out:
+    takes it into a plane.  Each verdict is read from the cheapest object
+    that decides it, in this order:
+
+    1. The web's forms are composed with f once.  A linear relation among
+       the components of that unreduced composite is the member holding
+       the image: InConic, before any reduction.  A common factor h of the
+       components leaves their linear relations as they are, so the
+       reduced F has the same ones, and the member is the same point.
+    2. f is reduced.  A map of degree 1 is Quadratic(f), with no dual: it
+       takes every line to a line or a point, and the web's forms
+       restricted to a line span at most three binary quadratics, so no
+       line's image under F spans RP^3.  Every NotPlanar of the dual names
+       such a line, so F's dual could not refuse it, and every verdict past
+       Trivial ends in Quadratic(f) for a map of degree 1.
+    3. Only now is the composite reduced to F and F's dual certified
+       (`dualize._classify`).  A dual that shows F is no planarization
+       raises NotALinesToCurvesMap.  Past that come: both maps onto a
+       common quadric, the web's quadric computed once per web
+       (`_web_quadric`); a local inverse of a quadratic map through the
+       induced net (co-trivial); or the degree-<=2 rational case.
+
+    Every other outcome is ruled out:
 
     - F is never Indeterminate.  That needs every line's image inside a
       projective line, and then for non-collinear generic points a, b, c
       and generic x, with y where the line ax meets bc, F(x) lies on the
       line through F(a) and F(y), in the plane of F(a), F(b), F(c): the
-      components are dependent, which is the Trivial case.
-    - Past Trivial, F's image is a surface and f is dominant: an image
+      components are dependent, which is the InConic case.
+    - Past InConic, F's image is a surface and f is dominant: an image
       curve would be the image of a generic line, which lies in a plane.
       So both have finite generic fibres, and a map G of that kind which
       takes each line into a conic (or a line) is one-to-one on a generic
@@ -251,15 +289,13 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
         raise ValueError(f"a map taking lines to conics must go into RP^2, got RP^{f.codim}")
     if not isinstance(f, RatMap):
         f = ratfit.fit_map(f, 3, seed=seed)
-    F = reduce_map([q.substitute(list(f.components)) for q in web.basis])
-    Phi = phi_map(web)
-
-    try:
-        verdict = dualize._classify(F, seed)
-    except dualize.NotPlanar as exc:
-        raise NotALinesToCurvesMap(str(exc)) from exc
-    if isinstance(verdict, Trivial):
-        return InConic(PPoint(verdict.hyperplane.covector))
+    # a composite of zero forms is AllZero before the domain is read
+    composite = RatMap([q.substitute(list(f.components)) for q in web.basis])
+    if f.domain_vars != 3:
+        raise ValueError("classification needs domain RP^2")
+    dep = dualize.component_dependence(composite)
+    if dep is not None:
+        return InConic(PPoint(dep))
 
     # the degree tests below read the map's degree, not its components'
     f = reduce_map(f)
@@ -268,11 +304,17 @@ def classify_web(f, web: ConicSystem, seed: int = 0) -> WebCase:
     if f.degree == 1:
         return Quadratic(f)
 
+    F = reduce_map(composite)
+    try:
+        verdict = dualize._classify(F, seed)
+    except dualize.NotPlanar as exc:
+        raise NotALinesToCurvesMap(str(exc)) from exc
+
     # a web's forms are independent, so a relation of degree <= 2 is a
     # quadric; implicitize's solve proves that it vanishes on Phi
-    imp = implicitize(Phi, 2)
+    imp = _web_quadric(web)
     if imp is not None:
-        return QuadricFactor(imp[1], Phi, F)
+        return QuadricFactor(imp[1], phi_map(web), F)
 
     if isinstance(verdict, CoTrivial):
         return InverseQuadratic(invert_via_net(f, net_through(web, verdict.center), seed=seed))

@@ -512,14 +512,17 @@ def null_direction(rows: Sequence[Sequence], exact: bool) -> tuple[int, ...] | N
     columns are independent.  Float rows have one when their rank, the
     number of singular values above FLOAT_RANK_RTOL times the largest, is
     below the column count; it is the rationalized singular direction of
-    the smallest singular value.  One full SVD gives both the rank and that
-    direction."""
+    the smallest singular value.  One SVD gives both the rank and that
+    direction.  Only a matrix with fewer rows m than columns n takes the
+    full SVD, whose last n - m rows of vh span its null space; any other
+    takes the reduced one, whose vh is already n x n, and builds no m x m
+    U that nothing reads."""
     if exact:
         basis = _nullspace_int(_integer_rows(rows))
         return normalize(basis[0]) if basis else None
     import numpy as np
 
     a = np.array([[float(x) for x in r] for r in rows])
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     r = int(np.sum(s > FLOAT_RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
     return rationalize_direction(vh[-1]) if r < a.shape[1] else None

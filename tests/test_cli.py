@@ -475,6 +475,16 @@ def test_classify_over_the_lattice_limit_exits_1_at_once(tmp_path):
                     f"9 x 10 entries, 63270 cells, more than MAX_DUAL_LATTICE_CELLS = {MAX_DUAL_LATTICE_CELLS}")
 
 
+def test_khovanskii_float_grid_of_16384_nodes_fits_under_the_cap(tmp_path):
+    # the plane test's SVD of a 16384 x 4 matrix builds no 16384 x 16384 U
+    # (2 GiB, past CHILD_MEMORY_BYTES with the interpreter)
+    path = tmp_path / "circle.csv"
+    path.write_text(_circle_grid_text([k / 4 for k in range(128)], repr))
+    run = _planarize("khovanskii", "--in", str(path), "--mode", "float", timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["case"] == "InCircle"
+
+
 def _sparse_map_file(tmp_path, D, n):
     """[x0^D : x1^D : x2^D], with x0^(D-1) x1 appended into RP^3: a line with
     no zero entry has an image that spans RP^n."""

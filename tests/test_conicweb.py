@@ -1,10 +1,13 @@
 """Conic systems, the web classifier, net inversion, sphere maps."""
 
+import copy
 import json
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planarize import ratfit
 from planarize.conicweb import (
@@ -982,3 +985,153 @@ def test_a_sampled_map_of_degree_above_three_is_refused_by_the_fit(call):
     with pytest.raises(DegreeTooLow) as info:
         call(_chart_source(f))
     assert str(info.value) == "no map of degree <= 3 fits the lattice samples"
+
+
+# -- classify_web reads each verdict from the cheapest object that decides it ----------
+
+
+def _classify_web_in_the_old_order(f, web, seed=0):
+    """The reference: classify_web as it was when it reduced the composite
+    and certified its dual ahead of every verdict, and reduced the web's map
+    and implicitized it on every call.  Exact maps only."""
+    from planarize import dualize
+
+    F = reduce_map([q.substitute(list(f.components)) for q in web.basis])
+    Phi = reduce_map(list(web.basis))
+    try:
+        verdict = dualize._classify(F, seed)
+    except dualize.NotPlanar as exc:
+        raise NotALinesToCurvesMap(str(exc)) from exc
+    if isinstance(verdict, dualize.Trivial):
+        return InConic(PPoint(verdict.hyperplane.covector))
+    f = reduce_map(f)
+    if f.degree == 1:
+        return Quadratic(f)
+    imp = implicitize(Phi, 2)
+    if imp is not None:
+        return QuadricFactor(imp[1], Phi, F)
+    if isinstance(verdict, CoTrivial):
+        return InverseQuadratic(invert_via_net(f, net_through(web, verdict.center), seed=seed))
+    return Quadratic(f)
+
+
+def _repr_or_error(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # the type and the text must both agree
+        return type(exc).__name__, str(exc)
+
+
+_ROW = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+_MAP_KINDS = ("collineation", "singular-collineation", "collineation-times-linear",
+              "in-conic-times-linear", "inversion", "quadratic", "cubic")
+
+
+@st.composite
+def _web_maps(draw, kind):
+    """A map into RP^2 of the kind named, built with the constructor, so a
+    linear factor stays in the components."""
+    from planarize.cli import generate_map
+
+    if kind in ("quadratic", "cubic"):
+        return generate_map(draw(st.integers(1, 10**6)), 2 if kind == "quadratic" else 3, 2)
+    A = [draw(_ROW) for _ in range(3)]
+    if kind == "singular-collineation":
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        A[2] = [a * x + b * y for x, y in zip(A[0], A[1])]
+    L = [r[0] * X0 + r[1] * X1 + r[2] * X2 for r in A]
+    if kind == "in-conic-times-linear":
+        comps = [c.substitute(L) for c in IN_CONIC.components]
+    elif kind == "inversion":
+        comps = [c.substitute(L) for c in INVERSION.components]
+    else:
+        comps = L
+    if kind.endswith("times-linear"):
+        r = draw(_ROW.filter(any))
+        comps = [(r[0] * X0 + r[1] * X1 + r[2] * X2) * c for c in comps]
+    assume(not all(c.is_zero for c in comps))
+    return RatMap(comps)
+
+
+@pytest.mark.parametrize("web", [circle_web(), ORIGIN_WEB], ids=["circle", "origin"])
+@pytest.mark.parametrize("kind", _MAP_KINDS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 3))
+def test_classify_web_gives_the_old_order_s_verdicts_and_errors(kind, web, data, seed):
+    f = data.draw(_web_maps(kind))
+    assert _repr_or_error(lambda: classify_web(f, web, seed=seed)) == _repr_or_error(
+        lambda: _classify_web_in_the_old_order(f, web, seed=seed))
+
+
+def test_a_map_onto_a_web_base_point_is_all_zero_in_both_orders():
+    # [x0^2, x0 x1, x0 x2, x1 x2] vanishes at (0 : 1 : 0)
+    web = ConicSystem([X0 * X0, X0 * X1, X0 * X2, X1 * X2])
+    f = RatMap([0 * X0, X0 + 2 * X1 - X2, 0 * X0])
+    expected = ("AllZero", "all components are zero")
+    assert _repr_or_error(lambda: classify_web(f, web)) == expected
+    assert _repr_or_error(lambda: _classify_web_in_the_old_order(f, web)) == expected
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("f,webs,case", [
+    (RatMap([(X0 - X2) * c.substitute([X0 + X1, X1 - 2 * X2, X0 + X2]) for c in IN_CONIC.components]),
+     [circle_web()], InConic),
+    (IN_CONIC, [circle_web()], InConic),
+    (reduce_map([X0 + X1, X1 - 2 * X2, X0 + X2]), [circle_web(), ORIGIN_WEB], Quadratic),
+    (RatMap([X1 * c for c in (X0 + X1, X1 - 2 * X2, X0 + X2)]), [circle_web(), ORIGIN_WEB], Quadratic),
+], ids=["in-conic-times-linear", "in-conic", "collineation", "collineation-times-linear"])
+def test_in_conic_and_degree_one_run_no_dual(monkeypatch, f, webs, case):
+    # IN_CONIC's image is the circle -y0^2 + y1^2 + y2^2 = 0, a member of
+    # the circle web only
+    from planarize import conicweb, dualize
+
+    duals = _counting(monkeypatch, dualize, "dual_map")
+    reductions = _counting(monkeypatch, conicweb, "reduce_map")
+    for web in webs:
+        assert isinstance(classify_web(f, web), case)
+    assert duals == []
+    if case is InConic:  # nothing is reduced before the member is read
+        assert reductions == []
+    else:  # f alone, once per call
+        assert [len(args[0].components) for args in reductions] == [3] * len(webs)
+
+
+def test_a_web_implicitizes_its_map_once(monkeypatch):
+    from planarize import conicweb
+
+    calls = _counting(monkeypatch, conicweb, "implicitize")
+    web = circle_web()
+    first = classify_web(INVERSION, web)
+    assert isinstance(first, QuadricFactor)
+    assert classify_web(INVERSION, web) == first
+    assert len(calls) == 1
+    # the command line reads the web from its JSON file on each call
+    for _ in range(2):
+        assert classify_web(INVERSION, ConicSystem.from_json(web.to_json())) == first
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_conic_system_copies_through_its_constructor(copier):
+    web = circle_web()
+    verdict = classify_web(INVERSION, web)
+    assert web._cache  # filled by the call
+    twin = copier(web)
+    assert type(twin) is ConicSystem and twin is not web
+    assert twin.basis == web.basis
+    assert twin._cache == {}
+    assert classify_web(INVERSION, twin) == verdict
+    with pytest.raises(AttributeError, match="ConicSystem is immutable"):
+        twin.basis = ()
